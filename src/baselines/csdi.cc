@@ -128,7 +128,19 @@ Variable CsdiModel::PredictNoise(const Tensor& noisy,
   Variable noisy_channel = ag::Reshape(ag::Constant(noisy), {b, n, l, 1});
   Variable h = input_conv_.Forward(
       ag::Concat({cond_channel, noisy_channel}, -1));
-  h = ag::Add(h, AuxiliaryInfo(b, batch.cond_mask));
+  // The side information reads only cond_mask and the weights: within a
+  // reverse run it is computed once and read back from the step cache.
+  diffusion::StepInvariantCache* cache =
+      diffusion::UsableStepCache(batch, this);
+  Variable aux;
+  if (cache != nullptr && !cache->tensors.empty()) {
+    CHECK_EQ(cache->tensors[0].dim(0), b);
+    aux = ag::Constant(cache->tensors[0]);
+  } else {
+    aux = AuxiliaryInfo(b, batch.cond_mask);
+    if (cache != nullptr) cache->tensors.push_back(aux.value());
+  }
+  h = ag::Add(h, aux);
 
   Variable diff_emb = ag::Constant(
       nn::DiffusionStepEncoding(t, config_.diffusion_emb_dim));

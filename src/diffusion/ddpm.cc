@@ -25,6 +25,14 @@ namespace pristi::diffusion {
 namespace ag = ::pristi::autograd;
 namespace t = ::pristi::tensor;
 
+StepInvariantCache* UsableStepCache(const DiffusionBatch& batch,
+                                    const void* owner) {
+  StepInvariantCache* cache = batch.step_cache.get();
+  if (cache == nullptr || ag::GradModeEnabled()) return nullptr;
+  if (cache->owner == nullptr) cache->owner = owner;
+  return cache->owner == owner ? cache : nullptr;
+}
+
 Tensor QSample(const Tensor& x0, const Tensor& eps,
                const NoiseSchedule& schedule, int64_t t) {
   PRISTI_CHECK(t::ShapesEqual(x0.shape(), eps.shape()));
@@ -69,7 +77,7 @@ std::vector<double> ScheduleBetas(const NoiseSchedule& schedule) {
 // shard COUNT is deliberately not stored (any K produces the same bits, so
 // a resume may pick a different one), but the single-stream and sharded
 // trajectories differ, so crossing modes on resume is a config mismatch.
-serialize::Status SaveTrainingCheckpoint(
+Status SaveTrainingCheckpoint(
     const std::string& path, nn::Module& module, const nn::Adam& optimizer,
     const nn::EmaWeights* ema, const Rng& rng, const NoiseSchedule& schedule,
     int64_t epochs_done, const std::vector<double>& epoch_losses,
@@ -86,28 +94,27 @@ serialize::Status SaveTrainingCheckpoint(
     writer.AddI64("train.sharded", sharded ? 1 : 0);
     writer.AddF64List("train.losses", epoch_losses);
     if (!writer.Finish()) {
-      return serialize::Status::Error(serialize::ErrorCode::kIoError,
-                                      "checkpoint write failed");
+      return Status::Error(ErrorCode::kIoError, "checkpoint write failed");
     }
-    return serialize::Status::Ok();
+    return Status::Ok();
   });
 }
 
 // Restores model/optimizer/EMA/RNG state and returns the number of completed
 // epochs via `epochs_done`. Every failure is a typed serialize error.
-serialize::Status LoadTrainingCheckpoint(
+Status LoadTrainingCheckpoint(
     const std::string& path, nn::Module& module, nn::Adam* optimizer,
     nn::EmaWeights* ema, Rng* rng, const NoiseSchedule& schedule,
     bool sharded, int64_t* epochs_done,
     std::vector<double>* epoch_losses) {
   serialize::CheckpointView view;
-  serialize::Status status = serialize::ParseCheckpointFile(path, &view);
+  Status status = serialize::ParseCheckpointFile(path, &view);
   if (!status.ok()) return status;
   std::string kind;
   if (!(status = view.GetString("meta.kind", &kind)).ok()) return status;
   if (kind != "pristi-training") {
-    return serialize::Status::Error(
-        serialize::ErrorCode::kConfigMismatch,
+    return Status::Error(
+        ErrorCode::kConfigMismatch,
         "'" + path + "' is a '" + kind +
             "' checkpoint, not a training checkpoint");
   }
@@ -116,8 +123,8 @@ serialize::Status LoadTrainingCheckpoint(
     return status;
   }
   if (stored_betas != ScheduleBetas(schedule)) {
-    return serialize::Status::Error(
-        serialize::ErrorCode::kConfigMismatch,
+    return Status::Error(
+        ErrorCode::kConfigMismatch,
         "checkpoint noise schedule differs from the live schedule");
   }
   if (!(status = serialize::LoadModule(module, view)).ok()) return status;
@@ -125,8 +132,8 @@ serialize::Status LoadTrainingCheckpoint(
   if (ema != nullptr) {
     if (!(status = serialize::LoadEma(ema, view)).ok()) return status;
   } else if (view.Find("ema.__count") != nullptr) {
-    return serialize::Status::Error(
-        serialize::ErrorCode::kConfigMismatch,
+    return Status::Error(
+        ErrorCode::kConfigMismatch,
         "checkpoint carries EMA shadows but the run has ema_decay = 0");
   }
   if (!(status = serialize::LoadRng(rng, view)).ok()) return status;
@@ -139,8 +146,8 @@ serialize::Status LoadTrainingCheckpoint(
     }
   }
   if ((stored_sharded != 0) != sharded) {
-    return serialize::Status::Error(
-        serialize::ErrorCode::kConfigMismatch,
+    return Status::Error(
+        ErrorCode::kConfigMismatch,
         std::string("checkpoint was written by a ") +
             (stored_sharded != 0 ? "sharded" : "single-stream") +
             " training run; resuming in the other mode would silently "
@@ -153,11 +160,11 @@ serialize::Status LoadTrainingCheckpoint(
   }
   if (*epochs_done < 0 ||
       *epochs_done != static_cast<int64_t>(epoch_losses->size())) {
-    return serialize::Status::Error(
-        serialize::ErrorCode::kBadRecord,
+    return Status::Error(
+        ErrorCode::kBadRecord,
         "train.epoch disagrees with the stored loss history");
   }
-  return serialize::Status::Ok();
+  return Status::Ok();
 }
 
 }  // namespace
@@ -195,7 +202,7 @@ std::vector<double> TrainDiffusionModel(ConditionalNoisePredictor* model,
   int64_t start_epoch = 0;
   std::vector<double> epoch_losses;
   if (!options.resume_from.empty()) {
-    serialize::Status status = LoadTrainingCheckpoint(
+    Status status = LoadTrainingCheckpoint(
         options.resume_from, *module, &optimizer,
         ema ? &*ema : nullptr, &rng, schedule, options.num_shards > 0,
         &start_epoch, &epoch_losses);
@@ -282,7 +289,7 @@ std::vector<double> TrainDiffusionModel(ConditionalNoisePredictor* model,
                         done % options.checkpoint_every == 0))) {
       std::string path = serialize::CheckpointFileName(
           options.checkpoint_dir, options.checkpoint_prefix, done);
-      serialize::Status status = SaveTrainingCheckpoint(
+      Status status = SaveTrainingCheckpoint(
           path, *module, optimizer, ema ? &*ema : nullptr, rng, schedule,
           done, epoch_losses, options.num_shards > 0);
       PRISTI_CHECK(status.ok())
@@ -339,12 +346,19 @@ namespace {
 // calls this with num_chains == 1 per chain; all paths execute identical
 // per-entry arithmetic (and a FRESH stepper per call, so PLMS history is
 // per-chain-set), so they agree when fed the same chain streams.
+// Every call also attaches a FRESH step-invariant cache to the batch the
+// model sees: the model computes its conditioning once on the first call
+// and reuses it for the rest of the run. The callers hold the
+// ModelAccessGuard and NoGradGuard, so the weights and the conditioning
+// cannot change while the cache is alive.
 Tensor RunReverseChains(ConditionalNoisePredictor* model,
-                        const DiffusionBatch& batch,
+                        const DiffusionBatch& conditioning,
                         const std::vector<ReverseStep>& plan,
                         SamplerKind sampler, Rng* chain_rngs,
                         int64_t num_chains, const Tensor& target_masks) {
   PRISTI_CHECK_EQ(target_masks.dim(0), num_chains);
+  DiffusionBatch batch = conditioning;
+  batch.step_cache = std::make_shared<StepInvariantCache>();
   int64_t n = target_masks.dim(1), l = target_masks.dim(2);
   int64_t per = n * l;
   Tensor x(t::Shape{num_chains, n, l});

@@ -7,6 +7,7 @@
 // multi-sample probabilistic output.
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,12 +22,31 @@ namespace pristi::diffusion {
 using autograd::Variable;
 using tensor::Tensor;
 
+// Values a noise predictor derives from a batch's conditioning tensors and
+// its own weights alone — PriSTI's auxiliary information U and conditional
+// prior H^pri, CSDI's side information — kept across the model calls of one
+// reverse run so they are computed once instead of once per step. The
+// layout of `tensors` belongs to `owner`, the predictor that filled it;
+// the cache is opaque to everyone else.
+struct StepInvariantCache {
+  const void* owner = nullptr;
+  std::vector<Tensor> tensors;
+};
+
 // One training/inference batch, node-major per sample. All tensors (B, N, L).
 struct DiffusionBatch {
   Tensor cond_values;    // observed conditional values (zeros elsewhere)
   Tensor cond_mask;      // 1 = conditionally observed
   Tensor interpolated;   // linear interpolation of cond_values (PriSTI's X)
   Tensor target_mask;    // 1 = entries being denoised / imputed
+  // Null except during one reverse run: the sampling entry points
+  // (ImputeWindow, ImputeWindowsCoalesced) attach a fresh cache per
+  // reverse chain run, under the ModelAccessGuard and NoGradGuard, so
+  // neither the weights nor the conditioning can change while it is alive.
+  // It may hold only functions of the four tensors above and the weights —
+  // never anything that depends on the noisy sample or the step t.
+  // Training never attaches one.
+  std::shared_ptr<StepInvariantCache> step_cache;
 };
 
 // A conditional noise prediction network epsilon_theta. Implementations:
@@ -38,6 +58,12 @@ class ConditionalNoisePredictor {
   // Predicts the added noise. `noisy` is (B, N, L) — the perturbed target
   // (zeros outside target_mask); `t` is the 1-based diffusion step shared by
   // the batch. Returns (B, N, L).
+  //
+  // An implementation may keep its step-invariant intermediates in
+  // `batch.step_cache` (see UsableStepCache): only values that are
+  // functions of the conditioning tensors and the weights, never anything
+  // that depends on `noisy` or `t`. A call that reuses them must return
+  // bit-identically what a call without the cache returns.
   virtual Variable PredictNoise(const Tensor& noisy,
                                 const DiffusionBatch& batch, int64_t t) = 0;
 
@@ -45,6 +71,15 @@ class ConditionalNoisePredictor {
   virtual std::vector<Variable> Parameters() = 0;
   virtual void ZeroGrad() = 0;
 };
+
+// The batch's step cache if `owner` may use it in this call, else null:
+// there must be one, grad mode must be off (a recorded tape has to reach
+// the parameters through the step-invariant ops), and it must be empty or
+// already owned by `owner`. An empty cache is claimed for `owner`, so a
+// second predictor seeing the same batch never reads the first one's
+// values.
+StepInvariantCache* UsableStepCache(const DiffusionBatch& batch,
+                                    const void* owner);
 
 // x_t = sqrt(alpha_bar_t) x_0 + sqrt(1 - alpha_bar_t) eps.
 Tensor QSample(const Tensor& x0, const Tensor& eps,

@@ -256,16 +256,32 @@ Variable PristiModel::PredictNoise(const Tensor& noisy,
   Variable h_in = input_conv_.Forward(
       ag::Concat({cond_channel, noisy_channel}, -1));
 
-  Variable aux = AuxiliaryInfo(b);
+  // U and H^pri depend only on the conditioning and the weights, so within
+  // a reverse run they are computed on the first call and then read back
+  // from the batch's step cache. The w/o-CF prior mixes in the noisy
+  // stream and is never cached.
+  diffusion::StepInvariantCache* cache =
+      diffusion::UsableStepCache(batch, this);
+  bool cached = cache != nullptr && !cache->tensors.empty();
+  if (cached) CHECK_EQ(cache->tensors[0].dim(0), b);
+  Variable aux = cached ? ag::Constant(cache->tensors[0]) : AuxiliaryInfo(b);
   h_in = ag::Add(h_in, aux);
 
   // Conditional prior H^pri.
   Variable h_pri;
-  if (config_.use_conditional_feature) {
+  if (!config_.use_conditional_feature) {
+    h_pri = h_in;  // w/o CF: weights computed from the noisy stream
+  } else if (cached) {
+    h_pri = ag::Constant(cache->tensors[1]);
+  } else {
     Variable h_cond = ag::Add(cond_conv_.Forward(cond_channel), aux);
     h_pri = cond_module_->Forward(h_cond);
-  } else {
-    h_pri = h_in;  // w/o CF: weights computed from the noisy stream
+  }
+  if (cache != nullptr && !cached) {
+    cache->tensors.push_back(aux.value());
+    if (config_.use_conditional_feature) {
+      cache->tensors.push_back(h_pri.value());
+    }
   }
 
   // Diffusion-step embedding through the shared MLP.

@@ -346,20 +346,19 @@ Status PruneCheckpoints(const std::string& dir, const std::string& prefix,
 
 namespace pristi::nn {
 
-serialize::Status Module::SaveCheckpoint(std::ostream& out) {
+Status Module::SaveCheckpoint(std::ostream& out) {
   serialize::CheckpointWriter writer(out);
   writer.AddString("meta.kind", "pristi-module");
   serialize::AppendModule(*this, &writer);
   if (!writer.Finish()) {
-    return serialize::Status::Error(serialize::ErrorCode::kIoError,
-                                    "checkpoint write failed");
+    return Status::Error(ErrorCode::kIoError, "checkpoint write failed");
   }
-  return serialize::Status::Ok();
+  return Status::Ok();
 }
 
-serialize::Status Module::LoadCheckpoint(std::istream& in) {
+Status Module::LoadCheckpoint(std::istream& in) {
   serialize::CheckpointView view;
-  serialize::Status status = serialize::CheckpointView::Parse(in, &view);
+  Status status = serialize::CheckpointView::Parse(in, &view);
   if (!status.ok()) return status;
   return serialize::LoadModule(*this, view);
 }

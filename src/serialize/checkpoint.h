@@ -25,11 +25,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "nn/ema.h"
 #include "nn/module.h"
 #include "nn/optimizer.h"
 #include "serialize/format.h"
-#include "serialize/status.h"
 
 namespace pristi::serialize {
 

@@ -32,7 +32,7 @@
 //
 // Changing any of the layout constants between the serialize-layout-begin /
 // serialize-layout-end markers below REQUIRES bumping kFormatVersion and
-// refreshing the fingerprint comment — tools/pristi_lint enforces the
+// refreshing the fingerprint comment — pristi_analyze enforces the
 // fingerprint (rule `serialize-version-guard`), so a layout edit cannot
 // land silently.
 
@@ -43,7 +43,7 @@
 #include <string>
 #include <vector>
 
-#include "serialize/status.h"
+#include "common/status.h"
 #include "tensor/tensor.h"
 
 namespace pristi::serialize {

@@ -2,6 +2,8 @@
 // methods, training smoke + quality checks for the deep methods.
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -385,6 +387,47 @@ TEST(CsdiTest, ForwardShapeAndGrads) {
   autograd::SumAll(autograd::Square(out)).Backward();
   for (auto& [name, param] : model.NamedParameters()) {
     EXPECT_TRUE(param.has_grad()) << name;
+  }
+}
+
+// CSDI's side information (U plus cond_mask) is step-invariant: inside a
+// reverse run it comes from the step cache, bit-identical to recomputing it.
+TEST(CsdiTest, StepCacheHitIsBitwiseEqualToUncachedCall) {
+  CsdiConfig config;
+  config.num_nodes = 5;
+  config.window_len = 6;
+  config.channels = 8;
+  config.heads = 2;
+  config.layers = 2;
+  config.diffusion_emb_dim = 16;
+  config.temporal_emb_dim = 16;
+  config.node_emb_dim = 8;
+  Rng rng(21);
+  CsdiModel model(config, rng);
+  diffusion::DiffusionBatch batch;
+  batch.cond_mask = Tensor::Zeros({2, 5, 6});
+  for (int64_t i = 0; i < batch.cond_mask.numel(); ++i) {
+    batch.cond_mask[i] = rng.Bernoulli(0.6) ? 1.0f : 0.0f;
+  }
+  batch.cond_values = t::Mul(Tensor::Randn({2, 5, 6}, rng), batch.cond_mask);
+  batch.interpolated = batch.cond_values;
+  batch.target_mask = t::Sub(Tensor::Ones({2, 5, 6}), batch.cond_mask);
+  diffusion::DiffusionBatch cached = batch;
+  cached.step_cache = std::make_shared<diffusion::StepInvariantCache>();
+
+  autograd::NoGradGuard no_grad;
+  for (int64_t step : {9, 6, 3, 1}) {
+    Tensor noisy = Tensor::Randn({2, 5, 6}, rng);
+    Tensor uncached = model.PredictNoise(noisy, batch, step).value();
+    Tensor reused = model.PredictNoise(noisy, cached, step).value();
+    ASSERT_EQ(uncached.numel(), reused.numel());
+    EXPECT_EQ(std::memcmp(uncached.data(), reused.data(),
+                          static_cast<size_t>(uncached.numel()) *
+                              sizeof(float)),
+              0)
+        << "t=" << step;
+    EXPECT_EQ(cached.step_cache->owner, &model);
+    EXPECT_EQ(cached.step_cache->tensors.size(), 1u);
   }
 }
 

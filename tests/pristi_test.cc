@@ -3,6 +3,8 @@
 
 #include "pristi/pristi_model.h"
 
+#include <cstring>
+#include <memory>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include "autograd/ops.h"
 #include "data/windows.h"
 #include "diffusion/ddpm.h"
+#include "diffusion/sampler.h"
 #include "graph/adjacency.h"
 
 namespace pristi::core {
@@ -302,6 +305,220 @@ TEST(PristiModelTest, SparseMpnnMatchesDense) {
   tensor::Tensor out_sparse = sparse.PredictNoise(noisy, batch, 4).value();
   EXPECT_TRUE(tensor::AllClose(out_dense, out_sparse, 1e-4f, 1e-4f));
 }
+
+}  // namespace
+}  // namespace pristi::core
+
+namespace pristi::core {
+namespace {
+
+using ::pristi::diffusion::StepInvariantCache;
+
+bool BitwiseEqual(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+DiffusionBatch WithFreshCache(const DiffusionBatch& batch) {
+  DiffusionBatch cached = batch;
+  cached.step_cache = std::make_shared<StepInvariantCache>();
+  return cached;
+}
+
+// ---------------------------------------------------------------------------
+// Step-invariant cache contract: the conditioning a sampling run computes
+// once and reuses must reproduce the uncached forward bit for bit, must
+// never capture a tape, and belongs to exactly one model.
+// ---------------------------------------------------------------------------
+
+struct CacheConfigSpec {
+  const char* name;
+  void (*apply)(PristiConfig&);
+  size_t cached_tensors;  // U alone for w/o CF, U and H^pri otherwise
+};
+
+class StepCacheTest : public ::testing::TestWithParam<CacheConfigSpec> {};
+
+TEST_P(StepCacheTest, CacheHitIsBitwiseEqualToUncachedCall) {
+  PristiConfig config = TinyConfig(6, 8);
+  GetParam().apply(config);
+  Rng rng(81);
+  PristiModel model(config, TestAdjacency(6), rng);
+  Rng data_rng(82);
+  DiffusionBatch batch = RandomBatch(3, 6, 8, data_rng);
+  DiffusionBatch cached = WithFreshCache(batch);
+
+  // The steps a PLMS-5 run feeds the model, Runge-Kutta midpoints included.
+  NoiseSchedule schedule = NoiseSchedule::Quadratic(50, 1e-4f, 0.2f);
+  std::vector<int64_t> steps;
+  for (const diffusion::ReverseStep& rs :
+       diffusion::PlanReverseSteps(schedule, 5)) {
+    steps.push_back(rs.step);
+    if (rs.mid_step > 0) steps.push_back(rs.mid_step);
+  }
+  ASSERT_GE(steps.size(), 8u);
+
+  ag::NoGradGuard no_grad;
+  for (int64_t step : steps) {
+    Tensor noisy = t::Mul(Tensor::Randn({3, 6, 8}, data_rng),
+                          batch.target_mask);
+    Tensor uncached = model.PredictNoise(noisy, batch, step).value();
+    Tensor reused = model.PredictNoise(noisy, cached, step).value();
+    EXPECT_TRUE(BitwiseEqual(uncached, reused)) << "t=" << step;
+    EXPECT_EQ(cached.step_cache->owner, &model);
+    EXPECT_EQ(cached.step_cache->tensors.size(), GetParam().cached_tensors);
+  }
+  EXPECT_EQ(batch.step_cache, nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Variants, StepCacheTest,
+    ::testing::Values(
+        CacheConfigSpec{"pristi", [](PristiConfig&) {}, 2},
+        CacheConfigSpec{"mix_sti",
+                        [](PristiConfig& c) {
+                          c.use_interpolation = false;
+                          c.use_conditional_feature = false;
+                        },
+                        1},
+        CacheConfigSpec{"mix_sti_with_cf",
+                        [](PristiConfig& c) { c.use_interpolation = false; },
+                        2},
+        CacheConfigSpec{"wo_cf",
+                        [](PristiConfig& c) {
+                          c.use_conditional_feature = false;
+                        },
+                        1}),
+    [](const ::testing::TestParamInfo<CacheConfigSpec>& info) {
+      return info.param.name;
+    });
+
+TEST(StepCacheContract, GradModeNeitherFillsNorReadsTheCache) {
+  PristiConfig config = TinyConfig(5, 6);
+  Rng rng(83);
+  PristiModel model(config, TestAdjacency(5), rng);
+  Rng data_rng(84);
+  DiffusionBatch batch = RandomBatch(2, 5, 6, data_rng);
+  Tensor noisy = Tensor::Randn({2, 5, 6}, data_rng);
+
+  // A grad-mode call with an empty cache leaves it unclaimed and empty.
+  DiffusionBatch cached = WithFreshCache(batch);
+  Tensor taped = model.PredictNoise(noisy, cached, 7).value();
+  EXPECT_EQ(cached.step_cache->owner, nullptr);
+  EXPECT_TRUE(cached.step_cache->tensors.empty());
+
+  // Once filled under inference mode, a grad-mode call still recomputes
+  // the conditioning on the tape: the gradient reaches every parameter of
+  // the conditional feature module.
+  {
+    ag::NoGradGuard no_grad;
+    model.PredictNoise(noisy, cached, 7);
+  }
+  ASSERT_EQ(cached.step_cache->tensors.size(), 2u);
+  model.ZeroGrad();
+  Variable out = model.PredictNoise(noisy, cached, 7);
+  EXPECT_TRUE(BitwiseEqual(out.value(), taped));
+  ag::SumAll(ag::Square(out)).Backward();
+  int64_t cond_params = 0;
+  for (auto& [name, param] : model.NamedParameters()) {
+    if (name.rfind("cond_module.", 0) != 0 && name != "node_embedding" &&
+        name.rfind("cond_conv.", 0) != 0 && name.rfind("aux_proj.", 0) != 0) {
+      continue;
+    }
+    ++cond_params;
+    EXPECT_TRUE(param.has_grad()) << name;
+  }
+  EXPECT_GT(cond_params, 10);
+}
+
+TEST(StepCacheContract, OneModelsCacheIsNotUsedByAnother) {
+  PristiConfig config = TinyConfig(5, 6);
+  Rng rng_a(85), rng_b(86);
+  PristiModel a(config, TestAdjacency(5), rng_a);
+  PristiModel b(config, TestAdjacency(5), rng_b);
+  Rng data_rng(87);
+  DiffusionBatch batch = RandomBatch(2, 5, 6, data_rng);
+  Tensor noisy = Tensor::Randn({2, 5, 6}, data_rng);
+
+  ag::NoGradGuard no_grad;
+  DiffusionBatch cached = WithFreshCache(batch);
+  a.PredictNoise(noisy, cached, 4);
+  ASSERT_EQ(cached.step_cache->owner, &a);
+  std::vector<Tensor> filled_by_a = cached.step_cache->tensors;
+
+  Tensor uncached_b = b.PredictNoise(noisy, batch, 4).value();
+  Tensor shared_b = b.PredictNoise(noisy, cached, 4).value();
+  EXPECT_TRUE(BitwiseEqual(uncached_b, shared_b));
+  EXPECT_EQ(cached.step_cache->owner, &a);
+  ASSERT_EQ(cached.step_cache->tensors.size(), filled_by_a.size());
+  for (size_t i = 0; i < filled_by_a.size(); ++i) {
+    EXPECT_TRUE(BitwiseEqual(cached.step_cache->tensors[i], filled_by_a[i]));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// No target leakage (Algorithm 2): the sampler may only read observed
+// entries, so whatever sits in sample.values at unobserved positions must
+// not change a single output bit — the hoisted conditioning included.
+// ---------------------------------------------------------------------------
+
+// PriSTI conditions on the interpolation, mix-STI on the raw observed
+// values; both must mask what they read.
+class NoTargetLeakage : public ::testing::TestWithParam<bool> {};
+
+TEST_P(NoTargetLeakage, UnobservedValuesDoNotChangeImputation) {
+  PristiConfig config = TinyConfig(6, 8);
+  config.use_interpolation = GetParam();
+  Rng rng(88);
+  PristiModel model(config, TestAdjacency(6), rng);
+  NoiseSchedule schedule = NoiseSchedule::Quadratic(50, 1e-4f, 0.2f);
+
+  Rng data_rng(89);
+  data::Sample sample;
+  sample.values = Tensor::Randn({6, 8}, data_rng);
+  sample.observed = Tensor::Zeros({6, 8});
+  for (int64_t i = 0; i < sample.observed.numel(); ++i) {
+    sample.observed[i] = data_rng.Bernoulli(0.6) ? 1.0f : 0.0f;
+  }
+  sample.eval = Tensor::Zeros({6, 8});
+  data::Sample perturbed = sample;
+  perturbed.values = sample.values.Clone();
+  int64_t hidden = 0;
+  for (int64_t i = 0; i < perturbed.values.numel(); ++i) {
+    if (sample.observed[i] < 0.5f) {
+      perturbed.values[i] += 100.0f + static_cast<float>(data_rng.Normal());
+      ++hidden;
+    }
+  }
+  ASSERT_GT(hidden, 0);
+
+  for (diffusion::SamplerKind sampler :
+       {diffusion::SamplerKind::kDdpm, diffusion::SamplerKind::kDdim,
+        diffusion::SamplerKind::kPlms}) {
+    diffusion::ImputeOptions options;
+    options.num_samples = 3;
+    options.sampler = sampler;
+    options.num_inference_steps = 6;
+    Rng rng_a(90), rng_b(90);
+    diffusion::ImputationResult clean =
+        diffusion::ImputeWindow(&model, schedule, sample, options, rng_a);
+    diffusion::ImputationResult dirty =
+        diffusion::ImputeWindow(&model, schedule, perturbed, options, rng_b);
+    const char* name = diffusion::SamplerKindName(sampler);
+    ASSERT_EQ(clean.samples.size(), dirty.samples.size()) << name;
+    for (size_t c = 0; c < clean.samples.size(); ++c) {
+      EXPECT_TRUE(BitwiseEqual(clean.samples[c], dirty.samples[c]))
+          << name << " chain " << c;
+    }
+    EXPECT_TRUE(BitwiseEqual(clean.median, dirty.median)) << name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Conditioning, NoTargetLeakage, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "interpolated" : "raw_observed";
+                         });
 
 }  // namespace
 }  // namespace pristi::core

@@ -27,6 +27,7 @@
 #include "common/env.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "common/status.h"
 #include "data/dataset.h"
 #include "data/windows.h"
 #include "diffusion/ddpm.h"
@@ -37,7 +38,6 @@
 #include "pristi/pristi_model.h"
 #include "serialize/checkpoint.h"
 #include "serialize/format.h"
-#include "serialize/status.h"
 #include "tensor/kernels/attention.h"
 #include "test_tmpdir.h"
 

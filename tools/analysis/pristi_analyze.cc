@@ -5,8 +5,7 @@
 // Loads every analyzed file once, runs the registered passes (all by
 // default, or the comma-separated subset from --rules), prints one line
 // per unsuppressed violation, and exits 0 (clean) / 1 (violations) /
-// 2 (usage or not a repo root). The binary is also installed under the
-// historical name `pristi_lint`; both spell the same engine.
+// 2 (usage or not a repo root).
 
 #include <cstring>
 #include <filesystem>

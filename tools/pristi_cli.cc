@@ -201,7 +201,7 @@ int CmdTrain(const Flags& flags) {
   diffusion::TrainDiffusionModel(model.get(), schedule, task, options.train,
                                  rng);
   std::string out = flags.GetString("model-out", "pristi.ckpt");
-  serialize::Status status = serialize::SaveModuleCheckpointFile(*model, out);
+  Status status = serialize::SaveModuleCheckpointFile(*model, out);
   CHECK(status.ok()) << "checkpoint write failed: " << status.ToString();
   std::printf("saved checkpoint to %s\n", out.c_str());
   return 0;
@@ -216,8 +216,7 @@ int CmdImpute(const Flags& flags) {
       config, task.dataset.graph.adjacency, rng);
   std::string ckpt = flags.GetString("model");
   if (!ckpt.empty()) {
-    serialize::Status status =
-        serialize::LoadModuleCheckpointFileAuto(*model, ckpt);
+    Status status = serialize::LoadModuleCheckpointFileAuto(*model, ckpt);
     CHECK(status.ok()) << "cannot load " << ckpt << ": "
                        << status.ToString();
     std::printf("loaded checkpoint %s\n", ckpt.c_str());
@@ -247,7 +246,7 @@ int CmdSave(const Flags& flags) {
   core::PristiConfig config = ModelConfig(flags, task);
   core::PristiModel model(config, task.dataset.graph.adjacency, rng);
   std::string out = flags.GetString("out", "pristi.ckpt");
-  serialize::Status status = serialize::SaveModuleCheckpointFile(model, out);
+  Status status = serialize::SaveModuleCheckpointFile(model, out);
   if (!status.ok()) {
     std::printf("save failed: %s\n", status.ToString().c_str());
     return 1;
@@ -270,8 +269,7 @@ int CmdLoad(const Flags& flags) {
     std::printf("load: --model=<checkpoint> is required\n");
     return 2;
   }
-  serialize::Status status =
-      serialize::LoadModuleCheckpointFileAuto(model, path);
+  Status status = serialize::LoadModuleCheckpointFileAuto(model, path);
   if (!status.ok()) {
     std::printf("load failed: %s\n", status.ToString().c_str());
     return 1;
@@ -301,7 +299,7 @@ int CmdInspect(const Flags& flags) {
     return 2;
   }
   serialize::CheckpointView view;
-  serialize::Status status =
+  Status status =
       serialize::ParseCheckpointFile(path, &view, /*keep_corrupt=*/true);
   if (view.records().empty() && !status.ok()) {
     std::printf("%s: %s\n", path.c_str(), status.ToString().c_str());

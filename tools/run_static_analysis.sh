@@ -29,8 +29,8 @@
 #
 # Usage: run_static_analysis.sh [--analyze-only]
 #   --analyze-only  run only leg 1: configure/build the analyzer and run
-#                   `ctest -L analysis` (pristi_analyze + pristi_lint +
-#                   lint_test). The fast pre-commit gate.
+#                   `ctest -L analysis` (pristi_analyze + lint_test).
+#                   The fast pre-commit gate.
 #
 # Exits nonzero if any configure, build, or test step fails (including a
 # sanitizer report, since -fno-sanitize-recover=all makes reports fatal,
@@ -59,7 +59,7 @@ build_dir="$repo_root/build-analyze"
 echo "==== [analyze] configure -> $build_dir ===="
 if cmake -S "$repo_root" -B "$build_dir" -DCMAKE_BUILD_TYPE=Release \
     && cmake --build "$build_dir" -j "$jobs" \
-        --target pristi_analyze pristi_lint lint_test \
+        --target pristi_analyze lint_test \
     && (cd "$build_dir" && ctest --output-on-failure -j "$jobs" -L analysis); then
   echo "==== [analyze] OK ===="
 else
