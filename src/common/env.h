@@ -25,7 +25,7 @@
 //          debug checks (src/common/check.cc): tensors are scanned for
 //          NaN/Inf at checkpoints, at a large cost.
 //
-// Memory model (consumed by src/tensor/storage.cc and tensor.cc; read
+// Memory model (consumed by src/tensor/storage.cc; read
 // once at first allocation, so set them before the process starts):
 //   PRISTI_BUFFER_POOL  1 — 0 disables the Storage buffer pool's
 //          recycling; every tensor buffer comes from the heap. The A/B
@@ -33,10 +33,6 @@
 //          tensor::GetAllocStats() accumulate either way.
 //   PRISTI_POOL_MAX_MB  512 — cap on bytes cached in the pool's free
 //          lists. Excess frees go back to the heap.
-//   PRISTI_MALLOC_TUNE  0 — 1 re-enables the legacy glibc
-//          mallopt(M_MMAP_THRESHOLD/M_TRIM_THRESHOLD) tuning that
-//          predated the pool. Off by default: the pool recycles
-//          activation buffers directly.
 //
 // GEMM kernel layer (consumed by src/tensor/kernels/; read once at first
 // GEMM):
@@ -95,8 +91,10 @@
 //          configs tools/run_static_analysis.sh builds and tests.
 //   PRISTI_NATIVE_BITEQ  0 — 1 adds the -march=native bit-identity leg to
 //          tools/run_static_analysis.sh (requires matching hardware).
-//   PRISTI_SHARD_BITEQ  1 — 0 skips the 1-shard-vs-4-shard training
-//          bit-identity leg of tools/run_static_analysis.sh.
+//   PRISTI_SHARD_BITEQ  1 — 0 skips the two pristi_cli thread
+//          bit-identity legs of tools/run_static_analysis.sh: training at
+//          1 shard/1 thread vs 4 shards/4 threads, and imputation at 1 vs
+//          4 threads.
 //   PRISTI_ATTN_PARITY  1 — 0 skips the fused-off vs fused-on sampler
 //          output parity leg of tools/run_static_analysis.sh (tolerance
 //          compare of pristi_cli impute outputs under PRISTI_ATTN_FUSED=1

@@ -1,6 +1,7 @@
 #include "serve/session.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -64,34 +65,39 @@ ServeSession::~ServeSession() { Shutdown(DrainMode::kDrain); }
 std::future<ImputeResponse> ServeSession::Submit(ImputeRequest request) {
   std::promise<ImputeResponse> promise;
   std::future<ImputeResponse> future = promise.get_future();
-  const tensor::Tensor& values = request.window.values;
-  bool shape_ok = values.ndim() == 2 && values.dim(0) == config_.num_nodes &&
-                  values.dim(1) == config_.window_len &&
-                  tensor::ShapesEqual(values.shape(),
-                                      request.window.observed.shape());
-  if (!shape_ok) {
+  auto reject_invalid = [&](std::string message) {
     ImputeResponse response;
-    response.status = Status::Error(
-        ErrorCode::kInvalidRequest,
-        "request window must be (" + std::to_string(config_.num_nodes) +
-            ", " + std::to_string(config_.window_len) +
-            ") with a matching observed mask");
+    response.status =
+        Status::Error(ErrorCode::kInvalidRequest, std::move(message));
     std::lock_guard<std::mutex> guard(mu_);
     ++stats_.rejected_invalid;
     promise.set_value(std::move(response));
-    return future;
+    return std::move(future);
+  };
+  const tensor::Tensor& values = request.window.values;
+  const tensor::Tensor& observed = request.window.observed;
+  bool shape_ok = values.ndim() == 2 && values.dim(0) == config_.num_nodes &&
+                  values.dim(1) == config_.window_len &&
+                  tensor::ShapesEqual(values.shape(), observed.shape());
+  if (!shape_ok) {
+    return reject_invalid("request window must be (" +
+                          std::to_string(config_.num_nodes) + ", " +
+                          std::to_string(config_.window_len) +
+                          ") with a matching observed mask");
+  }
+  // An observed value conditions every chain and is copied into the
+  // output, so a NaN or Inf there would poison the whole window.
+  for (int64_t i = 0; i < values.numel(); ++i) {
+    if (observed[i] != 0.0f && !std::isfinite(values[i])) {
+      return reject_invalid("observed value at flat index " +
+                            std::to_string(i) + " is not finite");
+    }
   }
   if (request.num_inference_steps.has_value() &&
       *request.num_inference_steps < 0) {
-    ImputeResponse response;
-    response.status = Status::Error(
-        ErrorCode::kInvalidRequest,
+    return reject_invalid(
         "num_inference_steps must be >= 0 (0 = full schedule), got " +
-            std::to_string(*request.num_inference_steps));
-    std::lock_guard<std::mutex> guard(mu_);
-    ++stats_.rejected_invalid;
-    promise.set_value(std::move(response));
-    return future;
+        std::to_string(*request.num_inference_steps));
   }
 
   Pending pending;

@@ -17,7 +17,8 @@
 //     latency policy, never a numerics policy.
 //   * Admission — Submit never blocks. A full queue resolves the future
 //     immediately with the retryable kQueueFull status; a mis-shaped
-//     window with kInvalidRequest; a closed session with kCancelled.
+//     window, or a NaN/Inf at an observed position, with
+//     kInvalidRequest; a closed session with kCancelled.
 //   * Batching policy — a batch flushes when max_batch requests are
 //     waiting or when the OLDEST queued request has waited max_wait_nanos,
 //     whichever comes first (see common/bounded_queue.h). Time is read
@@ -171,7 +172,7 @@ class ServeSession {
   struct Stats {
     int64_t admitted = 0;
     int64_t rejected_full = 0;     // typed-retryable queue-full rejections
-    int64_t rejected_invalid = 0;  // shape mismatches
+    int64_t rejected_invalid = 0;  // bad shape, non-finite observed, steps < 0
     int64_t cancelled = 0;         // resolved with kCancelled
     int64_t completed = 0;
     int64_t batches = 0;           // model calls issued

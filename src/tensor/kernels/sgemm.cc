@@ -243,20 +243,47 @@ inline void MicroKernel(int64_t k, const float* ap, const float* bp,
   MicroKernelGeneric(k, ap, bp, mr, nr, c, ldc);
 }
 
+// Computes row block `ib` of C from its packed A panel and every packed
+// column panel of B.
+void ComputeRowBlock(int64_t ib, int64_t m, int64_t n, int64_t k,
+                     const float* a_panel, const float* bp, float* c) {
+  const int64_t i0 = ib * kRowTile;
+  const int64_t mr = std::min(kRowTile, m - i0);
+  const int64_t col_blocks = CeilDiv(n, kColTile);
+  for (int64_t jb = 0; jb < col_blocks; ++jb) {
+    const int64_t j0 = jb * kColTile;
+    MicroKernel(k, a_panel, bp + jb * k * kColTile, mr,
+                std::min(kColTile, n - j0), c + i0 * n + j0, n);
+  }
+}
+
 // Serial tiled compute over row blocks [b0, b1) given fully packed panels.
 void TiledCompute(int64_t b0, int64_t b1, int64_t m, int64_t n, int64_t k,
                   const float* ap, const float* bp, float* c) {
-  const int64_t col_blocks = CeilDiv(n, kColTile);
   for (int64_t ib = b0; ib < b1; ++ib) {
-    const int64_t i0 = ib * kRowTile;
-    const int64_t mr = std::min(kRowTile, m - i0);
-    const float* a_panel = ap + ib * k * kRowTile;
-    for (int64_t jb = 0; jb < col_blocks; ++jb) {
-      const int64_t j0 = jb * kColTile;
-      MicroKernel(k, a_panel, bp + jb * k * kColTile, mr,
-                  std::min(kColTile, n - j0), c + i0 * n + j0, n);
-    }
+    ComputeRowBlock(ib, m, n, k, ap + ib * k * kRowTile, bp, c);
   }
+}
+
+// TiledCompute for an A that is not packed up front: each row panel is
+// packed from `a` into a reused per-thread scratch just before its row
+// block runs, so a worker packs only the panels it computes.
+void PackAndComputeRows(Layout layout_a, int64_t b0, int64_t b1, int64_t m,
+                        int64_t n, int64_t k, const float* a,
+                        const float* bp, float* c) {
+  thread_local std::vector<float> a_panel;
+  ResizeForPanel(&a_panel, k * kRowTile);
+  for (int64_t ib = b0; ib < b1; ++ib) {
+    PackAPanel(layout_a, m, k, a, ib * kRowTile, a_panel.data());
+    ComputeRowBlock(ib, m, n, k, a_panel.data(), bp, c);
+  }
+  Counters().panels_packed.fetch_add(static_cast<uint64_t>(b1 - b0),
+                                     std::memory_order_relaxed);
+}
+
+// True when `t` identifies an operand the pack cache may serve.
+bool Cacheable(const Tensor* t) {
+  return t != nullptr && t->storage_id() != 0 && PackCacheEnabled();
 }
 
 // Produces the packed panel for one operand: served from the pack cache
@@ -267,9 +294,7 @@ const float* AcquirePanel(char operand, Layout layout, int64_t rows,
                           int64_t cols, const float* raw,
                           const Tensor* cache_t, PackedPanel* hold,
                           std::vector<float>* scratch) {
-  const bool cacheable = cache_t != nullptr && cache_t->storage_id() != 0 &&
-                         PackCacheEnabled();
-  if (cacheable) {
+  if (Cacheable(cache_t)) {
     PackKey key;
     key.storage_id = cache_t->storage_id();
     key.offset = cache_t->storage_offset();
@@ -357,20 +382,29 @@ void Gemm(Layout layout_a, Layout layout_b, int64_t m, int64_t n, int64_t k,
     return;
   }
 
-  // Packing runs once on the calling thread; workers then own disjoint row
-  // blocks of C, so bit-identity holds at any thread count.
+  // Workers own disjoint row blocks of C, so bit-identity holds at any
+  // thread count. B, and A when it is a cached weight, are packed once on
+  // the calling thread and read by every worker; an activation A is packed
+  // by the workers, each only for the row blocks it computes.
   PackedPanel a_hold, b_hold;
-  thread_local std::vector<float> a_scratch;
   thread_local std::vector<float> b_scratch;
-  const float* ap =
-      AcquirePanel('A', layout_a, m, k, a, cache_a, &a_hold, &a_scratch);
+  const float* ap = nullptr;
+  if (Cacheable(cache_a)) {
+    ap = AcquirePanel('A', layout_a, m, k, a, cache_a, &a_hold, nullptr);
+  }
   const float* bp =
       AcquirePanel('B', layout_b, k, n, b, cache_b, &b_hold, &b_scratch);
 
   const int64_t row_blocks = CeilDiv(m, kRowTile);
   pristi::ParallelFor(
       0, row_blocks,
-      [&](int64_t b0, int64_t b1) { TiledCompute(b0, b1, m, n, k, ap, bp, c); },
+      [&](int64_t b0, int64_t b1) {
+        if (ap != nullptr) {
+          TiledCompute(b0, b1, m, n, k, ap, bp, c);
+        } else {
+          PackAndComputeRows(layout_a, b0, b1, m, n, k, a, bp, c);
+        }
+      },
       MinChunkFor(2 * kRowTile * n * k));
 }
 

@@ -8,9 +8,9 @@
 // share one block and copy-on-write forks it only on mutation. Blocks come
 // from a process-wide, size-bucketed BufferPool: freeing a Storage returns
 // its block to the pool, and the next allocation of a similar size reuses
-// it instead of touching the heap. This replaces the PR 2 `mallopt`
-// band-aid structurally — reverse-diffusion steps recycle the previous
-// step's activation buffers at pool-hit cost, with no mmap/munmap churn.
+// it instead of touching the heap, so reverse-diffusion steps recycle the
+// previous step's activation buffers at pool-hit cost, with no mmap/munmap
+// churn.
 //
 // Thread model: the pool keeps a small per-thread block cache in front of a
 // mutex-protected global free list, so ParallelFor workers allocating
@@ -24,8 +24,6 @@
 //   PRISTI_BUFFER_POOL=0    disable recycling (every request hits the heap;
 //                           counters still accumulate) — the A/B baseline.
 //   PRISTI_POOL_MAX_MB=N    cap on pooled (cached-free) bytes, default 512.
-//   PRISTI_MALLOC_TUNE=1    re-enable the legacy glibc mallopt tuning that
-//                           the pool replaced (src/tensor/tensor.cc).
 
 #include <atomic>
 #include <cstdint>

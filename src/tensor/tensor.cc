@@ -7,15 +7,11 @@
 #include <numeric>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/parallel.h"
 #include "tensor/kernels/kernels.h"
-
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
 
 namespace pristi::tensor {
 
@@ -26,20 +22,12 @@ namespace {
 // ParallelFor degenerates to the inline path for small tensors.
 constexpr int64_t kElementwiseMinChunk = 1 << 14;
 
-#if defined(__GLIBC__)
-// Legacy allocator tuning, opt-in via PRISTI_MALLOC_TUNE=1. glibc serves
-// allocations above M_MMAP_THRESHOLD (default 128 KiB) with a fresh mmap and
-// returns them to the OS on free; before the BufferPool (storage.h) existed,
-// raising the thresholds was how sample-batched activations avoided
-// mmap/munmap churn. The pool now recycles those buffers directly, so the
-// process-global tweak is off by default and kept only for A/B measurement.
-const bool g_malloc_tuned = [] {
-  if (GetEnvIntOr("PRISTI_MALLOC_TUNE", 0) == 0) return false;
-  mallopt(M_MMAP_THRESHOLD, 1 << 27);
-  mallopt(M_TRIM_THRESHOLD, 1 << 27);
-  return true;
-}();
-#endif
+// min_chunk for a parallel loop over rows of `row_len` elements, so each
+// chunk still covers at least kElementwiseMinChunk elements.
+int64_t MinRowsPerChunk(int64_t row_len) {
+  return std::max<int64_t>(1,
+                           kElementwiseMinChunk / std::max<int64_t>(1, row_len));
+}
 
 }  // namespace
 
@@ -297,6 +285,19 @@ std::vector<int64_t> BroadcastStrides(const Shape& in, const Shape& out) {
   return strides;
 }
 
+// True when `small`, less its leading size-1 axes, equals the trailing
+// axes of `full`: `small` then repeats once per row of its numel in `full`.
+bool IsSuffixShape(const Shape& small, const Shape& full) {
+  size_t lead = 0;
+  while (lead < small.size() && small[lead] == 1) ++lead;
+  const size_t tail = small.size() - lead;
+  return tail <= full.size() &&
+         std::equal(small.begin() + static_cast<std::ptrdiff_t>(lead),
+                    small.end(), full.end() - static_cast<std::ptrdiff_t>(tail));
+}
+
+// Every path below writes each output element once, from one worker, as
+// fn(a-element, b-element), so results do not depend on the thread count.
 template <typename BinaryFn>
 Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinaryFn fn) {
   // Fast path: identical shapes.
@@ -316,28 +317,69 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, BinaryFn fn) {
   }
   Shape out_shape = BroadcastShape(a.shape(), b.shape());
   Tensor out(out_shape);
-  std::vector<int64_t> sa = BroadcastStrides(a.shape(), out_shape);
-  std::vector<int64_t> sb = BroadcastStrides(b.shape(), out_shape);
-  size_t ndim = out_shape.size();
-  std::vector<int64_t> idx(ndim, 0);
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
   int64_t n = out.numel();
-  int64_t oa = 0, ob = 0;
-  for (int64_t flat = 0; flat < n; ++flat) {
-    po[flat] = fn(pa[oa], pb[ob]);
-    // Increment the multi-index (row-major) and the two input offsets.
-    for (size_t i = ndim; i-- > 0;) {
-      ++idx[i];
-      oa += sa[i];
-      ob += sb[i];
-      if (idx[i] < out_shape[i]) break;
-      oa -= sa[i] * out_shape[i];
-      ob -= sb[i] * out_shape[i];
-      idx[i] = 0;
-    }
+  if (n == 0) return out;
+
+  // Row path: one operand has the output shape and the other matches its
+  // trailing axes (bias adds, per-step embeddings).
+  const bool a_full = ShapesEqual(a.shape(), out_shape);
+  if ((a_full && IsSuffixShape(b.shape(), out_shape)) ||
+      (ShapesEqual(b.shape(), out_shape) &&
+       IsSuffixShape(a.shape(), out_shape))) {
+    const int64_t row = a_full ? b.numel() : a.numel();
+    ParallelFor(
+        0, n / row,
+        [&](int64_t lo, int64_t hi) {
+          for (int64_t r = lo; r < hi; ++r) {
+            float* dst = po + r * row;
+            if (a_full) {
+              const float* src = pa + r * row;
+              for (int64_t j = 0; j < row; ++j) dst[j] = fn(src[j], pb[j]);
+            } else {
+              const float* src = pb + r * row;
+              for (int64_t j = 0; j < row; ++j) dst[j] = fn(pa[j], src[j]);
+            }
+          }
+        },
+        MinRowsPerChunk(row));
+    return out;
   }
+
+  // General path: walk the output multi-index, carrying both input
+  // offsets. Each chunk starts its walk at its own first flat index.
+  std::vector<int64_t> sa = BroadcastStrides(a.shape(), out_shape);
+  std::vector<int64_t> sb = BroadcastStrides(b.shape(), out_shape);
+  const size_t ndim = out_shape.size();
+  ParallelFor(
+      0, n,
+      [&](int64_t lo, int64_t hi) {
+        std::vector<int64_t> idx(ndim, 0);
+        int64_t oa = 0, ob = 0;
+        int64_t rest = lo;
+        for (size_t i = ndim; i-- > 0;) {
+          idx[i] = rest % out_shape[i];
+          rest /= out_shape[i];
+          oa += idx[i] * sa[i];
+          ob += idx[i] * sb[i];
+        }
+        for (int64_t flat = lo; flat < hi; ++flat) {
+          po[flat] = fn(pa[oa], pb[ob]);
+          // Increment the multi-index (row-major) and the two offsets.
+          for (size_t i = ndim; i-- > 0;) {
+            ++idx[i];
+            oa += sa[i];
+            ob += sb[i];
+            if (idx[i] < out_shape[i]) break;
+            oa -= sa[i] * out_shape[i];
+            ob -= sb[i] * out_shape[i];
+            idx[i] = 0;
+          }
+        }
+      },
+      kElementwiseMinChunk);
   return out;
 }
 
@@ -383,15 +425,6 @@ Tensor SumToShape(const Tensor& t, const Shape& target_shape) {
 // ---------------------------------------------------------------------------
 // Unary ops
 // ---------------------------------------------------------------------------
-
-Tensor Apply(const Tensor& a, const std::function<float(float)>& fn) {
-  Tensor out(a.shape());
-  const float* pa = a.data();
-  float* po = out.data();
-  int64_t n = a.numel();
-  for (int64_t i = 0; i < n; ++i) po[i] = fn(pa[i]);
-  return out;
-}
 
 namespace {
 
@@ -725,35 +758,56 @@ Tensor Permute(const Tensor& a, const std::vector<int64_t>& perm) {
     seen[static_cast<size_t>(p)] = true;
     out_shape[static_cast<size_t>(i)] = a.dim(p);
   }
-  // Strides of the input, then walk the output in row-major order.
+  // Strides of the input, then walk the output in row-major order. When
+  // the last axis stays last, the walk moves whole rows of it; otherwise
+  // single elements.
   std::vector<int64_t> in_strides(static_cast<size_t>(nd));
   int64_t stride = 1;
   for (int64_t i = nd; i-- > 0;) {
     in_strides[static_cast<size_t>(i)] = stride;
     stride *= a.dim(i);
   }
-  std::vector<int64_t> out_strides_in(static_cast<size_t>(nd));
-  for (int64_t i = 0; i < nd; ++i) {
-    out_strides_in[static_cast<size_t>(i)] =
-        in_strides[static_cast<size_t>(perm[static_cast<size_t>(i)])];
+  const bool keep_last = nd > 0 && perm.back() == nd - 1;
+  const size_t walk_nd = static_cast<size_t>(keep_last ? nd - 1 : nd);
+  std::vector<int64_t> out_strides_in(walk_nd);
+  for (size_t i = 0; i < walk_nd; ++i) {
+    out_strides_in[i] = in_strides[static_cast<size_t>(perm[i])];
   }
   Tensor out(out_shape);
-  std::vector<int64_t> idx(static_cast<size_t>(nd), 0);
+  const int64_t n = out.numel();
+  if (n == 0) return out;
+  const int64_t run = keep_last ? out_shape.back() : 1;
   const float* pa = a.data();
   float* po = out.data();
-  int64_t n = out.numel();
-  int64_t in_off = 0;
-  for (int64_t flat = 0; flat < n; ++flat) {
-    po[flat] = pa[in_off];
-    for (int64_t i = nd; i-- > 0;) {
-      size_t ui = static_cast<size_t>(i);
-      ++idx[ui];
-      in_off += out_strides_in[ui];
-      if (idx[ui] < out_shape[ui]) break;
-      in_off -= out_strides_in[ui] * out_shape[ui];
-      idx[ui] = 0;
-    }
-  }
+  // Each chunk starts its walk at the multi-index of its first run.
+  ParallelFor(
+      0, n / run,
+      [&](int64_t lo, int64_t hi) {
+        std::vector<int64_t> idx(walk_nd, 0);
+        int64_t in_off = 0;
+        int64_t rest = lo;
+        for (size_t i = walk_nd; i-- > 0;) {
+          idx[i] = rest % out_shape[i];
+          rest /= out_shape[i];
+          in_off += idx[i] * out_strides_in[i];
+        }
+        for (int64_t r = lo; r < hi; ++r) {
+          if (run == 1) {
+            po[r] = pa[in_off];
+          } else {
+            std::memcpy(po + r * run, pa + in_off,
+                        static_cast<size_t>(run) * sizeof(float));
+          }
+          for (size_t i = walk_nd; i-- > 0;) {
+            ++idx[i];
+            in_off += out_strides_in[i];
+            if (idx[i] < out_shape[i]) break;
+            in_off -= out_strides_in[i] * out_shape[i];
+            idx[i] = 0;
+          }
+        }
+      },
+      MinRowsPerChunk(run));
   return out;
 }
 
@@ -785,19 +839,28 @@ Tensor Concat(const std::vector<Tensor>& parts, int64_t axis) {
   int64_t outer = 1, inner = 1;
   for (int64_t i = 0; i < axis; ++i) outer *= out.dim(i);
   for (int64_t i = axis + 1; i < nd; ++i) inner *= out.dim(i);
-  float* po = out.data();
-  int64_t axis_offset = 0;
+  // Each outer index owns one output row of axis_total * inner floats,
+  // built from one run per part.
+  std::vector<std::pair<const float*, int64_t>> runs;
   for (const Tensor& p : parts) {
-    int64_t mid = p.dim(axis);
-    if (mid * inner == 0) continue;
-    const float* pp = p.data();
-    for (int64_t o = 0; o < outer; ++o) {
-      std::memcpy(po + (o * axis_total + axis_offset) * inner,
-                  pp + o * mid * inner,
-                  static_cast<size_t>(mid * inner) * sizeof(float));
-    }
-    axis_offset += mid;
+    const int64_t run = p.dim(axis) * inner;
+    if (run > 0) runs.emplace_back(p.data(), run);
   }
+  const int64_t row = axis_total * inner;
+  float* po = out.data();
+  ParallelFor(
+      0, outer,
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t o = lo; o < hi; ++o) {
+          float* dst = po + o * row;
+          for (const auto& [src, run] : runs) {
+            std::memcpy(dst, src + o * run,
+                        static_cast<size_t>(run) * sizeof(float));
+            dst += run;
+          }
+        }
+      },
+      MinRowsPerChunk(row));
   return out;
 }
 
@@ -838,13 +901,19 @@ Tensor SliceAxis(const Tensor& a, int64_t axis, int64_t start,
   Shape out_shape = a.shape();
   out_shape[static_cast<size_t>(axis)] = length;
   Tensor out(out_shape);
-  if (length * inner == 0) return out;
+  const int64_t run = length * inner;
+  if (run == 0) return out;
   const float* pa = a.data();
   float* po = out.data();
-  for (int64_t o = 0; o < outer; ++o) {
-    std::memcpy(po + o * length * inner, pa + (o * mid + start) * inner,
-                static_cast<size_t>(length * inner) * sizeof(float));
-  }
+  ParallelFor(
+      0, outer,
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t o = lo; o < hi; ++o) {
+          std::memcpy(po + o * run, pa + (o * mid + start) * inner,
+                      static_cast<size_t>(run) * sizeof(float));
+        }
+      },
+      MinRowsPerChunk(run));
   return out;
 }
 
@@ -860,7 +929,6 @@ Tensor SoftmaxLastDim(const Tensor& a) {
   Tensor out(a.shape());
   const float* pa = a.data();
   float* po = out.data();
-  int64_t min_rows = std::max<int64_t>(1, kElementwiseMinChunk / d);
   ParallelFor(
       0, rows,
       [&](int64_t lo, int64_t hi) {
@@ -878,7 +946,7 @@ Tensor SoftmaxLastDim(const Tensor& a) {
           for (int64_t i = 0; i < d; ++i) dst[i] *= inv;
         }
       },
-      min_rows);
+      MinRowsPerChunk(d));
   return out;
 }
 

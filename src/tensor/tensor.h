@@ -23,7 +23,6 @@
 // SharesStorage() in tests to assert aliasing.
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -166,7 +165,6 @@ Tensor Abs(const Tensor& a);
 Tensor Relu(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 Tensor Tanh(const Tensor& a);
-Tensor Apply(const Tensor& a, const std::function<float(float)>& fn);
 // Elementwise clamp to [lo, hi].
 Tensor Clamp(const Tensor& a, float lo, float hi);
 // Elementwise select: cond > 0.5 ? a : b (all same shape).

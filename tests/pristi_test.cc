@@ -6,10 +6,12 @@
 #include <cstring>
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "autograd/ops.h"
+#include "common/parallel.h"
 #include "data/windows.h"
 #include "diffusion/ddpm.h"
 #include "diffusion/sampler.h"
@@ -513,6 +515,36 @@ TEST_P(NoTargetLeakage, UnobservedValuesDoNotChangeImputation) {
     }
     EXPECT_TRUE(BitwiseEqual(clean.median, dirty.median)) << name;
   }
+}
+
+// The tensor ops PredictNoise runs on the pool (GEMM row blocks with
+// per-worker A packing, broadcasts, permutes, concats) split only above
+// kElementwiseMinChunk elements, so thread invariance is checked at a shape
+// where they do: (B, N, L, d) = (8, 64, 24, 16), 196,608 floats per
+// activation, with the step cache both filling and hitting.
+TEST(PredictNoiseThreads, BitwiseEqualAtOneAndFourThreads) {
+  const int64_t b = 8, n = 64, l = 24;
+  PristiConfig config = TinyConfig(n, l);
+  config.channels = 16;
+  config.heads = 4;
+  Rng rng(101);
+  PristiModel model(config, TestAdjacency(n, 102), rng);
+  Rng data_rng(103);
+  DiffusionBatch batch = RandomBatch(b, n, l, data_rng);
+  Tensor noisy = Tensor::Randn({b, n, l}, data_rng);
+
+  ag::NoGradGuard no_grad;
+  const int64_t saved = ParallelThreadCount();
+  std::vector<Tensor> outs;
+  for (int64_t threads : {1, 4}) {
+    SetParallelThreadCount(threads);
+    DiffusionBatch run = WithFreshCache(batch);
+    outs.push_back(model.PredictNoise(noisy, run, 7).value());  // fills
+    outs.push_back(model.PredictNoise(noisy, run, 3).value());  // hits
+  }
+  SetParallelThreadCount(saved);
+  EXPECT_TRUE(BitwiseEqual(outs[0], outs[2])) << "cache-filling call";
+  EXPECT_TRUE(BitwiseEqual(outs[1], outs[3])) << "cache-hit call";
 }
 
 INSTANTIATE_TEST_SUITE_P(Conditioning, NoTargetLeakage, ::testing::Bool(),

@@ -17,9 +17,11 @@
 // session's locking; run_static_analysis.sh runs this binary under ASan,
 // UBSan and TSan.
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -579,6 +581,40 @@ TEST(ServeAdmission, UnknownSamplerNameAndNegativeStepsRejectedTyped) {
   EXPECT_FALSE(response.status.retryable());
   EXPECT_EQ(session.stats().rejected_invalid, 1);
   EXPECT_EQ(session.stats().admitted, 0);
+}
+
+TEST(ServeAdmission, NonFiniteObservedValueRejectedTyped) {
+  auto model = MakeTinyModel(12);
+  serve::ServeSession session(SlotFor(model), nullptr, TestSchedule(),
+                              ManualConfig());
+  const float kBad[] = {std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity()};
+  for (float bad : kBad) {
+    data::Sample window = MakeWindow(1);
+    ASSERT_EQ(window.observed.at({2, 5}), 1.0f);
+    window.values.at({2, 5}) = bad;
+    auto future = session.Submit(Request(window, 1));
+    // Rejection resolves at admission; nothing is pumped in this test.
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    serve::ImputeResponse response = future.get();
+    EXPECT_EQ(response.status.code(), ErrorCode::kInvalidRequest);
+    EXPECT_FALSE(response.status.retryable());
+  }
+  EXPECT_EQ(session.stats().rejected_invalid, 3);
+  EXPECT_EQ(session.stats().admitted, 0);
+
+  // Only observed positions are checked: a NaN where observed is 0 is
+  // admitted as before.
+  data::Sample hidden = MakeWindow(1);
+  ASSERT_EQ(hidden.observed.at({0, 0}), 0.0f);
+  hidden.values.at({0, 0}) = std::numeric_limits<float>::quiet_NaN();
+  auto future = session.Submit(Request(hidden, 1));
+  EXPECT_EQ(session.stats().admitted, 1);
+  EXPECT_EQ(session.stats().rejected_invalid, 3);
+  ASSERT_TRUE(session.PumpOnce());
+  EXPECT_TRUE(future.get().status.ok());
 }
 
 TEST(ServeDeterminism, PerRequestSamplerOverrideMatchesSoloBits) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -788,6 +789,134 @@ TEST(KernelLayer, PackCacheDropsEntriesWhenStorageDies) {
   kn::KernelStats after = kn::GetKernelStats();
   EXPECT_EQ(after.pack_cache_bytes, before.pack_cache_bytes)
       << "dead storage's panel stayed resident";
+}
+
+// ---------------------------------------------------------------------------
+// Pooled data movement: the ops below split across the pool only above
+// kElementwiseMinChunk (16384) elements, so every case is larger than that,
+// and its row length does not divide 16384, so chunk edges fall inside
+// rows. Each op must match a plain serial loop bitwise at 1 and 4 threads.
+// ---------------------------------------------------------------------------
+
+template <typename Op>
+void ExpectSerialAtOneAndFourThreads(const Op& op, const Tensor& serial,
+                                     const char* what) {
+  const int64_t saved = ParallelThreadCount();
+  SetParallelThreadCount(1);
+  Tensor single = op();
+  SetParallelThreadCount(4);
+  Tensor multi = op();
+  SetParallelThreadCount(saved);
+  ExpectBitEqual(single, serial, what);
+  ExpectBitEqual(multi, serial, what);
+}
+
+// out[i] = a[j] where axis q of j is axis perm^-1(q) of i (4-D only).
+Tensor SerialPermute4(const Tensor& a, const std::vector<int64_t>& perm) {
+  Shape out_shape;
+  for (int64_t p : perm) out_shape.push_back(a.dim(p));
+  Tensor out(out_shape);
+  int64_t i[4];
+  int64_t j[4];
+  for (i[0] = 0; i[0] < out_shape[0]; ++i[0]) {
+    for (i[1] = 0; i[1] < out_shape[1]; ++i[1]) {
+      for (i[2] = 0; i[2] < out_shape[2]; ++i[2]) {
+        for (i[3] = 0; i[3] < out_shape[3]; ++i[3]) {
+          for (int q = 0; q < 4; ++q) j[perm[static_cast<size_t>(q)]] = i[q];
+          out.at({i[0], i[1], i[2], i[3]}) = a.at({j[0], j[1], j[2], j[3]});
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(PooledDataMovement, PermuteKeepingAndMovingTheLastAxis) {
+  Rng rng(81);
+  const Tensor a = Tensor::Randn({7, 37, 11, 13}, rng);  // 37,037 floats
+  for (const std::vector<int64_t>& perm :
+       {std::vector<int64_t>{2, 0, 1, 3}, std::vector<int64_t>{1, 0, 2, 3},
+        std::vector<int64_t>{3, 1, 0, 2}, std::vector<int64_t>{0, 1, 3, 2}}) {
+    ExpectSerialAtOneAndFourThreads([&] { return Permute(a, perm); },
+                                    SerialPermute4(a, perm), "Permute");
+  }
+}
+
+TEST(PooledDataMovement, SuffixBroadcastInBothOperandOrders) {
+  Rng rng(82);
+  const Tensor a = Tensor::Randn({9, 41, 7, 13}, rng);  // rows of 91
+  const Tensor b = Tensor::Randn({1, 7, 13}, rng);
+  Tensor a_minus_b(a.shape());
+  Tensor b_minus_a(a.shape());
+  for (int64_t i = 0; i < a.numel(); ++i) {
+    a_minus_b[i] = a[i] - b[i % b.numel()];
+    b_minus_a[i] = b[i % b.numel()] - a[i];
+  }
+  ExpectSerialAtOneAndFourThreads([&] { return Sub(a, b); }, a_minus_b,
+                                  "Sub(full, suffix)");
+  ExpectSerialAtOneAndFourThreads([&] { return Sub(b, a); }, b_minus_a,
+                                  "Sub(suffix, full)");
+}
+
+TEST(PooledDataMovement, GeneralBroadcast) {
+  Rng rng(83);
+  const Tensor a = Tensor::Randn({9, 41, 1, 13}, rng);
+  const Tensor b = Tensor::Randn({41, 7, 1}, rng);
+  Tensor serial(Shape{9, 41, 7, 13});  // 33,579 floats
+  for (int64_t i0 = 0; i0 < 9; ++i0) {
+    for (int64_t i1 = 0; i1 < 41; ++i1) {
+      for (int64_t i2 = 0; i2 < 7; ++i2) {
+        for (int64_t i3 = 0; i3 < 13; ++i3) {
+          serial.at({i0, i1, i2, i3}) =
+              a.at({i0, i1, 0, i3}) / b.at({i1, i2, 0});
+        }
+      }
+    }
+  }
+  ExpectSerialAtOneAndFourThreads([&] { return Div(a, b); }, serial,
+                                  "Div(general broadcast)");
+}
+
+TEST(PooledDataMovement, ConcatAndSliceOnTheLastAxis) {
+  Rng rng(84);
+  const std::vector<Tensor> parts = {Tensor::Randn({97, 23, 5}, rng),
+                                     Tensor::Randn({97, 23, 7}, rng),
+                                     Tensor::Randn({97, 23, 1}, rng)};
+  Tensor concat(Shape{97, 23, 13});  // 29,003 floats
+  for (int64_t o = 0; o < 97 * 23; ++o) {
+    int64_t col = 0;
+    for (const Tensor& p : parts) {
+      const int64_t w = p.dim(-1);
+      for (int64_t j = 0; j < w; ++j) concat[o * 13 + col++] = p[o * w + j];
+    }
+  }
+  ExpectSerialAtOneAndFourThreads([&] { return Concat(parts, -1); }, concat,
+                                  "Concat(axis=-1)");
+
+  Tensor slice(Shape{97, 23, 9});  // 20,079 floats
+  for (int64_t o = 0; o < 97 * 23; ++o) {
+    for (int64_t j = 0; j < 9; ++j) slice[o * 9 + j] = concat[o * 13 + 3 + j];
+  }
+  ExpectSerialAtOneAndFourThreads([&] { return SliceAxis(concat, -1, 3, 9); },
+                                  slice, "SliceAxis(axis=-1)");
+}
+
+TEST(PooledDataMovement, GemmPacksActivationPanelsPerWorker) {
+  namespace kn = kernels;
+  // m % kRowTile != 0, and far more row blocks than one chunk takes.
+  const int64_t m = 4099, k = 32, n = 24;
+  static_assert(4099 % kn::kRowTile != 0, "last row panel must be partial");
+  Rng rng(85);
+  const Tensor x = Tensor::Randn({m, k}, rng);
+  const Tensor x_t = TransposeLast2(x);  // stored (k, m)
+  const Tensor w = Tensor::Randn({k, n}, rng);
+  Tensor ref(Shape{m, n});
+  kn::ReferenceGemm(kn::Layout::kNormal, kn::Layout::kNormal, m, n, k,
+                    x.data(), w.data(), ref.data());
+  ExpectSerialAtOneAndFourThreads([&] { return MatMulLastDim(x, w); }, ref,
+                                  "MatMulLastDim");
+  ExpectSerialAtOneAndFourThreads([&] { return MatMulTN(x_t, w); }, ref,
+                                  "MatMulTN");
 }
 
 TEST(KernelLayer, NoFusedMultiplyAdd) {

@@ -26,6 +26,13 @@
 #                    contract mul/add chains — exactly the configuration
 #                    that masks a missing -ffp-contract=off). Skip with
 #                    PRISTI_NATIVE_BITEQ=0.
+#   5. shard-biteq — 1-shard/1-thread vs 4-shard/4-thread training through
+#                    pristi_cli, checkpoints byte-compared.
+#   6. attn-parity — fused vs reference attention imputation under a
+#                    tolerance.
+#   7. impute-biteq — 1-thread vs 4-thread imputation through pristi_cli,
+#                    CSVs byte-compared. Legs 5 and 7 skip with
+#                    PRISTI_SHARD_BITEQ=0, leg 6 with PRISTI_ATTN_PARITY=0.
 #
 # Usage: run_static_analysis.sh [--analyze-only]
 #   --analyze-only  run only leg 1: configure/build the analyzer and run
@@ -224,6 +231,40 @@ if [ "${PRISTI_ATTN_PARITY:-1}" != "0" ]; then
     echo "==== [attn-parity] OK (fused-on == fused-off within tolerance) ===="
   else
     echo "==== [attn-parity] FAILED ===="
+    status=1
+  fi
+fi
+
+# ---- leg 7: imputation thread-count bit-identity ---------------------------
+# Trains a tiny seeded model once, then imputes the same task through
+# pristi_cli at PRISTI_THREADS=1 and =4 and byte-compares the CSVs. At 48
+# nodes, L=24 and S=4 the activations exceed the elementwise split floor, so
+# the pooled data-movement ops (permute, broadcast, concat/slice) and the
+# per-worker GEMM packing really split; the unit suites' N=6 fixtures never
+# do. Shares leg 5's skip: PRISTI_SHARD_BITEQ=0 skips both thread-biteq legs.
+if [ "${PRISTI_SHARD_BITEQ:-1}" != "0" ]; then
+  build_dir="$repo_root/build-shard-biteq"
+  echo "==== [impute-biteq] configure -> $build_dir ===="
+  imp_tmp="$build_dir/impute-biteq-out"
+  imp_flags="--preset=aqi --nodes=48 --gen-steps=240 --window=24 --stride=24"
+  if cmake -S "$repo_root" -B "$build_dir" -DCMAKE_BUILD_TYPE=Release \
+      && cmake --build "$build_dir" -j "$jobs" --target pristi_cli \
+      && mkdir -p "$imp_tmp" \
+      && "$build_dir/tools/pristi_cli" train $imp_flags \
+          --epochs=1 --batch=4 --steps-diffusion=8 \
+          --model-out="$imp_tmp/model.ckpt" > "$imp_tmp/train.log" 2>&1 \
+      && PRISTI_THREADS=1 "$build_dir/tools/pristi_cli" impute $imp_flags \
+          --steps-diffusion=8 --samples=4 --seed=5 \
+          --model="$imp_tmp/model.ckpt" \
+          --out="$imp_tmp/t1.csv" > "$imp_tmp/t1.log" 2>&1 \
+      && PRISTI_THREADS=4 "$build_dir/tools/pristi_cli" impute $imp_flags \
+          --steps-diffusion=8 --samples=4 --seed=5 \
+          --model="$imp_tmp/model.ckpt" \
+          --out="$imp_tmp/t4.csv" > "$imp_tmp/t4.log" 2>&1 \
+      && cmp "$imp_tmp/t1.csv" "$imp_tmp/t4.csv"; then
+    echo "==== [impute-biteq] OK (1-thread == 4-thread imputation) ===="
+  else
+    echo "==== [impute-biteq] FAILED ===="
     status=1
   fi
 fi
