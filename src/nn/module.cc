@@ -1,7 +1,6 @@
 #include "nn/module.h"
 
 #include <cmath>
-#include <fstream>
 #include <istream>
 #include <ostream>
 
@@ -81,20 +80,6 @@ void Module::Load(std::istream& in) {
         << "checkpoint shape mismatch for " << name;
     param.mutable_value() = std::move(stored);
   }
-}
-
-bool Module::SaveToFile(const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  Save(out);
-  return static_cast<bool>(out);
-}
-
-bool Module::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  Load(in);
-  return true;
 }
 
 Variable Module::AddParameter(const std::string& name, const Tensor& init) {

@@ -48,8 +48,6 @@ class Module {
   // or shape mismatch, which catches architecture drift early.
   void Save(std::ostream& out);
   void Load(std::istream& in);
-  bool SaveToFile(const std::string& path);
-  bool LoadFromFile(const std::string& path);
 
   // Versioned, checksummed checkpoint format (src/serialize/). Unlike the
   // legacy Save/Load above, every failure mode — truncation, corruption,

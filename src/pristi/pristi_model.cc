@@ -31,6 +31,25 @@ Variable FlattenSpatial(const Variable& h) {
   return ag::Reshape(permuted, {s[0] * s[2], s[1], s[3]});
 }
 
+namespace {
+
+// Another use of `flat` = FlattenSpatial(h) that shares its value instead of
+// permuting h again. The node's backward is FlattenSpatial's inverse permute
+// into h, so each use keeps its own gradient path: h's gradient receives the
+// same addends, in the same order and with the same bits, as it would from a
+// fresh FlattenSpatial(h) per use. Reusing `flat` itself would sum the uses'
+// gradients before the permute and so reorder h's accumulation.
+Variable ReuseFlattenSpatial(const Variable& h, const Variable& flat) {
+  auto h_node = h.node();
+  return ag::MakeCustomOp(flat.value(), {h}, [h_node](const t::Tensor& g) {
+    const t::Shape& s = h_node->value.shape();
+    h_node->AccumulateGrad(
+        t::Permute(g.Reshaped({s[0], s[2], s[1], s[3]}), {0, 2, 1, 3}));
+  });
+}
+
+}  // namespace
+
 Variable UnflattenSpatial(const Variable& h, int64_t batch, int64_t steps) {
   const t::Shape& s = h.value().shape();
   CHECK_EQ(s.size(), 3u);
@@ -141,16 +160,21 @@ NoiseEstimationLayer::Output NoiseEstimationLayer::Forward(
   Variable h_spa = h_tem;
   if (config_.use_spatial &&
       (config_.use_spatial_attention || config_.use_mpnn)) {
-    Variable qk = config_.use_conditional_feature ? h_pri : h_tem;
+    // h_tem is permuted to (B·L, N, d) once; the attention's V, the MPNN
+    // and, without the conditional feature, the attention's Q/K reuse it.
+    Variable h_tem_spa = FlattenSpatial(h_tem);
     Variable acc;
     if (config_.use_spatial_attention) {
-      Variable sa = UnflattenSpatial(
-          attn_spa_.Forward(FlattenSpatial(qk), FlattenSpatial(h_tem)), b, l);
+      Variable qk_spa = config_.use_conditional_feature
+                            ? FlattenSpatial(h_pri)
+                            : ReuseFlattenSpatial(h_tem, h_tem_spa);
+      Variable sa =
+          UnflattenSpatial(attn_spa_.Forward(qk_spa, h_tem_spa), b, l);
       acc = norm_sa_.Forward(ag::Add(sa, h_tem));
     }
     if (config_.use_mpnn) {
-      Variable mp = UnflattenSpatial(mpnn_.Forward(FlattenSpatial(h_tem)),
-                                     b, l);
+      Variable mp = UnflattenSpatial(
+          mpnn_.Forward(ReuseFlattenSpatial(h_tem, h_tem_spa)), b, l);
       Variable phi_mp = norm_mp_.Forward(ag::Add(mp, h_tem));
       acc = acc.defined() ? ag::Add(acc, phi_mp) : phi_mp;
     }

@@ -63,11 +63,6 @@ Status LoadRng(Rng* rng, const CheckpointView& view,
 // parameters. Save is atomic (temp file + rename).
 Status SaveModuleCheckpointFile(nn::Module& module, const std::string& path);
 Status LoadModuleCheckpointFile(nn::Module& module, const std::string& path);
-// Sniffs the magic: new-format files go through LoadModuleCheckpointFile;
-// anything else falls back to the legacy Module::LoadFromFile format so
-// pre-existing checkpoints keep working.
-Status LoadModuleCheckpointFileAuto(nn::Module& module,
-                                    const std::string& path);
 
 // ---- Crash-safe file write -------------------------------------------------
 // Runs `write_fn` against a temporary file next to `path`, then renames it

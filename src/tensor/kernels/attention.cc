@@ -115,10 +115,10 @@ void FusedScoreBlock(const float* qs, const float* panel, int64_t dh,
 // scheme), clamped below at -87 so the 2^n scaling never leaves the normal
 // range. Relative error is < 1e-7, far inside the 1e-5 fused-vs-reference
 // forward contract. The point of owning the polynomial instead of calling
-// libm: the identical mul/add chain is evaluated per lane by the AVX2 row
-// kernel below and per element by the scalar path, making the two dispatch
-// paths BIT-IDENTICAL — something no libm expf guarantees — and the vector
-// form costs ~1 ns/element where a libm call in a register-heavy loop
+// libm: the identical mul/add chain is evaluated per lane by the AVX2
+// row-group kernel below and per element by the scalar path, making the two
+// dispatch paths BIT-IDENTICAL — something no libm expf guarantees — and the
+// vector form costs ~1 ns/element where a libm call in a register-heavy loop
 // costs ~10.
 // Symmetric clamp: softmax arguments are <= ~0, so the upper bound only
 // guards the discarded zero-padded tail lanes (whose argument is -m and can
@@ -218,9 +218,9 @@ void FusedExpBlock(const float* x, float* y) {
 // the settled m. Within a block the per-column chains (scores, l adds, o
 // accumulation) run in fixed increasing column order, so the result is
 // identical at any thread count, any parallel partition, and on either
-// dispatch path (the AVX2 specialization below reproduces these chains
-// lane for lane). kColTile is an algorithmic constant of the kernel, not a
-// tuning knob — the recorded golden pins its value.
+// dispatch path (the AVX2 row-group kernel below runs these chains once per
+// lane, one query row per lane). kColTile is an algorithmic constant of the
+// kernel, not a tuning knob — the recorded golden pins its value.
 // [fp-blessed] in tools/analysis/layers.manifest.
 void FusedForwardRow(const float* q_row, const float* panels,
                      const float* v_item, int64_t s_k, int64_t dh,
@@ -261,66 +261,92 @@ void FusedForwardRow(const float* q_row, const float* panels,
 }
 
 #if PRISTI_ATTN_HAVE_AVX2
-// head_dim == 8 fast path (the paper configuration): the whole row kernel
-// in one AVX2 function so the exp lanes, score lanes and the context
-// accumulator (one 8-float register) all inline together. Every per-element
-// rounding chain — score k-order, block max, rescale, exp, l adds in column
-// order, o accumulation in column order — matches FusedForwardRow exactly,
-// so the two paths are bit-identical and the dispatch is invisible.
-__attribute__((target("avx2"))) void FusedForwardRowAvx8(
-    const float* q_row, const float* panels, const float* v_item, int64_t s_k,
-    float scale, float* out_row, float* lse_out) {
-  constexpr int64_t dh = 8;
-  __m256 qv[dh];
+// Query rows per AVX2 row group: one row per float lane.
+constexpr int64_t kRowGroup = 8;
+
+// Row-group forward for head_dim DH (4 and 8): lane r of every register is
+// query row row0 + r of one batch item, and the eight rows share that item's
+// K panels and V. Each lane runs FusedForwardRow's chains exactly — scores in
+// increasing kk with the multiply and the add rounded separately, the block
+// max as `s > bm ? s : bm`, one rescale per block in lanes whose max
+// advanced (the others multiply by an exact 1.0), weights through the same
+// polynomial exp, l adds in double and o accumulation in column order — so
+// the output is bit-identical to the scalar path. Spare lanes of a partial
+// tail group repeat the last valid row and are never stored.
+template <int64_t DH>
+__attribute__((target("avx2"))) void FusedForwardGroupAvx(
+    const float* q_item, int64_t row0, int64_t s_q, const float* panels,
+    const float* v_item, int64_t s_k, float scale, float* out_item,
+    float* lse_item) {
+  const int64_t valid = std::min<int64_t>(kRowGroup, s_q - row0);
+  __m256 qv[DH];
   {
-    float qs[dh];
-    for (int64_t kk = 0; kk < dh; ++kk) qs[kk] = q_row[kk] * scale;
-    for (int64_t kk = 0; kk < dh; ++kk) qv[kk] = _mm256_set1_ps(qs[kk]);
+    alignas(32) float qt[DH][kRowGroup];
+    for (int64_t r = 0; r < kRowGroup; ++r) {
+      const float* q_row = q_item + (row0 + std::min(r, valid - 1)) * DH;
+      for (int64_t kk = 0; kk < DH; ++kk) qt[kk][r] = q_row[kk];
+    }
+    const __m256 sv = _mm256_set1_ps(scale);
+    for (int64_t kk = 0; kk < DH; ++kk) {
+      qv[kk] = _mm256_mul_ps(_mm256_load_ps(qt[kk]), sv);
+    }
   }
-  float m = -std::numeric_limits<float>::infinity();
-  double l = 0.0;
-  __m256 o = _mm256_setzero_ps();
+  const __m256 one = _mm256_set1_ps(1.0f);
+  __m256 m = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+  __m256d l_lo = _mm256_setzero_pd(), l_hi = _mm256_setzero_pd();
+  __m256 o[DH];
+  for (int64_t d = 0; d < DH; ++d) o[d] = _mm256_setzero_ps();
+  __m256 sblk[kColTile];
   for (int64_t j0 = 0; j0 < s_k; j0 += kColTile) {
-    const float* panel = panels + (j0 / kColTile) * dh * kColTile;
-    // Scores: each lane j accumulates qs[kk] * K[j, kk] in increasing kk,
-    // mul and add rounded separately — FusedScoreBlock's chain per lane.
-    __m256 s0 = _mm256_setzero_ps(), s1 = _mm256_setzero_ps();
-    for (int64_t kk = 0; kk < dh; ++kk) {
-      const float* prow = panel + kk * kColTile;
-      s0 = _mm256_add_ps(s0, _mm256_mul_ps(qv[kk], _mm256_loadu_ps(prow)));
-      s1 = _mm256_add_ps(s1,
-                         _mm256_mul_ps(qv[kk], _mm256_loadu_ps(prow + 8)));
-    }
-    int64_t width = std::min<int64_t>(kColTile, s_k - j0);
-    float sblk[kColTile];
-    _mm256_storeu_ps(sblk, s0);
-    _mm256_storeu_ps(sblk + 8, s1);
-    float bm = sblk[0];
-    for (int64_t j = 1; j < width; ++j) bm = sblk[j] > bm ? sblk[j] : bm;
-    if (bm > m) {
-      float corr = FusedExp(m - bm);
-      l *= corr;
-      o = _mm256_mul_ps(o, _mm256_set1_ps(corr));
-      m = bm;
-    }
-    __m256 mv = _mm256_set1_ps(m);
-    float pblk[kColTile];
-    _mm256_storeu_ps(pblk, FusedExpAvx8(_mm256_sub_ps(s0, mv)));
-    _mm256_storeu_ps(pblk + 8, FusedExpAvx8(_mm256_sub_ps(s1, mv)));
-    for (int64_t j = 0; j < width; ++j) l += pblk[j];
-    const float* v_rows = v_item + j0 * dh;
+    const int64_t width = std::min<int64_t>(kColTile, s_k - j0);
+    const float* panel = panels + (j0 / kColTile) * DH * kColTile;
     for (int64_t j = 0; j < width; ++j) {
-      __m256 pj = _mm256_set1_ps(pblk[j]);
-      o = _mm256_add_ps(o,
-                        _mm256_mul_ps(pj, _mm256_loadu_ps(v_rows + j * dh)));
+      __m256 s = _mm256_setzero_ps();
+      for (int64_t kk = 0; kk < DH; ++kk) {
+        s = _mm256_add_ps(
+            s, _mm256_mul_ps(qv[kk],
+                             _mm256_broadcast_ss(panel + kk * kColTile + j)));
+      }
+      sblk[j] = s;
+    }
+    __m256 bm = sblk[0];
+    for (int64_t j = 1; j < width; ++j) {
+      bm = _mm256_blendv_ps(bm, sblk[j],
+                            _mm256_cmp_ps(sblk[j], bm, _CMP_GT_OQ));
+    }
+    const __m256 adv = _mm256_cmp_ps(bm, m, _CMP_GT_OQ);
+    const __m256 corr =
+        _mm256_blendv_ps(one, FusedExpAvx8(_mm256_sub_ps(m, bm)), adv);
+    l_lo = _mm256_mul_pd(l_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(corr)));
+    l_hi = _mm256_mul_pd(l_hi, _mm256_cvtps_pd(_mm256_extractf128_ps(corr, 1)));
+    for (int64_t d = 0; d < DH; ++d) o[d] = _mm256_mul_ps(o[d], corr);
+    m = _mm256_blendv_ps(m, bm, adv);
+    const float* v_rows = v_item + j0 * DH;
+    for (int64_t j = 0; j < width; ++j) {
+      const __m256 p = FusedExpAvx8(_mm256_sub_ps(sblk[j], m));
+      l_lo = _mm256_add_pd(l_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(p)));
+      l_hi = _mm256_add_pd(l_hi, _mm256_cvtps_pd(_mm256_extractf128_ps(p, 1)));
+      for (int64_t d = 0; d < DH; ++d) {
+        o[d] = _mm256_add_ps(
+            o[d], _mm256_mul_ps(p, _mm256_broadcast_ss(v_rows + j * DH + d)));
+      }
     }
   }
-  float oarr[dh];
-  _mm256_storeu_ps(oarr, o);
-  for (int64_t d = 0; d < dh; ++d) {
-    out_row[d] = static_cast<float>(static_cast<double>(oarr[d]) / l);
+  alignas(32) float ot[DH][kRowGroup];
+  alignas(32) float mt[kRowGroup];
+  alignas(32) double lt[kRowGroup];
+  for (int64_t d = 0; d < DH; ++d) _mm256_store_ps(ot[d], o[d]);
+  _mm256_store_ps(mt, m);
+  _mm256_store_pd(lt, l_lo);
+  _mm256_store_pd(lt + 4, l_hi);
+  for (int64_t r = 0; r < valid; ++r) {
+    float* out_row = out_item + (row0 + r) * DH;
+    for (int64_t d = 0; d < DH; ++d) {
+      out_row[d] = static_cast<float>(static_cast<double>(ot[d][r]) / lt[r]);
+    }
+    lse_item[row0 + r] =
+        static_cast<float>(static_cast<double>(mt[r]) + std::log(lt[r]));
   }
-  *lse_out = static_cast<float>(static_cast<double>(m) + std::log(l));
 }
 #endif  // PRISTI_ATTN_HAVE_AVX2
 
@@ -403,50 +429,60 @@ bool SetFusedAttentionEnabled(bool enabled) {
   return FusedFlag().exchange(enabled ? 1 : 0, std::memory_order_relaxed) != 0;
 }
 
-void FusedAttentionForward(int64_t batch, int64_t s_q, int64_t s_k,
-                           int64_t dh, float scale, const float* q,
-                           const float* k, const float* v, float* out,
-                           float* lse, const Tensor* cache_k) {
+namespace {
+
+// Shared body of FusedAttentionForward and its scalar oracle. Every output
+// row is owned by exactly one ParallelFor worker, on either path.
+void ForwardImpl(int64_t batch, int64_t s_q, int64_t s_k, int64_t dh,
+                 float scale, const float* q, const float* k, const float* v,
+                 float* out, float* lse, const Tensor* cache_k,
+                 bool allow_row_groups) {
   if (batch <= 0 || s_q <= 0 || s_k <= 0 || dh <= 0) return;
   PRISTI_CHECK_LE(dh, kMaxHeadDim) << "head_dim exceeds fused-kernel cap";
   PackedPanel hold;
   const float* panels = AcquireKPanels(batch, s_k, dh, k, cache_k, &hold);
   int64_t per_item = FloatsPerItem(s_k, dh);
   int64_t rows = batch * s_q;
-  // One worker owns each output row end to end; per-row cost is the
-  // 2*2*s_k*dh multiply-add flops of the two fused products.
+  // Per-row cost is the 2*2*s_k*dh multiply-add flops of the two fused
+  // products.
   int64_t row_flops = std::max<int64_t>(1, 4 * s_k * dh);
-  int64_t min_chunk = std::max<int64_t>(1, kMinFlopsPerChunk / row_flops);
 #if PRISTI_ATTN_HAVE_AVX2
-  // dh == 8 (the paper head_dim) takes the whole-row AVX2 kernel; it is
-  // bit-identical to FusedForwardRow, so the dispatch never changes output.
-  const bool use_avx8 = dh == 8 && Avx2Available();
-#else
-  const bool use_avx8 = false;
-#endif
-  ParallelFor(
-      0, rows,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t idx = lo; idx < hi; ++idx) {
-          int64_t item = idx / s_q;
-          int64_t row = idx % s_q;
-#if PRISTI_ATTN_HAVE_AVX2
-          if (use_avx8) {
-            FusedForwardRowAvx8(q + (item * s_q + row) * dh,
-                                panels + item * per_item,
-                                v + item * s_k * dh, s_k, scale,
-                                out + (item * s_q + row) * dh, lse + idx);
-            continue;
+  // head_dim 4 and 8 take the row-group kernel, bit-identical to
+  // FusedForwardRow, so the dispatch never changes output. The parallel
+  // unit is one (item, group) pair.
+  if (allow_row_groups && (dh == 4 || dh == 8) && Avx2Available()) {
+    auto* group_kernel =
+        dh == 4 ? &FusedForwardGroupAvx<4> : &FusedForwardGroupAvx<8>;
+    int64_t groups = (s_q + kRowGroup - 1) / kRowGroup;
+    int64_t min_units =
+        std::max<int64_t>(1, kMinFlopsPerChunk / (kRowGroup * row_flops));
+    ParallelFor(
+        0, batch * groups,
+        [&](int64_t lo, int64_t hi) {
+          for (int64_t unit = lo; unit < hi; ++unit) {
+            int64_t item = unit / groups;
+            group_kernel(q + item * s_q * dh, (unit % groups) * kRowGroup,
+                         s_q, panels + item * per_item, v + item * s_k * dh,
+                         s_k, scale, out + item * s_q * dh, lse + item * s_q);
           }
+        },
+        min_units);
+  } else
 #endif
-          FusedForwardRow(q + (item * s_q + row) * dh,
-                          panels + item * per_item, v + item * s_k * dh, s_k,
-                          dh, scale, out + (item * s_q + row) * dh,
-                          lse + idx);
-        }
-      },
-      min_chunk);
-  (void)use_avx8;
+  {
+    (void)allow_row_groups;
+    ParallelFor(
+        0, rows,
+        [&](int64_t lo, int64_t hi) {
+          for (int64_t idx = lo; idx < hi; ++idx) {
+            int64_t item = idx / s_q;
+            FusedForwardRow(q + idx * dh, panels + item * per_item,
+                            v + item * s_k * dh, s_k, dh, scale,
+                            out + idx * dh, lse + idx);
+          }
+        },
+        std::max<int64_t>(1, kMinFlopsPerChunk / row_flops));
+  }
   KernelCounters& ctr = Counters();
   ctr.fused_attn_rows.fetch_add(static_cast<uint64_t>(rows),
                                 std::memory_order_relaxed);
@@ -458,6 +494,24 @@ void FusedAttentionForward(int64_t batch, int64_t s_q, int64_t s_k,
   ctr.fused_attn_bytes_avoided.fetch_add(
       static_cast<uint64_t>(2 * batch * s_q * s_k) * sizeof(float),
       std::memory_order_relaxed);
+}
+
+}  // namespace
+
+void FusedAttentionForward(int64_t batch, int64_t s_q, int64_t s_k,
+                           int64_t dh, float scale, const float* q,
+                           const float* k, const float* v, float* out,
+                           float* lse, const Tensor* cache_k) {
+  ForwardImpl(batch, s_q, s_k, dh, scale, q, k, v, out, lse, cache_k,
+              /*allow_row_groups=*/true);
+}
+
+void FusedAttentionForwardScalar(int64_t batch, int64_t s_q, int64_t s_k,
+                                 int64_t dh, float scale, const float* q,
+                                 const float* k, const float* v, float* out,
+                                 float* lse) {
+  ForwardImpl(batch, s_q, s_k, dh, scale, q, k, v, out, lse,
+              /*cache_k=*/nullptr, /*allow_row_groups=*/false);
 }
 
 void FusedAttentionBackward(int64_t batch, int64_t s_q, int64_t s_k,

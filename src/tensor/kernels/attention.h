@@ -13,10 +13,18 @@
 // once by exp(m_old - m_new)), and accumulates the context output directly
 // — no score tensor ever exists. The softmax weights use an in-kernel
 // polynomial exp (Cephes-style 2^n·poly(r), < 1e-7 relative error) rather
-// than libm, so the scalar path and the AVX2 whole-row path (dispatched for
-// the paper head_dim 8) evaluate the exact same rounding chain. The per-row
-// logsumexp is saved so the backward pass recomputes score blocks from the
-// same packed panels instead of storing softmax weights.
+// than libm. On AVX2 hosts head_dim 4 and 8 (the bench and paper configs)
+// run a row-group kernel: each of the 8 float lanes is one query row of the
+// same batch item, and the eight rows share that item's K panels and V. It
+// stays bit-identical to the scalar row kernel because every lane repeats
+// the scalar chains in the same order — scores in increasing k with the
+// multiply and the add rounded separately, the block max as
+// `s > bm ? s : bm`, the rescale applied only in lanes whose max advanced
+// (the others multiply by an exact 1.0), the same polynomial exp, l adds in
+// double and o accumulation in column order — and the final o/l and
+// m + log(l) are computed per lane in scalar code. The per-row logsumexp is
+// saved so the backward pass recomputes score blocks from the same packed
+// panels instead of storing softmax weights.
 //
 // Determinism contract (weaker than the GEMM layer's, by necessity):
 //   - fused vs reference is a TOLERANCE equivalence (max-abs-error <= 1e-5
@@ -28,8 +36,8 @@
 //     chains in strictly increasing k; the block max, the single rescale,
 //     the exp lanes, and the l/o accumulations run in fixed increasing
 //     column order), each row is owned by exactly one ParallelFor worker,
-//     the backward is batch-item-serial the same way, and the AVX2 row
-//     kernel reproduces the scalar chains lane for lane. kColTile is an
+//     the backward is batch-item-serial the same way, and the AVX2
+//     row-group kernel reproduces the scalar chains lane for lane. kColTile is an
 //     algorithmic constant of the kernel, not a tuning knob — the recorded
 //     fused golden pins its value.
 //   - the reference chain (PRISTI_ATTN_FUSED=0 routes nn/attention.cc back
@@ -77,6 +85,16 @@ void FusedAttentionForward(int64_t batch, int64_t s_q, int64_t s_k,
                            int64_t dh, float scale, const float* q,
                            const float* k, const float* v, float* out,
                            float* lse, const Tensor* cache_k = nullptr);
+
+// Test-only oracle, like ReferenceGemm for the GEMM layer: the same forward
+// computed one row at a time by the scalar row kernel — the path head_dims
+// other than 4 and 8, and hosts without AVX2, always take. On an AVX2 host
+// nothing else reaches it at head_dim 4 or 8, so tests compare the
+// dispatched forward against it bitwise. Never packs through the pack cache.
+void FusedAttentionForwardScalar(int64_t batch, int64_t s_q, int64_t s_k,
+                                 int64_t dh, float scale, const float* q,
+                                 const float* k, const float* v, float* out,
+                                 float* lse);
 
 // Backward by block recomputation: given the forward's saved `out` and
 // `lse`, recomputes each score block from the packed K panels (pack-cache

@@ -3,7 +3,8 @@
 // fused-vs-reference tolerance parity at paper-full shapes, module-level
 // parity through MultiHeadAttention (plain and virtual-node paths),
 // bitwise determinism of the fused path across thread counts and repeated
-// runs, kernel-counter accounting, and a seeded output golden.
+// runs, the dispatched SIMD forward against the scalar oracle bitwise,
+// kernel-counter accounting, and a seeded output golden.
 //
 // Regenerating the golden after an INTENTIONAL kernel change:
 //   PRISTI_REGEN_GOLDEN=1 ./build/tests/attention_fused_test
@@ -153,71 +154,165 @@ FusedRound RunFusedRound(const Tensor& q, const Tensor& k, const Tensor& v,
   return r;
 }
 
-void ExpectRoundsBitEqual(const FusedRound& a, const FusedRound& b,
-                          const std::string& what) {
-  auto cmp = [&](const Tensor& x, const Tensor& y, const char* name) {
-    ASSERT_EQ(x.numel(), y.numel());
-    EXPECT_EQ(std::memcmp(x.data(), y.data(),
-                          sizeof(float) * static_cast<size_t>(x.numel())),
-              0)
-        << what << ": " << name << " bytes differ";
-  };
-  cmp(a.out, b.out, "out");
-  cmp(a.lse, b.lse, "lse");
-  cmp(a.dq, b.dq, "dq");
-  cmp(a.dk, b.dk, "dk");
-  cmp(a.dv, b.dv, "dv");
+void ExpectBytesEqual(const Tensor& x, const Tensor& y,
+                      const std::string& what) {
+  ASSERT_EQ(x.numel(), y.numel());
+  EXPECT_EQ(std::memcmp(x.data(), y.data(),
+                        sizeof(float) * static_cast<size_t>(x.numel())),
+            0)
+      << what << " bytes differ";
 }
 
-TEST(FusedDeterminism, BitIdenticalAcrossThreadCountsAndRuns) {
-  Rng rng(105);
-  const float scale = 1.0f / std::sqrt(8.0f);
-  Tensor q = Tensor::Randn({6, 41, 8}, rng);
-  Tensor k = Tensor::Randn({6, 57, 8}, rng);
-  Tensor v = Tensor::Randn({6, 57, 8}, rng);
-  Tensor g = Tensor::Randn({6, 41, 8}, rng);
+void ExpectRoundsBitEqual(const FusedRound& a, const FusedRound& b,
+                          const std::string& what) {
+  ExpectBytesEqual(a.out, b.out, what + ": out");
+  ExpectBytesEqual(a.lse, b.lse, what + ": lse");
+  ExpectBytesEqual(a.dq, b.dq, what + ": dq");
+  ExpectBytesEqual(a.dk, b.dk, what + ": dk");
+  ExpectBytesEqual(a.dv, b.dv, what + ": dv");
+}
 
-  int64_t prev_threads = ParallelThreadCount();
-  SetParallelThreadCount(1);
-  FusedRound base = RunFusedRound(q, k, v, g, scale);
-  FusedRound again = RunFusedRound(q, k, v, g, scale);
-  ExpectRoundsBitEqual(base, again, "1 thread, repeated run");
-  for (int64_t threads : {2, 4}) {
-    SetParallelThreadCount(threads);
-    FusedRound r = RunFusedRound(q, k, v, g, scale);
-    ExpectRoundsBitEqual(base, r,
-                         std::to_string(threads) + " threads vs 1");
+// dh=8 at the model shape; dh=4 with s_q % 8 != 0 (a partial row group per
+// item) and rows*4*s_k*dh >= 4*kMinFlopsPerChunk, so the row-group
+// ParallelFor really splits at 4 threads.
+TEST(FusedDeterminism, BitIdenticalAcrossThreadCountsAndRuns) {
+  struct Case {
+    int64_t batch, s_q, s_k, dh;
+  };
+  for (const Case& c : {Case{6, 41, 57, 8}, Case{30, 41, 57, 4}}) {
+    Rng rng(105);
+    const float scale = 1.0f / std::sqrt(static_cast<float>(c.dh));
+    Tensor q = Tensor::Randn({c.batch, c.s_q, c.dh}, rng);
+    Tensor k = Tensor::Randn({c.batch, c.s_k, c.dh}, rng);
+    Tensor v = Tensor::Randn({c.batch, c.s_k, c.dh}, rng);
+    Tensor g = Tensor::Randn({c.batch, c.s_q, c.dh}, rng);
+    const std::string tag = "dh=" + std::to_string(c.dh) + ", ";
+
+    int64_t prev_threads = ParallelThreadCount();
+    SetParallelThreadCount(1);
+    FusedRound base = RunFusedRound(q, k, v, g, scale);
+    FusedRound again = RunFusedRound(q, k, v, g, scale);
+    ExpectRoundsBitEqual(base, again, tag + "1 thread, repeated run");
+    for (int64_t threads : {2, 4}) {
+      SetParallelThreadCount(threads);
+      FusedRound r = RunFusedRound(q, k, v, g, scale);
+      ExpectRoundsBitEqual(base, r,
+                           tag + std::to_string(threads) + " threads vs 1");
+    }
+    SetParallelThreadCount(prev_threads);
   }
-  SetParallelThreadCount(prev_threads);
+}
+
+// ---------------------------------------------------------------------------
+// SIMD dispatch vs the scalar oracle: bitwise
+// ---------------------------------------------------------------------------
+
+// Runs the dispatched forward and FusedAttentionForwardScalar on the same
+// inputs and requires byte-equal out and lse.
+void ExpectDispatchMatchesOracle(const Tensor& q, const Tensor& k,
+                                 const Tensor& v, const std::string& what) {
+  const int64_t batch = q.dim(0), s_q = q.dim(1), s_k = k.dim(1),
+                dh = q.dim(2);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+  Tensor out(q.shape()), lse(Shape{batch, s_q});
+  Tensor out_ref(q.shape()), lse_ref(Shape{batch, s_q});
+  kn::FusedAttentionForward(batch, s_q, s_k, dh, scale, q.data(), k.data(),
+                            v.data(), out.data(), lse.data());
+  kn::FusedAttentionForwardScalar(batch, s_q, s_k, dh, scale, q.data(),
+                                  k.data(), v.data(), out_ref.data(),
+                                  lse_ref.data());
+  ExpectBytesEqual(out, out_ref, what + ": out");
+  ExpectBytesEqual(lse, lse_ref, what + ": lse");
+}
+
+// Partial and full row groups (s_q around multiples of 8, the 325-node
+// spatial shape) against partial and full kv blocks (s_k around 16), with
+// q at unit scale and at x30 so the softmax saturates and the exp argument
+// spans its whole range.
+TEST(FusedDispatch, MatchesScalarOracleBitwise) {
+  Rng rng(107);
+  for (int64_t dh : {4, 8}) {
+    for (int64_t s_q : {1, 7, 8, 9, 41, 325}) {
+      for (int64_t s_k : {1, 8, 15, 16, 17, 24, 57}) {
+        for (float q_mul : {1.0f, 30.0f}) {
+          Tensor q = Tensor::Randn({3, s_q, dh}, rng);
+          for (int64_t i = 0; i < q.numel(); ++i) q[i] *= q_mul;
+          Tensor k = Tensor::Randn({3, s_k, dh}, rng);
+          Tensor v = Tensor::Randn({3, s_k, dh}, rng);
+          ExpectDispatchMatchesOracle(
+              q, k, v,
+              "dh=" + std::to_string(dh) + " s_q=" + std::to_string(s_q) +
+                  " s_k=" + std::to_string(s_k) +
+                  " q*" + std::to_string(static_cast<int>(q_mul)));
+        }
+      }
+    }
+  }
+}
+
+// The row max sits in a later kv block for even rows and in the first block
+// for odd rows, with a score gap far beyond the exp clamp: within one row
+// group some lanes rescale (and the clamped exp(m_old - m_new) fires) while
+// their neighbours keep their max.
+TEST(FusedDispatch, LaterBlockMaxRescaleAndClampMatchOracle) {
+  Rng rng(108);
+  const int64_t batch = 2, s_q = 13, s_k = 40;
+  for (int64_t dh : {4, 8}) {
+    Tensor q = Tensor::Randn({batch, s_q, dh}, rng);
+    Tensor k = Tensor::Randn({batch, s_k, dh}, rng);
+    Tensor v = Tensor::Randn({batch, s_k, dh}, rng);
+    for (int64_t b = 0; b < batch; ++b) {
+      for (int64_t i = 0; i < s_q; ++i) {
+        float sign = i % 2 == 0 ? 1.0f : -1.0f;
+        float* q_row = q.data() + (b * s_q + i) * dh;
+        for (int64_t d = 0; d < dh; ++d) q_row[d] = sign * (30.0f + q_row[d]);
+      }
+      for (int64_t j = 0; j < s_k; ++j) {
+        float shift = j < 16 ? -2.0f : 2.0f;
+        float* k_row = k.data() + (b * s_k + j) * dh;
+        for (int64_t d = 0; d < dh; ++d) k_row[d] = shift + 0.1f * k_row[d];
+      }
+    }
+    ExpectDispatchMatchesOracle(q, k, v,
+                                "later-block max, dh=" + std::to_string(dh));
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Kernel counters
 // ---------------------------------------------------------------------------
 
+// Counts are per row at dh=4 and dh=8 alike, whatever rows per kernel call
+// the dispatch runs (s_q = 10 leaves a partial row group per item).
 TEST(FusedCounters, RowsBlocksAndAvoidedBytesAdvance) {
-  Rng rng(106);
-  const int64_t batch = 3, s_q = 10, s_k = 37, dh = 8;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-  Tensor q = Tensor::Randn({batch, s_q, dh}, rng);
-  Tensor k = Tensor::Randn({batch, s_k, dh}, rng);
-  Tensor v = Tensor::Randn({batch, s_k, dh}, rng);
-  Tensor out(q.shape()), lse(Shape{batch, s_q});
+  for (int64_t dh : {4, 8}) {
+    Rng rng(106);
+    const int64_t batch = 3, s_q = 10, s_k = 37;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+    Tensor q = Tensor::Randn({batch, s_q, dh}, rng);
+    Tensor k = Tensor::Randn({batch, s_k, dh}, rng);
+    Tensor v = Tensor::Randn({batch, s_k, dh}, rng);
+    Tensor out(q.shape()), lse(Shape{batch, s_q});
 
-  kn::KernelStats before = kn::GetKernelStats();
-  kn::FusedAttentionForward(batch, s_q, s_k, dh, scale, q.data(), k.data(),
-                            v.data(), out.data(), lse.data(), &k);
-  kn::KernelStats after = kn::GetKernelStats();
+    kn::KernelStats before = kn::GetKernelStats();
+    kn::FusedAttentionForward(batch, s_q, s_k, dh, scale, q.data(), k.data(),
+                              v.data(), out.data(), lse.data(), &k);
+    kn::KernelStats after = kn::GetKernelStats();
 
-  const uint64_t rows = static_cast<uint64_t>(batch * s_q);
-  const uint64_t panels = static_cast<uint64_t>((s_k + 15) / 16);
-  EXPECT_EQ(after.fused_attn_rows - before.fused_attn_rows, rows);
-  EXPECT_EQ(after.fused_attn_kv_blocks - before.fused_attn_kv_blocks,
-            rows * panels);
-  // Scores written once and softmax rewritten once on the reference chain:
-  // 2 * batch * s_q * s_k floats never touched memory.
-  EXPECT_EQ(after.fused_attn_bytes_avoided - before.fused_attn_bytes_avoided,
-            2u * rows * static_cast<uint64_t>(s_k) * sizeof(float));
+    const uint64_t rows = static_cast<uint64_t>(batch * s_q);
+    const uint64_t panels = static_cast<uint64_t>((s_k + 15) / 16);
+    EXPECT_EQ(after.fused_attn_rows - before.fused_attn_rows, rows)
+        << "dh=" << dh;
+    EXPECT_EQ(after.fused_attn_kv_blocks - before.fused_attn_kv_blocks,
+              rows * panels)
+        << "dh=" << dh;
+    // Scores written once and softmax rewritten once on the reference
+    // chain: 2 * batch * s_q * s_k floats never touched memory.
+    EXPECT_EQ(
+        after.fused_attn_bytes_avoided - before.fused_attn_bytes_avoided,
+        2u * rows * static_cast<uint64_t>(s_k) * sizeof(float))
+        << "dh=" << dh;
+  }
 }
 
 // ---------------------------------------------------------------------------

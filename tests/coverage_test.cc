@@ -17,6 +17,7 @@
 #include "data/windows.h"
 #include "diffusion/schedule.h"
 #include "nn/layers.h"
+#include "serialize/checkpoint.h"
 
 namespace pristi {
 namespace {
@@ -165,8 +166,8 @@ TEST(FilePersistence, ModuleSaveLoadFileRoundTrip) {
   nn::Mlp b(3, 4, 2, rng2);
   pristi::testing::TestTempDir tmp;
   std::string path = tmp.File("ckpt.bin");
-  ASSERT_TRUE(a.SaveToFile(path));
-  ASSERT_TRUE(b.LoadFromFile(path));
+  ASSERT_TRUE(serialize::SaveModuleCheckpointFile(a, path).ok());
+  ASSERT_TRUE(serialize::LoadModuleCheckpointFile(b, path).ok());
   Tensor probe = Tensor::Ones({2, 3});
   EXPECT_TRUE(t::AllClose(a.Forward(ag::Constant(probe)).value(),
                           b.Forward(ag::Constant(probe)).value(), 0.0f,
@@ -176,7 +177,9 @@ TEST(FilePersistence, ModuleSaveLoadFileRoundTrip) {
 TEST(FilePersistence, LoadFromMissingFileFails) {
   Rng rng(9);
   nn::Mlp m(2, 3, 2, rng);
-  EXPECT_FALSE(m.LoadFromFile("/nonexistent/path/ckpt.bin"));
+  Status status =
+      serialize::LoadModuleCheckpointFile(m, "/nonexistent/path/ckpt.bin");
+  EXPECT_EQ(status.code(), ErrorCode::kIoError);
 }
 
 TEST(FilePersistence, TablePrinterWritesCsvFile) {

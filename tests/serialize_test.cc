@@ -288,7 +288,7 @@ TEST(ModuleRoundTrip, PristiModelStreamRoundTripBitExact) {
   ExpectModulesBitEqual(*a, *b);
 }
 
-TEST(ModuleRoundTrip, FileRoundTripAndLegacyAutoDetect) {
+TEST(ModuleRoundTrip, FileRoundTripAndNonCheckpointRejectedTyped) {
   auto a = MakeTinyModel(4, 6, 3);
   pristi::testing::TestTempDir tmp;
   std::string path = tmp.File("model.ckpt");
@@ -296,18 +296,23 @@ TEST(ModuleRoundTrip, FileRoundTripAndLegacyAutoDetect) {
   EXPECT_FALSE(fs::exists(path + ".tmp"));  // atomic write left no temp
 
   auto b = MakeTinyModel(4, 6, 4);
-  ASSERT_TRUE(LoadModuleCheckpointFileAuto(*b, path).ok());
+  ASSERT_TRUE(LoadModuleCheckpointFile(*b, path).ok());
   ExpectModulesBitEqual(*a, *b);
 
-  // A legacy Module::SaveToFile checkpoint loads through the same entry
-  // point via magic sniffing.
-  std::string legacy = tmp.File("legacy.bin");
-  ASSERT_TRUE(a->SaveToFile(legacy));
+  // The bare name+tensor stream of Module::Save has no PRSTCKPT magic: it
+  // is rejected typed, and the target model keeps its weights.
+  std::string bare = tmp.File("bare.bin");
+  {
+    std::ofstream out(bare, std::ios::binary);
+    a->Save(out);
+  }
   auto c = MakeTinyModel(4, 6, 5);
-  ASSERT_TRUE(LoadModuleCheckpointFileAuto(*c, legacy).ok());
-  ExpectModulesBitEqual(*a, *c);
+  auto c_before = MakeTinyModel(4, 6, 5);
+  Status rejected = LoadModuleCheckpointFile(*c, bare);
+  EXPECT_EQ(rejected.code(), ErrorCode::kBadMagic) << rejected.ToString();
+  ExpectModulesBitEqual(*c_before, *c);
 
-  Status missing = LoadModuleCheckpointFileAuto(*b, tmp.File("absent.ckpt"));
+  Status missing = LoadModuleCheckpointFile(*b, tmp.File("absent.ckpt"));
   EXPECT_EQ(missing.code(), ErrorCode::kIoError);
 }
 

@@ -512,6 +512,31 @@ TEST_F(ServeReloadTest, BitFlippedCheckpointRejectedOldModelKeepsServing) {
   EXPECT_EQ(session.stats().reloads_rejected, 1);
 }
 
+// A file without the PRSTCKPT magic — here model B's bare Module::Save
+// stream — is rejected typed before any weight reaches the staging model.
+TEST_F(ServeReloadTest, NonCheckpointFileRejectedTypedOldModelKeepsServing) {
+  serve::ServeConfig config = ManualConfig();
+  data::Sample window = MakeWindow(6);
+  diffusion::ImputationResult on_a =
+      SoloImpute(model_a_.get(), window, 15, config.impute);
+
+  serve::ServeSession session(SlotFor(model_a_), TinyFactory(),
+                              TestSchedule(), config);
+  {
+    std::ofstream file(ckpt_path_, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(file.good());
+    model_b_->Save(file);
+  }
+  Status status = session.ReloadCheckpoint(ckpt_path_);
+  EXPECT_EQ(status.code(), ErrorCode::kBadMagic) << status.ToString();
+
+  auto f1 = session.Submit(Request(window, 15));
+  ASSERT_TRUE(session.PumpOnce());
+  ExpectBitIdentical(f1.get().result, on_a);
+  EXPECT_EQ(session.stats().reloads_rejected, 1);
+  EXPECT_EQ(session.stats().reloads_applied, 0);
+}
+
 TEST_F(ServeReloadTest, ReloadWithoutFactoryRejectedTyped) {
   serve::ServeSession session(SlotFor(model_a_), nullptr, TestSchedule(),
                               ManualConfig());

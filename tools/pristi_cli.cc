@@ -216,7 +216,7 @@ int CmdImpute(const Flags& flags) {
       config, task.dataset.graph.adjacency, rng);
   std::string ckpt = flags.GetString("model");
   if (!ckpt.empty()) {
-    Status status = serialize::LoadModuleCheckpointFileAuto(*model, ckpt);
+    Status status = serialize::LoadModuleCheckpointFile(*model, ckpt);
     CHECK(status.ok()) << "cannot load " << ckpt << ": "
                        << status.ToString();
     std::printf("loaded checkpoint %s\n", ckpt.c_str());
@@ -256,9 +256,8 @@ int CmdSave(const Flags& flags) {
   return 0;
 }
 
-// `load`: validates that a checkpoint (new format or legacy) restores into
-// the model architecture described by the flags; with --out it re-saves in
-// the current format, which migrates legacy checkpoints.
+// `load`: validates that a checkpoint restores into the model architecture
+// described by the flags; with --out it re-saves it in the current format.
 int CmdLoad(const Flags& flags) {
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
   data::ImputationTask task = MakeTaskFromFlags(flags, rng);
@@ -269,7 +268,7 @@ int CmdLoad(const Flags& flags) {
     std::printf("load: --model=<checkpoint> is required\n");
     return 2;
   }
-  Status status = serialize::LoadModuleCheckpointFileAuto(model, path);
+  Status status = serialize::LoadModuleCheckpointFile(model, path);
   if (!status.ok()) {
     std::printf("load failed: %s\n", status.ToString().c_str());
     return 1;
@@ -419,7 +418,7 @@ int Usage() {
       "           steps, 0 = full schedule; default ddim, 10)\n"
       "  evaluate --data=F.bin --pattern=... --method=pristi|csdi|mean|...\n"
       "  save     --out=F.ckpt [model flags]    write a fresh model\n"
-      "  load     --model=F.ckpt [--out=G.ckpt] validate / migrate\n"
+      "  load     --model=F.ckpt [--out=G.ckpt] validate / re-save\n"
       "  inspect  --file=F.ckpt                 dump the record table\n");
   return 2;
 }

@@ -146,7 +146,7 @@ int Main(int argc, char** argv) {
                                                    rng);
   std::string ckpt = flags.GetString("model");
   if (!ckpt.empty()) {
-    Status status = serialize::LoadModuleCheckpointFileAuto(*model, ckpt);
+    Status status = serialize::LoadModuleCheckpointFile(*model, ckpt);
     CHECK(status.ok()) << "cannot load " << ckpt << ": " << status.ToString();
     std::printf("loaded checkpoint %s\n", ckpt.c_str());
   } else {

@@ -4,6 +4,9 @@
 # Legs, in order (each independently gating):
 #   1. analyze     — build the pristi_analyze engine and run every pass
 #                    over the checkout (seconds; also `--analyze-only`).
+#                    Also fails if git tracks build output (CMakeCache.txt,
+#                    anything under CMakeFiles/, *.o); that check skips
+#                    when the tree is not a git checkout.
 #   2. werror      — a -Werror leg: the tree already builds with
 #                    -Wall -Wextra, this leg promotes them so new warnings
 #                    gate instead of scrolling by.
@@ -62,6 +65,18 @@ for arg in "$@"; do
 done
 
 # ---- leg 1: pristi_analyze -------------------------------------------------
+if git -C "$repo_root" rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  tracked="$(git -C "$repo_root" ls-files |
+    grep -E '(^|/)CMakeCache\.txt$|(^|/)CMakeFiles/|\.o$' || true)"
+  if [ -n "$tracked" ]; then
+    echo "==== [analyze] git tracks build artefacts: ===="
+    echo "$tracked" | head -n 20
+    status=1
+  fi
+else
+  echo "==== [analyze] not a git checkout: tracked-artefact check skipped ===="
+fi
+
 build_dir="$repo_root/build-analyze"
 echo "==== [analyze] configure -> $build_dir ===="
 if cmake -S "$repo_root" -B "$build_dir" -DCMAKE_BUILD_TYPE=Release \
