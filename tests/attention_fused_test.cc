@@ -4,12 +4,13 @@
 // parity through MultiHeadAttention (plain and virtual-node paths),
 // bitwise determinism of the fused path across thread counts and repeated
 // runs, the dispatched SIMD forward against the scalar oracle bitwise,
-// kernel-counter accounting, and a seeded output golden.
+// kernel-counter accounting, and seeded forward and backward goldens.
 //
-// Regenerating the golden after an INTENTIONAL kernel change:
+// Regenerating the goldens after an INTENTIONAL kernel change:
 //   PRISTI_REGEN_GOLDEN=1 ./build/tests/attention_fused_test
 //     --gtest_filter='FusedAttentionGolden.*'
-// then commit the rewritten tests/golden/attention_fused_seeded.txt.
+// then commit the rewritten tests/golden/attention_fused_seeded.txt and
+// tests/golden/attention_fused_backward_seeded.txt.
 
 #include <cmath>
 #include <cstring>
@@ -39,6 +40,10 @@ using ag::Variable;
 
 #ifndef PRISTI_ATTN_GOLDEN_PATH
 #define PRISTI_ATTN_GOLDEN_PATH "tests/golden/attention_fused_seeded.txt"
+#endif
+#ifndef PRISTI_ATTN_BWD_GOLDEN_PATH
+#define PRISTI_ATTN_BWD_GOLDEN_PATH \
+  "tests/golden/attention_fused_backward_seeded.txt"
 #endif
 
 float MaxAbsDiff(const Tensor& a, const Tensor& b) {
@@ -316,8 +321,74 @@ TEST(FusedCounters, RowsBlocksAndAvoidedBytesAdvance) {
 }
 
 // ---------------------------------------------------------------------------
-// Seeded golden
+// Seeded goldens
 // ---------------------------------------------------------------------------
+
+// One named array of a golden file.
+struct GoldenSection {
+  std::string name;
+  const Tensor* values;
+};
+
+// Golden file format: '#' comment lines, one header line with the element
+// count of each section, then every value on its own line at 9 significant
+// digits — which round-trips a float exactly, so the comparison is bitwise
+// despite the text encoding. Under PRISTI_REGEN_GOLDEN=1 the file is
+// rewritten from `sections` and the test is skipped.
+void CheckGolden(const std::string& path, const std::string& title,
+                 const std::vector<GoldenSection>& sections) {
+  if (!pristi::GetEnvOr("PRISTI_REGEN_GOLDEN", "").empty()) {
+    std::ofstream golden(path);
+    ASSERT_TRUE(golden.good()) << "cannot write golden " << path;
+    golden << "# " << title << "\n"
+           << "# regen: PRISTI_REGEN_GOLDEN=1 ./attention_fused_test "
+              "--gtest_filter='FusedAttentionGolden.*'\n";
+    for (size_t s = 0; s < sections.size(); ++s) {
+      golden << (s == 0 ? "" : " ") << sections[s].values->numel();
+    }
+    golden << "\n";
+    golden.precision(9);
+    golden << std::scientific;
+    for (const GoldenSection& section : sections) {
+      const Tensor& t = *section.values;
+      for (int64_t i = 0; i < t.numel(); ++i) golden << t[i] << "\n";
+    }
+    GTEST_SKIP() << "regenerated " << path;
+  }
+
+  std::ifstream golden(path);
+  ASSERT_TRUE(golden.good())
+      << "missing golden " << path
+      << "; regenerate with PRISTI_REGEN_GOLDEN=1 ./attention_fused_test";
+  std::string line;
+  std::vector<int64_t> counts;
+  std::vector<float> expected;
+  while (std::getline(golden, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    if (counts.empty()) {
+      int64_t count = 0;
+      while (fields >> count) counts.push_back(count);
+      ASSERT_EQ(counts.size(), sections.size()) << "bad golden header";
+      continue;
+    }
+    double value = 0.0;
+    ASSERT_TRUE(static_cast<bool>(fields >> value)) << "bad golden line";
+    expected.push_back(static_cast<float>(value));
+  }
+  ASSERT_EQ(counts.size(), sections.size()) << "golden has no header";
+  size_t at = 0;
+  for (size_t s = 0; s < sections.size(); ++s) {
+    const Tensor& t = *sections[s].values;
+    ASSERT_EQ(counts[s], t.numel()) << sections[s].name;
+    ASSERT_LE(at + static_cast<size_t>(t.numel()), expected.size())
+        << "golden truncated in " << sections[s].name;
+    for (int64_t i = 0; i < t.numel(); ++i) {
+      EXPECT_EQ(expected[at++], t[i]) << sections[s].name << "[" << i << "]";
+    }
+  }
+  EXPECT_EQ(at, expected.size()) << "trailing golden values";
+}
 
 // Freezes the fused kernel's exact bits on a seeded problem: the fused path
 // promises bitwise self-consistency, so any rounding-order change in the
@@ -332,54 +403,39 @@ TEST(FusedAttentionGolden, SeededForwardMatchesGolden) {
   Tensor out(q.shape()), lse(Shape{batch, s_q});
   kn::FusedAttentionForward(batch, s_q, s_k, dh, scale, q.data(), k.data(),
                             v.data(), out.data(), lse.data(), &k);
+  CheckGolden(PRISTI_ATTN_GOLDEN_PATH,
+              "seeded fused-attention forward (out rows then lse rows)",
+              {{"out", &out}, {"lse", &lse}});
+}
 
-  const std::string path = PRISTI_ATTN_GOLDEN_PATH;
-  if (!pristi::GetEnvOr("PRISTI_REGEN_GOLDEN", "").empty()) {
-    std::ofstream golden(path);
-    ASSERT_TRUE(golden.good()) << "cannot write golden " << path;
-    golden << "# seeded fused-attention forward (out rows then lse rows)\n"
-           << "# regen: PRISTI_REGEN_GOLDEN=1 ./attention_fused_test "
-              "--gtest_filter='FusedAttentionGolden.*'\n"
-           << out.numel() << " " << lse.numel() << "\n";
-    golden.precision(9);
-    golden << std::scientific;
-    for (int64_t i = 0; i < out.numel(); ++i) golden << out[i] << "\n";
-    for (int64_t i = 0; i < lse.numel(); ++i) golden << lse[i] << "\n";
-    GTEST_SKIP() << "regenerated " << path;
+// The backward's bits, which neither the forward golden nor the training
+// goldens (those pin the reference chain) reach: dq/dk/dv at head_dim 4 and
+// 8, each with a tail kv block — 13 columns at dh=4 (past a half block),
+// 5 at dh=8 (within one).
+TEST(FusedAttentionGolden, SeededBackwardMatchesGolden) {
+  struct Case {
+    int64_t dh, s_k;
+  };
+  std::vector<FusedRound> rounds;
+  for (const Case& c : {Case{4, 29}, Case{8, 21}}) {
+    Rng rng(20261017 + static_cast<uint64_t>(c.dh));
+    const int64_t batch = 2, s_q = 9;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(c.dh));
+    Tensor q = Tensor::Randn({batch, s_q, c.dh}, rng);
+    Tensor k = Tensor::Randn({batch, c.s_k, c.dh}, rng);
+    Tensor v = Tensor::Randn({batch, c.s_k, c.dh}, rng);
+    Tensor g = Tensor::Randn({batch, s_q, c.dh}, rng);
+    rounds.push_back(RunFusedRound(q, k, v, g, scale));
   }
-
-  std::ifstream golden(path);
-  ASSERT_TRUE(golden.good())
-      << "missing golden " << path
-      << "; regenerate with PRISTI_REGEN_GOLDEN=1 ./attention_fused_test";
-  std::string line;
-  std::vector<float> expected;
-  int64_t out_count = -1, lse_count = -1;
-  while (std::getline(golden, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    if (out_count < 0) {
-      ASSERT_TRUE(static_cast<bool>(fields >> out_count >> lse_count))
-          << "bad golden header";
-      continue;
-    }
-    double value = 0.0;
-    ASSERT_TRUE(static_cast<bool>(fields >> value)) << "bad golden line";
-    expected.push_back(static_cast<float>(value));
-  }
-  ASSERT_EQ(out_count, out.numel());
-  ASSERT_EQ(lse_count, lse.numel());
-  ASSERT_EQ(expected.size(),
-            static_cast<size_t>(out.numel() + lse.numel()));
-  // 9 significant digits round-trip a float exactly, so the comparison is
-  // bitwise despite the text encoding.
-  for (int64_t i = 0; i < out.numel(); ++i) {
-    EXPECT_EQ(expected[static_cast<size_t>(i)], out[i]) << "out[" << i << "]";
-  }
-  for (int64_t i = 0; i < lse.numel(); ++i) {
-    EXPECT_EQ(expected[static_cast<size_t>(out.numel() + i)], lse[i])
-        << "lse[" << i << "]";
-  }
+  CheckGolden(PRISTI_ATTN_BWD_GOLDEN_PATH,
+              "seeded fused-attention backward (dq, dk, dv at dh=4, then "
+              "dh=8)",
+              {{"dq4", &rounds[0].dq},
+               {"dk4", &rounds[0].dk},
+               {"dv4", &rounds[0].dv},
+               {"dq8", &rounds[1].dq},
+               {"dk8", &rounds[1].dk},
+               {"dv8", &rounds[1].dv}});
 }
 
 }  // namespace
