@@ -53,9 +53,7 @@ Variable MakeOp(const char* name, const Tensor& value,
   for (const Variable& v : inputs) {
     PRISTI_CHECK(v.defined())
         << "op '" << name << "' received an undefined Variable";
-    if (v.requires_grad() || (v.node()->backward != nullptr)) {
-      needs_grad = true;
-    }
+    if (!v.node()->IsConstant()) needs_grad = true;
   }
   // NaN attribution stays on in inference mode: sampling is where a bad
   // kernel would otherwise surface as silently wrong imputations.
@@ -424,6 +422,8 @@ Variable MatMulNodeDim(const Variable& p, const Variable& x) {
   return MakeOp("MatMulNodeDim", std::move(out), {p, x}, [pn, xn](const Tensor& g) {
     // dx = p^T @ g along the node axis (p read transposed in place).
     xn->AccumulateGrad(t::MatMulNodeDimT(pn->value, g));
+    // A fixed support would drop dp unread: skip its (batch, N, N) GEMM.
+    if (pn->IsConstant()) return;
     // dp = sum_batch g_b @ x_b^T.
     int64_t rows_out = pn->value.dim(0);
     int64_t rows_in = pn->value.dim(1);

@@ -49,7 +49,7 @@ void Node::AccumulateGrad(const Tensor& g) {
       sink->AddInPlace(g);
       return;
     }
-    if (!requires_grad && backward == nullptr) {
+    if (IsConstant()) {
       // Unregistered pure constant (e.g. a support matrix shared by every
       // concurrent sweep): its gradient is never consumed, and writing the
       // shared node from a capture scope would race with other workers.

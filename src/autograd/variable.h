@@ -111,6 +111,11 @@ struct Node {
 
   // Adds `g` into this node's gradient buffer (allocating if needed).
   void AccumulateGrad(const Tensor& g);
+
+  // A pure constant: no gradient of its own and no edge to anything that
+  // wants one (e.g. a fixed graph support). A gradient sent to it is never
+  // consumed, so ops neither record an edge to it nor compute one for it.
+  bool IsConstant() const { return !requires_grad && backward == nullptr; }
 };
 
 }  // namespace internal

@@ -1,8 +1,6 @@
 #include "nn/module.h"
 
 #include <cmath>
-#include <istream>
-#include <ostream>
 
 #include "common/check.h"
 
@@ -33,53 +31,6 @@ int64_t Module::ParameterCount() {
   int64_t count = 0;
   for (Variable& param : Parameters()) count += param.numel();
   return count;
-}
-
-namespace {
-
-void WriteString(std::ostream& out, const std::string& s) {
-  uint64_t len = s.size();
-  out.write(reinterpret_cast<const char*>(&len), sizeof(len));
-  out.write(s.data(), static_cast<std::streamsize>(len));
-}
-
-std::string ReadString(std::istream& in) {
-  uint64_t len = 0;
-  in.read(reinterpret_cast<char*>(&len), sizeof(len));
-  PRISTI_CHECK(in.good()) << "truncated checkpoint";
-  PRISTI_CHECK_LE(len, 1u << 20) << "implausible name length in checkpoint";
-  std::string s(len, '\0');
-  in.read(s.data(), static_cast<std::streamsize>(len));
-  return s;
-}
-
-}  // namespace
-
-void Module::Save(std::ostream& out) {
-  auto named = NamedParameters();
-  uint64_t count = named.size();
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (auto& [name, param] : named) {
-    WriteString(out, name);
-    tensor::WriteTensor(out, param.value());
-  }
-}
-
-void Module::Load(std::istream& in) {
-  auto named = NamedParameters();
-  uint64_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  PRISTI_CHECK_EQ(count, named.size()) << "checkpoint parameter count mismatch";
-  for (auto& [name, param] : named) {
-    std::string stored_name = ReadString(in);
-    PRISTI_CHECK(stored_name == name)
-        << "checkpoint name mismatch: expected " << name << ", got "
-        << stored_name;
-    Tensor stored = tensor::ReadTensor(in);
-    PRISTI_CHECK(tensor::ShapesEqual(stored.shape(), param.value().shape()))
-        << "checkpoint shape mismatch for " << name;
-    param.mutable_value() = std::move(stored);
-  }
 }
 
 Variable Module::AddParameter(const std::string& name, const Tensor& init) {

@@ -5,8 +5,8 @@
 //
 // A Module registers parameters (autograd leaves with requires_grad) and
 // child modules; `Parameters()` flattens the tree for the optimizer, and
-// Save/Load serialize the tree by hierarchical parameter name so checkpoints
-// are layout-independent and shape-checked on load.
+// SaveCheckpoint/LoadCheckpoint serialize the tree by hierarchical parameter
+// name so checkpoints are layout-independent and shape-checked on load.
 //
 // `Variable` is a shared handle to its tape node, so the copies returned by
 // AddParameter / Parameters alias the same underlying storage: the optimizer
@@ -44,16 +44,12 @@ class Module {
   void ZeroGrad();
   int64_t ParameterCount();
 
-  // Serializes all parameters (name + tensor). Load CHECK-fails on a name
-  // or shape mismatch, which catches architecture drift early.
-  void Save(std::ostream& out);
-  void Load(std::istream& in);
-
-  // Versioned, checksummed checkpoint format (src/serialize/). Unlike the
-  // legacy Save/Load above, every failure mode — truncation, corruption,
-  // version skew, shape mismatch — comes back as a typed error instead of a
-  // CHECK abort. Defined in serialize/checkpoint.cc: the nn layer does not
-  // link pristi_serialize, callers of these two members must.
+  // Versioned, checksummed checkpoint of all parameters by hierarchical
+  // name (src/serialize/). Every failure mode — truncation, corruption,
+  // version skew, a name or shape mismatch — comes back as a typed error
+  // instead of a CHECK abort. Defined in serialize/checkpoint.cc: the nn
+  // layer does not link pristi_serialize, callers of these two members
+  // must.
   pristi::Status SaveCheckpoint(std::ostream& out);
   pristi::Status LoadCheckpoint(std::istream& in);
 

@@ -413,6 +413,163 @@ void FusedBackwardItem(const float* q_item, const float* panels,
   }
 }
 
+#if PRISTI_ATTN_HAVE_AVX2
+// Per-worker scratch of FusedBackwardItemAvx, reused across the items of a
+// ParallelFor chunk.
+struct BackwardScratch {
+  std::vector<float> v_panels;
+  std::vector<float> p_rows;
+  std::vector<double> d_rows;
+  std::vector<double> dq_acc;
+};
+
+// Backward for one batch item at head_dim DH (4 and 8), bit-identical to
+// FusedBackwardItem. Lanes run over kv COLUMNS, not rows as in the forward:
+// dV[j] and dK[j] sum over rows i in increasing i, so with one column per
+// lane those sums — and the scores, p = exp(s - lse), the double
+// dp = gO[i]·V[j] in two __m256d, and ds — are per-lane chains in the
+// scalar order. The item's columns are walked eight at a time (a half kv
+// block; a block of width <= 8 has no upper half) with every row in
+// increasing i inside, so each dV/dK accumulator stays in a register for the
+// whole sweep. Each column group first forms the weights of all rows, then
+// the gradients: the exp is the longest dependency chain, and this way the
+// rows' exps overlap. dQ[i] sums over j in increasing j: one __m256d per 4 head
+// dims, the same double chain as the scalar `dq_acc`, kept per row across
+// column groups, which arrive in increasing j. V is packed into K's panel
+// layout so a column group's V loads are contiguous; the packing and the
+// final dK/dV stores only move data. Tail lanes past s_k read the panels'
+// zero padding and are never stored.
+// [fp-blessed] in tools/analysis/layers.manifest.
+template <int64_t DH>
+__attribute__((target("avx2"))) void FusedBackwardItemAvx(
+    const float* q_item, const float* panels, const float* k_item,
+    const float* v_item, const float* out_item, const float* lse_item,
+    const float* g_item, int64_t s_q, int64_t s_k, float scale,
+    float* dq_item, float* dk_item, float* dv_item,
+    BackwardScratch* scratch) {
+  static_assert(DH % 4 == 0, "one __m256d per 4 head dims");
+  constexpr int64_t kLanes = 8;
+  constexpr int64_t kDq = DH / 4;
+  scratch->v_panels.resize(static_cast<size_t>(FloatsPerItem(s_k, DH)));
+  PackKItem(v_item, s_k, DH, scratch->v_panels.data());
+  scratch->p_rows.resize(static_cast<size_t>(s_q * kLanes));
+  float* p_rows = scratch->p_rows.data();
+  scratch->dq_acc.assign(static_cast<size_t>(s_q * DH), 0.0);
+  double* dq_acc = scratch->dq_acc.data();
+  // D_i = gO[i]·out[i] per row, in the scalar double chain.
+  scratch->d_rows.resize(static_cast<size_t>(s_q));
+  double* d_rows = scratch->d_rows.data();
+  for (int64_t i = 0; i < s_q; ++i) {
+    const float* g_row = g_item + i * DH;
+    const float* o_row = out_item + i * DH;
+    double d_i = 0.0;
+    for (int64_t d = 0; d < DH; ++d) {
+      d_i += static_cast<double>(g_row[d]) * static_cast<double>(o_row[d]);
+    }
+    d_rows[i] = d_i;
+  }
+  for (int64_t c0 = 0; c0 < s_k; c0 += kLanes) {
+    const int64_t width = std::min<int64_t>(kLanes, s_k - c0);
+    const int64_t off = (c0 / kColTile) * DH * kColTile + c0 % kColTile;
+    const float* kp = panels + off;
+    const float* vp = scratch->v_panels.data() + off;
+    __m256 dv[DH];
+    __m256 dk[DH];
+    for (int64_t d = 0; d < DH; ++d) {
+      dv[d] = _mm256_setzero_ps();
+      dk[d] = _mm256_setzero_ps();
+    }
+    for (int64_t i = 0; i < s_q; ++i) {
+      const float* q_row = q_item + i * DH;
+      __m256 s = _mm256_setzero_ps();
+      for (int64_t kk = 0; kk < DH; ++kk) {
+        const __m256 qs = _mm256_set1_ps(q_row[kk] * scale);
+        s = _mm256_add_ps(
+            s, _mm256_mul_ps(qs, _mm256_loadu_ps(kp + kk * kColTile)));
+      }
+      _mm256_storeu_ps(
+          p_rows + i * kLanes,
+          FusedExpAvx8(_mm256_sub_ps(s, _mm256_set1_ps(lse_item[i]))));
+    }
+    for (int64_t i = 0; i < s_q; ++i) {
+      const float* q_row = q_item + i * DH;
+      const float* g_row = g_item + i * DH;
+      __m256 qs[DH];
+      for (int64_t kk = 0; kk < DH; ++kk) {
+        qs[kk] = _mm256_set1_ps(q_row[kk] * scale);
+      }
+      const __m256 p = _mm256_loadu_ps(p_rows + i * kLanes);
+      __m256d dp_lo = _mm256_setzero_pd(), dp_hi = _mm256_setzero_pd();
+      for (int64_t d = 0; d < DH; ++d) {
+        const __m256d gd = _mm256_set1_pd(static_cast<double>(g_row[d]));
+        const __m256 vd = _mm256_loadu_ps(vp + d * kColTile);
+        dp_lo = _mm256_add_pd(
+            dp_lo,
+            _mm256_mul_pd(gd, _mm256_cvtps_pd(_mm256_castps256_ps128(vd))));
+        dp_hi = _mm256_add_pd(
+            dp_hi,
+            _mm256_mul_pd(gd, _mm256_cvtps_pd(_mm256_extractf128_ps(vd, 1))));
+      }
+      const __m256d di = _mm256_set1_pd(d_rows[i]);
+      const __m128 ds_lo = _mm256_cvtpd_ps(
+          _mm256_mul_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(p)),
+                        _mm256_sub_pd(dp_lo, di)));
+      const __m128 ds_hi = _mm256_cvtpd_ps(
+          _mm256_mul_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(p, 1)),
+                        _mm256_sub_pd(dp_hi, di)));
+      const __m256 ds = _mm256_set_m128(ds_hi, ds_lo);
+      for (int64_t d = 0; d < DH; ++d) {
+        dv[d] = _mm256_add_ps(dv[d],
+                              _mm256_mul_ps(p, _mm256_set1_ps(g_row[d])));
+      }
+      for (int64_t kk = 0; kk < DH; ++kk) {
+        dk[kk] = _mm256_add_ps(dk[kk], _mm256_mul_ps(ds, qs[kk]));
+      }
+      alignas(32) double dsd[kLanes];
+      _mm256_store_pd(dsd, _mm256_cvtps_pd(ds_lo));
+      _mm256_store_pd(dsd + 4, _mm256_cvtps_pd(ds_hi));
+      double* acc_row = dq_acc + i * DH;
+      __m256d acc[kDq];
+      for (int64_t r = 0; r < kDq; ++r) {
+        acc[r] = _mm256_loadu_pd(acc_row + 4 * r);
+      }
+      for (int64_t j = 0; j < width; ++j) {
+        const __m256d dsj = _mm256_set1_pd(dsd[j]);
+        const float* k_row = k_item + (c0 + j) * DH;
+        for (int64_t r = 0; r < kDq; ++r) {
+          const __m256d kd = _mm256_cvtps_pd(_mm_loadu_ps(k_row + 4 * r));
+          acc[r] = _mm256_add_pd(acc[r], _mm256_mul_pd(dsj, kd));
+        }
+      }
+      for (int64_t r = 0; r < kDq; ++r) {
+        _mm256_storeu_pd(acc_row + 4 * r, acc[r]);
+      }
+    }
+    alignas(32) float dvt[DH][kLanes];
+    alignas(32) float dkt[DH][kLanes];
+    for (int64_t d = 0; d < DH; ++d) {
+      _mm256_store_ps(dvt[d], dv[d]);
+      _mm256_store_ps(dkt[d], dk[d]);
+    }
+    for (int64_t j = 0; j < width; ++j) {
+      for (int64_t d = 0; d < DH; ++d) {
+        dv_item[(c0 + j) * DH + d] = dvt[d][j];
+        dk_item[(c0 + j) * DH + d] = dkt[d][j];
+      }
+    }
+  }
+  const __m128 sv = _mm_set1_ps(scale);
+  for (int64_t i = 0; i < s_q; ++i) {
+    for (int64_t r = 0; r < kDq; ++r) {
+      _mm_storeu_ps(dq_item + i * DH + 4 * r,
+                    _mm_mul_ps(_mm256_cvtpd_ps(_mm256_loadu_pd(
+                                   dq_acc + i * DH + 4 * r)),
+                               sv));
+    }
+  }
+}
+#endif  // PRISTI_ATTN_HAVE_AVX2
+
 std::atomic<int>& FusedFlag() {
   static std::atomic<int> flag{
       GetEnvIntOr("PRISTI_ATTN_FUSED", 1) != 0 ? 1 : 0};
@@ -496,6 +653,55 @@ void ForwardImpl(int64_t batch, int64_t s_q, int64_t s_k, int64_t dh,
       std::memory_order_relaxed);
 }
 
+// Shared body of FusedAttentionBackward and its scalar oracle.
+// Item-parallel, serial within an item: each item's dq/dk/dv slices are
+// written by exactly one worker, in the same order at any thread count.
+void BackwardImpl(int64_t batch, int64_t s_q, int64_t s_k, int64_t dh,
+                  float scale, const float* q, const float* k, const float* v,
+                  const float* out, const float* lse, const float* grad_out,
+                  float* dq, float* dk, float* dv, const Tensor* cache_k,
+                  bool allow_columns) {
+  if (batch <= 0 || s_q <= 0 || s_k <= 0 || dh <= 0) return;
+  PRISTI_CHECK_LE(dh, kMaxHeadDim) << "head_dim exceeds fused-kernel cap";
+  PackedPanel hold;
+  const float* panels = AcquireKPanels(batch, s_k, dh, k, cache_k, &hold);
+  int64_t per_item = FloatsPerItem(s_k, dh);
+#if PRISTI_ATTN_HAVE_AVX2
+  // head_dim 4 and 8 take the column-lane kernel, bit-identical to
+  // FusedBackwardItem, so the dispatch never changes a gradient.
+  if (allow_columns && (dh == 4 || dh == 8) && Avx2Available()) {
+    auto* item_kernel =
+        dh == 4 ? &FusedBackwardItemAvx<4> : &FusedBackwardItemAvx<8>;
+    ParallelFor(0, batch, [&](int64_t lo, int64_t hi) {
+      BackwardScratch scratch;
+      for (int64_t item = lo; item < hi; ++item) {
+        int64_t qoff = item * s_q * dh;
+        int64_t koff = item * s_k * dh;
+        item_kernel(q + qoff, panels + item * per_item, k + koff, v + koff,
+                    out + qoff, lse + item * s_q, grad_out + qoff, s_q, s_k,
+                    scale, dq + qoff, dk + koff, dv + koff, &scratch);
+      }
+    });
+  } else
+#endif
+  {
+    (void)allow_columns;
+    ParallelFor(0, batch, [&](int64_t lo, int64_t hi) {
+      for (int64_t item = lo; item < hi; ++item) {
+        int64_t qoff = item * s_q * dh;
+        int64_t koff = item * s_k * dh;
+        FusedBackwardItem(q + qoff, panels + item * per_item, k + koff,
+                          v + koff, out + qoff, lse + item * s_q,
+                          grad_out + qoff, s_q, s_k, dh, scale, dq + qoff,
+                          dk + koff, dv + koff);
+      }
+    });
+  }
+  Counters().fused_attn_kv_blocks.fetch_add(
+      static_cast<uint64_t>(batch * s_q * PanelsPerItem(s_k)),
+      std::memory_order_relaxed);
+}
+
 }  // namespace
 
 void FusedAttentionForward(int64_t batch, int64_t s_q, int64_t s_k,
@@ -520,26 +726,18 @@ void FusedAttentionBackward(int64_t batch, int64_t s_q, int64_t s_k,
                             const float* lse, const float* grad_out,
                             float* dq, float* dk, float* dv,
                             const Tensor* cache_k) {
-  if (batch <= 0 || s_q <= 0 || s_k <= 0 || dh <= 0) return;
-  PRISTI_CHECK_LE(dh, kMaxHeadDim) << "head_dim exceeds fused-kernel cap";
-  PackedPanel hold;
-  const float* panels = AcquireKPanels(batch, s_k, dh, k, cache_k, &hold);
-  int64_t per_item = FloatsPerItem(s_k, dh);
-  // Item-parallel, row-serial within an item: each item's dq/dk/dv slices
-  // are written by exactly one worker, in the same order at any thread
-  // count.
-  ParallelFor(0, batch, [&](int64_t lo, int64_t hi) {
-    for (int64_t item = lo; item < hi; ++item) {
-      int64_t qoff = item * s_q * dh;
-      int64_t koff = item * s_k * dh;
-      FusedBackwardItem(q + qoff, panels + item * per_item, k + koff,
-                        v + koff, out + qoff, lse + item * s_q, grad_out + qoff,
-                        s_q, s_k, dh, scale, dq + qoff, dk + koff, dv + koff);
-    }
-  });
-  Counters().fused_attn_kv_blocks.fetch_add(
-      static_cast<uint64_t>(batch * s_q * PanelsPerItem(s_k)),
-      std::memory_order_relaxed);
+  BackwardImpl(batch, s_q, s_k, dh, scale, q, k, v, out, lse, grad_out, dq,
+               dk, dv, cache_k, /*allow_columns=*/true);
+}
+
+void FusedAttentionBackwardScalar(int64_t batch, int64_t s_q, int64_t s_k,
+                                  int64_t dh, float scale, const float* q,
+                                  const float* k, const float* v,
+                                  const float* out, const float* lse,
+                                  const float* grad_out, float* dq, float* dk,
+                                  float* dv) {
+  BackwardImpl(batch, s_q, s_k, dh, scale, q, k, v, out, lse, grad_out, dq,
+               dk, dv, /*cache_k=*/nullptr, /*allow_columns=*/false);
 }
 
 }  // namespace pristi::tensor::kernels

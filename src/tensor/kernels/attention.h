@@ -26,6 +26,16 @@
 // saved so the backward pass recomputes score blocks from the same packed
 // panels instead of storing softmax weights.
 //
+// The backward's AVX2 kernel, for the same head_dims, puts one kv COLUMN in
+// each lane instead. dV[j] and dK[j] sum over rows i in increasing i, so
+// with a column per lane those sums — and the scores, p = exp(s - lse), the
+// double dp = gO[i]·V[j] and ds — are per-lane chains in the scalar order;
+// with a row per lane they would have to cross lanes in order. dQ[i] sums
+// over j in increasing j in one __m256d per 4 head dims, the same double
+// chain as the scalar kernel. V is packed into K's panel layout and dV/dK
+// are stored back row-major: data movement only. So it is bit-identical to
+// the scalar item kernel, which FusedAttentionBackwardScalar exposes.
+//
 // Determinism contract (weaker than the GEMM layer's, by necessity):
 //   - fused vs reference is a TOLERANCE equivalence (max-abs-error <= 1e-5
 //     on forward at model shapes), NOT bitwise: online softmax reorders the
@@ -37,9 +47,9 @@
 //     the exp lanes, and the l/o accumulations run in fixed increasing
 //     column order), each row is owned by exactly one ParallelFor worker,
 //     the backward is batch-item-serial the same way, and the AVX2
-//     row-group kernel reproduces the scalar chains lane for lane. kColTile is an
-//     algorithmic constant of the kernel, not a tuning knob — the recorded
-//     fused golden pins its value.
+//     row-group forward and column-lane backward reproduce the scalar
+//     chains lane for lane. kColTile is an algorithmic constant of the
+//     kernel, not a tuning knob — the recorded fused goldens pin its value.
 //   - the reference chain (PRISTI_ATTN_FUSED=0 routes nn/attention.cc back
 //     through BatchedMatMulNT -> SoftmaxLastDim -> BatchedMatMul) is
 //     bitwise-unchanged from before this kernel existed, so all recorded
@@ -104,14 +114,25 @@ void FusedAttentionForwardScalar(int64_t batch, int64_t s_q, int64_t s_k,
 //   ds_j    = p_j * (gO[i]·V[j] - D_i),   D_i = gO[i]·out[i]
 //   dK[j]  += ds_j * (scale * Q[i])
 //   dQ[i]  += scale * sum_j ds_j * K[j]
-// dq/dk/dv must be distinct from every input and are OVERWRITTEN (the
-// kernel zeroes them). Batch-item-parallel, serial within an item.
+// dq/dk/dv must be distinct from every input and are OVERWRITTEN.
+// Batch-item-parallel, serial within an item.
 void FusedAttentionBackward(int64_t batch, int64_t s_q, int64_t s_k,
                             int64_t dh, float scale, const float* q,
                             const float* k, const float* v, const float* out,
                             const float* lse, const float* grad_out,
                             float* dq, float* dk, float* dv,
                             const Tensor* cache_k = nullptr);
+
+// Test-only oracle for the backward, the counterpart of
+// FusedAttentionForwardScalar: the scalar item kernel, one (row, column)
+// pair at a time. Tests compare the dispatched backward against it bitwise
+// at head_dim 4 and 8. Never packs through the pack cache.
+void FusedAttentionBackwardScalar(int64_t batch, int64_t s_q, int64_t s_k,
+                                  int64_t dh, float scale, const float* q,
+                                  const float* k, const float* v,
+                                  const float* out, const float* lse,
+                                  const float* grad_out, float* dq, float* dk,
+                                  float* dv);
 
 }  // namespace pristi::tensor::kernels
 

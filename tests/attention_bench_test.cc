@@ -5,8 +5,10 @@
 // reference scores tensor alone is ~120 MB. Records forward GF/s for both
 // paths, the allocator's peak-live-bytes high-water mark after each phase
 // (the fused phase runs FIRST because the peak is monotone: the reference
-// phase's score allocations can only raise it), and the end-to-end S=32
-// sampler throughput delta from toggling PRISTI_ATTN_FUSED in-process.
+// phase's score allocations can only raise it), single-thread backward
+// times of the dispatched kernel against the scalar oracle at the two
+// train-metr207 attention shapes, and the end-to-end S=32 sampler
+// throughput delta from toggling PRISTI_ATTN_FUSED in-process.
 //
 // Emits BENCH_attention.json to PRISTI_BENCH_DIR (or a temp dir). The peak
 // memory ordering is asserted (it is deterministic: the fused kernel never
@@ -16,6 +18,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -101,6 +104,46 @@ TEST(AttentionBench, FusedVsReferenceAndSamplerDelta) {
   double fused_gflops = flops / fused_sec / 1e9;
   double reference_gflops = flops / reference_sec / 1e9;
 
+  // Fused backward at the two attention shapes of one train-metr207 window
+  // (N=207, L=24, 4 heads of head_dim 4): temporal attention over L for
+  // each of N·h = 828 (node, head) pairs, and spatial attention of the 207
+  // nodes against 8 virtual nodes for each of L·h = 96 (step, head) pairs.
+  // The dispatched kernel against the scalar oracle, single-threaded.
+  struct BackwardTiming {
+    const char* name;
+    int64_t batch, s_q, s_k, dh;
+    double dispatched_ms, scalar_ms;
+  };
+  BackwardTiming backward[] = {{"train_temporal", 828, 24, 24, 4, 0, 0},
+                               {"train_spatial", 96, 207, 8, 4, 0, 0}};
+  const int64_t prev_threads = ParallelThreadCount();
+  SetParallelThreadCount(1);
+  for (BackwardTiming& b : backward) {
+    const float scale_b = 1.0f / std::sqrt(static_cast<float>(b.dh));
+    Tensor bq = Tensor::Randn({b.batch, b.s_q, b.dh}, rng);
+    Tensor bk = Tensor::Randn({b.batch, b.s_k, b.dh}, rng);
+    Tensor bv = Tensor::Randn({b.batch, b.s_k, b.dh}, rng);
+    Tensor bg = Tensor::Randn({b.batch, b.s_q, b.dh}, rng);
+    Tensor bout(bq.shape()), blse(Shape{b.batch, b.s_q});
+    Tensor dq(bq.shape()), dk(bk.shape()), dv(bv.shape());
+    kn::FusedAttentionForward(b.batch, b.s_q, b.s_k, b.dh, scale_b,
+                              bq.data(), bk.data(), bv.data(), bout.data(),
+                              blse.data(), &bk);
+    b.dispatched_ms = 1e3 * TimePerCall([&] {
+      kn::FusedAttentionBackward(b.batch, b.s_q, b.s_k, b.dh, scale_b,
+                                 bq.data(), bk.data(), bv.data(), bout.data(),
+                                 blse.data(), bg.data(), dq.data(), dk.data(),
+                                 dv.data(), &bk);
+    });
+    b.scalar_ms = 1e3 * TimePerCall([&] {
+      kn::FusedAttentionBackwardScalar(
+          b.batch, b.s_q, b.s_k, b.dh, scale_b, bq.data(), bk.data(),
+          bv.data(), bout.data(), blse.data(), bg.data(), dq.data(),
+          dk.data(), dv.data());
+    });
+  }
+  SetParallelThreadCount(prev_threads);
+
   // End-to-end S=32 reverse diffusion on the quick METR-LA preset, fused
   // vs reference routed through the runtime toggle.
   Scale scale;
@@ -149,8 +192,9 @@ TEST(AttentionBench, FusedVsReferenceAndSamplerDelta) {
       "  \"scores_bytes_not_materialized\": %llu,\n"
       "  \"sampler_s32_fused_sps\": %.3f,\n"
       "  \"sampler_s32_reference_sps\": %.3f,\n"
-      "  \"sampler_s32_speedup\": %.3f\n"
-      "}\n",
+      "  \"sampler_s32_speedup\": %.3f,\n"
+      "  \"backward_threads\": 1,\n"
+      "  \"backward\": [\n",
       static_cast<long long>(batch), static_cast<long long>(s),
       static_cast<long long>(dh),
       static_cast<long long>(ParallelThreadCount()), fused_gflops,
@@ -159,6 +203,25 @@ TEST(AttentionBench, FusedVsReferenceAndSamplerDelta) {
       static_cast<unsigned long long>(reference_peak),
       static_cast<unsigned long long>(scores_bytes), fused_sps,
       reference_sps, reference_sps > 0 ? fused_sps / reference_sps : 0.0);
+  for (size_t i = 0; i < std::size(backward); ++i) {
+    const BackwardTiming& b = backward[i];
+    std::fprintf(json,
+                 "    {\"name\": \"%s\", \"batch\": %lld, \"s_q\": %lld, "
+                 "\"s_k\": %lld, \"head_dim\": %lld, \"dispatched_ms\": "
+                 "%.3f, \"scalar_ms\": %.3f, \"speedup\": %.3f}%s\n",
+                 b.name, static_cast<long long>(b.batch),
+                 static_cast<long long>(b.s_q), static_cast<long long>(b.s_k),
+                 static_cast<long long>(b.dh), b.dispatched_ms, b.scalar_ms,
+                 b.dispatched_ms > 0 ? b.scalar_ms / b.dispatched_ms : 0.0,
+                 i + 1 < std::size(backward) ? "," : "");
+    std::printf(
+        "attention bwd %s (%lld, %lld, %lld, %lld), 1 thread: dispatched "
+        "%.3f ms, scalar %.3f ms\n",
+        b.name, static_cast<long long>(b.batch),
+        static_cast<long long>(b.s_q), static_cast<long long>(b.s_k),
+        static_cast<long long>(b.dh), b.dispatched_ms, b.scalar_ms);
+  }
+  std::fprintf(json, "  ]\n}\n");
   std::fclose(json);
   std::printf(
       "attention fwd (batch=%lld, s=%lld, dh=%lld): fused %.1f GF/s, "

@@ -3,8 +3,9 @@
 // fused-vs-reference tolerance parity at paper-full shapes, module-level
 // parity through MultiHeadAttention (plain and virtual-node paths),
 // bitwise determinism of the fused path across thread counts and repeated
-// runs, the dispatched SIMD forward against the scalar oracle bitwise,
-// kernel-counter accounting, and seeded forward and backward goldens.
+// runs, the dispatched SIMD forward and backward against the scalar oracles
+// bitwise, kernel-counter accounting, and seeded forward and backward
+// goldens.
 //
 // Regenerating the goldens after an INTENTIONAL kernel change:
 //   PRISTI_REGEN_GOLDEN=1 ./build/tests/attention_fused_test
@@ -179,12 +180,15 @@ void ExpectRoundsBitEqual(const FusedRound& a, const FusedRound& b,
 
 // dh=8 at the model shape; dh=4 with s_q % 8 != 0 (a partial row group per
 // item) and rows*4*s_k*dh >= 4*kMinFlopsPerChunk, so the row-group
-// ParallelFor really splits at 4 threads.
+// ParallelFor really splits at 4 threads; and dh=4 at the spatial
+// virtual-node geometry (s_k = 8, one half block), large enough that both
+// the forward and the item-parallel backward split at 4 threads.
 TEST(FusedDeterminism, BitIdenticalAcrossThreadCountsAndRuns) {
   struct Case {
     int64_t batch, s_q, s_k, dh;
   };
-  for (const Case& c : {Case{6, 41, 57, 8}, Case{30, 41, 57, 4}}) {
+  for (const Case& c :
+       {Case{6, 41, 57, 8}, Case{30, 41, 57, 4}, Case{40, 207, 8, 4}}) {
     Rng rng(105);
     const float scale = 1.0f / std::sqrt(static_cast<float>(c.dh));
     Tensor q = Tensor::Randn({c.batch, c.s_q, c.dh}, rng);
@@ -280,6 +284,43 @@ TEST(FusedDispatch, LaterBlockMaxRescaleAndClampMatchOracle) {
     }
     ExpectDispatchMatchesOracle(q, k, v,
                                 "later-block max, dh=" + std::to_string(dh));
+  }
+}
+
+// The dispatched backward (the column-lane kernel at dh 4 and 8 on AVX2
+// hosts) against FusedAttentionBackwardScalar: byte-equal dq, dk and dv.
+// s_k covers a single column, partial and full half blocks, a full block,
+// and tails both within (24, 37) and past (17) a half block; s_q covers the
+// one-row item and the 207-node spatial shape. q at x30 saturates the
+// softmax, so the exp clamp fires.
+TEST(FusedDispatch, BackwardMatchesScalarOracleBitwise) {
+  Rng rng(109);
+  for (int64_t dh : {4, 8}) {
+    const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+    for (int64_t s_q : {1, 7, 8, 9, 41, 207}) {
+      for (int64_t s_k : {1, 7, 8, 9, 16, 17, 24, 37}) {
+        for (float q_mul : {1.0f, 30.0f}) {
+          Tensor q = Tensor::Randn({3, s_q, dh}, rng);
+          for (int64_t i = 0; i < q.numel(); ++i) q[i] *= q_mul;
+          Tensor k = Tensor::Randn({3, s_k, dh}, rng);
+          Tensor v = Tensor::Randn({3, s_k, dh}, rng);
+          Tensor g = Tensor::Randn({3, s_q, dh}, rng);
+          FusedRound r = RunFusedRound(q, k, v, g, scale);
+          Tensor dq(q.shape()), dk(k.shape()), dv(v.shape());
+          kn::FusedAttentionBackwardScalar(
+              3, s_q, s_k, dh, scale, q.data(), k.data(), v.data(),
+              r.out.data(), r.lse.data(), g.data(), dq.data(), dk.data(),
+              dv.data());
+          const std::string what =
+              "dh=" + std::to_string(dh) + " s_q=" + std::to_string(s_q) +
+              " s_k=" + std::to_string(s_k) + " q*" +
+              std::to_string(static_cast<int>(q_mul));
+          ExpectBytesEqual(r.dq, dq, what + ": dq");
+          ExpectBytesEqual(r.dk, dk, what + ": dk");
+          ExpectBytesEqual(r.dv, dv, what + ": dv");
+        }
+      }
+    }
   }
 }
 

@@ -4,12 +4,14 @@
 #include "autograd/ops.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "autograd/grad_check.h"
 #include "autograd/variable.h"
 #include "common/rng.h"
+#include "tensor/kernels/kernels.h"
 
 namespace pristi::autograd {
 namespace {
@@ -328,6 +330,46 @@ TEST(GradCheck, MatMulNodeDim) {
       },
       {Tensor::Randn({2, 4}, rng), Tensor::Randn({3, 4, 2}, rng)});
   EXPECT_TRUE(r.ok) << r.message;
+}
+
+// A fixed support (a Constant p, as GraphConv's supports are) gets no dp:
+// the backward runs only the dx GEMM, and dx keeps the bits it has when p
+// is a parameter. An interior p — a softmax over a parameter, shaped like
+// the adaptive adjacency — still gets both gradients.
+TEST(MatMulNodeDimGrad, ConstantSupportSkipsItsGradient) {
+  Rng rng(41);
+  Tensor p_value = Tensor::Randn({5, 5}, rng);
+  Tensor x_value = Tensor::Randn({6, 5, 3}, rng);
+  Tensor probe = Tensor::Randn({6, 5, 3}, rng);
+  // GEMM calls made by the backward sweep of sum(probe * (p @ x)).
+  auto backward_gemms = [&](const Variable& p, const Variable& x) {
+    Variable loss = SumAll(Mul(MatMulNodeDim(p, x), Constant(probe)));
+    uint64_t before = t::kernels::GetKernelStats().gemm_calls;
+    loss.Backward();
+    return t::kernels::GetKernelStats().gemm_calls - before;
+  };
+
+  Variable x_fixed(x_value, /*requires_grad=*/true);
+  Variable support = Constant(p_value);
+  EXPECT_EQ(backward_gemms(support, x_fixed), 1u);
+  EXPECT_FALSE(support.has_grad());
+
+  Variable x_param(x_value, /*requires_grad=*/true);
+  Variable p_param(p_value, /*requires_grad=*/true);
+  EXPECT_EQ(backward_gemms(p_param, x_param), 2u);
+  EXPECT_TRUE(p_param.has_grad());
+  ASSERT_EQ(x_fixed.grad().numel(), x_param.grad().numel());
+  EXPECT_EQ(std::memcmp(x_fixed.grad().data(), x_param.grad().data(),
+                        sizeof(float) *
+                            static_cast<size_t>(x_param.grad().numel())),
+            0)
+      << "dx changed when dp was skipped";
+
+  Variable x_adaptive(x_value, /*requires_grad=*/true);
+  Variable logits(p_value, /*requires_grad=*/true);
+  EXPECT_EQ(backward_gemms(SoftmaxLastDim(logits), x_adaptive), 2u);
+  EXPECT_TRUE(logits.has_grad());
+  EXPECT_TRUE(x_adaptive.has_grad());
 }
 
 TEST(GradCheck, SoftmaxLastDim) {

@@ -348,8 +348,8 @@ TEST(ModuleRegistry, SaveLoadRoundTrip) {
   Tensor yb_before = b.Forward(ag::Constant(probe)).value();
   EXPECT_FALSE(AllClose(ya, yb_before, 1e-4f));
   std::stringstream buf;
-  a.Save(buf);
-  b.Load(buf);
+  ASSERT_TRUE(a.SaveCheckpoint(buf).ok());
+  ASSERT_TRUE(b.LoadCheckpoint(buf).ok());
   Tensor yb_after = b.Forward(ag::Constant(probe)).value();
   EXPECT_TRUE(AllClose(ya, yb_after, 0.0f, 0.0f));
 }

@@ -299,12 +299,16 @@ TEST(ModuleRoundTrip, FileRoundTripAndNonCheckpointRejectedTyped) {
   ASSERT_TRUE(LoadModuleCheckpointFile(*b, path).ok());
   ExpectModulesBitEqual(*a, *b);
 
-  // The bare name+tensor stream of Module::Save has no PRSTCKPT magic: it
-  // is rejected typed, and the target model keeps its weights.
+  // A file without the PRSTCKPT magic — a real checkpoint with its magic
+  // overwritten — is rejected typed, and the target model keeps its weights.
   std::string bare = tmp.File("bare.bin");
   {
+    std::stringstream ckpt;
+    ASSERT_TRUE(a->SaveCheckpoint(ckpt).ok());
+    std::string bytes = ckpt.str();
+    bytes.replace(0, 8, "NOTACKPT");
     std::ofstream out(bare, std::ios::binary);
-    a->Save(out);
+    out << bytes;
   }
   auto c = MakeTinyModel(4, 6, 5);
   auto c_before = MakeTinyModel(4, 6, 5);

@@ -23,6 +23,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -512,8 +513,9 @@ TEST_F(ServeReloadTest, BitFlippedCheckpointRejectedOldModelKeepsServing) {
   EXPECT_EQ(session.stats().reloads_rejected, 1);
 }
 
-// A file without the PRSTCKPT magic — here model B's bare Module::Save
-// stream — is rejected typed before any weight reaches the staging model.
+// A file without the PRSTCKPT magic — here model B's checkpoint with its
+// magic overwritten — is rejected typed before any weight reaches the
+// staging model.
 TEST_F(ServeReloadTest, NonCheckpointFileRejectedTypedOldModelKeepsServing) {
   serve::ServeConfig config = ManualConfig();
   data::Sample window = MakeWindow(6);
@@ -525,7 +527,11 @@ TEST_F(ServeReloadTest, NonCheckpointFileRejectedTypedOldModelKeepsServing) {
   {
     std::ofstream file(ckpt_path_, std::ios::binary | std::ios::trunc);
     ASSERT_TRUE(file.good());
-    model_b_->Save(file);
+    std::stringstream ckpt;
+    ASSERT_TRUE(model_b_->SaveCheckpoint(ckpt).ok());
+    std::string bytes = ckpt.str();
+    bytes.replace(0, 8, "NOTACKPT");
+    file << bytes;
   }
   Status status = session.ReloadCheckpoint(ckpt_path_);
   EXPECT_EQ(status.code(), ErrorCode::kBadMagic) << status.ToString();
