@@ -13,7 +13,6 @@
 
 #include "autograd/ops.h"
 #include "common/check.h"
-#include "common/parallel.h"
 #include "diffusion/sharded_train.h"
 #include "nn/ema.h"
 #include "nn/module.h"
@@ -42,6 +41,25 @@ Tensor QSample(const Tensor& x0, const Tensor& eps,
   return out;
 }
 
+namespace {
+
+// values * mask, except that a masked-out entry is a zero carrying the
+// value's sign even when the value is NaN or Inf (where the product would
+// be NaN). Bitwise t::Mul for finite values, so no output bit moves.
+Tensor MaskValues(const Tensor& values, const Tensor& mask) {
+  PRISTI_CHECK(t::ShapesEqual(values.shape(), mask.shape()));
+  Tensor out(values.shape());
+  const float* pv = values.data();
+  const float* pm = mask.data();
+  float* po = out.data();
+  for (int64_t i = 0; i < out.numel(); ++i) {
+    po[i] = pm[i] != 0.0f ? pv[i] * pm[i] : std::copysign(0.0f, pv[i]);
+  }
+  return out;
+}
+
+}  // namespace
+
 DiffusionBatch MakeSingleWindowBatch(const Tensor& values,
                                      const Tensor& cond_mask,
                                      const Tensor& target_mask) {
@@ -49,13 +67,12 @@ DiffusionBatch MakeSingleWindowBatch(const Tensor& values,
   int64_t n = values.dim(0), l = values.dim(1);
   DiffusionBatch batch;
   batch.cond_mask = cond_mask.Reshaped({1, n, l});
-  batch.cond_values = t::Mul(values, cond_mask).Reshaped({1, n, l});
+  batch.cond_values = MaskValues(values, cond_mask).Reshaped({1, n, l});
   batch.interpolated =
       data::LinearInterpolate(values, cond_mask).Reshaped({1, n, l});
   batch.target_mask = target_mask.Reshaped({1, n, l});
   return batch;
 }
-
 
 namespace {
 
@@ -73,15 +90,12 @@ std::vector<double> ScheduleBetas(const NoiseSchedule& schedule) {
 
 // Writes one "pristi-training" checkpoint file atomically. `epochs_done` is
 // the number of completed epochs (== the index of the next epoch to run).
-// `sharded` records the training mode (TrainOptions::num_shards > 0) — the
-// shard COUNT is deliberately not stored (any K produces the same bits, so
-// a resume may pick a different one), but the single-stream and sharded
-// trajectories differ, so crossing modes on resume is a config mismatch.
+// The shard count is deliberately not stored: any K produces the same bits,
+// so a resume may pick a different one.
 Status SaveTrainingCheckpoint(
     const std::string& path, nn::Module& module, const nn::Adam& optimizer,
     const nn::EmaWeights* ema, const Rng& rng, const NoiseSchedule& schedule,
-    int64_t epochs_done, const std::vector<double>& epoch_losses,
-    bool sharded) {
+    int64_t epochs_done, const std::vector<double>& epoch_losses) {
   return serialize::WriteFileAtomic(path, [&](std::ostream& out) {
     serialize::CheckpointWriter writer(out);
     writer.AddString("meta.kind", "pristi-training");
@@ -91,7 +105,6 @@ Status SaveTrainingCheckpoint(
     serialize::AppendRng(rng, &writer);
     writer.AddF64List("schedule.beta", ScheduleBetas(schedule));
     writer.AddI64("train.epoch", epochs_done);
-    writer.AddI64("train.sharded", sharded ? 1 : 0);
     writer.AddF64List("train.losses", epoch_losses);
     if (!writer.Finish()) {
       return Status::Error(ErrorCode::kIoError, "checkpoint write failed");
@@ -105,7 +118,7 @@ Status SaveTrainingCheckpoint(
 Status LoadTrainingCheckpoint(
     const std::string& path, nn::Module& module, nn::Adam* optimizer,
     nn::EmaWeights* ema, Rng* rng, const NoiseSchedule& schedule,
-    bool sharded, int64_t* epochs_done,
+    int64_t* epochs_done,
     std::vector<double>* epoch_losses) {
   serialize::CheckpointView view;
   Status status = serialize::ParseCheckpointFile(path, &view);
@@ -137,23 +150,6 @@ Status LoadTrainingCheckpoint(
         "checkpoint carries EMA shadows but the run has ema_decay = 0");
   }
   if (!(status = serialize::LoadRng(rng, view)).ok()) return status;
-  // Checkpoints predating the sharded trainer carry no mode record; they
-  // were all single-stream.
-  int64_t stored_sharded = 0;
-  if (view.Find("train.sharded") != nullptr) {
-    if (!(status = view.GetI64("train.sharded", &stored_sharded)).ok()) {
-      return status;
-    }
-  }
-  if ((stored_sharded != 0) != sharded) {
-    return Status::Error(
-        ErrorCode::kConfigMismatch,
-        std::string("checkpoint was written by a ") +
-            (stored_sharded != 0 ? "sharded" : "single-stream") +
-            " training run; resuming in the other mode would silently "
-            "follow a different trajectory (set TrainOptions::num_shards "
-            "to match)");
-  }
   if (!(status = view.GetI64("train.epoch", epochs_done)).ok()) return status;
   if (!(status = view.GetF64List("train.losses", epoch_losses)).ok()) {
     return status;
@@ -175,8 +171,6 @@ std::vector<double> TrainDiffusionModel(ConditionalNoisePredictor* model,
                                         const TrainOptions& options,
                                         Rng& rng) {
   PRISTI_CHECK(model != nullptr);
-  PRISTI_CHECK_GE(options.num_shards, 0)
-      << "TrainOptions::num_shards: 0 = single-stream, K >= 1 = sharded";
   ModelAccessGuard access_guard(model, "TrainDiffusionModel");
   std::vector<data::Sample> samples = data::ExtractSamples(task, "train");
   PRISTI_CHECK(!samples.empty()) << "no training windows";
@@ -204,8 +198,7 @@ std::vector<double> TrainDiffusionModel(ConditionalNoisePredictor* model,
   if (!options.resume_from.empty()) {
     Status status = LoadTrainingCheckpoint(
         options.resume_from, *module, &optimizer,
-        ema ? &*ema : nullptr, &rng, schedule, options.num_shards > 0,
-        &start_epoch, &epoch_losses);
+        ema ? &*ema : nullptr, &rng, schedule, &start_epoch, &epoch_losses);
     PRISTI_CHECK(status.ok())
         << "cannot resume from '" << options.resume_from
         << "': " << status.ToString();
@@ -220,64 +213,8 @@ std::vector<double> TrainDiffusionModel(ConditionalNoisePredictor* model,
   }
 
   for (int64_t epoch = start_epoch; epoch < options.epochs; ++epoch) {
-    double mean_loss;
-    if (options.num_shards > 0) {
-      mean_loss = RunShardedEpoch(model, schedule, samples, options,
-                                  &optimizer, ema ? &*ema : nullptr, rng);
-    } else {
-      // Classic single-stream epoch: one stacked batch per optimizer step,
-      // all draws from the shared epoch RNG in window order. The window
-      // build and the forward/backward are the extracted units the sharded
-      // engine also runs; passing denom = max(1, SumAll(mask)) makes
-      // ShardStep reproduce ag::MaskedMse bit-for-bit, so this path's
-      // arithmetic is unchanged (the serialize_test golden pins it).
-      std::vector<int64_t> order = rng.Permutation(
-          static_cast<int64_t>(samples.size()));
-      double loss_sum = 0.0;
-      int64_t step_count = 0;
-      for (size_t batch_begin = 0; batch_begin < order.size();
-           batch_begin += static_cast<size_t>(options.batch_size)) {
-        size_t batch_end = std::min(
-            order.size(),
-            batch_begin + static_cast<size_t>(options.batch_size));
-        std::vector<Tensor> cond_values, cond_masks, interpolated,
-            target_masks, x0_parts;
-        for (size_t i = batch_begin; i < batch_end; ++i) {
-          WindowExample example = BuildWindowExample(
-              samples, order[i], options.mask_strategy, rng);
-          cond_masks.push_back(std::move(example.cond_mask));
-          cond_values.push_back(std::move(example.cond_values));
-          interpolated.push_back(std::move(example.interpolated));
-          target_masks.push_back(std::move(example.target_mask));
-          x0_parts.push_back(std::move(example.x0));
-        }
-        DiffusionBatch batch;
-        batch.cond_values = t::Stack(cond_values);
-        batch.cond_mask = t::Stack(cond_masks);
-        batch.interpolated = t::Stack(interpolated);
-        batch.target_mask = t::Stack(target_masks);
-        Tensor x0 = t::Stack(x0_parts);
-
-        int64_t step =
-            (options.high_t_bias > 0 && rng.Bernoulli(options.high_t_bias))
-                ? rng.UniformInt(schedule.num_steps() / 2,
-                                 schedule.num_steps())
-                : rng.UniformInt(1, schedule.num_steps());
-        Tensor eps = Tensor::Randn(x0.shape(), rng);
-        Tensor noisy = t::Mul(QSample(x0, eps, schedule, step),
-                              batch.target_mask);
-
-        model->ZeroGrad();
-        float denom = std::max(1.0f, t::SumAll(batch.target_mask));
-        loss_sum += ShardStep(model, /*params=*/{}, noisy, batch,
-                              t::Mul(eps, batch.target_mask), step, denom,
-                              /*capture=*/nullptr);
-        optimizer.Step();
-        if (ema) ema->Update();
-        ++step_count;
-      }
-      mean_loss = loss_sum / std::max<int64_t>(step_count, 1);
-    }
+    double mean_loss = RunShardedEpoch(model, schedule, samples, options,
+                                       &optimizer, ema ? &*ema : nullptr, rng);
     epoch_losses.push_back(mean_loss);
     scheduler.Step(epoch + 1);
     if (options.on_epoch) options.on_epoch(epoch, mean_loss);
@@ -291,7 +228,7 @@ std::vector<double> TrainDiffusionModel(ConditionalNoisePredictor* model,
           options.checkpoint_dir, options.checkpoint_prefix, done);
       Status status = SaveTrainingCheckpoint(
           path, *module, optimizer, ema ? &*ema : nullptr, rng, schedule,
-          done, epoch_losses, options.num_shards > 0);
+          done, epoch_losses);
       PRISTI_CHECK(status.ok())
           << "cannot write checkpoint '" << path << "': " << status.ToString();
       status = serialize::PruneCheckpoints(options.checkpoint_dir,
@@ -452,7 +389,7 @@ ImputationResult ImputeWindow(ConditionalNoisePredictor* model,
 
   ImputationResult result;
   result.samples.reserve(static_cast<size_t>(s));
-  Tensor observed_values = t::Mul(sample.values, sample.observed);
+  Tensor observed_values = MaskValues(sample.values, sample.observed);
 
   if (options.sequential_fallback) {
     // Oracle path: one chain per model call, batch size 1.
@@ -518,7 +455,7 @@ std::vector<ImputationResult> ImputeWindowsCoalesced(
     PRISTI_CHECK_EQ(sample.values.dim(0), n);
     PRISTI_CHECK_EQ(sample.values.dim(1), l);
     target_masks.push_back(InferenceTargetMask(sample));
-    observed_vals.push_back(t::Mul(sample.values, sample.observed));
+    observed_vals.push_back(MaskValues(sample.values, sample.observed));
     DiffusionBatch batch = MakeSingleWindowBatch(sample.values,
                                                  sample.observed,
                                                  target_masks.back());

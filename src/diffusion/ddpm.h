@@ -103,16 +103,14 @@ struct TrainOptions {
   std::function<void(int64_t, double)> on_epoch;
 
   // ---- Shard-parallel training --------------------------------------------
-  // 0 (the default) trains single-stream: one stacked forward/backward per
-  // optimizer step, the classic loop. K >= 1 routes every optimizer step
-  // through the shard-parallel engine (diffusion/sharded_train.h): the
-  // batch's windows become independent leaves partitioned across K logical
-  // shards on the persistent pool, with per-leaf RNG streams and gradients
-  // merged by a fixed-topology tree all-reduce. A sharded run's loss trace,
-  // parameters and checkpoints are BIT-IDENTICAL for any K >= 1 at any
-  // thread count (K only changes scheduling); the two modes are two
-  // different (both deterministic) training trajectories, and a checkpoint
-  // records which mode wrote it so a resume cannot silently cross modes.
+  // Every optimizer step runs through the shard-parallel engine
+  // (diffusion/sharded_train.h): the batch's windows become independent
+  // leaves partitioned across K logical shards on the persistent pool, with
+  // per-leaf RNG streams and gradients merged by a fixed-topology tree
+  // all-reduce. 0 (the default) resolves K to one shard per pool worker
+  // (ParallelThreadCount()) when each epoch starts; K >= 1 pins it. The
+  // loss trace, parameters and checkpoints are BIT-IDENTICAL for any K at
+  // any thread count: K only changes scheduling.
   int64_t num_shards = 0;
 
   // ---- EMA ----------------------------------------------------------------
@@ -144,9 +142,10 @@ struct TrainOptions {
 };
 
 // Algorithm 1. Trains `model` on the task's training windows: each step
-// re-masks the window with the configured strategy, interpolates the
-// remaining observations, q-samples a diffusion step and regresses the
-// predicted noise against the truth on the masked entries.
+// re-masks every window of the batch with the configured strategy,
+// interpolates the remaining observations, q-samples a diffusion step and
+// regresses the predicted noise against the truth on the masked entries.
+// Each epoch is one RunShardedEpoch (diffusion/sharded_train.h).
 // Returns the per-epoch mean training loss; on resume the restored epochs'
 // losses are included, so the result always covers epoch 0..epochs-1 and can
 // be compared directly against an uninterrupted run.
@@ -268,7 +267,8 @@ class ModelAccessGuard {
 };
 
 // Builds the (1, N, L) conditional batch for a window: conditional values /
-// mask and their linear interpolation, plus the given target mask.
+// mask and their linear interpolation, plus the given target mask. A value
+// outside `cond_mask` never reaches the batch, even when it is NaN or Inf.
 DiffusionBatch MakeSingleWindowBatch(const Tensor& values,
                                      const Tensor& cond_mask,
                                      const Tensor& target_mask);

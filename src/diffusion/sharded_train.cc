@@ -1,7 +1,7 @@
 #include "diffusion/sharded_train.h"
 
 #include <algorithm>
-#include <optional>
+#include <functional>
 #include <utility>
 
 #include "autograd/ops.h"
@@ -77,47 +77,34 @@ tensor::Tensor TreeReduceGrads(std::vector<tensor::Tensor> parts) {
   });
 }
 
-WindowExample BuildWindowExample(const std::vector<data::Sample>& samples,
-                                 int64_t index, data::MaskStrategy strategy,
-                                 Rng& rng) {
-  PRISTI_CHECK_GE(index, 0);
-  PRISTI_CHECK_LT(index, static_cast<int64_t>(samples.size()));
-  const data::Sample& sample = samples[static_cast<size_t>(index)];
-  // Historical-pattern option: borrow another window's observed mask. Drawn
-  // before ApplyMaskStrategy — the draw order the classic loop established
-  // (the serialize_test golden pins it).
-  const Tensor* historical = nullptr;
-  Tensor historical_mask;
-  if (strategy == data::MaskStrategy::kHybridHistorical) {
-    const data::Sample& other = samples[static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(samples.size()) - 1))];
-    historical_mask = other.observed;
-    historical = &historical_mask;
-  }
-  WindowExample example;
-  example.target_mask =
-      data::ApplyMaskStrategy(sample.observed, strategy, rng, historical);
-  example.cond_mask = data::MaskMinus(sample.observed, example.target_mask);
-  example.cond_values = t::Mul(sample.values, example.cond_mask);
-  example.interpolated =
-      data::LinearInterpolate(sample.values, example.cond_mask);
-  example.x0 = t::Mul(sample.values, example.target_mask);
-  return example;
-}
-
 LeafStep BuildLeafStep(const std::vector<data::Sample>& samples,
                        int64_t index, data::MaskStrategy strategy,
                        const NoiseSchedule& schedule, int64_t step,
                        Rng& leaf_rng) {
-  WindowExample example =
-      BuildWindowExample(samples, index, strategy, leaf_rng);
-  int64_t n = example.x0.dim(0), l = example.x0.dim(1);
+  PRISTI_CHECK_GE(index, 0);
+  PRISTI_CHECK_LT(index, static_cast<int64_t>(samples.size()));
+  const data::Sample& sample = samples[static_cast<size_t>(index)];
+  // Historical-pattern option: borrow another window's observed mask, drawn
+  // before ApplyMaskStrategy (the sharded golden pins this draw order).
+  const Tensor* historical = nullptr;
+  Tensor historical_mask;
+  if (strategy == data::MaskStrategy::kHybridHistorical) {
+    const data::Sample& other = samples[static_cast<size_t>(
+        leaf_rng.UniformInt(0, static_cast<int64_t>(samples.size()) - 1))];
+    historical_mask = other.observed;
+    historical = &historical_mask;
+  }
+  Tensor target_mask =
+      data::ApplyMaskStrategy(sample.observed, strategy, leaf_rng, historical);
+  Tensor cond_mask = data::MaskMinus(sample.observed, target_mask);
+  int64_t n = sample.values.dim(0), l = sample.values.dim(1);
   LeafStep leaf;
-  leaf.batch.cond_values = example.cond_values.Reshaped({1, n, l});
-  leaf.batch.cond_mask = example.cond_mask.Reshaped({1, n, l});
-  leaf.batch.interpolated = example.interpolated.Reshaped({1, n, l});
-  leaf.batch.target_mask = example.target_mask.Reshaped({1, n, l});
-  Tensor x0 = example.x0.Reshaped({1, n, l});
+  leaf.batch.cond_values = t::Mul(sample.values, cond_mask).Reshaped({1, n, l});
+  leaf.batch.cond_mask = cond_mask.Reshaped({1, n, l});
+  leaf.batch.interpolated =
+      data::LinearInterpolate(sample.values, cond_mask).Reshaped({1, n, l});
+  leaf.batch.target_mask = target_mask.Reshaped({1, n, l});
+  Tensor x0 = t::Mul(sample.values, target_mask).Reshaped({1, n, l});
   Tensor eps = Tensor::Randn(x0.shape(), leaf_rng);
   leaf.noisy = t::Mul(QSample(x0, eps, schedule, step),
                       leaf.batch.target_mask);
@@ -131,13 +118,11 @@ double ShardStep(ConditionalNoisePredictor* model,
                  const tensor::Tensor& noisy, const DiffusionBatch& batch,
                  const tensor::Tensor& eps_target, int64_t step, float denom,
                  std::vector<tensor::Tensor>* capture) {
-  std::optional<ag::GradCaptureScope> scope;
-  if (capture != nullptr) scope.emplace(params, capture);
+  PRISTI_CHECK(capture != nullptr);
+  ag::GradCaptureScope scope(params, capture);
   Variable eps_hat = model->PredictNoise(noisy, batch, step);
-  // The exact op chain of ag::MaskedMse, with the normalizer supplied by
-  // the caller: the classic path passes max(1, SumAll(mask)) and so
-  // reproduces MaskedMse bit-for-bit; the sharded path passes one global
-  // denom for the whole optimizer step.
+  // The op chain of ag::MaskedMse, with the normalizer supplied by the
+  // caller: one global denom for the whole optimizer step.
   Variable diff = ag::Sub(eps_hat, ag::Constant(eps_target));
   Variable masked = ag::Mul(ag::Square(diff), ag::Constant(batch.target_mask));
   Variable loss = ag::MulScalar(ag::SumAll(masked), 1.0f / denom);
@@ -149,8 +134,8 @@ namespace {
 
 // Applies fn(leaf) for every leaf of the layout. One shard runs on the
 // calling thread with no parallel region open (inner tensor ops keep the
-// pool — the classic single-stream behavior); several shards dispatch one
-// task per shard, inside which ops run inline. Bit-identical either way:
+// pool); several shards dispatch one task per shard, inside which ops run
+// inline. Bit-identical either way:
 // each leaf's arithmetic is self-contained and the pool's own contract
 // covers chunked-vs-inline tensor ops.
 void ForEachLeaf(const ShardLayout& layout,
@@ -178,7 +163,10 @@ double RunShardedEpoch(ConditionalNoisePredictor* model,
                        nn::EmaWeights* ema, Rng& rng) {
   PRISTI_CHECK(model != nullptr);
   PRISTI_CHECK(optimizer != nullptr);
-  PRISTI_CHECK_GE(options.num_shards, 1);
+  PRISTI_CHECK_GE(options.num_shards, 0)
+      << "TrainOptions::num_shards: 0 = one shard per pool worker";
+  const int64_t num_shards =
+      options.num_shards > 0 ? options.num_shards : ParallelThreadCount();
   std::vector<Variable> params = model->Parameters();
   std::vector<int64_t> order =
       rng.Permutation(static_cast<int64_t>(samples.size()));
@@ -198,7 +186,7 @@ double RunShardedEpoch(ConditionalNoisePredictor* model,
             ? rng.UniformInt(schedule.num_steps() / 2, schedule.num_steps())
             : rng.UniformInt(1, schedule.num_steps());
     std::vector<Rng> leaf_rngs = MakeChainStreams(rng, num_leaves);
-    ShardLayout layout = MakeShardLayout(num_leaves, options.num_shards);
+    ShardLayout layout = MakeShardLayout(num_leaves, num_shards);
 
     // Phase 1: build every leaf's micro-batch (mask draws, interpolation,
     // noise, q-sample) from its private stream, shards in parallel.

@@ -1,13 +1,13 @@
 #ifndef PRISTI_DIFFUSION_SHARDED_TRAIN_H_
 #define PRISTI_DIFFUSION_SHARDED_TRAIN_H_
 
-// Shard-parallel training: the per-window ShardStep unit extracted from
-// TrainDiffusionModel, the declarative shard layout, and the deterministic
-// tree all-reduce that merges per-shard gradients.
+// Shard-parallel training, the engine every TrainDiffusionModel epoch runs:
+// the per-window ShardStep unit, the declarative shard layout, and the
+// deterministic tree all-reduce that merges per-shard gradients.
 //
 // ## Determinism contract
 //
-// A sharded training run is bit-identical at ANY shard count K >= 1 and any
+// A training run is bit-identical at ANY shard count K >= 1 and any
 // ParallelFor thread count. Three mechanisms combine to give that:
 //
 //   1. Per-window leaves. The unit of work is one window ("leaf"), not one
@@ -89,23 +89,10 @@ struct LeafStep {
   float mask_sum = 0.0f;      // SumAll(target_mask), for the global denom
 };
 
-// Builds the conditioning tensors for one training window, consuming the
-// mask-strategy draws from `rng` exactly as the classic single-stream loop
-// does (historical-pattern pick first when the strategy wants one, then
-// ApplyMaskStrategy). All tensors (N, L).
-struct WindowExample {
-  tensor::Tensor cond_values;
-  tensor::Tensor cond_mask;
-  tensor::Tensor interpolated;
-  tensor::Tensor target_mask;
-  tensor::Tensor x0;  // values * target_mask (the diffusion target)
-};
-WindowExample BuildWindowExample(const std::vector<data::Sample>& samples,
-                                 int64_t index, data::MaskStrategy strategy,
-                                 Rng& rng);
-
-// Builds one leaf's micro-batch: window conditioning from `leaf_rng`, then
-// the noise draw and q-sample at diffusion step `step`.
+// Builds one leaf's micro-batch from window `index`: the mask-strategy
+// draws from `leaf_rng` (historical-pattern pick first when the strategy
+// wants one, then ApplyMaskStrategy), the conditioning tensors, then the
+// noise draw and q-sample at diffusion step `step`.
 LeafStep BuildLeafStep(const std::vector<data::Sample>& samples,
                        int64_t index, data::MaskStrategy strategy,
                        const NoiseSchedule& schedule, int64_t step,
@@ -113,14 +100,11 @@ LeafStep BuildLeafStep(const std::vector<data::Sample>& samples,
 
 // The ShardStep unit: one forward/backward over a prepared micro-batch,
 // returning the (double-widened) loss value. `denom` is the masked-entry
-// normalizer of the loss: the classic path passes
-// max(1, SumAll(batch.target_mask)) — which reproduces ag::MaskedMse
-// bit-for-bit — and the sharded path passes the tree-reduced global sum, so
-// every leaf of one optimizer step is normalized by the same scalar. When
-// `capture` is non-null, leaf gradients land in those buffers (one per
-// entry of `params`, opened as a GradCaptureScope) instead of the shared
-// parameter nodes; `params` is ignored when `capture` is null. The caller
-// owns ZeroGrad/optimizer sequencing.
+// normalizer of the loss: the sharded epoch passes the tree-reduced global
+// mask sum, so every leaf of one optimizer step is normalized by the same
+// scalar. Leaf gradients land in `capture` (one buffer per entry of
+// `params`, opened as a GradCaptureScope; must be non-null) instead of the
+// shared parameter nodes. The caller owns ZeroGrad/optimizer sequencing.
 double ShardStep(ConditionalNoisePredictor* model,
                  const std::vector<Variable>& params,
                  const tensor::Tensor& noisy, const DiffusionBatch& batch,
@@ -128,12 +112,13 @@ double ShardStep(ConditionalNoisePredictor* model,
                  std::vector<tensor::Tensor>* capture);
 
 // ---- Sharded epoch ---------------------------------------------------------
-// Runs one epoch of shard-parallel training (options.num_shards >= 1):
-// permutes the epoch's windows, and per optimizer step builds each batch
+// Runs one training epoch, the only one TrainDiffusionModel has: permutes
+// the epoch's windows, and per optimizer step builds each batch
 // window as an independent leaf, partitions leaves across shards on the
 // persistent pool, merges gradients and losses through the tree reduce, and
-// applies one optimizer (+ EMA) update. Returns the epoch's mean loss over
-// optimizer steps. `ema` may be null.
+// applies one optimizer (+ EMA) update. options.num_shards == 0 runs one
+// shard per pool worker (ParallelThreadCount()). Returns the epoch's mean
+// loss over optimizer steps. `ema` may be null.
 double RunShardedEpoch(ConditionalNoisePredictor* model,
                        const NoiseSchedule& schedule,
                        const std::vector<data::Sample>& samples,

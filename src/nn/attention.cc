@@ -88,9 +88,9 @@ Variable MultiHeadAttention::Forward(const Variable& qk_source,
     // (tensor/kernels/attention.h).
     context = ag::FusedAttention(qh, kh, vh, scale);
   } else {
-    // Reference chain (PRISTI_ATTN_FUSED=0): Q·Kᵀ via the NT kernel with
-    // the scale as an in-place epilogue — bitwise the pre-fusion
-    // MulScalar pass, so every recorded golden pins this path.
+    // Reference chain, reached only through the SetFusedAttentionEnabled
+    // test seam: Q·Kᵀ via the NT kernel with the scale as an in-place
+    // epilogue — bitwise the pre-fusion MulScalar pass.
     Variable weights =
         ag::SoftmaxLastDim(ag::BatchedMatMulNTScaled(qh, kh, scale));
     context = ag::BatchedMatMul(weights, vh);  // (B, h, S, dh)

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/parallel.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/kernels/pack_cache.h"
@@ -570,20 +569,17 @@ __attribute__((target("avx2"))) void FusedBackwardItemAvx(
 }
 #endif  // PRISTI_ATTN_HAVE_AVX2
 
-std::atomic<int>& FusedFlag() {
-  static std::atomic<int> flag{
-      GetEnvIntOr("PRISTI_ATTN_FUSED", 1) != 0 ? 1 : 0};
-  return flag;
-}
+std::atomic<bool> g_fused_attention_enabled{true};
 
 }  // namespace
 
 bool FusedAttentionEnabled() {
-  return FusedFlag().load(std::memory_order_relaxed) != 0;
+  return g_fused_attention_enabled.load(std::memory_order_relaxed);
 }
 
 bool SetFusedAttentionEnabled(bool enabled) {
-  return FusedFlag().exchange(enabled ? 1 : 0, std::memory_order_relaxed) != 0;
+  return g_fused_attention_enabled.exchange(enabled,
+                                            std::memory_order_relaxed);
 }
 
 namespace {

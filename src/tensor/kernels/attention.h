@@ -50,10 +50,11 @@
 //     row-group forward and column-lane backward reproduce the scalar
 //     chains lane for lane. kColTile is an algorithmic constant of the
 //     kernel, not a tuning knob — the recorded fused goldens pin its value.
-//   - the reference chain (PRISTI_ATTN_FUSED=0 routes nn/attention.cc back
-//     through BatchedMatMulNT -> SoftmaxLastDim -> BatchedMatMul) is
-//     bitwise-unchanged from before this kernel existed, so all recorded
-//     goldens pin the reference path.
+//   - the reference chain (BatchedMatMulNT -> SoftmaxLastDim ->
+//     BatchedMatMul, which nn/attention.cc runs only when a test turns the
+//     fused kernel off through SetFusedAttentionEnabled) is
+//     bitwise-unchanged from before this kernel existed. Every recorded
+//     golden, the training-loss golden included, runs the fused kernel.
 //
 // The 1/sqrt(head_dim) scale is folded into the Q-row load (one mul per
 // q element instead of a full-tensor pass over the scores).
@@ -64,11 +65,6 @@
 // identity, so the backward's block recomputation — running while the
 // autograd graph still pins K's storage version — hits instead of
 // repacking. V is consumed row-contiguously and needs no packing.
-//
-// Environment knob (read once at first use; see src/common/env.h):
-//   PRISTI_ATTN_FUSED=0  restore the materialized reference chain — the
-//                        A/B baseline for AttentionBench and the path the
-//                        training-loss goldens pin.
 
 #include <cstdint>
 
@@ -76,12 +72,14 @@
 
 namespace pristi::tensor::kernels {
 
-// True unless PRISTI_ATTN_FUSED=0 selected the reference chain at startup.
+// True unless a test turned the fused kernel off: MultiHeadAttention then
+// runs the materialized reference chain instead.
 bool FusedAttentionEnabled();
 
-// Overrides the routing at runtime; returns the previous value. Test/bench
-// hook (in-process A/B comparisons, pinning goldens to the reference path);
-// production code reads the env knob through FusedAttentionEnabled() only.
+// Routes MultiHeadAttention through the fused kernel (true, the default) or
+// the reference chain (false); returns the previous value. The in-process
+// test seam for running a whole model through the reference chain
+// (fused-vs-reference parity, AttentionBench); nothing else calls it.
 bool SetFusedAttentionEnabled(bool enabled);
 
 // Forward: out(batch, s_q, dh) = softmax(scale * Q·Kᵀ) · V with

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/parallel.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/kernels/pack_cache.h"
@@ -27,27 +26,6 @@ inline int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 inline float ReadA(Layout layout, const float* a, int64_t m, int64_t k,
                    int64_t i, int64_t kk) {
   return layout == Layout::kNormal ? a[i * k + kk] : a[kk * m + i];
-}
-
-// Reference i-k-j accumulation over rows [r0, r1) of C. This loop nest IS
-// the bit-identity contract: every c[i][j] receives one `+= a*b` per kk, in
-// increasing kk order, starting from whatever C held (the entry points hand
-// it a zeroed C). The tiled path below reproduces exactly this chain.
-void ReferenceGemmRows(Layout layout_a, Layout layout_b, int64_t m, int64_t n,
-                       int64_t k, int64_t r0, int64_t r1, const float* a,
-                       const float* b, float* c) {
-  for (int64_t i = r0; i < r1; ++i) {
-    float* crow = c + i * n;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float av = ReadA(layout_a, a, m, k, i, kk);
-      if (layout_b == Layout::kNormal) {
-        const float* brow = b + kk * n;
-        for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      } else {
-        for (int64_t j = 0; j < n; ++j) crow[j] += av * b[j * k + kk];
-      }
-    }
-  }
 }
 
 // Packs rows [i0, i0 + kRowTile) of op(A) into a k-major panel:
@@ -136,7 +114,7 @@ void PackBFull(Layout layout, int64_t k, int64_t n, const float* b,
 // kRowTile x kColTile register-tiled micro-kernel: one (row panel, column
 // panel) pair across the FULL k extent — k is deliberately not blocked, so
 // each accumulator slot carries a single increasing-kk chain of `+= a*b`,
-// the exact chain ReferenceGemmRows produces. Zero-padded panel slots only
+// the exact chain ReferenceGemm produces. Zero-padded panel slots only
 // feed accumulator lanes that are never stored (r >= mr or j >= nr).
 //
 // The store is `c +=`: every chain starts at the accumulator's +0.0, and a
@@ -351,15 +329,24 @@ KernelStats GetKernelStats() {
   return s;
 }
 
-bool TiledGemmEnabled() {
-  static const bool enabled = GetEnvIntOr("PRISTI_GEMM_TILE", 1) != 0;
-  return enabled;
-}
-
+// The i-k-j loop nest IS the bit-identity contract: every c[i][j] receives
+// one `+= a*b` per kk, in increasing kk order, starting from whatever C
+// held. The tiled path reproduces exactly this chain.
 void ReferenceGemm(Layout layout_a, Layout layout_b, int64_t m, int64_t n,
                    int64_t k, const float* a, const float* b, float* c) {
   if (m <= 0 || n <= 0 || k <= 0) return;
-  ReferenceGemmRows(layout_a, layout_b, m, n, k, 0, m, a, b, c);
+  for (int64_t i = 0; i < m; ++i) {
+    float* crow = c + i * n;
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const float av = ReadA(layout_a, a, m, k, i, kk);
+      if (layout_b == Layout::kNormal) {
+        const float* brow = b + kk * n;
+        for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+      } else {
+        for (int64_t j = 0; j < n; ++j) crow[j] += av * b[j * k + kk];
+      }
+    }
+  }
 }
 
 void Gemm(Layout layout_a, Layout layout_b, int64_t m, int64_t n, int64_t k,
@@ -371,16 +358,6 @@ void Gemm(Layout layout_a, Layout layout_b, int64_t m, int64_t n, int64_t k,
   ctr.flops.fetch_add(2ull * static_cast<uint64_t>(m) *
                           static_cast<uint64_t>(n) * static_cast<uint64_t>(k),
                       std::memory_order_relaxed);
-
-  if (!TiledGemmEnabled()) {
-    pristi::ParallelFor(
-        0, m,
-        [&](int64_t r0, int64_t r1) {
-          ReferenceGemmRows(layout_a, layout_b, m, n, k, r0, r1, a, b, c);
-        },
-        MinChunkFor(2 * n * k));
-    return;
-  }
 
   // Workers own disjoint row blocks of C, so bit-identity holds at any
   // thread count. B, and A when it is a cached weight, are packed once on
@@ -420,20 +397,6 @@ void BatchedGemm(Layout layout_a, Layout layout_b, int64_t batch, int64_t m,
                           static_cast<uint64_t>(k),
                       std::memory_order_relaxed);
   const int64_t item_flops = 2 * m * n * k;
-
-  if (!TiledGemmEnabled()) {
-    pristi::ParallelFor(
-        0, batch,
-        [&](int64_t b0, int64_t b1) {
-          for (int64_t bi = b0; bi < b1; ++bi) {
-            ReferenceGemmRows(layout_a, layout_b, m, n, k, 0, m,
-                              a + bi * stride_a, b + bi * stride_b,
-                              c + bi * m * n);
-          }
-        },
-        MinChunkFor(item_flops));
-    return;
-  }
 
   // A broadcast across the batch (stride 0) packs once up front — from the
   // cache when the caller identified the operand — and is shared read-only

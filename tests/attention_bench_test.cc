@@ -8,7 +8,8 @@
 // phase's score allocations can only raise it), single-thread backward
 // times of the dispatched kernel against the scalar oracle at the two
 // train-metr207 attention shapes, and the end-to-end S=32 sampler
-// throughput delta from toggling PRISTI_ATTN_FUSED in-process.
+// throughput delta from switching the fused kernel off through the
+// SetFusedAttentionEnabled test seam.
 //
 // Emits BENCH_attention.json to PRISTI_BENCH_DIR (or a temp dir). The peak
 // memory ordering is asserted (it is deterministic: the fused kernel never

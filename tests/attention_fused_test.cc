@@ -1,7 +1,8 @@
 // Tests for the streaming fused attention kernel
 // (src/tensor/kernels/attention.cc) and its ag::FusedAttention wrapper:
 // fused-vs-reference tolerance parity at paper-full shapes, module-level
-// parity through MultiHeadAttention (plain and virtual-node paths),
+// parity through MultiHeadAttention (plain and virtual-node paths), a
+// trained model's imputation through both paths within 0.05 in data units,
 // bitwise determinism of the fused path across thread counts and repeated
 // runs, the dispatched SIMD forward and backward against the scalar oracles
 // bitwise, kernel-counter accounting, and seeded forward and backward
@@ -13,9 +14,11 @@
 // then commit the rewritten tests/golden/attention_fused_seeded.txt and
 // tests/golden/attention_fused_backward_seeded.txt.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,7 +30,12 @@
 #include "common/env.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "data/dataset.h"
+#include "data/windows.h"
+#include "diffusion/ddpm.h"
+#include "eval/harness.h"
 #include "nn/attention.h"
+#include "pristi/pristi_model.h"
 #include "tensor/kernels/attention.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/tensor.h"
@@ -56,8 +64,8 @@ float MaxAbsDiff(const Tensor& a, const Tensor& b) {
   return worst;
 }
 
-// The reference chain exactly as nn/attention.cc issues it with
-// PRISTI_ATTN_FUSED=0: scaled NT scores -> softmax -> context GEMM.
+// The reference chain exactly as nn/attention.cc issues it with the fused
+// kernel switched off: scaled NT scores -> softmax -> context GEMM.
 Tensor ReferenceAttention(const Tensor& q, const Tensor& k, const Tensor& v,
                           float scale) {
   Variable qv(q), kv(k), vv(v);
@@ -116,8 +124,8 @@ TEST(FusedVsReference, VirtualNodeGeometry) {
 }
 
 // Module-level A/B through MultiHeadAttention::Forward, which is what the
-// PRISTI_ATTN_FUSED knob actually routes: plain self-attention and the
-// virtual-node pk_/pv_ path, forward outputs within 1e-5.
+// SetFusedAttentionEnabled seam actually routes: plain self-attention and
+// the virtual-node pk_/pv_ path, forward outputs within 1e-5.
 TEST(FusedVsReference, MultiHeadAttentionModuleParity) {
   Rng rng(104);
   nn::MultiHeadAttention plain(64, 8, rng);
@@ -133,6 +141,100 @@ TEST(FusedVsReference, MultiHeadAttentionModuleParity) {
     EXPECT_LE(MaxAbsDiff(fused, reference), 1e-5f)
         << (attn == &virt ? "virtual-node" : "plain") << " module path";
   }
+}
+
+// The `pristi_cli` task and model at --preset=aqi --nodes=12
+// --gen-steps=120 --window=8 --stride=8 --pattern=point (default flags
+// otherwise), drawn from `rng` in the CLI's order: dataset, masks, weights.
+data::ImputationTask CliTask(Rng& rng) {
+  auto dataset = data::GenerateSynthetic(data::Aqi36LikeConfig(12, 120), rng);
+  return data::MakeTask(std::move(dataset), data::MissingPattern::kPoint,
+                        data::TaskOptions{.window_len = 8, .stride = 8}, rng);
+}
+
+std::shared_ptr<core::PristiModel> CliModel(const data::ImputationTask& task,
+                                            Rng& rng) {
+  core::PristiConfig config;
+  config.num_nodes = task.dataset.num_nodes;
+  config.window_len = task.window_len;
+  config.channels = 16;
+  config.heads = 4;
+  config.layers = 2;
+  config.virtual_nodes = 6;
+  config.diffusion_emb_dim = 32;
+  config.temporal_emb_dim = 32;
+  config.node_emb_dim = 16;
+  config.adaptive_rank = 6;
+  return std::make_shared<core::PristiModel>(
+      config, task.dataset.graph.adjacency, rng);
+}
+
+// A trained PriSTI imputes the same task twice, once fused and once through
+// the reference chain: `pristi_cli train --epochs=2 --batch=4
+// --steps-diffusion=8` with seed 1, then `impute --samples=4 --seed=5`.
+// Through the whole reverse chain and the de-normalization the two stay
+// within 0.05 in data units; a wrong attention output drifts by orders of
+// magnitude more. The two must also differ somewhere, or the seam has
+// stopped routing.
+TEST(FusedVsReference, TrainedModelImputationParity) {
+  eval::DiffusionRunOptions options;
+  options.diffusion_steps = 8;
+  options.train.epochs = 2;
+  options.train.batch_size = 4;
+  options.train.lr = 2e-3f;
+  options.train.high_t_bias = 0.5;
+  options.train.mask_strategy = data::MaskStrategy::kPoint;
+  options.impute.num_samples = 4;
+  options.impute.sampler = diffusion::SamplerKind::kDdim;
+  options.impute.num_inference_steps = 10;
+  diffusion::NoiseSchedule schedule = diffusion::NoiseSchedule::Quadratic(
+      options.diffusion_steps, options.beta_1, options.beta_end);
+
+  Rng train_rng(1);
+  data::ImputationTask train_task = CliTask(train_rng);
+  auto trained = CliModel(train_task, train_rng);
+  diffusion::TrainDiffusionModel(trained.get(), schedule, train_task,
+                                 options.train, train_rng);
+
+  Rng impute_rng(5);
+  data::ImputationTask task = CliTask(impute_rng);
+  auto model = CliModel(task, impute_rng);
+  auto source = trained->NamedParameters();
+  auto dest = model->NamedParameters();
+  ASSERT_EQ(source.size(), dest.size());
+  for (size_t i = 0; i < dest.size(); ++i) {
+    dest[i].second.mutable_value() = source[i].second.value();
+  }
+  eval::DiffusionImputerAdapter adapter("PriSTI", model, options);
+  auto impute = [&](bool fused) {
+    bool prev = kn::SetFusedAttentionEnabled(fused);
+    Rng rng = impute_rng;  // both runs draw the same stream
+    Tensor completed = eval::ImputeSeries(&adapter, task, rng);
+    kn::SetFusedAttentionEnabled(prev);
+    return completed;
+  };
+  Tensor fused = impute(true);
+  Tensor reference = impute(false);
+
+  ASSERT_TRUE(ShapesEqual(fused.shape(), reference.shape()));
+  int64_t differing = 0;
+  float worst = 0.0f;
+  for (int64_t i = 0; i < fused.numel(); ++i) {
+    if (task.model_observed_mask[i] > 0.5f) {
+      // Present cells are copied through from the data on both paths.
+      ASSERT_EQ(fused[i], task.dataset.values[i]) << "present cell " << i;
+      ASSERT_EQ(reference[i], task.dataset.values[i]) << "present cell " << i;
+      continue;
+    }
+    ASSERT_TRUE(std::isfinite(fused[i]) && std::isfinite(reference[i]))
+        << "missing cell " << i << ": " << fused[i] << " vs " << reference[i];
+    float diff = std::abs(fused[i] - reference[i]);
+    worst = std::max(worst, diff);
+    if (diff > 0.0f) ++differing;
+  }
+  EXPECT_LE(worst, 0.05f);
+  EXPECT_GT(differing, 0) << "fused and reference imputations are bitwise "
+                             "equal: the seam no longer routes";
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@
 #include "diffusion/ddpm.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -176,6 +178,49 @@ TEST(ImputeWindowFn, DeterministicGivenSeed) {
       ImputeWindow(&model, schedule, sample, {.num_samples = 3}, rng_b);
   for (size_t i = 0; i < a.samples.size(); ++i) {
     EXPECT_TRUE(t::AllClose(a.samples[i], b.samples[i], 0.0f, 0.0f));
+  }
+}
+
+// Predicts half the conditional values, so anything that leaks into
+// cond_values reaches every chain.
+class ConditionEchoPredictor : public ConditionalNoisePredictor {
+ public:
+  Variable PredictNoise(const Tensor& noisy, const DiffusionBatch& batch,
+                        int64_t) override {
+    (void)noisy;
+    return autograd::Constant(t::MulScalar(batch.cond_values, 0.5f));
+  }
+  std::vector<Variable> Parameters() override { return {}; }
+  void ZeroGrad() override {}
+};
+
+// A value at an unobserved cell is never read: a NaN there (NaN * 0 = NaN
+// under a plain multiply) must come back exactly as a 0.0 would.
+TEST(ImputeWindowFn, NanAtUnobservedCellIsIgnored) {
+  NoiseSchedule schedule = NoiseSchedule::Quadratic(10, 1e-4f, 0.2f);
+  ConditionEchoPredictor model;
+  Rng data_rng(6);
+  data::Sample zeroed = MakeSample(data_rng);
+  ASSERT_EQ(zeroed.observed.at({1, 5}), 0.0f);
+  zeroed.values.at({1, 5}) = 0.0f;
+  data::Sample poisoned = zeroed;
+  poisoned.values.at({1, 5}) = std::numeric_limits<float>::quiet_NaN();
+  for (bool sequential : {false, true}) {
+    SCOPED_TRACE(sequential ? "sequential" : "batched");
+    ImputeOptions options{.num_samples = 3, .sequential_fallback = sequential};
+    Rng rng_a(42), rng_b(42);
+    ImputationResult a = ImputeWindow(&model, schedule, zeroed, options, rng_a);
+    ImputationResult b =
+        ImputeWindow(&model, schedule, poisoned, options, rng_b);
+    ASSERT_EQ(a.samples.size(), b.samples.size());
+    const size_t bytes =
+        sizeof(float) * static_cast<size_t>(a.median.numel());
+    for (size_t i = 0; i < a.samples.size(); ++i) {
+      EXPECT_EQ(std::memcmp(a.samples[i].data(), b.samples[i].data(), bytes),
+                0)
+          << "sample " << i;
+    }
+    EXPECT_EQ(std::memcmp(a.median.data(), b.median.data(), bytes), 0);
   }
 }
 

@@ -84,12 +84,10 @@ TEST(KernelBench, GemmGflopsOnPresetShapes) {
   std::fprintf(json,
                "{\n"
                "  \"threads\": %lld,\n"
-               "  \"tiled_enabled\": %s,\n"
                "  \"row_tile\": %lld,\n"
                "  \"col_tile\": %lld,\n"
                "  \"shapes\": [",
                static_cast<long long>(ParallelThreadCount()),
-               kn::TiledGemmEnabled() ? "true" : "false",
                static_cast<long long>(kn::kRowTile),
                static_cast<long long>(kn::kColTile));
   std::printf("GEMM kernels (%lld threads)\n",

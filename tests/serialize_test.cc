@@ -2,13 +2,9 @@
 // vectors, bit-exact round-trip fuzzing over random tensor shapes, full-model
 // and component (Adam / EMA / RNG) round trips, typed-error contracts, fault
 // injection (truncation at and inside every record, random bit flips),
-// atomic-write crash safety, keep-last-K retention, resume equivalence of
-// the diffusion trainer, and the seeded training-loss golden.
-//
-// Regenerating the training golden after an INTENTIONAL trainer change:
-//   PRISTI_REGEN_GOLDEN=1 ./build/tests/serialize_test
-//     --gtest_filter='TrainingGolden.*'
-// then commit the rewritten tests/golden/train_loss_aqi36.txt.
+// atomic-write crash safety, keep-last-K retention, and resume equivalence
+// of the diffusion trainer. The seeded training-loss golden lives in
+// sharded_train_test.
 
 #include <cmath>
 #include <cstdint>
@@ -38,7 +34,6 @@
 #include "pristi/pristi_model.h"
 #include "serialize/checkpoint.h"
 #include "serialize/format.h"
-#include "tensor/kernels/attention.h"
 #include "test_tmpdir.h"
 
 namespace pristi::serialize {
@@ -743,71 +738,6 @@ TEST(ResumeEquivalence, TrainerRetentionKeepsLastK) {
                   &view)
                   .ok());
   EXPECT_TRUE(LoadModule(*probe, view).ok());
-}
-
-// ---------------------------------------------------------------------------
-// Seeded training-loss golden
-// ---------------------------------------------------------------------------
-
-#ifndef PRISTI_TRAIN_GOLDEN_PATH
-#define PRISTI_TRAIN_GOLDEN_PATH "tests/golden/train_loss_aqi36.txt"
-#endif
-
-// The short seeded AQI-36-preset run this golden pins down. Always runs on
-// the reference (materialized) attention path so the golden's bitwise
-// meaning stays independent of the fused kernel's internals; the fused path
-// is covered by the 1e-5 tolerance contract in attention_fused_test.
-std::vector<double> GoldenTrainingRun() {
-  bool fused_was = t::kernels::SetFusedAttentionEnabled(false);
-  struct Restore {
-    bool prev;
-    ~Restore() { t::kernels::SetFusedAttentionEnabled(prev); }
-  } restore{fused_was};
-  data::ImputationTask task = MakeTrainTask(36, 192, 2024);
-  diffusion::NoiseSchedule schedule =
-      diffusion::NoiseSchedule::Quadratic(8, 1e-4f, 0.2f);
-  auto model = MakeTinyModel(36, 8, 7);
-  diffusion::TrainOptions options;
-  options.epochs = 3;
-  options.batch_size = 4;
-  options.lr = 1e-3f;
-  Rng rng(314159);
-  return diffusion::TrainDiffusionModel(model.get(), schedule, task, options,
-                                        rng);
-}
-
-TEST(TrainingGolden, SeededAqi36LossCurveMatchesGolden) {
-  std::vector<double> losses = GoldenTrainingRun();
-  ASSERT_EQ(losses.size(), 3u);
-  for (double loss : losses) {
-    ASSERT_TRUE(std::isfinite(loss));
-    ASSERT_GT(loss, 0.0);
-  }
-
-  if (!pristi::GetEnvOr("PRISTI_REGEN_GOLDEN", "").empty()) {
-    std::ofstream out(PRISTI_TRAIN_GOLDEN_PATH);
-    ASSERT_TRUE(out.is_open())
-        << "cannot write golden " << PRISTI_TRAIN_GOLDEN_PATH;
-    out.precision(17);
-    for (double loss : losses) out << loss << "\n";
-    GTEST_SKIP() << "regenerated " << PRISTI_TRAIN_GOLDEN_PATH;
-  }
-
-  std::ifstream in(PRISTI_TRAIN_GOLDEN_PATH);
-  ASSERT_TRUE(in.is_open())
-      << "missing golden " << PRISTI_TRAIN_GOLDEN_PATH
-      << "; regenerate with PRISTI_REGEN_GOLDEN=1";
-  std::vector<double> golden;
-  double value = 0;
-  while (in >> value) golden.push_back(value);
-  ASSERT_EQ(golden.size(), losses.size());
-  constexpr double kTol = 1e-5;
-  for (size_t i = 0; i < losses.size(); ++i) {
-    EXPECT_NEAR(losses[i], golden[i], kTol)
-        << "epoch " << i << ": got " << losses[i] << ", golden " << golden[i]
-        << " (regenerate with PRISTI_REGEN_GOLDEN=1 after an intentional "
-           "trainer change)";
-  }
 }
 
 }  // namespace

@@ -648,6 +648,27 @@ TEST(ServeAdmission, NonFiniteObservedValueRejectedTyped) {
   EXPECT_TRUE(future.get().status.ok());
 }
 
+// An admitted NaN at an unobserved cell is never read: the response is
+// bitwise the one the same request gets with 0.0 there.
+TEST(ServeAdmission, NanAtUnobservedCellAnswersLikeZero) {
+  auto model = MakeTinyModel(12);
+  serve::ServeSession session(SlotFor(model), nullptr, TestSchedule(),
+                              ManualConfig());
+  data::Sample zeroed = MakeWindow(1);
+  ASSERT_EQ(zeroed.observed.at({0, 0}), 0.0f);
+  zeroed.values.at({0, 0}) = 0.0f;
+  data::Sample poisoned = zeroed;
+  poisoned.values.at({0, 0}) = std::numeric_limits<float>::quiet_NaN();
+  auto zeroed_future = session.Submit(Request(zeroed, 7));
+  auto poisoned_future = session.Submit(Request(poisoned, 7));
+  ASSERT_TRUE(session.PumpOnce());
+  serve::ImputeResponse zeroed_response = zeroed_future.get();
+  serve::ImputeResponse poisoned_response = poisoned_future.get();
+  ASSERT_TRUE(zeroed_response.status.ok());
+  ASSERT_TRUE(poisoned_response.status.ok());
+  ExpectBitIdentical(poisoned_response.result, zeroed_response.result);
+}
+
 TEST(ServeDeterminism, PerRequestSamplerOverrideMatchesSoloBits) {
   // A mixed batch — session-default DDPM, a DDIM override, and two PLMS
   // overrides — must return each request's solo ImputeWindow bits, even

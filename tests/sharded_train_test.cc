@@ -1,9 +1,9 @@
 // Tests for the shard-parallel training engine (src/diffusion/sharded_train):
 // the declarative shard layout, the fixed-topology tree reduce, and the
-// engine's headline contract — a sharded run's loss trace, final weights and
-// checkpoint bytes are BIT-IDENTICAL at any shard count K >= 1 and any
-// ParallelFor thread count, with resume allowed to cross shard counts but
-// never training modes.
+// engine's headline contract — a training run's loss trace, final weights
+// and checkpoint bytes are BIT-IDENTICAL at any shard count K >= 1 and any
+// ParallelFor thread count, with resume allowed to cross shard counts — and
+// the seeded training-loss golden.
 //
 // Regenerating the sharded training golden after an INTENTIONAL change:
 //   PRISTI_REGEN_GOLDEN=1 ./build/tests/sharded_train_test
@@ -34,7 +34,6 @@
 #include "nn/layers.h"
 #include "pristi/pristi_model.h"
 #include "serialize/checkpoint.h"
-#include "tensor/kernels/attention.h"
 #include "test_tmpdir.h"
 
 namespace pristi::diffusion {
@@ -255,7 +254,8 @@ TEST(ShardInvariance, LossTraceAndWeightsBitIdenticalAcrossKAndThreads) {
     ASSERT_TRUE(std::isfinite(loss));
     ASSERT_GT(loss, 0.0);
   }
-  for (int64_t num_shards : {1, 2, 4}) {
+  // 0 is the default: one shard per pool worker.
+  for (int64_t num_shards : {0, 1, 2, 4}) {
     for (int64_t threads : {1, 4}) {
       if (num_shards == 1 && threads == 1) continue;
       SCOPED_TRACE("K=" + std::to_string(num_shards) +
@@ -283,7 +283,7 @@ TEST(ShardInvariance, CheckpointBytesIdenticalAcrossShardCounts) {
 }
 
 // A run checkpointed at shard count K and resumed at K' != K must continue
-// bit-identically: the checkpoint records the MODE (sharded), never K.
+// bit-identically: the checkpoint never records K.
 TEST(ShardInvariance, ResumeAcrossShardCountsBitIdentical) {
   int64_t previous_threads = ParallelThreadCount();
   SetParallelThreadCount(4);
@@ -321,33 +321,6 @@ TEST(ShardInvariance, ResumeAcrossShardCountsBitIdentical) {
   SetParallelThreadCount(previous_threads);
 }
 
-// The two training modes are different deterministic trajectories; a resume
-// that silently crossed them would diverge without a trace, so it aborts
-// with the typed mismatch error instead.
-TEST(ShardModeMismatchDeathTest, ResumeRefusesToCrossModes) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  data::ImputationTask task = MakeTrainTask(8, 160, 91);
-  NoiseSchedule schedule = NoiseSchedule::Quadratic(8, 1e-4f, 0.2f);
-  pristi::testing::TestTempDir tmp;
-
-  auto model = MakeTinyModel(8, 8, 17);
-  Rng rng(424242);
-  TrainOptions legacy = BaseShardedOptions(/*num_shards=*/0);
-  legacy.checkpoint_dir = tmp.File("legacy");
-  TrainDiffusionModel(model.get(), schedule, task, legacy, rng);
-  std::string ckpt =
-      serialize::CheckpointFileName(legacy.checkpoint_dir, "ckpt", 2);
-  ASSERT_TRUE(fs::exists(ckpt));
-
-  auto fresh = MakeTinyModel(8, 8, 18);
-  Rng fresh_rng(5);
-  TrainOptions crossed = BaseShardedOptions(/*num_shards=*/2);
-  crossed.resume_from = ckpt;
-  EXPECT_DEATH(
-      TrainDiffusionModel(fresh.get(), schedule, task, crossed, fresh_rng),
-      "single-stream");
-}
-
 // ---------------------------------------------------------------------------
 // Seeded sharded training-loss golden
 // ---------------------------------------------------------------------------
@@ -356,19 +329,11 @@ TEST(ShardModeMismatchDeathTest, ResumeRefusesToCrossModes) {
 #define PRISTI_SHARDED_GOLDEN_PATH "tests/golden/train_loss_sharded_aqi36.txt"
 #endif
 
-// The short seeded sharded run this golden pins down. Deliberately NOT the
-// same trajectory as the single-stream golden (per-leaf noise streams and
-// the global loss denom differ by design); what the golden freezes is that
-// the sharded trajectory itself never drifts.
+// The short seeded run this golden pins down, on the production kernels
+// every training step runs (fused attention included). It was recorded on
+// the reference attention chain; the fused kernel's 1e-5 contract keeps
+// the loss curve well inside the golden's tolerance.
 std::vector<double> GoldenShardedRun() {
-  // Pinned to the reference attention path for the same reason as the
-  // single-stream golden: the checked-in bytes must not depend on the
-  // fused kernel's internals.
-  bool fused_was = t::kernels::SetFusedAttentionEnabled(false);
-  struct Restore {
-    bool prev;
-    ~Restore() { t::kernels::SetFusedAttentionEnabled(prev); }
-  } restore{fused_was};
   data::ImputationTask task = MakeTrainTask(36, 192, 2024);
   NoiseSchedule schedule = NoiseSchedule::Quadratic(8, 1e-4f, 0.2f);
   auto model = MakeTinyModel(36, 8, 7);

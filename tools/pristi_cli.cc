@@ -24,7 +24,6 @@
 #include "baselines/rnn.h"
 #include "baselines/simple.h"
 #include "baselines/stmvl.h"
-#include "common/env.h"
 #include "common/flags.h"
 #include "common/logging.h"
 #include "data/io.h"
@@ -127,10 +126,9 @@ eval::DiffusionRunOptions RunOptions(const Flags& flags,
   options.impute.num_inference_steps = flags.GetInt("steps", 10);
   options.train.ema_decay =
       static_cast<float>(flags.GetDouble("ema-decay", 0.0));
-  // Shard-parallel training (diffusion/sharded_train.h): --shards=K, env
-  // fallback PRISTI_TRAIN_SHARDS, 0 = classic single-stream loop.
-  options.train.num_shards =
-      flags.GetInt("shards", GetEnvIntOr("PRISTI_TRAIN_SHARDS", 0));
+  // Shard-parallel training (diffusion/sharded_train.h): --shards=K, 0 =
+  // one shard per pool worker. K changes no bit.
+  options.train.num_shards = flags.GetInt("shards", 0);
   options.train.checkpoint_dir = flags.GetString("checkpoint-dir");
   options.train.checkpoint_every = flags.GetInt("checkpoint-every", 1);
   options.train.checkpoint_keep_last = flags.GetInt("keep-last", 3);
@@ -411,8 +409,8 @@ int Usage() {
       "           [--checkpoint-every=K] [--keep-last=K] [--ema-decay=D]\n"
       "           [--resume=D/ckpt-N.ckpt] [--sparse-mpnn=0|1]\n"
       "           (without --data: --preset --nodes --gen-steps generate\n"
-      "           in place; --shards=K trains shard-parallel, bit-identical\n"
-      "           for any K, env fallback PRISTI_TRAIN_SHARDS)\n"
+      "           in place; --shards=K sets the shard count, default one\n"
+      "           per worker thread; every K trains the same bits)\n"
       "  impute   --data=F.bin --pattern=... --model=F.ckpt --out=F.csv\n"
       "           [--sampler=ddpm|ddim|plms] [--steps=K]  (K kept reverse\n"
       "           steps, 0 = full schedule; default ddim, 10)\n"

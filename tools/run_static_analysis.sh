@@ -29,13 +29,12 @@
 #                    contract mul/add chains — exactly the configuration
 #                    that masks a missing -ffp-contract=off). Skip with
 #                    PRISTI_NATIVE_BITEQ=0.
-#   5. shard-biteq — 1-shard/1-thread vs 4-shard/4-thread training through
-#                    pristi_cli, checkpoints byte-compared.
-#   6. attn-parity — fused vs reference attention imputation under a
-#                    tolerance.
-#   7. impute-biteq — 1-thread vs 4-thread imputation through pristi_cli,
-#                    CSVs byte-compared. Legs 5 and 7 skip with
-#                    PRISTI_SHARD_BITEQ=0, leg 6 with PRISTI_ATTN_PARITY=0.
+#   5. impute-biteq — 1-thread vs 4-thread imputation through pristi_cli,
+#                    CSVs byte-compared. Skip with PRISTI_SHARD_BITEQ=0.
+#
+# Training's shard/thread bit-identity and the fused-vs-reference attention
+# imputation parity are in-process ctests (sharded_train_test,
+# attention_fused_test), so legs 3 and 4 gate them.
 #
 # Usage: run_static_analysis.sh [--analyze-only]
 #   --analyze-only  run only leg 1: configure/build the analyzer and run
@@ -162,103 +161,15 @@ if [ "${PRISTI_NATIVE_BITEQ:-1}" != "0" ]; then
   fi
 fi
 
-# ---- leg 5: shard-parallel training bit-identity ---------------------------
-# Trains the same seeded task twice through pristi_cli — 1 shard on 1 thread
-# vs 4 shards on 4 threads — and byte-compares the final model checkpoints.
-# This is the sharded engine's contract (diffusion/sharded_train.h) enforced
-# end-to-end through the CLI, the env knob and the serializer. Skip with
-# PRISTI_SHARD_BITEQ=0.
-if [ "${PRISTI_SHARD_BITEQ:-1}" != "0" ]; then
-  build_dir="$repo_root/build-shard-biteq"
-  echo "==== [shard-biteq] configure -> $build_dir ===="
-  shard_tmp="$build_dir/shard-biteq-out"
-  if cmake -S "$repo_root" -B "$build_dir" -DCMAKE_BUILD_TYPE=Release \
-      && cmake --build "$build_dir" -j "$jobs" --target pristi_cli \
-      && mkdir -p "$shard_tmp" \
-      && PRISTI_THREADS=1 PRISTI_TRAIN_SHARDS=1 "$build_dir/tools/pristi_cli" \
-          train --preset=aqi --nodes=12 --gen-steps=120 --window=8 \
-          --stride=8 --epochs=2 --batch=4 --steps-diffusion=8 \
-          --model-out="$shard_tmp/k1.ckpt" > "$shard_tmp/k1.log" 2>&1 \
-      && PRISTI_THREADS=4 PRISTI_TRAIN_SHARDS=4 "$build_dir/tools/pristi_cli" \
-          train --preset=aqi --nodes=12 --gen-steps=120 --window=8 \
-          --stride=8 --epochs=2 --batch=4 --steps-diffusion=8 \
-          --model-out="$shard_tmp/k4.ckpt" > "$shard_tmp/k4.log" 2>&1 \
-      && cmp "$shard_tmp/k1.ckpt" "$shard_tmp/k4.ckpt"; then
-    echo "==== [shard-biteq] OK (1-shard/1-thread == 4-shard/4-thread) ===="
-  else
-    echo "==== [shard-biteq] FAILED ===="
-    status=1
-  fi
-fi
-
-# ---- leg 6: fused-attention sampler-output parity ---------------------------
-# Trains a tiny seeded model once, then imputes the same task twice through
-# pristi_cli — PRISTI_ATTN_FUSED=1 vs PRISTI_ATTN_FUSED=0 — and compares the
-# completed-series CSVs cell by cell under a tolerance. The fused kernel's
-# contract is <= 1e-5 vs the reference per attention forward; through the
-# full reverse-diffusion chain and denormalization the divergence stays far
-# below 0.05 in data units, while a wrong attention output diverges by
-# orders of magnitude more. Skip with PRISTI_ATTN_PARITY=0.
-if [ "${PRISTI_ATTN_PARITY:-1}" != "0" ]; then
-  build_dir="$repo_root/build-shard-biteq"
-  echo "==== [attn-parity] configure -> $build_dir ===="
-  attn_tmp="$build_dir/attn-parity-out"
-  attn_flags="--preset=aqi --nodes=12 --gen-steps=120 --window=8 --stride=8"
-  if cmake -S "$repo_root" -B "$build_dir" -DCMAKE_BUILD_TYPE=Release \
-      && cmake --build "$build_dir" -j "$jobs" --target pristi_cli \
-      && mkdir -p "$attn_tmp" \
-      && "$build_dir/tools/pristi_cli" train $attn_flags \
-          --epochs=2 --batch=4 --steps-diffusion=8 \
-          --model-out="$attn_tmp/model.ckpt" > "$attn_tmp/train.log" 2>&1 \
-      && PRISTI_ATTN_FUSED=1 "$build_dir/tools/pristi_cli" impute \
-          $attn_flags --steps-diffusion=8 --samples=4 --seed=5 \
-          --model="$attn_tmp/model.ckpt" \
-          --out="$attn_tmp/fused.csv" > "$attn_tmp/fused.log" 2>&1 \
-      && PRISTI_ATTN_FUSED=0 "$build_dir/tools/pristi_cli" impute \
-          $attn_flags --steps-diffusion=8 --samples=4 --seed=5 \
-          --model="$attn_tmp/model.ckpt" \
-          --out="$attn_tmp/reference.csv" > "$attn_tmp/reference.log" 2>&1 \
-      && awk -F, -v tol=0.05 '
-          NR == FNR { a[FNR] = $0; rows = FNR; next }
-          {
-            n = split(a[FNR], x, ",");
-            if (n != NF) { print "column count mismatch at line " FNR; bad = 1; exit 1 }
-            for (i = 1; i <= NF; ++i) {
-              # Empty cells (masked-missing in the CSV format) must agree
-              # on emptiness; numeric cells compare under tol.
-              if (x[i] == "" || $i == "") {
-                if (x[i] != $i) { print "emptiness mismatch line " FNR " col " i; bad = 1; exit 1 }
-                continue;
-              }
-              d = x[i] - $i; if (d < 0) d = -d;
-              if (d > max) max = d;
-              if (d > tol) {
-                print "parity exceeded at line " FNR " col " i ": " x[i] " vs " $i " (|d|=" d ")";
-                bad = 1; exit 1;
-              }
-            }
-          }
-          END {
-            if (!bad && FNR != rows) { print "row count mismatch"; bad = 1 }
-            if (!bad) printf "max |fused - reference| = %.3g (tol %.3g)\n", max, tol;
-            exit bad;
-          }' "$attn_tmp/fused.csv" "$attn_tmp/reference.csv"; then
-    echo "==== [attn-parity] OK (fused-on == fused-off within tolerance) ===="
-  else
-    echo "==== [attn-parity] FAILED ===="
-    status=1
-  fi
-fi
-
-# ---- leg 7: imputation thread-count bit-identity ---------------------------
+# ---- leg 5: imputation thread-count bit-identity ---------------------------
 # Trains a tiny seeded model once, then imputes the same task through
 # pristi_cli at PRISTI_THREADS=1 and =4 and byte-compares the CSVs. At 48
 # nodes, L=24 and S=4 the activations exceed the elementwise split floor, so
 # the pooled data-movement ops (permute, broadcast, concat/slice) and the
 # per-worker GEMM packing really split; the unit suites' N=6 fixtures never
-# do. Shares leg 5's skip: PRISTI_SHARD_BITEQ=0 skips both thread-biteq legs.
+# do. Skip with PRISTI_SHARD_BITEQ=0.
 if [ "${PRISTI_SHARD_BITEQ:-1}" != "0" ]; then
-  build_dir="$repo_root/build-shard-biteq"
+  build_dir="$repo_root/build-impute-biteq"
   echo "==== [impute-biteq] configure -> $build_dir ===="
   imp_tmp="$build_dir/impute-biteq-out"
   imp_flags="--preset=aqi --nodes=48 --gen-steps=240 --window=24 --stride=24"
