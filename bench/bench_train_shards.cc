@@ -1,9 +1,8 @@
 // bench_train_shards — wall-time of the shard-parallel trainer
 // (diffusion/sharded_train.h) at shard counts K in {1, 2, 4, 8}, on two
 // presets:
-//   * small  — the CI-scale AQI-36-like graph (dense MPNN path);
-//   * large  — the >= 1000-node sparse preset (LargeGraphLikeConfig),
-//              routed through GraphConv's CSR path (use_sparse_mpnn).
+//   * small  — the CI-scale AQI-36-like graph;
+//   * large  — the >= 1000-node sparse preset (LargeGraphLikeConfig).
 // Reports seconds per training epoch and windows/sec per configuration, and
 // cross-checks that every K reproduces the same first-epoch loss (the
 // engine's bit-identity contract: K changes scheduling, never numbers).
@@ -27,7 +26,6 @@
 #include "data/windows.h"
 #include "diffusion/ddpm.h"
 #include "diffusion/schedule.h"
-#include "graph/sparse.h"
 #include "pristi/pristi_model.h"
 
 namespace pristi::bench {
@@ -36,7 +34,6 @@ namespace {
 struct BenchPreset {
   std::string label;
   data::SyntheticConfig config;
-  bool sparse_mpnn = false;
 };
 
 struct RowResult {
@@ -47,15 +44,19 @@ struct RowResult {
   double epoch_seconds = 0.0;
   double windows_per_sec = 0.0;
   double first_epoch_loss = 0.0;
-  bool sparse = false;
   double adjacency_density = 0.0;
 };
 
 RowResult RunOne(const BenchPreset& preset, int64_t shards) {
   Rng task_rng(2024);
   auto dataset = data::GenerateSynthetic(preset.config, task_rng);
-  double density =
-      graph::CsrMatrix::FromDense(dataset.graph.adjacency).density();
+  const tensor::Tensor& adjacency = dataset.graph.adjacency;
+  int64_t nonzeros = 0;
+  for (int64_t i = 0; i < adjacency.numel(); ++i) {
+    nonzeros += adjacency.data()[i] != 0.0f ? 1 : 0;
+  }
+  double density = static_cast<double>(nonzeros) /
+                   static_cast<double>(adjacency.numel());
   data::ImputationTask task =
       data::MakeTask(std::move(dataset), data::MissingPattern::kPoint,
                      data::TaskOptions{.window_len = 8, .stride = 8},
@@ -73,7 +74,6 @@ RowResult RunOne(const BenchPreset& preset, int64_t shards) {
   config.node_emb_dim = 4;
   config.adaptive_rank = 4;
   config.graph_diffusion_steps = 1;
-  config.use_sparse_mpnn = preset.sparse_mpnn;
   Rng model_rng(7);
   core::PristiModel model(config, task.dataset.graph.adjacency, model_rng);
 
@@ -100,7 +100,6 @@ RowResult RunOne(const BenchPreset& preset, int64_t shards) {
   row.windows_per_sec =
       seconds > 0 ? static_cast<double>(row.windows) / seconds : 0.0;
   row.first_epoch_loss = losses.empty() ? 0.0 : losses.front();
-  row.sparse = preset.sparse_mpnn;
   row.adjacency_density = density;
   return row;
 }
@@ -111,10 +110,8 @@ int Run() {
   int64_t small_steps = scale.full ? 1440 : 192;
   int64_t large_steps = scale.full ? 192 : 48;
   std::vector<BenchPreset> presets;
-  presets.push_back(
-      {"aqi36-small", data::Aqi36LikeConfig(16, small_steps), false});
-  presets.push_back(
-      {"large-sparse", data::LargeGraphLikeConfig(1024, large_steps), true});
+  presets.push_back({"aqi36-small", data::Aqi36LikeConfig(16, small_steps)});
+  presets.push_back({"large", data::LargeGraphLikeConfig(1024, large_steps)});
 
   std::printf("TrainShards: epoch wall-time vs shard count (%s scale, %lld "
               "threads)\n",
@@ -164,13 +161,13 @@ int Run() {
   for (const RowResult& row : rows) {
     std::fprintf(json,
                  "%s\n    {\"preset\": \"%s\", \"nodes\": %lld, "
-                 "\"sparse_mpnn\": %s, \"adjacency_density\": %.6f, "
+                 "\"adjacency_density\": %.6f, "
                  "\"shards\": %lld, \"windows\": %lld, "
                  "\"epoch_seconds\": %.6f, \"windows_per_sec\": %.3f, "
                  "\"epoch0_loss\": %.17g}",
                  first ? "" : ",", row.preset.c_str(),
                  static_cast<long long>(row.nodes),
-                 row.sparse ? "true" : "false", row.adjacency_density,
+                 row.adjacency_density,
                  static_cast<long long>(row.shards),
                  static_cast<long long>(row.windows), row.epoch_seconds,
                  row.windows_per_sec, row.first_epoch_loss);

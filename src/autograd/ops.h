@@ -101,8 +101,8 @@ Variable MeanAxisKeepdim(const Variable& a, int64_t axis);
 // ---- Custom ops --------------------------------------------------------------
 // Builds a differentiable node from a precomputed forward value and a
 // backward closure (which must AccumulateGrad into the inputs' nodes).
-// Escape hatch for ops with specialized kernels (e.g. sparse message
-// passing) that do not warrant a dedicated operator here.
+// Escape hatch for ops with specialized kernels (e.g. reusing a
+// precomputed layout permute) that do not warrant a dedicated operator here.
 Variable MakeCustomOp(const Tensor& value, const std::vector<Variable>& inputs,
                       std::function<void(const Tensor& grad_out)> backward);
 

@@ -30,6 +30,7 @@ enum class ErrorCode {
   kShapeMismatch,      // tensor record shape differs from the destination
   kCountMismatch,      // parameter/moment count differs from the target
   kConfigMismatch,     // stored config (schedule, optimizer) disagrees
+  kNonFinite,          // NaN or Inf where a finite value is required
 
   // Serving-layer codes (src/serve/). kQueueFull is the only RETRYABLE
   // code: the request was never admitted and an identical resubmission
@@ -54,6 +55,7 @@ inline const char* ErrorCodeName(ErrorCode code) {
     case ErrorCode::kShapeMismatch: return "shape-mismatch";
     case ErrorCode::kCountMismatch: return "count-mismatch";
     case ErrorCode::kConfigMismatch: return "config-mismatch";
+    case ErrorCode::kNonFinite: return "non-finite";
     case ErrorCode::kQueueFull: return "queue-full";
     case ErrorCode::kCancelled: return "cancelled";
     case ErrorCode::kInvalidRequest: return "invalid-request";

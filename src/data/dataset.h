@@ -92,9 +92,8 @@ SyntheticConfig PemsBayLikeConfig(int64_t num_nodes = 64,
                                   int64_t num_steps = 2016);
 // Large sparse sensor network (no real-data counterpart; a scaling target):
 // >= 1000 nodes scattered over ~n/32 clusters, so the thresholded kernel
-// adjacency stays sparse and GraphConv's CSR path is the sensible route
-// (core::PristiConfig::use_sparse_mpnn). Short by default — the point is
-// node count, not sequence length.
+// adjacency stays sparse. Short by default — the point is node count, not
+// sequence length.
 SyntheticConfig LargeGraphLikeConfig(int64_t num_nodes = 1024,
                                      int64_t num_steps = 384);
 

@@ -1,7 +1,9 @@
 #include "data/io.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -133,34 +135,76 @@ bool WriteBinaryDataset(const SpatioTemporalDataset& dataset,
   return static_cast<bool>(out);
 }
 
-SpatioTemporalDataset ReadBinaryDataset(const std::string& path) {
-  SpatioTemporalDataset dataset;
+Status ReadBinaryDataset(const std::string& path,
+                         SpatioTemporalDataset* dataset) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    PRISTI_LOG_WARNING << "cannot open " << path;
-    return dataset;
-  }
+  if (!in) return Status::Error(ErrorCode::kIoError, "cannot open " + path);
+  auto truncated = [&path](const char* field) {
+    return Status::Error(ErrorCode::kTruncated,
+                         path + ": truncated " + field);
+  };
   uint64_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  CHECK_EQ(magic, kBinaryMagic) << "not a PriSTI dataset file: " << path;
+  if (!in.read(reinterpret_cast<char*>(&magic), sizeof(magic))) {
+    return truncated("magic");
+  }
+  if (magic != kBinaryMagic) {
+    return Status::Error(ErrorCode::kBadMagic,
+                         path + ": not a PriSTI dataset file");
+  }
   uint64_t name_len = 0;
-  in.read(reinterpret_cast<char*>(&name_len), sizeof(name_len));
-  CHECK_LE(name_len, 1u << 16);
-  dataset.name.resize(name_len);
-  in.read(dataset.name.data(), static_cast<std::streamsize>(name_len));
-  in.read(reinterpret_cast<char*>(&dataset.steps_per_day),
-          sizeof(dataset.steps_per_day));
-  dataset.values = tensor::ReadTensor(in);
-  dataset.observed_mask = tensor::ReadTensor(in);
-  Tensor coords = tensor::ReadTensor(in);
-  dataset.num_steps = dataset.values.dim(0);
-  dataset.num_nodes = dataset.values.dim(1);
-  dataset.graph.num_nodes = dataset.num_nodes;
-  dataset.graph.coords = coords;
-  dataset.graph.distances = graph::PairwiseDistances(coords);
-  dataset.graph.adjacency =
-      graph::GaussianKernelAdjacency(dataset.graph.distances);
-  return dataset;
+  if (!in.read(reinterpret_cast<char*>(&name_len), sizeof(name_len))) {
+    return truncated("name length");
+  }
+  if (name_len > (1u << 16)) {
+    return Status::Error(ErrorCode::kBadRecord,
+                         path + ": name length " + std::to_string(name_len) +
+                             " over 64 KiB");
+  }
+  SpatioTemporalDataset loaded;
+  loaded.name.resize(name_len);
+  if (!in.read(loaded.name.data(), static_cast<std::streamsize>(name_len))) {
+    return truncated("name");
+  }
+  if (!in.read(reinterpret_cast<char*>(&loaded.steps_per_day),
+               sizeof(loaded.steps_per_day))) {
+    return truncated("steps_per_day");
+  }
+  for (Tensor* t :
+       {&loaded.values, &loaded.observed_mask, &loaded.graph.coords}) {
+    Status status = tensor::ReadTensor(in, t);
+    if (!status.ok()) {
+      return Status::Error(status.code(), path + ": " + status.message());
+    }
+  }
+  const Tensor& values = loaded.values;
+  const Tensor& mask = loaded.observed_mask;
+  const Tensor& coords = loaded.graph.coords;
+  if (values.ndim() != 2 || mask.shape() != values.shape()) {
+    return Status::Error(ErrorCode::kShapeMismatch,
+                         path + ": values and mask must be equal-shaped "
+                                "(T, N) tensors");
+  }
+  int64_t n = values.dim(1);
+  if (coords.shape() != tensor::Shape{n, 2}) {
+    return Status::Error(ErrorCode::kShapeMismatch,
+                         path + ": coords must be (N, 2) with N = " +
+                             std::to_string(n));
+  }
+  for (int64_t i = 0; i < values.numel(); ++i) {
+    if (mask[i] > 0.5f && !std::isfinite(values[i])) {
+      return Status::Error(ErrorCode::kNonFinite,
+                           path + ": non-finite observed value at flat "
+                                  "index " + std::to_string(i));
+    }
+  }
+  loaded.num_steps = values.dim(0);
+  loaded.num_nodes = n;
+  loaded.graph.num_nodes = n;
+  loaded.graph.distances = graph::PairwiseDistances(coords);
+  loaded.graph.adjacency =
+      graph::GaussianKernelAdjacency(loaded.graph.distances);
+  *dataset = std::move(loaded);
+  return Status::Ok();
 }
 
 }  // namespace pristi::data

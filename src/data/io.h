@@ -13,6 +13,7 @@
 #include <string>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "data/dataset.h"
 
 namespace pristi::data {
@@ -37,8 +38,14 @@ SpatioTemporalDataset ReadCsvDataset(const std::string& values_path,
 // ---- Binary ----------------------------------------------------------------
 bool WriteBinaryDataset(const SpatioTemporalDataset& dataset,
                         const std::string& path);
-// Returns a dataset with num_steps == 0 if the file cannot be opened.
-SpatioTemporalDataset ReadBinaryDataset(const std::string& path);
+// Reads `path` into `*dataset` and rebuilds its sensor graph. Every kind of
+// bad file is a typed error, never a CHECK abort: an unopenable file, a bad
+// magic, a name over 64 KiB, a truncated stream, a malformed tensor header
+// or a payload larger than the file (see tensor::ReadTensor), values and
+// mask that are not equal-shaped (T, N), coords that are not (N, 2), and a
+// NaN or Inf at an observed position. `*dataset` is untouched on error.
+Status ReadBinaryDataset(const std::string& path,
+                         SpatioTemporalDataset* dataset);
 
 }  // namespace pristi::data
 

@@ -48,7 +48,7 @@ Tensor GaussianKernelAdjacency(const Tensor& distances, double sigma = -1.0,
 // distance distribution, cluster count alone barely moves the edge density;
 // raising the threshold toward exp(-1) ~ 0.37 is what actually prunes
 // cross-cluster pairs. The large-graph presets combine many clusters with a
-// high threshold to keep adjacency nnz ~ O(n) (CSR-friendly).
+// high threshold to keep adjacency nnz ~ O(n).
 SensorGraph BuildSensorGraph(int64_t n, Rng& rng, int64_t num_clusters = 4,
                              double kernel_threshold = 0.1);
 

@@ -9,20 +9,15 @@ namespace ag = ::pristi::autograd;
 GraphConv::GraphConv(int64_t d_in, int64_t d_out,
                      std::vector<Tensor> supports, Rng& rng,
                      int64_t diffusion_steps, int64_t adaptive_rank,
-                     int64_t num_nodes, bool use_sparse)
+                     int64_t num_nodes)
     : d_in_(d_in),
       d_out_(d_out),
       diffusion_steps_(diffusion_steps),
-      adaptive_rank_(adaptive_rank),
-      use_sparse_(use_sparse) {
+      adaptive_rank_(adaptive_rank) {
   PRISTI_CHECK_GT(diffusion_steps_, 0);
   for (Tensor& support : supports) {
     PRISTI_CHECK_EQ(support.ndim(), 2);
     PRISTI_CHECK_EQ(support.dim(0), support.dim(1));
-    if (use_sparse_) {
-      sparse_supports_.push_back(std::make_shared<graph::CsrMatrix>(
-          graph::CsrMatrix::FromDense(support)));
-    }
     supports_.push_back(ag::Constant(std::move(support)));
   }
   if (adaptive_rank_ > 0) {
@@ -53,24 +48,13 @@ Variable GraphConv::Forward(const Variable& x) const {
   std::vector<Variable> features;
   features.push_back(x);
 
-  // Fixed supports: sparse or dense message passing.
+  // Fixed supports.
   for (size_t si = 0; si < supports_.size(); ++si) {
     PRISTI_CHECK_EQ(supports_[si].value().dim(0), x.value().dim(1))
         << "support size must match node axis";
     Variable diffused = x;
     for (int64_t step = 0; step < diffusion_steps_; ++step) {
-      if (use_sparse_) {
-        std::shared_ptr<graph::CsrMatrix> csr = sparse_supports_[si];
-        Tensor value = csr->MatMulNodeDim(diffused.value());
-        auto input_node = diffused.node();
-        diffused = ag::MakeCustomOp(
-            std::move(value), {diffused},
-            [csr, input_node](const Tensor& g) {
-              input_node->AccumulateGrad(csr->TransposedMatMulNodeDim(g));
-            });
-      } else {
-        diffused = ag::MatMulNodeDim(supports_[si], diffused);
-      }
+      diffused = ag::MatMulNodeDim(supports_[si], diffused);
       features.push_back(diffused);
     }
   }

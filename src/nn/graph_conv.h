@@ -15,11 +15,9 @@
 // i.e. K diffusion steps per support, concatenated on the channel axis and
 // mixed by a 1x1 convolution.
 
-#include <memory>
 #include <vector>
 
 #include "autograd/ops.h"
-#include "graph/sparse.h"
 #include "nn/module.h"
 
 namespace pristi::nn {
@@ -29,14 +27,9 @@ class GraphConv : public Module {
   // `supports` are fixed (N, N) transition matrices, row-normalized by the
   // caller (see graph/adjacency.h). `adaptive_rank` > 0 adds the learned
   // adjacency with embeddings of that rank; requires `num_nodes`.
-  // `use_sparse` stores the fixed supports in CSR form and runs message
-  // passing in O(nnz * d) — the scalability path for large sensor networks
-  // (thresholded kernels are sparse at scale). The adaptive adjacency, being
-  // learned and dense, always uses the dense kernel. Numerics are identical
-  // either way (verified by tests).
   GraphConv(int64_t d_in, int64_t d_out, std::vector<Tensor> supports,
             Rng& rng, int64_t diffusion_steps = 2, int64_t adaptive_rank = 0,
-            int64_t num_nodes = 0, bool use_sparse = false);
+            int64_t num_nodes = 0);
 
   // x: (B, N, d_in) -> (B, N, d_out).
   Variable Forward(const Variable& x) const;
@@ -52,9 +45,7 @@ class GraphConv : public Module {
   int64_t d_out_;
   int64_t diffusion_steps_;
   int64_t adaptive_rank_;
-  bool use_sparse_;
-  std::vector<Variable> supports_;  // constants (dense path)
-  std::vector<std::shared_ptr<graph::CsrMatrix>> sparse_supports_;
+  std::vector<Variable> supports_;  // constants
   Variable e1_, e2_;                // adaptive embeddings (N, rank)
   Variable weight_;                 // ((1 + S*K) * d_in, d_out)
   Variable bias_;

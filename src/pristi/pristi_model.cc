@@ -69,7 +69,7 @@ ConditionalFeatureModule::ConditionalFeatureModule(
                 config.num_nodes),
       mpnn_(config.channels, config.channels, std::move(supports), rng,
             config.graph_diffusion_steps, config.adaptive_rank,
-            config.num_nodes, config.use_sparse_mpnn),
+            config.num_nodes),
       norm_ta_(config.channels),
       norm_sa_(config.channels),
       norm_mp_(config.channels),
@@ -120,7 +120,7 @@ NoiseEstimationLayer::NoiseEstimationLayer(const PristiConfig& config,
                 config.num_nodes),
       mpnn_(config.channels, config.channels, std::move(supports), rng,
             config.graph_diffusion_steps, config.adaptive_rank,
-            config.num_nodes, config.use_sparse_mpnn),
+            config.num_nodes),
       norm_sa_(config.channels),
       norm_mp_(config.channels),
       mlp_(config.channels, 2 * config.channels, config.channels, rng),

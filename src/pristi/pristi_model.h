@@ -44,9 +44,6 @@ struct PristiConfig {
   int64_t node_emb_dim = 16;       // U_spa channels (paper: 16)
   int64_t adaptive_rank = 8;       // adaptive-adjacency embedding rank
   int64_t graph_diffusion_steps = 2;
-  // Run the fixed-support message passing on CSR sparse matrices
-  // (O(nnz d)); identical numerics, pays off on large sparse sensor graphs.
-  bool use_sparse_mpnn = false;
 
   // ---- Ablation switches (Table VI) ---------------------------------------
   // mix-STI: no interpolation, no conditional feature module; conditioning

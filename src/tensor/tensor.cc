@@ -977,24 +977,55 @@ void WriteTensor(std::ostream& out, const Tensor& t) {
   }
 }
 
-Tensor ReadTensor(std::istream& in) {
+Status ReadTensor(std::istream& in, Tensor* out) {
+  // Callers read files and string streams, both seekable, so the bytes
+  // left bound the payload before anything is allocated.
+  std::streampos start = in.tellg();
+  in.seekg(0, std::ios::end);
+  int64_t bytes_left = static_cast<int64_t>(in.tellg() - start);
+  in.seekg(start);
   int64_t nd = 0;
-  in.read(reinterpret_cast<char*>(&nd), sizeof(nd));
-  PRISTI_CHECK(in.good()) << "truncated tensor stream";
-  PRISTI_CHECK_GE(nd, 0);
-  PRISTI_CHECK_LE(nd, 8) << "implausible tensor rank";
+  if (!in.read(reinterpret_cast<char*>(&nd), sizeof(nd))) {
+    return Status::Error(ErrorCode::kTruncated, "truncated tensor header");
+  }
+  if (nd < 0 || nd > 8) {
+    return Status::Error(ErrorCode::kBadRecord,
+                         "tensor rank " + std::to_string(nd) +
+                             " outside [0, 8]");
+  }
   Shape shape(static_cast<size_t>(nd));
-  for (int64_t i = 0; i < nd; ++i) {
-    in.read(reinterpret_cast<char*>(&shape[static_cast<size_t>(i)]),
-            sizeof(int64_t));
+  for (int64_t& d : shape) {
+    if (!in.read(reinterpret_cast<char*>(&d), sizeof(d))) {
+      return Status::Error(ErrorCode::kTruncated, "truncated tensor shape");
+    }
+    if (d < 0) {
+      return Status::Error(ErrorCode::kBadRecord,
+                           "negative tensor dim " + std::to_string(d));
+    }
+  }
+  // The largest element count the rest of the stream can hold; the running
+  // product stops before it could overflow.
+  int64_t header = (1 + nd) * static_cast<int64_t>(sizeof(int64_t));
+  int64_t max_numel = std::max<int64_t>(bytes_left - header, 0) /
+                      static_cast<int64_t>(sizeof(float));
+  if (std::find(shape.begin(), shape.end(), 0) == shape.end()) {
+    int64_t numel = 1;
+    for (int64_t d : shape) {
+      if (numel > max_numel / d) {
+        return Status::Error(ErrorCode::kTruncated,
+                             "tensor payload larger than the stream");
+      }
+      numel *= d;
+    }
   }
   Tensor t(shape);
-  if (t.numel() > 0) {
-    in.read(reinterpret_cast<char*>(t.data()),
-            static_cast<std::streamsize>(t.numel() * sizeof(float)));
+  if (t.numel() > 0 &&
+      !in.read(reinterpret_cast<char*>(t.data()),
+               static_cast<std::streamsize>(t.numel() * sizeof(float)))) {
+    return Status::Error(ErrorCode::kTruncated, "truncated tensor payload");
   }
-  PRISTI_CHECK(in.good()) << "truncated tensor payload";
-  return t;
+  *out = std::move(t);
+  return Status::Ok();
 }
 
 }  // namespace pristi::tensor

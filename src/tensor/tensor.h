@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "tensor/storage.h"
 
 namespace pristi::tensor {
@@ -241,7 +242,10 @@ bool AllClose(const Tensor& a, const Tensor& b, float atol = 1e-5f,
 // Encodes logical shape + values only, so views serialize identically to
 // their deep-copied equivalents.
 void WriteTensor(std::ostream& out, const Tensor& t);
-Tensor ReadTensor(std::istream& in);
+// Reads one tensor into `*out` from a seekable stream. A truncated stream, a
+// rank outside [0, 8], a negative dim, or a payload larger than the bytes
+// left is a typed error, reported before anything is allocated.
+Status ReadTensor(std::istream& in, Tensor* out);
 
 }  // namespace pristi::tensor
 

@@ -489,8 +489,8 @@ TEST(GradCheck, WhereRoutesGradientBySide) {
 
 TEST(GradCheck, MakeCustomOp) {
   Rng rng(18);
-  // Hand-built op y = 2x with a manual backward closure, mirroring how the
-  // sparse message-passing kernels hook into the tape.
+  // Hand-built op y = 2x with a manual backward closure, mirroring how
+  // specialized kernels hook into the tape.
   auto r = CheckGradients(
       [](std::vector<Variable>& v) {
         auto node = v[0].node();

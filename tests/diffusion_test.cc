@@ -131,19 +131,27 @@ data::Sample MakeSample(Rng& rng, int64_t n = 4, int64_t l = 8) {
 }
 
 TEST(ImputeWindowFn, PreservesObservedEntriesExactly) {
-  Rng rng(3);
-  data::Sample sample = MakeSample(rng);
-  ZeroPredictor model;
-  NoiseSchedule schedule = NoiseSchedule::Quadratic(10, 1e-4f, 0.2f);
-  ImputationResult result =
-      ImputeWindow(&model, schedule, sample, {.num_samples = 5}, rng);
-  EXPECT_EQ(result.samples.size(), 5u);
-  for (const Tensor& generated : result.samples) {
-    for (int64_t node = 0; node < 4; ++node) {
-      for (int64_t step = 0; step < 8; ++step) {
-        if (sample.observed.at({node, step}) > 0.5f) {
-          EXPECT_FLOAT_EQ(generated.at({node, step}),
-                          sample.values.at({node, step}));
+  // Algorithm 2 copies observed entries through: every sampler must return
+  // them bit for bit, not merely within a few ULP.
+  for (SamplerKind sampler :
+       {SamplerKind::kDdpm, SamplerKind::kDdim, SamplerKind::kPlms}) {
+    Rng rng(3);
+    data::Sample sample = MakeSample(rng);
+    ZeroPredictor model;
+    NoiseSchedule schedule = NoiseSchedule::Quadratic(10, 1e-4f, 0.2f);
+    ImputationResult result = ImputeWindow(
+        &model, schedule, sample, {.num_samples = 5, .sampler = sampler},
+        rng);
+    EXPECT_EQ(result.samples.size(), 5u);
+    for (const Tensor& generated : result.samples) {
+      for (int64_t node = 0; node < 4; ++node) {
+        for (int64_t step = 0; step < 8; ++step) {
+          if (sample.observed.at({node, step}) > 0.5f) {
+            EXPECT_EQ(generated.at({node, step}),
+                      sample.values.at({node, step}))
+                << SamplerKindName(sampler) << " at (" << node << ", "
+                << step << ")";
+          }
         }
       }
     }

@@ -1,6 +1,5 @@
-// Tests for the scalability/robustness extensions: sparse CSR message
-// passing (numerically identical to dense), ParallelFor, EMA weights, the
-// MNAR injector, and the MRE metric.
+// Tests for the scalability/robustness extensions: ParallelFor, EMA
+// weights, the MNAR injector, and the MRE metric.
 
 #include <atomic>
 #include <cmath>
@@ -12,11 +11,8 @@
 #include "common/parallel.h"
 #include "data/dataset.h"
 #include "data/missing.h"
-#include "graph/adjacency.h"
-#include "graph/sparse.h"
 #include "metrics/metrics.h"
 #include "nn/ema.h"
-#include "nn/graph_conv.h"
 #include "nn/optimizer.h"
 
 namespace pristi {
@@ -25,93 +21,6 @@ namespace {
 namespace ag = ::pristi::autograd;
 namespace t = ::pristi::tensor;
 using t::Tensor;
-
-// ---------------------------------------------------------------------------
-// Sparse CSR
-// ---------------------------------------------------------------------------
-
-TEST(SparseCsr, DenseRoundTrip) {
-  Rng rng(1);
-  Tensor dense = Tensor::Randn({6, 6}, rng);
-  // Sparsify ~half the entries.
-  for (int64_t i = 0; i < dense.numel(); i += 2) dense[i] = 0.0f;
-  graph::CsrMatrix csr = graph::CsrMatrix::FromDense(dense);
-  EXPECT_TRUE(t::AllClose(csr.ToDense(), dense, 0.0f, 0.0f));
-  EXPECT_EQ(csr.nnz(), 18);
-  EXPECT_NEAR(csr.density(), 0.5, 1e-9);
-}
-
-TEST(SparseCsr, MatMulNodeDimMatchesDense) {
-  Rng rng(2);
-  graph::SensorGraph graph = graph::BuildSensorGraph(12, rng);
-  Tensor transition = graph::TransitionMatrix(graph.adjacency);
-  graph::CsrMatrix csr = graph::CsrMatrix::FromDense(transition);
-  Tensor x = Tensor::Randn({3, 12, 5}, rng);
-  Tensor dense_out = t::MatMulNodeDim(transition, x);
-  Tensor sparse_out = csr.MatMulNodeDim(x);
-  EXPECT_TRUE(t::AllClose(sparse_out, dense_out, 1e-5f, 1e-5f));
-}
-
-TEST(SparseCsr, TransposedProductMatchesDense) {
-  Rng rng(3);
-  graph::SensorGraph graph = graph::BuildSensorGraph(9, rng);
-  Tensor transition = graph::TransitionMatrix(graph.adjacency);
-  graph::CsrMatrix csr = graph::CsrMatrix::FromDense(transition);
-  Tensor x = Tensor::Randn({2, 9, 4}, rng);
-  Tensor dense_out = t::MatMulNodeDim(t::TransposeLast2(transition), x);
-  Tensor sparse_out = csr.TransposedMatMulNodeDim(x);
-  EXPECT_TRUE(t::AllClose(sparse_out, dense_out, 1e-5f, 1e-5f));
-}
-
-TEST(SparseCsr, GraphConvSparseMatchesDenseForwardAndGrads) {
-  Rng rng_dense(7), rng_sparse(7);  // identical initialization
-  auto supports = [&] {
-    Rng g(4);
-    return graph::BidirectionalTransitions(
-        graph::BuildSensorGraph(8, g).adjacency);
-  };
-  nn::GraphConv dense(3, 5, supports(), rng_dense, 2, /*adaptive_rank=*/0,
-                      /*num_nodes=*/8, /*use_sparse=*/false);
-  nn::GraphConv sparse(3, 5, supports(), rng_sparse, 2, 0, 8,
-                       /*use_sparse=*/true);
-  Rng data_rng(5);
-  Tensor x = Tensor::Randn({2, 8, 3}, data_rng);
-  auto out_dense = dense.Forward(ag::Constant(x));
-  auto out_sparse = sparse.Forward(ag::Constant(x));
-  EXPECT_TRUE(
-      t::AllClose(out_dense.value(), out_sparse.value(), 1e-4f, 1e-4f));
-  // Gradients through the sparse path must match too.
-  ag::SumAll(ag::Square(out_dense)).Backward();
-  ag::SumAll(ag::Square(out_sparse)).Backward();
-  auto dense_params = dense.NamedParameters();
-  auto sparse_params = sparse.NamedParameters();
-  ASSERT_EQ(dense_params.size(), sparse_params.size());
-  for (size_t i = 0; i < dense_params.size(); ++i) {
-    EXPECT_TRUE(t::AllClose(dense_params[i].second.grad(),
-                            sparse_params[i].second.grad(), 1e-3f, 1e-3f))
-        << dense_params[i].first;
-  }
-}
-
-TEST(SparseCsr, GradientFlowsThroughSparseInput) {
-  Rng rng(6);
-  Tensor transition = graph::TransitionMatrix(
-      graph::BuildSensorGraph(6, rng).adjacency);
-  auto csr = std::make_shared<graph::CsrMatrix>(
-      graph::CsrMatrix::FromDense(transition));
-  auto r = ag::CheckGradients(
-      [&](std::vector<ag::Variable>& v) {
-        Tensor value = csr->MatMulNodeDim(v[0].value());
-        auto node = v[0].node();
-        ag::Variable y = ag::MakeCustomOp(
-            std::move(value), {v[0]}, [csr, node](const Tensor& g) {
-              node->AccumulateGrad(csr->TransposedMatMulNodeDim(g));
-            });
-        return ag::SumAll(ag::Square(y));
-      },
-      {Tensor::Randn({2, 6, 3}, rng)});
-  EXPECT_TRUE(r.ok) << r.message;
-}
 
 // ---------------------------------------------------------------------------
 // ParallelFor

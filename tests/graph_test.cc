@@ -1,19 +1,10 @@
-// Tests for sensor-graph construction, transition-matrix normalization,
-// and GraphConv's dense-vs-CSR message-passing parity.
+// Tests for sensor-graph construction and transition-matrix normalization.
 
 #include "graph/adjacency.h"
 
 #include <cmath>
-#include <cstring>
-#include <vector>
 
 #include <gtest/gtest.h>
-
-#include "autograd/grad_check.h"
-#include "autograd/ops.h"
-#include "common/parallel.h"
-#include "graph/sparse.h"
-#include "nn/graph_conv.h"
 
 namespace pristi::graph {
 namespace {
@@ -152,80 +143,6 @@ TEST_P(TransitionPropertyTest, RowStochastic) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, TransitionPropertyTest,
                          ::testing::Values(5, 12, 36, 64));
-
-// ---------------------------------------------------------------------------
-// GraphConv dense vs CSR message passing
-// ---------------------------------------------------------------------------
-// The sparse path is the large-graph route (nn/graph_conv.h): these tests
-// pin that it is a pure storage change — same gradients (finite-difference
-// check), bitwise the dense path's outputs, and thread-count invariant.
-
-// A many-cluster sensor graph whose thresholded kernel is actually sparse —
-// the regime the CSR path exists for.
-std::vector<Tensor> SparseSupports(int64_t n, uint64_t seed) {
-  Rng rng(seed);
-  SensorGraph graph = BuildSensorGraph(n, rng, /*num_clusters=*/n / 16,
-                                       /*kernel_threshold=*/0.5);
-  return BidirectionalTransitions(graph.adjacency);
-}
-
-TEST(GraphConvSparse, GradCheckOnCsrPath) {
-  int64_t n = 32;
-  Rng rng(11);
-  nn::GraphConv conv(3, 2, SparseSupports(n, 5), rng,
-                     /*diffusion_steps=*/2, /*adaptive_rank=*/0,
-                     /*num_nodes=*/n, /*use_sparse=*/true);
-  auto fn = [&](std::vector<autograd::Variable>& inputs) {
-    return autograd::SumAll(conv.Forward(inputs[0]));
-  };
-  Rng data_rng(23);
-  auto result = autograd::CheckGradients(
-      fn, {t::Tensor::Randn({2, n, 3}, data_rng)});
-  EXPECT_TRUE(result.ok) << result.message;
-}
-
-TEST(GraphConvSparse, BitIdenticalToDensePathAtLargeNodeCounts) {
-  int64_t n = 256;
-  std::vector<Tensor> supports = SparseSupports(n, 5);
-  double density = CsrMatrix::FromDense(supports[0]).density();
-  EXPECT_LT(density, 0.25) << "supports not sparse; test loses its point";
-  // Same constructor seed -> identical weights; only the storage differs.
-  Rng dense_rng(11);
-  nn::GraphConv dense(4, 4, supports, dense_rng, 2, /*adaptive_rank=*/3,
-                      /*num_nodes=*/n, /*use_sparse=*/false);
-  Rng sparse_rng(11);
-  nn::GraphConv sparse(4, 4, supports, sparse_rng, 2, /*adaptive_rank=*/3,
-                       /*num_nodes=*/n, /*use_sparse=*/true);
-  Rng data_rng(29);
-  Tensor x = Tensor::Randn({2, n, 4}, data_rng);
-  Tensor y_dense = dense.Forward(autograd::Constant(x)).value();
-  Tensor y_sparse = sparse.Forward(autograd::Constant(x)).value();
-  ASSERT_TRUE(t::ShapesEqual(y_dense.shape(), y_sparse.shape()));
-  EXPECT_EQ(std::memcmp(y_dense.data(), y_sparse.data(),
-                        sizeof(float) * static_cast<size_t>(y_dense.numel())),
-            0)
-      << "CSR message passing diverged bitwise from the dense kernel";
-}
-
-TEST(GraphConvSparse, CsrForwardThreadCountInvariant) {
-  int64_t n = 256;
-  Rng rng(11);
-  nn::GraphConv conv(4, 4, SparseSupports(n, 5), rng, 2, /*adaptive_rank=*/0,
-                     /*num_nodes=*/n, /*use_sparse=*/true);
-  Rng data_rng(31);
-  Tensor x = Tensor::Randn({2, n, 4}, data_rng);
-  int64_t previous_threads = ParallelThreadCount();
-  SetParallelThreadCount(1);
-  Tensor y1 = conv.Forward(autograd::Constant(x)).value();
-  SetParallelThreadCount(4);
-  Tensor y4 = conv.Forward(autograd::Constant(x)).value();
-  SetParallelThreadCount(previous_threads);
-  ASSERT_TRUE(t::ShapesEqual(y1.shape(), y4.shape()));
-  EXPECT_EQ(std::memcmp(y1.data(), y4.data(),
-                        sizeof(float) * static_cast<size_t>(y1.numel())),
-            0)
-      << "CSR forward is thread-count sensitive";
-}
 
 }  // namespace
 }  // namespace pristi::graph

@@ -3,6 +3,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <limits>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -86,7 +89,8 @@ TEST(DatasetIo, BinaryRoundTripLossless) {
   pristi::testing::TestTempDir tmp;
   std::string path = tmp.File("ds.bin");
   ASSERT_TRUE(data::WriteBinaryDataset(dataset, path));
-  auto loaded = data::ReadBinaryDataset(path);
+  data::SpatioTemporalDataset loaded;
+  ASSERT_TRUE(data::ReadBinaryDataset(path, &loaded).ok());
   EXPECT_EQ(loaded.num_nodes, dataset.num_nodes);
   EXPECT_EQ(loaded.num_steps, dataset.num_steps);
   EXPECT_EQ(loaded.steps_per_day, dataset.steps_per_day);
@@ -123,8 +127,137 @@ TEST(DatasetIo, MissingFileReturnsEmptyDataset) {
   Rng rng(5);
   auto loaded = data::ReadCsvDataset("/nonexistent/values.csv", "", 24, rng);
   EXPECT_EQ(loaded.num_steps, 0);
-  auto loaded_bin = data::ReadBinaryDataset("/nonexistent/data.bin");
+  data::SpatioTemporalDataset loaded_bin;
+  Status status = data::ReadBinaryDataset("/nonexistent/data.bin",
+                                          &loaded_bin);
+  EXPECT_EQ(status.code(), ErrorCode::kIoError) << status.ToString();
   EXPECT_EQ(loaded_bin.num_steps, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Binary dataset rejections: each malformed file is a typed Status, read
+// in-process, never a CHECK abort or an oversized allocation.
+// ---------------------------------------------------------------------------
+
+constexpr uint64_t kDatasetMagic = 0x5052495354493144ULL;  // "PRISTI1D"
+
+template <typename T>
+std::string Bytes(T value) {
+  return std::string(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+std::string TensorBytes(const Tensor& x) {
+  std::ostringstream out;
+  t::WriteTensor(out, x);
+  return out.str();
+}
+
+// Magic, a two-byte name and steps_per_day: everything before the tensors.
+std::string Header(uint64_t magic = kDatasetMagic) {
+  return Bytes(magic) + Bytes<uint64_t>(2) + "ds" + Bytes<int64_t>(24);
+}
+
+// Values, mask and coords of a well-formed 4-step, 3-node dataset.
+std::string Tensors(const Tensor& values = Tensor::Full({4, 3}, 1.5f),
+                    const Tensor& mask = Tensor::Ones({4, 3}),
+                    const Tensor& coords = Tensor::Ones({3, 2})) {
+  return TensorBytes(values) + TensorBytes(mask) + TensorBytes(coords);
+}
+
+Status ReadBytes(const std::string& bytes) {
+  pristi::testing::TestTempDir tmp;
+  std::string path = tmp.File("ds.bin");
+  std::ofstream(path, std::ios::binary) << bytes;
+  data::SpatioTemporalDataset dataset;
+  return data::ReadBinaryDataset(path, &dataset);
+}
+
+TEST(BinaryDatasetReject, WellFormedBytesLoad) {
+  Status status = ReadBytes(Header() + Tensors());
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
+TEST(BinaryDatasetReject, BadMagic) {
+  EXPECT_EQ(ReadBytes(Header(0x1234) + Tensors()).code(),
+            ErrorCode::kBadMagic);
+}
+
+TEST(BinaryDatasetReject, NameOver64KiB) {
+  std::string bytes = Bytes(kDatasetMagic) +
+                      Bytes<uint64_t>((1u << 16) + 1) +
+                      std::string((1u << 16) + 1, 'x') + Bytes<int64_t>(24) +
+                      Tensors();
+  EXPECT_EQ(ReadBytes(bytes).code(), ErrorCode::kBadRecord);
+}
+
+TEST(BinaryDatasetReject, TruncatedStream) {
+  std::string bytes = Header() + Tensors();
+  for (size_t cut : {size_t{4}, size_t{20}, Header().size() + 12,
+                     bytes.size() - 1}) {
+    EXPECT_EQ(ReadBytes(bytes.substr(0, cut)).code(), ErrorCode::kTruncated)
+        << "cut at " << cut;
+  }
+}
+
+TEST(BinaryDatasetReject, RankOutsideZeroToEight) {
+  for (int64_t rank : {int64_t{-1}, int64_t{9}}) {
+    EXPECT_EQ(ReadBytes(Header() + Bytes(rank) + Tensors()).code(),
+              ErrorCode::kBadRecord)
+        << "rank " << rank;
+  }
+}
+
+TEST(BinaryDatasetReject, NegativeDim) {
+  std::string bytes = Header() + Bytes<int64_t>(2) + Bytes<int64_t>(4) +
+                      Bytes<int64_t>(-3) + Tensors();
+  EXPECT_EQ(ReadBytes(bytes).code(), ErrorCode::kBadRecord);
+}
+
+TEST(BinaryDatasetReject, PayloadLargerThanFile) {
+  // A 2^40-step header must be refused before anything is allocated, and a
+  // dim product that overflows int64 must not wrap into a small size.
+  const int64_t huge = int64_t{1} << 40;
+  for (int64_t nodes : {int64_t{3}, huge}) {
+    std::string bytes = Header() + Bytes<int64_t>(2) + Bytes(huge) +
+                        Bytes(nodes) + Tensors();
+    EXPECT_EQ(ReadBytes(bytes).code(), ErrorCode::kTruncated)
+        << "nodes " << nodes;
+  }
+}
+
+TEST(BinaryDatasetReject, ValuesNotRankTwo) {
+  std::string bytes = Header() + Tensors(Tensor::Ones({12}),
+                                         Tensor::Ones({12}));
+  EXPECT_EQ(ReadBytes(bytes).code(), ErrorCode::kShapeMismatch);
+}
+
+TEST(BinaryDatasetReject, MaskShapeDiffersFromValues) {
+  std::string bytes = Header() + Tensors(Tensor::Ones({4, 3}),
+                                         Tensor::Ones({3, 4}));
+  EXPECT_EQ(ReadBytes(bytes).code(), ErrorCode::kShapeMismatch);
+}
+
+TEST(BinaryDatasetReject, CoordsNotNodesByTwo) {
+  for (const Tensor& coords :
+       {Tensor::Ones({2, 2}), Tensor::Ones({3, 3}), Tensor::Ones({6})}) {
+    std::string bytes = Header() + Tensors(Tensor::Ones({4, 3}),
+                                           Tensor::Ones({4, 3}), coords);
+    EXPECT_EQ(ReadBytes(bytes).code(), ErrorCode::kShapeMismatch);
+  }
+}
+
+TEST(BinaryDatasetReject, NonFiniteObservedValue) {
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity()}) {
+    Tensor values = Tensor::Ones({4, 3});
+    values[7] = bad;
+    Tensor mask = Tensor::Ones({4, 3});
+    EXPECT_EQ(ReadBytes(Header() + Tensors(values, mask)).code(),
+              ErrorCode::kNonFinite);
+    // The same value at a missing position carries no information.
+    mask[7] = 0.0f;
+    EXPECT_TRUE(ReadBytes(Header() + Tensors(values, mask)).ok());
+  }
 }
 
 // ---------------------------------------------------------------------------

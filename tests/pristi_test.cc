@@ -290,30 +290,6 @@ TEST(PristiEndToEnd, TrainedModelBeatsUntrainedOnImputation) {
 namespace pristi::core {
 namespace {
 
-TEST(PristiModelTest, SparseMpnnMatchesDense) {
-  // The sparse message-passing path must be a pure execution detail:
-  // identical outputs for identical initialization.
-  PristiConfig dense_config = TinyConfig(6, 8);
-  PristiConfig sparse_config = dense_config;
-  sparse_config.use_sparse_mpnn = true;
-  Rng rng_a(71), rng_b(71);
-  tensor::Tensor adjacency = TestAdjacency(6, 72);
-  PristiModel dense(dense_config, adjacency, rng_a);
-  PristiModel sparse(sparse_config, adjacency, rng_b);
-  Rng data_rng(73);
-  diffusion::DiffusionBatch batch = RandomBatch(1, 6, 8, data_rng);
-  tensor::Tensor noisy = tensor::Tensor::Randn({1, 6, 8}, data_rng);
-  tensor::Tensor out_dense = dense.PredictNoise(noisy, batch, 4).value();
-  tensor::Tensor out_sparse = sparse.PredictNoise(noisy, batch, 4).value();
-  EXPECT_TRUE(tensor::AllClose(out_dense, out_sparse, 1e-4f, 1e-4f));
-}
-
-}  // namespace
-}  // namespace pristi::core
-
-namespace pristi::core {
-namespace {
-
 using ::pristi::diffusion::StepInvariantCache;
 
 bool BitwiseEqual(const Tensor& a, const Tensor& b) {

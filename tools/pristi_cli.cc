@@ -56,13 +56,10 @@ int64_t DefaultPresetSteps(const std::string& preset) {
   return preset == "large" ? 384 : 720;
 }
 
-data::SpatioTemporalDataset LoadOrGenerate(const Flags& flags, Rng& rng) {
+Status LoadOrGenerate(const Flags& flags, Rng& rng,
+                      data::SpatioTemporalDataset* dataset) {
   std::string path = flags.GetString("data");
-  if (!path.empty()) {
-    auto dataset = data::ReadBinaryDataset(path);
-    CHECK_GT(dataset.num_steps, 0) << "failed to load " << path;
-    return dataset;
-  }
+  if (!path.empty()) return data::ReadBinaryDataset(path, dataset);
   // No --data: generate in place. --gen-steps (not --steps, which already
   // means kept reverse steps on these subcommands) controls the length.
   std::string preset = flags.GetString("preset", "aqi");
@@ -71,7 +68,8 @@ data::SpatioTemporalDataset LoadOrGenerate(const Flags& flags, Rng& rng) {
   PRISTI_LOG_WARNING << "--data not given; generating a '" << preset
                      << "' dataset (" << nodes << " nodes x " << steps
                      << " steps)";
-  return data::GenerateSynthetic(PresetConfig(preset, nodes, steps), rng);
+  *dataset = data::GenerateSynthetic(PresetConfig(preset, nodes, steps), rng);
+  return Status::Ok();
 }
 
 data::MissingPattern PatternFromFlag(const std::string& name) {
@@ -99,11 +97,6 @@ core::PristiConfig ModelConfig(const Flags& flags,
   config.temporal_emb_dim = flags.GetInt("temporal-emb", 32);
   config.node_emb_dim = flags.GetInt("node-emb", 16);
   config.adaptive_rank = flags.GetInt("adaptive-rank", 6);
-  // CSR message passing: explicitly --sparse-mpnn=1/0, else on by default
-  // once the graph is big enough that the thresholded adjacency is sparse
-  // in practice (the large preset's whole point).
-  config.use_sparse_mpnn =
-      flags.GetInt("sparse-mpnn", task.dataset.num_nodes >= 256 ? 1 : 0) != 0;
   return config;
 }
 
@@ -147,14 +140,24 @@ eval::DiffusionRunOptions RunOptions(const Flags& flags,
   return options;
 }
 
-data::ImputationTask MakeTaskFromFlags(const Flags& flags, Rng& rng) {
-  auto dataset = LoadOrGenerate(flags, rng);
+// Loads or generates the dataset and splits it into a task. A dataset file
+// that fails to load is reported on stderr and returns false.
+bool MakeTaskFromFlags(const Flags& flags, Rng& rng,
+                       data::ImputationTask* task) {
+  data::SpatioTemporalDataset dataset;
+  Status status = LoadOrGenerate(flags, rng, &dataset);
+  if (!status.ok()) {
+    std::fprintf(stderr, "cannot load --data: %s\n",
+                 status.ToString().c_str());
+    return false;
+  }
   data::TaskOptions options;
   options.window_len = flags.GetInt("window", 16);
   options.stride = flags.GetInt("stride", 4);
-  return data::MakeTask(std::move(dataset),
-                        PatternFromFlag(flags.GetString("pattern", "point")),
-                        options, rng);
+  *task = data::MakeTask(std::move(dataset),
+                         PatternFromFlag(flags.GetString("pattern", "point")),
+                         options, rng);
+  return true;
 }
 
 int CmdGenerate(const Flags& flags) {
@@ -180,7 +183,8 @@ int CmdGenerate(const Flags& flags) {
 
 int CmdTrain(const Flags& flags) {
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
-  data::ImputationTask task = MakeTaskFromFlags(flags, rng);
+  data::ImputationTask task;
+  if (!MakeTaskFromFlags(flags, rng, &task)) return 1;
   core::PristiConfig config = ModelConfig(flags, task);
   eval::DiffusionRunOptions options = RunOptions(flags, task);
   options.train.on_epoch = [](int64_t epoch, double loss) {
@@ -207,7 +211,8 @@ int CmdTrain(const Flags& flags) {
 
 int CmdImpute(const Flags& flags) {
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
-  data::ImputationTask task = MakeTaskFromFlags(flags, rng);
+  data::ImputationTask task;
+  if (!MakeTaskFromFlags(flags, rng, &task)) return 1;
   core::PristiConfig config = ModelConfig(flags, task);
   eval::DiffusionRunOptions options = RunOptions(flags, task);
   auto model = std::make_shared<core::PristiModel>(
@@ -240,7 +245,8 @@ int CmdImpute(const Flags& flags) {
 // architecture/seed without a training run.
 int CmdSave(const Flags& flags) {
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
-  data::ImputationTask task = MakeTaskFromFlags(flags, rng);
+  data::ImputationTask task;
+  if (!MakeTaskFromFlags(flags, rng, &task)) return 1;
   core::PristiConfig config = ModelConfig(flags, task);
   core::PristiModel model(config, task.dataset.graph.adjacency, rng);
   std::string out = flags.GetString("out", "pristi.ckpt");
@@ -258,7 +264,8 @@ int CmdSave(const Flags& flags) {
 // described by the flags; with --out it re-saves it in the current format.
 int CmdLoad(const Flags& flags) {
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
-  data::ImputationTask task = MakeTaskFromFlags(flags, rng);
+  data::ImputationTask task;
+  if (!MakeTaskFromFlags(flags, rng, &task)) return 1;
   core::PristiConfig config = ModelConfig(flags, task);
   core::PristiModel model(config, task.dataset.graph.adjacency, rng);
   std::string path = flags.GetString("model");
@@ -360,7 +367,8 @@ std::unique_ptr<baselines::Imputer> MakeBaseline(
 
 int CmdEvaluate(const Flags& flags) {
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
-  data::ImputationTask task = MakeTaskFromFlags(flags, rng);
+  data::ImputationTask task;
+  if (!MakeTaskFromFlags(flags, rng, &task)) return 1;
   std::string method = flags.GetString("method", "pristi");
   std::unique_ptr<baselines::Imputer> imputer;
   if (method == "pristi" || method == "csdi") {
@@ -407,7 +415,7 @@ int Usage() {
       "  train    --data=F.bin --pattern=point|block|failure --epochs=E\n"
       "           --model-out=F.ckpt [--shards=K] [--checkpoint-dir=D]\n"
       "           [--checkpoint-every=K] [--keep-last=K] [--ema-decay=D]\n"
-      "           [--resume=D/ckpt-N.ckpt] [--sparse-mpnn=0|1]\n"
+      "           [--resume=D/ckpt-N.ckpt]\n"
       "           (without --data: --preset --nodes --gen-steps generate\n"
       "           in place; --shards=K sets the shard count, default one\n"
       "           per worker thread; every K trains the same bits)\n"

@@ -114,8 +114,12 @@ int Main(int argc, char** argv) {
   std::string data_path = flags.GetString("data");
   data::SpatioTemporalDataset dataset;
   if (!data_path.empty()) {
-    dataset = data::ReadBinaryDataset(data_path);
-    CHECK_GT(dataset.num_steps, 0) << "failed to load " << data_path;
+    Status status = data::ReadBinaryDataset(data_path, &dataset);
+    if (!status.ok()) {
+      std::fprintf(stderr, "cannot load --data: %s\n",
+                   status.ToString().c_str());
+      return 1;
+    }
   } else {
     PRISTI_LOG_WARNING << "--data not given; generating a default dataset";
     dataset = data::GenerateSynthetic(data::Aqi36LikeConfig(16, 720), rng);
