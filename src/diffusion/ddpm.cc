@@ -318,18 +318,6 @@ Tensor RunReverseChains(ConditionalNoisePredictor* model,
   return x;
 }
 
-// Repeats a (1, N, L) conditioning tensor across a leading batch of `s`
-// chains.
-Tensor TileChains(const Tensor& one, int64_t s) {
-  PRISTI_CHECK_EQ(one.dim(0), 1);
-  int64_t per = one.numel();
-  Tensor out(t::Shape{s, one.dim(1), one.dim(2)});
-  for (int64_t c = 0; c < s; ++c) {
-    std::copy(one.data(), one.data() + per, out.data() + c * per);
-  }
-  return out;
-}
-
 // The inference-time target mask: everything not observed is imputed; the
 // conditional information is every observed value (Algorithm 2).
 Tensor InferenceTargetMask(const data::Sample& sample) {
@@ -364,81 +352,23 @@ void FinalizeMedian(ImputationResult* result, int64_t n, int64_t l) {
   }
 }
 
-}  // namespace
-
-ImputationResult ImputeWindow(ConditionalNoisePredictor* model,
-                              const NoiseSchedule& schedule,
-                              const data::Sample& sample,
-                              const ImputeOptions& options, Rng& rng) {
-  PRISTI_CHECK(model != nullptr);
-  PRISTI_CHECK_GT(options.num_samples, 0);
-  ModelAccessGuard access_guard(model, "ImputeWindow");
-  // Sampling never backprops: run every PredictNoise under inference mode
-  // so no tape is recorded and each step's activations return to the
-  // buffer pool before the next step allocates them again.
-  ag::NoGradGuard no_grad;
-  int64_t s = options.num_samples;
-  int64_t n = sample.values.dim(0), l = sample.values.dim(1);
-  Tensor target_mask = InferenceTargetMask(sample);
-  DiffusionBatch batch =
-      MakeSingleWindowBatch(sample.values, sample.observed, target_mask);
-
-  std::vector<Rng> chains = MakeChainStreams(rng, s);
-  std::vector<ReverseStep> plan =
-      PlanReverseSteps(schedule, options.num_inference_steps);
-
-  ImputationResult result;
-  result.samples.reserve(static_cast<size_t>(s));
-  Tensor observed_values = MaskValues(sample.values, sample.observed);
-
-  if (options.sequential_fallback) {
-    // Oracle path: one chain per model call, batch size 1.
-    for (int64_t c = 0; c < s; ++c) {
-      Tensor xc = RunReverseChains(model, batch, plan, options.sampler,
-                                   &chains[static_cast<size_t>(c)], 1,
-                                   batch.target_mask);
-      AppendMergedChain(xc.data(), observed_values, target_mask, &result);
-    }
-  } else {
-    // Batched path: all chains advance together; each reverse step is a
-    // single (S, N, L) model call.
-    DiffusionBatch tiled;
-    tiled.cond_values = TileChains(batch.cond_values, s);
-    tiled.cond_mask = TileChains(batch.cond_mask, s);
-    tiled.interpolated = TileChains(batch.interpolated, s);
-    tiled.target_mask = TileChains(batch.target_mask, s);
-    Tensor x = RunReverseChains(model, tiled, plan, options.sampler,
-                                chains.data(), s, tiled.target_mask);
-    for (int64_t c = 0; c < s; ++c) {
-      AppendMergedChain(x.data() + c * n * l, observed_values, target_mask,
-                        &result);
-    }
-  }
-
-  FinalizeMedian(&result, n, l);
-  return result;
-}
-
-std::vector<ImputationResult> ImputeWindowsCoalesced(
+// The stacked-imputation core: R same-shape windows, S chains each, advance
+// through ONE reverse chain of (R*S, N, L) model calls. `chains` holds the
+// R*S chain streams, request-major; where they come from is the only thing
+// that differs between a solo window (MakeChainStreams over the caller's
+// rng) and a coalesced batch (MakeChainStreams over Rng(seeds[r]) per
+// request), which is what makes the two bit-identical. The caller holds the
+// ModelAccessGuard and NoGradGuard.
+std::vector<ImputationResult> ImputeStacked(
     ConditionalNoisePredictor* model, const NoiseSchedule& schedule,
-    const std::vector<data::Sample>& windows,
-    const std::vector<uint64_t>& seeds, const ImputeOptions& options) {
-  PRISTI_CHECK(model != nullptr);
-  PRISTI_CHECK_EQ(windows.size(), seeds.size());
-  PRISTI_CHECK_GT(options.num_samples, 0);
+    const std::vector<const data::Sample*>& windows, std::vector<Rng> chains,
+    const ImputeOptions& options) {
   int64_t num_requests = static_cast<int64_t>(windows.size());
-  if (num_requests == 0) return {};
-  ModelAccessGuard access_guard(model, "ImputeWindowsCoalesced");
-  ag::NoGradGuard no_grad;
   int64_t s = options.num_samples;
-  int64_t n = windows[0].values.dim(0), l = windows[0].values.dim(1);
+  PRISTI_CHECK_EQ(static_cast<int64_t>(chains.size()), num_requests * s);
+  int64_t n = windows[0]->values.dim(0), l = windows[0]->values.dim(1);
   int64_t per = n * l;
 
-  // Per-request conditioning, target masks and chain streams. Request r's
-  // chains are derived from a fresh Rng(seeds[r]) — NOT from one shared
-  // stream — so the draws a request consumes depend only on its own seed,
-  // never on which other requests happen to share the batch or in which
-  // order they arrived.
   DiffusionBatch stacked;
   stacked.cond_values = Tensor(t::Shape{num_requests * s, n, l});
   stacked.cond_mask = Tensor(t::Shape{num_requests * s, n, l});
@@ -446,12 +376,10 @@ std::vector<ImputationResult> ImputeWindowsCoalesced(
   stacked.target_mask = Tensor(t::Shape{num_requests * s, n, l});
   std::vector<Tensor> target_masks;   // per request, (N, L)
   std::vector<Tensor> observed_vals;  // per request, (N, L)
-  std::vector<Rng> chains;
   target_masks.reserve(static_cast<size_t>(num_requests));
   observed_vals.reserve(static_cast<size_t>(num_requests));
-  chains.reserve(static_cast<size_t>(num_requests * s));
   for (int64_t r = 0; r < num_requests; ++r) {
-    const data::Sample& sample = windows[static_cast<size_t>(r)];
+    const data::Sample& sample = *windows[static_cast<size_t>(r)];
     PRISTI_CHECK_EQ(sample.values.dim(0), n);
     PRISTI_CHECK_EQ(sample.values.dim(1), l);
     target_masks.push_back(InferenceTargetMask(sample));
@@ -470,9 +398,6 @@ std::vector<ImputationResult> ImputeWindowsCoalesced(
       copy_into(batch.interpolated, &stacked.interpolated);
       copy_into(batch.target_mask, &stacked.target_mask);
     }
-    Rng request_rng(seeds[static_cast<size_t>(r)]);
-    std::vector<Rng> request_chains = MakeChainStreams(request_rng, s);
-    for (Rng& chain : request_chains) chains.push_back(chain);
   }
 
   std::vector<ReverseStep> plan =
@@ -495,14 +420,60 @@ std::vector<ImputationResult> ImputeWindowsCoalesced(
   return results;
 }
 
+}  // namespace
+
+ImputationResult ImputeWindow(ConditionalNoisePredictor* model,
+                              const NoiseSchedule& schedule,
+                              const data::Sample& sample,
+                              const ImputeOptions& options, Rng& rng) {
+  PRISTI_CHECK(model != nullptr);
+  PRISTI_CHECK_GT(options.num_samples, 0);
+  ModelAccessGuard access_guard(model, "ImputeWindow");
+  // Sampling never backprops: run every PredictNoise under inference mode
+  // so no tape is recorded and each step's activations return to the
+  // buffer pool before the next step allocates them again.
+  ag::NoGradGuard no_grad;
+  int64_t s = options.num_samples;
+  std::vector<Rng> chains = MakeChainStreams(rng, s);
+  if (!options.sequential_fallback) {
+    // Batched path: all chains advance together; each reverse step is a
+    // single (S, N, L) model call.
+    return std::move(
+        ImputeStacked(model, schedule, {&sample}, std::move(chains),
+                      options)[0]);
+  }
+
+  // Oracle path: one chain per model call, batch size 1.
+  int64_t n = sample.values.dim(0), l = sample.values.dim(1);
+  Tensor target_mask = InferenceTargetMask(sample);
+  DiffusionBatch batch =
+      MakeSingleWindowBatch(sample.values, sample.observed, target_mask);
+  std::vector<ReverseStep> plan =
+      PlanReverseSteps(schedule, options.num_inference_steps);
+  ImputationResult result;
+  result.samples.reserve(static_cast<size_t>(s));
+  Tensor observed_values = MaskValues(sample.values, sample.observed);
+  for (int64_t c = 0; c < s; ++c) {
+    Tensor xc = RunReverseChains(model, batch, plan, options.sampler,
+                                 &chains[static_cast<size_t>(c)], 1,
+                                 batch.target_mask);
+    AppendMergedChain(xc.data(), observed_values, target_mask, &result);
+  }
+  FinalizeMedian(&result, n, l);
+  return result;
+}
+
 std::vector<ImputationResult> ImputeWindowsCoalesced(
     ConditionalNoisePredictor* model, const NoiseSchedule& schedule,
     const std::vector<data::Sample>& windows,
     const std::vector<uint64_t>& seeds,
     const std::vector<ImputeOptions>& options) {
+  PRISTI_CHECK(model != nullptr);
   PRISTI_CHECK_EQ(windows.size(), options.size());
   PRISTI_CHECK_EQ(windows.size(), seeds.size());
   if (windows.empty()) return {};
+  ModelAccessGuard access_guard(model, "ImputeWindowsCoalesced");
+  ag::NoGradGuard no_grad;
   // Partition into coalescible groups. A reverse-step model call carries a
   // single diffusion step t for the whole batch, so only requests with the
   // same sampler, kept-step plan and chain count can share a chain run.
@@ -513,24 +484,33 @@ std::vector<ImputationResult> ImputeWindowsCoalesced(
   std::map<GroupKey, std::vector<size_t>> groups;
   for (size_t r = 0; r < windows.size(); ++r) {
     const ImputeOptions& o = options[r];
+    PRISTI_CHECK_GT(o.num_samples, 0);
     groups[GroupKey{static_cast<int>(o.sampler), o.num_inference_steps,
                     o.num_samples}]
         .push_back(r);
   }
   std::vector<ImputationResult> results(windows.size());
   for (auto& [key, members] : groups) {
-    std::vector<data::Sample> group_windows;
-    std::vector<uint64_t> group_seeds;
+    // Request r's chains are derived from a fresh Rng(seeds[r]) — NOT from
+    // one shared stream — so the draws a request consumes depend only on
+    // its own seed, never on which other requests share the batch or in
+    // which order they arrived.
+    const ImputeOptions& group_options = options[members.front()];
+    std::vector<const data::Sample*> group_windows;
+    std::vector<Rng> chains;
     group_windows.reserve(members.size());
-    group_seeds.reserve(members.size());
+    chains.reserve(members.size() *
+                   static_cast<size_t>(group_options.num_samples));
     for (size_t r : members) {
-      group_windows.push_back(windows[r]);
-      group_seeds.push_back(seeds[r]);
+      group_windows.push_back(&windows[r]);
+      Rng request_rng(seeds[r]);
+      for (Rng& chain :
+           MakeChainStreams(request_rng, group_options.num_samples)) {
+        chains.push_back(chain);
+      }
     }
-    ImputeOptions group_options = options[members.front()];
-    group_options.sequential_fallback = false;
-    std::vector<ImputationResult> group_results = ImputeWindowsCoalesced(
-        model, schedule, group_windows, group_seeds, group_options);
+    std::vector<ImputationResult> group_results = ImputeStacked(
+        model, schedule, group_windows, std::move(chains), group_options);
     for (size_t i = 0; i < members.size(); ++i) {
       results[members[i]] = std::move(group_results[i]);
     }

@@ -206,35 +206,23 @@ ImputationResult ImputeWindow(ConditionalNoisePredictor* model,
                               const data::Sample& sample,
                               const ImputeOptions& options, Rng& rng);
 
-// Coalesced multi-request sampling: R same-shape windows, each drawing its
-// own `options.num_samples` chains, advance through ONE reverse chain of
-// (R*S, N, L) model calls — the serving layer's cross-request batching
-// primitive. Request r's chain streams are exactly the ones ImputeWindow
-// derives from Rng(seeds[r]), and every per-chain/per-entry operation in
-// the model forward and the reverse update is independent of the leading
-// batch index (the GEMM layer's fixed per-element accumulation order makes
-// that hold bitwise), so each returned result is BIT-IDENTICAL to
-//   Rng rng(seeds[r]);
-//   ImputeWindow(model, schedule, windows[r], options, rng);
-// regardless of batch composition or arrival order — serve_test enforces
-// this. `options.num_samples` and the sampler settings are shared by the
-// whole batch (that is what makes windows coalescible);
-// `options.sequential_fallback` is ignored. Returns one result per window,
-// in input order.
-std::vector<ImputationResult> ImputeWindowsCoalesced(
-    ConditionalNoisePredictor* model, const NoiseSchedule& schedule,
-    const std::vector<data::Sample>& windows,
-    const std::vector<uint64_t>& seeds, const ImputeOptions& options);
-
-// Mixed-options coalescing: one ImputeOptions per window. Requests are
+// Coalesced multi-request sampling — the serving layer's cross-request
+// batching primitive. One ImputeOptions per window. Requests are
 // partitioned into groups with identical (sampler, num_inference_steps,
 // num_samples) — a model call takes a single diffusion step t, so only
-// like-configured requests can share one reverse chain — and each group
-// runs through the homogeneous coalesced path above. The per-request
-// bit-identity guarantee is unchanged: every result is bitwise the one
-// ImputeWindow(model, schedule, windows[r], options[r], Rng(seeds[r]))
-// returns, regardless of which samplers share the batch. Groups run in
-// deterministic key order; results come back in input order.
+// like-configured requests can share one reverse chain — and each group of
+// R same-shape windows, S chains each, advances through ONE reverse chain
+// of (R*S, N, L) model calls. Request r's chain streams are exactly the
+// ones ImputeWindow derives from Rng(seeds[r]), and every per-chain/
+// per-entry operation in the model forward and the reverse update is
+// independent of the leading batch index (the GEMM layer's fixed
+// per-element accumulation order makes that hold bitwise), so each
+// returned result is BIT-IDENTICAL to
+//   Rng rng(seeds[r]);
+//   ImputeWindow(model, schedule, windows[r], options[r], rng);
+// regardless of batch composition, arrival order or which samplers share
+// the batch — serve_test enforces this. `sequential_fallback` is ignored.
+// Groups run in deterministic key order; results come back in input order.
 std::vector<ImputationResult> ImputeWindowsCoalesced(
     ConditionalNoisePredictor* model, const NoiseSchedule& schedule,
     const std::vector<data::Sample>& windows,

@@ -6,29 +6,44 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "serialize/checkpoint.h"
 #include "tensor/tensor.h"
 
 namespace pristi::serve {
 
-ServeConfig ServeConfig::FromEnv() {
-  ServeConfig config;
-  config.max_batch = GetEnvIntOr("PRISTI_SERVE_MAX_BATCH", config.max_batch);
-  config.max_wait_nanos =
-      GetEnvIntOr("PRISTI_SERVE_MAX_WAIT_MS", 5) * 1'000'000;
-  config.queue_capacity =
-      GetEnvIntOr("PRISTI_SERVE_QUEUE_CAP", config.queue_capacity);
-  std::string sampler = GetEnvOr("PRISTI_SERVE_SAMPLER", "");
-  if (!sampler.empty()) {
-    PRISTI_CHECK(
-        diffusion::ParseSamplerKind(sampler, &config.impute.sampler))
-        << "PRISTI_SERVE_SAMPLER: unknown sampler '" << sampler
-        << "' (ddpm|ddim|plms)";
-  }
-  config.impute.num_inference_steps = GetEnvIntOr(
-      "PRISTI_SERVE_STEPS", config.impute.num_inference_steps);
+namespace {
+
+// CHECKs `config` before any member is built from it (the queue's own
+// capacity CHECK would otherwise fire first, with a less useful message).
+const ServeConfig& CheckedConfig(const ServeConfig& config) {
+  Status status = ValidateServeConfig(config);
+  PRISTI_CHECK(status.ok()) << status.ToString();
   return config;
+}
+
+}  // namespace
+
+Status ValidateServeConfig(const ServeConfig& config) {
+  const std::pair<const char*, int64_t> at_least_one[] = {
+      {"num_nodes", config.num_nodes},
+      {"window_len", config.window_len},
+      {"max_batch", config.max_batch},
+      {"queue_capacity", config.queue_capacity},
+      {"num_samples", config.impute.num_samples},
+  };
+  for (const auto& [name, value] : at_least_one) {
+    if (value < 1) {
+      return Status::Error(ErrorCode::kInvalidRequest,
+                           std::string(name) + " must be >= 1, got " +
+                               std::to_string(value));
+    }
+  }
+  if (config.max_wait_nanos < 0) {
+    return Status::Error(ErrorCode::kInvalidRequest,
+                         "max_wait_nanos must be >= 0, got " +
+                             std::to_string(config.max_wait_nanos));
+  }
+  return Status::Ok();
 }
 
 Status ParseSamplerName(const std::string& name,
@@ -43,18 +58,13 @@ Status ParseSamplerName(const std::string& name,
 ServeSession::ServeSession(ModelSlot initial, ModelFactory factory,
                            diffusion::NoiseSchedule schedule,
                            const ServeConfig& config, Clock* clock)
-    : config_(config),
+    : config_(CheckedConfig(config)),
       schedule_(std::move(schedule)),
       clock_(clock != nullptr ? clock : RealClock()),
       factory_(std::move(factory)),
       active_(std::move(initial)),
       queue_(config.queue_capacity, clock_) {
   PRISTI_CHECK(active_.predictor != nullptr);
-  PRISTI_CHECK_GE(config_.num_nodes, 1);
-  PRISTI_CHECK_GE(config_.window_len, 1);
-  PRISTI_CHECK_GE(config_.max_batch, 1);
-  PRISTI_CHECK_GE(config_.max_wait_nanos, 0);
-  PRISTI_CHECK_GT(config_.impute.num_samples, 0);
   if (config_.start_worker) {
     worker_ = std::thread([this] { WorkerLoop(); });
   }

@@ -79,23 +79,21 @@ struct ServeConfig {
   // Sampling settings every request starts from. A request may override
   // the sampler and step count (see ImputeRequest); requests with the same
   // effective (sampler, steps, samples) coalesce into one model call, and
-  // mixed batches are partitioned by diffusion::ImputeWindowsCoalesced's
-  // per-request-options overload without giving up per-request
-  // bit-identity.
+  // mixed batches are partitioned by diffusion::ImputeWindowsCoalesced
+  // without giving up per-request bit-identity.
   diffusion::ImputeOptions impute;
   // false: no worker thread is started and the owner drives batches
   // explicitly with PumpOnce() — single-threaded, fully deterministic mode
   // for tests and embedders with their own executor.
   bool start_worker = true;
-
-  // Defaults with the PRISTI_SERVE_MAX_BATCH / PRISTI_SERVE_MAX_WAIT_MS /
-  // PRISTI_SERVE_QUEUE_CAP / PRISTI_SERVE_SAMPLER / PRISTI_SERVE_STEPS
-  // knobs applied (num_nodes/window_len and the remaining impute fields
-  // are not env-controlled; callers fill them in afterwards). An unknown
-  // PRISTI_SERVE_SAMPLER name is fatal — a typo must not silently serve
-  // with a different sampler.
-  static ServeConfig FromEnv();
 };
+
+// The one place the ServeConfig rules live: num_nodes, window_len,
+// max_batch, queue_capacity and impute.num_samples must be >= 1 and
+// max_wait_nanos >= 0. Returns kInvalidRequest naming the first violated
+// field, so front ends can reject bad flags without aborting;
+// ServeSession's constructor CHECKs it.
+Status ValidateServeConfig(const ServeConfig& config);
 
 // Parses a sampler name ("ddpm" | "ddim" | "plms") into `*out`; unknown
 // names return the typed kInvalidRequest status (and leave `*out`

@@ -58,8 +58,7 @@ const float* AcquireKPanels(int64_t batch, int64_t s_k, int64_t dh,
                             PackedPanel* scratch) {
   int64_t per_item = FloatsPerItem(s_k, dh);
   int64_t total = batch * per_item;
-  bool cacheable = cache_k != nullptr && cache_k->storage_id() != 0 &&
-                   PackCacheEnabled();
+  bool cacheable = cache_k != nullptr && cache_k->storage_id() != 0;
   PackKey key;
   if (cacheable) {
     key.storage_id = cache_k->storage_id();

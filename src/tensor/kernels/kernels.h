@@ -31,16 +31,13 @@
 // cached across calls, keyed on (storage id, version, offset, dims): the
 // cache is consulted by MatMulLastDim[T] / MatMulNodeDim[T], hit as long
 // as the weight is unchanged, and invalidated automatically because any
-// mutating access bumps the storage version (tensor.h). See pack_cache.cc.
+// mutating access bumps the storage version (tensor.h). Resident panels are
+// capped at 64 MiB (kCapBytes in pack_cache.cc), evicted LRU-first.
 //
 // Parallelism: a single GEMM is row-parallel (each worker owns whole rows
 // of C; chunking derives from pristi::kMinFlopsPerChunk), batched GEMMs
 // are batch-parallel with a serial kernel per item. Both partitions keep
 // each output element on exactly one thread, preserving bit-identity.
-//
-// Environment knob (read once at first use; see src/common/env.h):
-//   PRISTI_PACK_CACHE_MB=N  cap on resident packed panels (default 64);
-//                           0 disables the cache (panels pack per call).
 
 #include <cstdint>
 

@@ -9,10 +9,12 @@
 #include <utility>
 #include <vector>
 
-#include "common/env.h"
-
 namespace pristi::tensor::kernels {
 namespace {
+
+// Cap on resident packed panels (64 MiB). Inserts past it evict
+// least-recently-used entries.
+constexpr uint64_t kCapBytes = uint64_t{64} << 20;
 
 size_t MixHash(size_t h, uint64_t v) {
   return h ^ (static_cast<size_t>(v) + 0x9e3779b97f4a7c15ull + (h << 6) +
@@ -55,7 +57,7 @@ struct Cache {
   std::unordered_map<uint64_t, std::vector<PackKey>> by_storage;
   uint64_t bytes = 0;
   // Lock-free emptiness check so ~Storage skips the mutex entirely while
-  // nothing is cached (training runs, PRISTI_PACK_CACHE_MB=0).
+  // nothing is cached (training runs).
   std::atomic<size_t> entry_count{0};
 };
 
@@ -64,13 +66,6 @@ Cache& cache() {
   // destruction order (same rationale as the BufferPool free list).
   static Cache* c = std::make_unique<Cache>().release();
   return *c;
-}
-
-uint64_t CapBytes() {
-  static const uint64_t cap =
-      static_cast<uint64_t>(GetEnvIntOr("PRISTI_PACK_CACHE_MB", 64)) * 1024 *
-      1024;
-  return cap;
 }
 
 // Removes one entry from every cache structure (map, LRU list, by-storage
@@ -100,8 +95,6 @@ KernelCounters& Counters() {
   return c;
 }
 
-bool PackCacheEnabled() { return CapBytes() > 0; }
-
 PackedPanel PackCacheLookup(const PackKey& key, uint64_t version) {
   Cache& c = cache();
   std::scoped_lock lock(c.mu);
@@ -116,7 +109,7 @@ PackedPanel PackCacheLookup(const PackKey& key, uint64_t version) {
 }
 
 void PackCacheInsert(const PackKey& key, uint64_t version, PackedPanel panel) {
-  if (panel == nullptr || !PackCacheEnabled()) return;
+  if (panel == nullptr) return;
   const uint64_t bytes = panel->size() * sizeof(float);
   Cache& c = cache();
   std::scoped_lock lock(c.mu);
@@ -138,7 +131,7 @@ void PackCacheInsert(const PackKey& key, uint64_t version, PackedPanel panel) {
     c.bytes += bytes;
     c.entry_count.fetch_add(1, std::memory_order_relaxed);
   }
-  while (c.bytes > CapBytes() && !c.lru.empty()) {
+  while (c.bytes > kCapBytes && !c.lru.empty()) {
     EraseEntryLocked(c, c.map.find(c.lru.back()));
   }
   Counters().pack_cache_bytes.store(c.bytes, std::memory_order_relaxed);

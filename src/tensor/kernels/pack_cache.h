@@ -55,9 +55,6 @@ struct PackKey {
 // entry stays valid for any GEMM still holding it.
 using PackedPanel = std::shared_ptr<const std::vector<float>>;
 
-// False when PRISTI_PACK_CACHE_MB=0 disabled caching at process start.
-bool PackCacheEnabled();
-
 // Returns the cached panel iff an entry with this identity exists AND was
 // packed from the given storage version; counts a hit/miss either way.
 PackedPanel PackCacheLookup(const PackKey& key, uint64_t version);

@@ -261,7 +261,7 @@ void PackAndComputeRows(Layout layout_a, int64_t b0, int64_t b1, int64_t m,
 
 // True when `t` identifies an operand the pack cache may serve.
 bool Cacheable(const Tensor* t) {
-  return t != nullptr && t->storage_id() != 0 && PackCacheEnabled();
+  return t != nullptr && t->storage_id() != 0;
 }
 
 // Produces the packed panel for one operand: served from the pack cache

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/env.h"
 
 // Forward-declared instead of including pack_cache.h: the hook is the one
 // point of contact between storage and the kernel layer's panel cache.
@@ -27,6 +26,9 @@ constexpr int kNumBuckets = kMaxBucketLog2 - kMinBucketLog2 + 1;
 // free list. The sampler's steady state needs only a handful of distinct
 // sizes live at once, so a shallow cache captures nearly all reuse.
 constexpr int kThreadCacheDepth = 4;
+// Cap on capacity bytes cached in the free lists (512 MiB). A free that
+// would push the pool past it goes back to the heap instead.
+constexpr uint64_t kMaxPooledBytes = uint64_t{512} << 20;
 
 int BucketFor(int64_t numel) {
   if (numel > (int64_t{1} << kMaxBucketLog2)) return -1;
@@ -62,23 +64,6 @@ void NoteLiveBytes(uint64_t added) {
   while (live > peak && !c.peak_live_bytes.compare_exchange_weak(
                             peak, live, std::memory_order_relaxed)) {
   }
-}
-
-struct PoolConfig {
-  bool enabled;
-  uint64_t max_pooled_bytes;
-};
-
-const PoolConfig& pool_config() {
-  static const PoolConfig config = [] {
-    PoolConfig c;
-    c.enabled = GetEnvIntOr("PRISTI_BUFFER_POOL", 1) != 0;
-    c.max_pooled_bytes =
-        static_cast<uint64_t>(GetEnvIntOr("PRISTI_POOL_MAX_MB", 512)) * 1024 *
-        1024;
-    return c;
-  }();
-  return config;
 }
 
 struct GlobalPool {
@@ -142,7 +127,7 @@ bool PoolRelease(float* p, int bucket) {
       static_cast<uint64_t>(BucketCapacity(bucket)) * sizeof(float);
   Counters& c = counters();
   uint64_t pooled = c.pooled_bytes.load(std::memory_order_relaxed);
-  if (pooled + capacity_bytes > pool_config().max_pooled_bytes) return false;
+  if (pooled + capacity_bytes > kMaxPooledBytes) return false;
   c.pooled_bytes.fetch_add(capacity_bytes, std::memory_order_relaxed);
   ThreadCache& cache = t_cache;
   if (cache.count[bucket] < kThreadCacheDepth) {
@@ -173,7 +158,7 @@ Storage::Storage(int64_t numel) {
   const uint64_t capacity_bytes =
       static_cast<uint64_t>(capacity) * sizeof(float);
 
-  if (bucket_ >= 0 && pool_config().enabled) {
+  if (bucket_ >= 0) {
     data_ = PoolAcquire(bucket_);
     if (data_ != nullptr) {
       c.pool_hits.fetch_add(1, std::memory_order_relaxed);
@@ -193,9 +178,7 @@ Storage::~Storage() {
   counters().live_bytes.fetch_sub(
       static_cast<uint64_t>(capacity) * sizeof(float),
       std::memory_order_relaxed);
-  if (bucket_ >= 0 && pool_config().enabled && PoolRelease(data_, bucket_)) {
-    return;
-  }
+  if (bucket_ >= 0 && PoolRelease(data_, bucket_)) return;
   HeapFree(data_, capacity);
 }
 
@@ -211,8 +194,6 @@ AllocStats GetAllocStats() {
   s.peak_live_bytes = c.peak_live_bytes.load(std::memory_order_relaxed);
   return s;
 }
-
-bool BufferPoolEnabled() { return pool_config().enabled; }
 
 void BufferPoolTrim() {
   GlobalPool& pool = global_pool();

@@ -18,12 +18,10 @@
 // safe (and TSan-clean) under concurrent allocation from any thread.
 // Pooling only changes WHERE a buffer lives, never its contents: freshly
 // allocated tensors are still zero-initialized by their constructors, so
-// results are bit-identical with the pool on, off, or warm.
+// results are bit-identical whether the pool is cold or warm.
 //
-// Environment knobs (see also src/common/env.h):
-//   PRISTI_BUFFER_POOL=0    disable recycling (every request hits the heap;
-//                           counters still accumulate) — the A/B baseline.
-//   PRISTI_POOL_MAX_MB=N    cap on pooled (cached-free) bytes, default 512.
+// The free lists hold at most 512 MiB of cached blocks (kMaxPooledBytes in
+// storage.cc); frees beyond that cap go back to the heap.
 
 #include <atomic>
 #include <cstdint>
@@ -54,9 +52,6 @@ struct AllocStats {
 };
 
 AllocStats GetAllocStats();
-
-// True unless PRISTI_BUFFER_POOL=0 disabled recycling at process start.
-bool BufferPoolEnabled();
 
 // Releases every block cached in the global free pool back to the heap
 // (per-thread caches are flushed lazily as their threads allocate or exit).

@@ -135,13 +135,11 @@ TEST(SamplerBench, SamplesPerSecondSweep) {
                "  \"window_len\": %lld,\n"
                "  \"diffusion_steps\": %lld,\n"
                "  \"threads\": %lld,\n"
-               "  \"buffer_pool\": %s,\n"
                "  \"sweep\": [",
                static_cast<long long>(scale.metr_nodes),
                static_cast<long long>(scale.window_len),
                static_cast<long long>(options.diffusion_steps),
-               static_cast<long long>(ParallelThreadCount()),
-               tensor::BufferPoolEnabled() ? "true" : "false");
+               static_cast<long long>(ParallelThreadCount()));
   std::printf("sampler throughput (%lld nodes, %lld steps, %lld threads)\n",
               static_cast<long long>(scale.metr_nodes),
               static_cast<long long>(options.diffusion_steps),

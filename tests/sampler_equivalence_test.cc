@@ -16,8 +16,8 @@
 //     parallel kernel assigns each output element to exactly one thread
 //     with a fixed accumulation order;
 //   * mixed-sampler coalesced batches must return each request's solo bits
-//     (the per-request-options ImputeWindowsCoalesced overload groups
-//     like-configured requests without renumbering their chains).
+//     (ImputeWindowsCoalesced groups like-configured requests without
+//     renumbering their chains).
 //
 // Also hosts the seeded golden regressions for the batched DDPM and PLMS
 // samplers and the ImputationResult property tests.
@@ -72,15 +72,17 @@ data::Sample MakeWindow(int64_t n, int64_t l, uint64_t seed) {
 
 // Small but real PriSTI noise predictor (attention + MPNN + layer norm all
 // exercised), so batched-vs-sequential covers the full model forward.
+// `virtual_nodes` must stay below `n` (the model CHECKs it).
 std::unique_ptr<core::PristiModel> MakeTinyModel(int64_t n, int64_t l,
-                                                 uint64_t seed) {
+                                                 uint64_t seed,
+                                                 int64_t virtual_nodes = 2) {
   core::PristiConfig config;
   config.num_nodes = n;
   config.window_len = l;
   config.channels = 8;
   config.heads = 2;
   config.layers = 1;
-  config.virtual_nodes = 2;
+  config.virtual_nodes = virtual_nodes;
   config.diffusion_emb_dim = 8;
   config.temporal_emb_dim = 8;
   config.node_emb_dim = 4;
@@ -296,6 +298,73 @@ TEST(CoalescedEquivalence, MixedSamplerBatchBitIdenticalToSolo) {
     }
   }
   SetParallelThreadCount(restore);
+}
+
+TEST(CoalescedEquivalence, DegenerateWindowsMatchSoloAndStayFinite) {
+  // Edge shapes and masks a serving client can send: a single node, a
+  // single step, a single sample, and windows with nothing or everything
+  // observed. For each, one coalesced batch carrying all three samplers
+  // must return every request's solo bits, copy observed entries through
+  // exactly, and produce only finite samples.
+  struct Case {
+    const char* name;
+    int64_t n, l, samples;
+    enum { kMixed, kAllObserved, kAllMissing } mask;
+  };
+  const Case cases[] = {
+      {"N=1", 1, 8, 2, Case::kMixed},
+      {"L=1", 6, 1, 2, Case::kMixed},
+      {"S=1", 6, 8, 1, Case::kMixed},
+      {"all-observed", 6, 8, 2, Case::kAllObserved},
+      {"all-missing", 6, 8, 2, Case::kAllMissing},
+  };
+  NoiseSchedule schedule = NoiseSchedule::Quadratic(8, 1e-4f, 0.2f);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto model = MakeTinyModel(c.n, c.l, 131, c.n <= 2 ? 0 : 2);
+    data::Sample window = MakeWindow(c.n, c.l, 132);
+    if (c.mask != Case::kMixed) {
+      window.observed =
+          c.mask == Case::kAllObserved ? Tensor::Ones({c.n, c.l})
+                                       : Tensor::Zeros({c.n, c.l});
+    }
+    std::vector<data::Sample> windows(3, window);
+    std::vector<uint64_t> seeds = {301, 302, 303};
+    std::vector<ImputeOptions> options = {
+        {.num_samples = c.samples, .sampler = SamplerKind::kDdpm},
+        {.num_samples = c.samples, .sampler = SamplerKind::kDdim,
+         .num_inference_steps = 4},
+        {.num_samples = c.samples, .sampler = SamplerKind::kPlms,
+         .num_inference_steps = 4},
+    };
+    std::vector<ImputationResult> coalesced = ImputeWindowsCoalesced(
+        model.get(), schedule, windows, seeds, options);
+    ASSERT_EQ(coalesced.size(), windows.size());
+    for (size_t r = 0; r < windows.size(); ++r) {
+      SCOPED_TRACE(SamplerKindName(options[r].sampler));
+      Rng solo_rng(seeds[r]);
+      ImputationResult solo = ImputeWindow(model.get(), schedule, window,
+                                           options[r], solo_rng);
+      ASSERT_EQ(coalesced[r].samples.size(),
+                static_cast<size_t>(c.samples));
+      ASSERT_EQ(solo.samples.size(), static_cast<size_t>(c.samples));
+      for (size_t s = 0; s < solo.samples.size(); ++s) {
+        const Tensor& sample = coalesced[r].samples[s];
+        EXPECT_TRUE(t::AllClose(sample, solo.samples[s], 0.0f, 0.0f))
+            << "sample " << s << " not bit-identical to solo";
+        for (int64_t i = 0; i < sample.numel(); ++i) {
+          ASSERT_TRUE(std::isfinite(sample[i]))
+              << "sample " << s << ", flat index " << i;
+          if (window.observed[i] != 0.0f) {
+            ASSERT_EQ(sample[i], window.values[i])
+                << "observed entry not copied through: sample " << s
+                << ", flat index " << i;
+          }
+        }
+      }
+      EXPECT_TRUE(t::AllClose(coalesced[r].median, solo.median, 0.0f, 0.0f));
+    }
+  }
 }
 
 TEST(SamplerKindNames, ParseAndPrintRoundTrip) {

@@ -563,7 +563,6 @@ TEST(SharedStorage, AllocStatsCountRequests) {
 }
 
 TEST(SharedStorage, PoolRecyclesFreedBlocks) {
-  if (!BufferPoolEnabled()) GTEST_SKIP() << "PRISTI_BUFFER_POOL=0";
   // Prime the pool's bucket, then re-allocate the same size: the second
   // round must be served from the pool, not the heap.
   { Tensor warm = Tensor::Zeros({512}); }
@@ -773,7 +772,6 @@ TEST(KernelLayer, PackCacheDistinguishesCopiesAfterCowFork) {
 
 TEST(KernelLayer, PackCacheDropsEntriesWhenStorageDies) {
   namespace kn = kernels;
-  if (!kn::PackCacheEnabled()) GTEST_SKIP() << "pack cache off";
   Rng rng(78);
   Tensor x = Tensor::Randn({5, 24}, rng);
   kn::KernelStats before = kn::GetKernelStats();

@@ -24,8 +24,8 @@
 //   stats                   session counters
 //   quit                    drain and exit (EOF does the same)
 //
-// Batching knobs default from the PRISTI_SERVE_* environment registry
-// (src/common/env.h); flags override.
+// A flag that fails serve::ValidateServeConfig, or an unknown --sampler,
+// is reported on stderr and exits 1.
 
 #include <algorithm>
 #include <cstdio>
@@ -36,7 +36,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/env.h"
 #include "common/flags.h"
 #include "common/logging.h"
 #include "data/io.h"
@@ -157,7 +156,7 @@ int Main(int argc, char** argv) {
     PRISTI_LOG_WARNING << "--model not given; serving an untrained model";
   }
 
-  serve::ServeConfig config = serve::ServeConfig::FromEnv();
+  serve::ServeConfig config;
   config.num_nodes = task.dataset.num_nodes;
   config.window_len = task.window_len;
   config.max_batch = flags.GetInt("max-batch", config.max_batch);
@@ -166,19 +165,16 @@ int Main(int argc, char** argv) {
       1'000'000;
   config.queue_capacity = flags.GetInt("queue-cap", config.queue_capacity);
   config.impute.num_samples = flags.GetInt("samples", 15);
-  // --sampler/--steps override the PRISTI_SERVE_SAMPLER / PRISTI_SERVE_STEPS
-  // env defaults; the built-in default (ddim, 10 of 30) is the old
-  // stride-3 DDIM.
-  std::string env_sampler = GetEnvOr("PRISTI_SERVE_SAMPLER", "");
-  std::string sampler_flag =
-      flags.GetString("sampler", env_sampler.empty() ? "ddim" : "");
-  if (!sampler_flag.empty()) {
-    Status sampler_status =
-        serve::ParseSamplerName(sampler_flag, &config.impute.sampler);
-    CHECK(sampler_status.ok()) << "--sampler: " << sampler_status.ToString();
+  // The default (ddim, 10 of 30 steps) is the old stride-3 DDIM.
+  config.impute.num_inference_steps = flags.GetInt("steps", 10);
+  Status config_status = serve::ParseSamplerName(
+      flags.GetString("sampler", "ddim"), &config.impute.sampler);
+  if (config_status.ok()) config_status = serve::ValidateServeConfig(config);
+  if (!config_status.ok()) {
+    std::fprintf(stderr, "pristi_serve: %s\n",
+                 config_status.ToString().c_str());
+    return 1;
   }
-  config.impute.num_inference_steps =
-      flags.GetInt("steps", GetEnvIntOr("PRISTI_SERVE_STEPS", 10));
 
   auto schedule = diffusion::NoiseSchedule::Quadratic(
       flags.GetInt("steps-diffusion", 30),
@@ -242,7 +238,9 @@ int Main(int argc, char** argv) {
           continue;
         }
       }
-      if (start < 0 || start + task.window_len > task.dataset.num_steps) {
+      // Compared as start > last valid start: `start + window_len` would
+      // overflow for a start near INT64_MAX.
+      if (start < 0 || start > task.dataset.num_steps - task.window_len) {
         std::printf("impute: start %lld out of range [0, %lld]\n",
                     static_cast<long long>(start),
                     static_cast<long long>(task.dataset.num_steps -

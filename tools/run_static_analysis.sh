@@ -30,7 +30,7 @@
 #                    that masks a missing -ffp-contract=off). Skip with
 #                    PRISTI_NATIVE_BITEQ=0.
 #   5. impute-biteq — 1-thread vs 4-thread imputation through pristi_cli,
-#                    CSVs byte-compared. Skip with PRISTI_SHARD_BITEQ=0.
+#                    CSVs byte-compared.
 #
 # Training's shard/thread bit-identity and the fused-vs-reference attention
 # imputation parity are in-process ctests (sharded_train_test,
@@ -167,32 +167,30 @@ fi
 # nodes, L=24 and S=4 the activations exceed the elementwise split floor, so
 # the pooled data-movement ops (permute, broadcast, concat/slice) and the
 # per-worker GEMM packing really split; the unit suites' N=6 fixtures never
-# do. Skip with PRISTI_SHARD_BITEQ=0.
-if [ "${PRISTI_SHARD_BITEQ:-1}" != "0" ]; then
-  build_dir="$repo_root/build-impute-biteq"
-  echo "==== [impute-biteq] configure -> $build_dir ===="
-  imp_tmp="$build_dir/impute-biteq-out"
-  imp_flags="--preset=aqi --nodes=48 --gen-steps=240 --window=24 --stride=24"
-  if cmake -S "$repo_root" -B "$build_dir" -DCMAKE_BUILD_TYPE=Release \
-      && cmake --build "$build_dir" -j "$jobs" --target pristi_cli \
-      && mkdir -p "$imp_tmp" \
-      && "$build_dir/tools/pristi_cli" train $imp_flags \
-          --epochs=1 --batch=4 --steps-diffusion=8 \
-          --model-out="$imp_tmp/model.ckpt" > "$imp_tmp/train.log" 2>&1 \
-      && PRISTI_THREADS=1 "$build_dir/tools/pristi_cli" impute $imp_flags \
-          --steps-diffusion=8 --samples=4 --seed=5 \
-          --model="$imp_tmp/model.ckpt" \
-          --out="$imp_tmp/t1.csv" > "$imp_tmp/t1.log" 2>&1 \
-      && PRISTI_THREADS=4 "$build_dir/tools/pristi_cli" impute $imp_flags \
-          --steps-diffusion=8 --samples=4 --seed=5 \
-          --model="$imp_tmp/model.ckpt" \
-          --out="$imp_tmp/t4.csv" > "$imp_tmp/t4.log" 2>&1 \
-      && cmp "$imp_tmp/t1.csv" "$imp_tmp/t4.csv"; then
-    echo "==== [impute-biteq] OK (1-thread == 4-thread imputation) ===="
-  else
-    echo "==== [impute-biteq] FAILED ===="
-    status=1
-  fi
+# do.
+build_dir="$repo_root/build-impute-biteq"
+echo "==== [impute-biteq] configure -> $build_dir ===="
+imp_tmp="$build_dir/impute-biteq-out"
+imp_flags="--preset=aqi --nodes=48 --gen-steps=240 --window=24 --stride=24"
+if cmake -S "$repo_root" -B "$build_dir" -DCMAKE_BUILD_TYPE=Release \
+    && cmake --build "$build_dir" -j "$jobs" --target pristi_cli \
+    && mkdir -p "$imp_tmp" \
+    && "$build_dir/tools/pristi_cli" train $imp_flags \
+        --epochs=1 --batch=4 --steps-diffusion=8 \
+        --model-out="$imp_tmp/model.ckpt" > "$imp_tmp/train.log" 2>&1 \
+    && PRISTI_THREADS=1 "$build_dir/tools/pristi_cli" impute $imp_flags \
+        --steps-diffusion=8 --samples=4 --seed=5 \
+        --model="$imp_tmp/model.ckpt" \
+        --out="$imp_tmp/t1.csv" > "$imp_tmp/t1.log" 2>&1 \
+    && PRISTI_THREADS=4 "$build_dir/tools/pristi_cli" impute $imp_flags \
+        --steps-diffusion=8 --samples=4 --seed=5 \
+        --model="$imp_tmp/model.ckpt" \
+        --out="$imp_tmp/t4.csv" > "$imp_tmp/t4.log" 2>&1 \
+    && cmp "$imp_tmp/t1.csv" "$imp_tmp/t4.csv"; then
+  echo "==== [impute-biteq] OK (1-thread == 4-thread imputation) ===="
+else
+  echo "==== [impute-biteq] FAILED ===="
+  status=1
 fi
 
 if [ "$status" -ne 0 ]; then
