@@ -186,19 +186,14 @@ std::vector<std::unique_ptr<Imputer>> MakeDeepMethods(
   return methods;
 }
 
-std::string ArtifactPath(const std::string& filename,
-                         const std::string& fallback_dir) {
-  std::string dir = GetEnvOr("PRISTI_BENCH_DIR", "");
-  if (dir.empty()) dir = fallback_dir;
-  if (dir.empty() || dir == ".") return filename;
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);  // best effort; open reports
-  return (std::filesystem::path(dir) / filename).string();
-}
-
 void EmitTable(const std::string& experiment_id, const TablePrinter& table) {
   std::printf("%s\n", table.ToText().c_str());
-  std::string csv_path = ArtifactPath(experiment_id + ".csv", "results");
+  std::string dir = GetEnvOr("PRISTI_BENCH_DIR", "");
+  if (dir.empty()) dir = "results";
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);  // WriteCsv reports failure
+  std::string csv_path =
+      (std::filesystem::path(dir) / (experiment_id + ".csv")).string();
   if (table.WriteCsv(csv_path)) {
     std::printf("[csv written to %s]\n\n", csv_path.c_str());
   }

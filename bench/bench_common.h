@@ -81,16 +81,9 @@ std::vector<std::unique_ptr<Imputer>> MakeAllMethods(
 std::vector<std::unique_ptr<Imputer>> MakeDeepMethods(
     const data::ImputationTask& task, const Scale& scale, Rng& rng);
 
-// Resolves where a bench artifact (CSV table, JSON report) lands: inside
-// $PRISTI_BENCH_DIR when that is set, else inside `fallback_dir` ("." means
-// the working directory). The chosen directory is created if missing. Every
-// bench/table writer in the tree routes through this one helper so a CI
-// runner can redirect the whole suite with a single env knob.
-std::string ArtifactPath(const std::string& filename,
-                         const std::string& fallback_dir);
-
 // Writes the table text to stdout and its CSV to
-// ArtifactPath(experiment_id + ".csv", "results").
+// $PRISTI_BENCH_DIR/<experiment_id>.csv, or results/<experiment_id>.csv when
+// that is unset. The directory is created if missing.
 void EmitTable(const std::string& experiment_id, const TablePrinter& table);
 
 }  // namespace pristi::bench

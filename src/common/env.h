@@ -30,10 +30,9 @@
 //          (serialize_test, sharded_train_test, sampler_equivalence_test)
 //          rewrite their checked-in golden artifacts instead of comparing
 //          against them.
-//   PRISTI_BENCH_DIR  unset — when set, bench binaries and bench-flavored
-//          tests route their CSV/JSON reports into this directory through
-//          bench::ArtifactPath (bench/bench_common.h) instead of their
-//          default output locations.
+//   PRISTI_BENCH_DIR  unset — when set, the paper-table bench binaries
+//          (bench/, via bench::EmitTable) write their CSVs into this
+//          directory instead of results/. Nothing else reads it.
 //   PRISTI_SANITIZE_CONFIGS  "address+undefined thread" — which sanitizer
 //          configs tools/run_static_analysis.sh builds and tests.
 //   PRISTI_NATIVE_BITEQ  1 — 0 skips the -march=native bit-identity leg

@@ -20,6 +20,22 @@ const char* MissingPatternName(MissingPattern pattern) {
   return "unknown";
 }
 
+bool ParseMissingPattern(const std::string& name, MissingPattern* out) {
+  if (name == "point") {
+    *out = MissingPattern::kPoint;
+    return true;
+  }
+  if (name == "block") {
+    *out = MissingPattern::kBlock;
+    return true;
+  }
+  if (name == "failure" || name == "simulated_failure") {
+    *out = MissingPattern::kSimulatedFailure;
+    return true;
+  }
+  return false;
+}
+
 const char* MaskStrategyName(MaskStrategy strategy) {
   switch (strategy) {
     case MaskStrategy::kPoint:

@@ -10,6 +10,8 @@
 // observed entries, exactly as the paper evaluates "only on the manually
 // masked parts".
 
+#include <string>
+
 #include "common/rng.h"
 #include "tensor/tensor.h"
 
@@ -24,6 +26,10 @@ enum class MissingPattern {
 };
 
 const char* MissingPatternName(MissingPattern pattern);
+// Parses "point" | "block" | "failure" (or "simulated_failure", the name
+// MissingPatternName returns); returns false, leaving *out untouched, on
+// unknown names.
+bool ParseMissingPattern(const std::string& name, MissingPattern* out);
 
 struct BlockMissingOptions {
   double point_rate = 0.05;     // "randomly masking 5% of the observed data"

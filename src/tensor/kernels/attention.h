@@ -79,7 +79,7 @@ bool FusedAttentionEnabled();
 // Routes MultiHeadAttention through the fused kernel (true, the default) or
 // the reference chain (false); returns the previous value. The in-process
 // test seam for running a whole model through the reference chain
-// (fused-vs-reference parity, AttentionBench); nothing else calls it.
+// (fused-vs-reference parity); nothing else calls it.
 bool SetFusedAttentionEnabled(bool enabled);
 
 // Forward: out(batch, s_q, dh) = softmax(scale * Q·Kᵀ) · V with

@@ -1,0 +1,64 @@
+#!/usr/bin/env bash
+# Bad pristi_cli inputs fail with a typed message, never a CHECK abort.
+#
+# Usage: cli_flags_test.sh <path to pristi_cli>
+#
+# Each case below — an unknown --preset, --pattern, --sampler or --method,
+# --samples=0, a --model checkpoint that cannot be loaded, and an --out,
+# --csv or --model-out file that cannot be written — must exit 1 with a
+# "pristi_cli: " line on stderr and no "Check failed".
+#
+# Exits 1 on any failure.
+
+set -u
+
+cli="$1"
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+failures=0
+fail() {
+  echo "FAIL: $*" >&2
+  failures=$((failures + 1))
+}
+
+while IFS= read -r name; do
+  unset "$name"
+done < <(compgen -e | grep '^PRISTI_')
+
+# A small dataset keeps the cases that train or impute before failing fast.
+data="$tmp/d.bin"
+"$cli" generate --preset=aqi --nodes=6 --steps=96 --out="$data" \
+  > "$tmp/setup.out" 2>&1 || { cat "$tmp/setup.out" >&2; exit 1; }
+"$cli" evaluate --data="$data" --method=mean > "$tmp/setup.out" 2>&1 ||
+  fail "evaluate --method=mean on a good dataset exited $?"
+
+missing="$tmp/no_such_dir"
+small="--data=$data --samples=2 --steps-diffusion=4"
+cases=(
+  "generate --preset=bogus --out=$tmp/g.bin"
+  "evaluate --preset=bogus --method=mean"
+  "evaluate --data=$data --pattern=bogus --method=mean"
+  "impute $small --sampler=bogus --out=$tmp/i.csv"
+  "evaluate --data=$data --method=bogus"
+  "impute --data=$data --samples=0 --out=$tmp/i.csv"
+  "impute $small --model=/nonexistent --out=$tmp/i.csv"
+  "generate --preset=aqi --nodes=4 --steps=48 --out=$missing/g.bin"
+  "generate --preset=aqi --nodes=4 --steps=48 --out=$tmp/g.bin --csv=$missing/g.csv"
+  "impute $small --out=$missing/i.csv"
+  "train $small --epochs=1 --model-out=$missing/m.ckpt"
+)
+for args in "${cases[@]}"; do
+  # shellcheck disable=SC2086  # each case is a word-split argument list
+  "$cli" $args > "$tmp/case.out" 2> "$tmp/case.err"
+  code=$?
+  [ "$code" -eq 1 ] || fail "'$args' exited $code, want 1"
+  grep -q 'Check failed' "$tmp/case.err" && fail "'$args' aborted"
+  grep -q '^pristi_cli: ' "$tmp/case.err" ||
+    fail "'$args' printed no pristi_cli: message"
+done
+
+if [ "$failures" -ne 0 ]; then
+  echo "cli_flags: $failures failure(s)" >&2
+  exit 1
+fi
+echo "cli_flags: OK"

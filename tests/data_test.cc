@@ -190,6 +190,21 @@ TEST(Injectors, SensorFailureMasksWholeNodes) {
   }
 }
 
+TEST(Injectors, ParseMissingPatternRoundTripsNames) {
+  for (MissingPattern pattern :
+       {MissingPattern::kPoint, MissingPattern::kBlock,
+        MissingPattern::kSimulatedFailure}) {
+    MissingPattern parsed = MissingPattern::kPoint;
+    ASSERT_TRUE(ParseMissingPattern(MissingPatternName(pattern), &parsed));
+    EXPECT_EQ(parsed, pattern);
+  }
+  MissingPattern parsed = MissingPattern::kBlock;
+  ASSERT_TRUE(ParseMissingPattern("failure", &parsed));
+  EXPECT_EQ(parsed, MissingPattern::kSimulatedFailure);
+  EXPECT_FALSE(ParseMissingPattern("bogus", &parsed));
+  EXPECT_EQ(parsed, MissingPattern::kSimulatedFailure);  // left untouched
+}
+
 // ---------------------------------------------------------------------------
 // Mask strategies (training)
 // ---------------------------------------------------------------------------

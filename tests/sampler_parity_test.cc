@@ -12,13 +12,9 @@
 // eps field, so the RK-warm-up-dominated 5-step row is the one that
 // demonstrates parity while the 10-step row hovers ~6% off. Every PLMS
 // row additionally gates a coarser 12% regression bound so a genuinely
-// broken stepper cannot hide behind the best-of rule. Throughput
-// (samples/sec) is recorded but never asserted — this test runs under the
-// `bench` ctest label, so quality regressions gate bench runs while perf
-// noise cannot fail anything.
-//
-// Emits BENCH_sampler_plms.json to PRISTI_BENCH_DIR when a collector sets
-// it (otherwise to a per-test temp dir, never the CWD).
+// broken stepper cannot hide behind the best-of rule. Throughput is
+// printed but never asserted. Training makes this test slow, so it runs
+// under the `bench` ctest label.
 
 #include <cstdio>
 #include <string>
@@ -27,9 +23,6 @@
 #include <gtest/gtest.h>
 
 #include "bench_common.h"
-#include "bench_common.h"
-#include "common/env.h"
-#include "test_tmpdir.h"
 
 namespace pristi::bench {
 namespace {
@@ -37,8 +30,6 @@ namespace {
 struct ParityRow {
   std::string name;
   diffusion::ImputeOptions impute;
-  // Kept reverse steps for reporting; 0 means the full schedule.
-  int64_t steps = 0;
   bool parity_gated = false;  // PLMS rows at <= 10 steps feed the bound
   eval::MethodResult result;
 };
@@ -66,28 +57,28 @@ TEST(SamplerParity, PlmsFewStepWithinFivePercentOfDdpm100) {
   using diffusion::SamplerKind;
   const int64_t s = scale.impute_samples;
   std::vector<ParityRow> rows = {
-      {"ddpm-100", {.num_samples = s, .sampler = SamplerKind::kDdpm}, 100,
-       false, {}},
+      {"ddpm-100", {.num_samples = s, .sampler = SamplerKind::kDdpm}, false,
+       {}},
       {"ddim-10",
        {.num_samples = s, .sampler = SamplerKind::kDdim,
         .num_inference_steps = 10},
-       10, false, {}},
+       false, {}},
       {"plms-5",
        {.num_samples = s, .sampler = SamplerKind::kPlms,
         .num_inference_steps = 5},
-       5, true, {}},
+       true, {}},
       {"plms-10",
        {.num_samples = s, .sampler = SamplerKind::kPlms,
         .num_inference_steps = 10},
-       10, true, {}},
+       true, {}},
       {"plms-20",
        {.num_samples = s, .sampler = SamplerKind::kPlms,
         .num_inference_steps = 20},
-       20, false, {}},
+       false, {}},
       {"plms-50",
        {.num_samples = s, .sampler = SamplerKind::kPlms,
         .num_inference_steps = 50},
-       50, false, {}},
+       false, {}},
   };
   eval::EvaluateOptions eval_options;
   eval_options.crps_samples = scale.crps_samples;
@@ -106,45 +97,6 @@ TEST(SamplerParity, PlmsFewStepWithinFivePercentOfDdpm100) {
   const eval::MethodResult& reference = rows[0].result;
   ASSERT_GT(reference.mae, 0.0);
   ASSERT_GT(reference.crps, 0.0);
-
-  // JSON artifact in the BENCH_* family.
-  pristi::testing::TestTempDir tmp;
-  std::string json_path =
-      ArtifactPath("BENCH_sampler_plms.json", tmp.path().string());
-  std::FILE* json = std::fopen(json_path.c_str(), "w");
-  ASSERT_NE(json, nullptr);
-  std::fprintf(json,
-               "{\n"
-               "  \"preset\": \"aqi-36-quick\",\n"
-               "  \"nodes\": %lld,\n"
-               "  \"window_len\": %lld,\n"
-               "  \"diffusion_steps\": %lld,\n"
-               "  \"num_samples\": %lld,\n"
-               "  \"reference\": \"ddpm-100\",\n"
-               "  \"sweep\": [",
-               static_cast<long long>(scale.aqi_nodes),
-               static_cast<long long>(scale.window_len),
-               static_cast<long long>(scale.diffusion_steps),
-               static_cast<long long>(s));
-  bool first = true;
-  for (const ParityRow& row : rows) {
-    std::fprintf(json,
-                 "%s\n    {\"sampler\": \"%s\", \"steps\": %lld, "
-                 "\"mae\": %.6f, \"mse\": %.6f, \"crps\": %.6f, "
-                 "\"samples_per_sec\": %.3f, "
-                 "\"mae_vs_ref\": %.4f, \"crps_vs_ref\": %.4f, "
-                 "\"parity_gated\": %s}",
-                 first ? "" : ",", row.name.c_str(),
-                 static_cast<long long>(row.steps), row.result.mae,
-                 row.result.mse, row.result.crps,
-                 row.result.samples_per_sec, row.result.mae / reference.mae,
-                 row.result.crps / reference.crps,
-                 row.parity_gated ? "true" : "false");
-    first = false;
-  }
-  std::fprintf(json, "\n  ]\n}\n");
-  std::fclose(json);
-  std::printf("[json written to %s]\n", json_path.c_str());
 
   // The headline bound: PLMS at <= 10 inference steps must reach within 5%
   // of the ancestral DDPM-100 reference on both metrics. Asserted on the

@@ -6,8 +6,9 @@
 #   1. An `impute` start outside [0, num_steps - window_len] — including one
 #      where start + window_len would overflow int64 — answers
 #      "out of range", and the session keeps serving.
-#   2. Each flag value the session cannot run with exits 1 with a message on
-#      stderr, never a CHECK abort.
+#   2. Each flag value the session cannot run with, and a --model that
+#      cannot be loaded, exits 1 with a message on stderr, never a CHECK
+#      abort.
 #   3. With no PRISTI_* variable set, a fixed script prints the pinned
 #      banner and median_mean values. The generated dataset and untrained
 #      model are seeded, and a response is bit-identical at any batch
@@ -51,13 +52,16 @@ grep -q '^request 0: ok start=0 seed=1 ' "$tmp/range.out" ||
 
 # ---- 2. bad flags ----------------------------------------------------------
 for flag in --max-batch=0 --queue-cap=0 --max-wait-ms=-1 --samples=0 \
-    --sampler=bogus; do
+    --sampler=bogus --pattern=bogus --model=/nonexistent; do
   echo quit | "$serve" "$flag" > "$tmp/flag.out" 2> "$tmp/flag.err"
   code=$?
   [ "$code" -eq 1 ] || fail "$flag exited $code, want 1"
   grep -q 'Check failed' "$tmp/flag.err" && fail "$flag aborted"
-  grep -q '^pristi_serve: invalid-request: ' "$tmp/flag.err" ||
-    fail "$flag printed no invalid-request status"
+  case "$flag" in
+    --model=*) want='^pristi_serve: cannot load --model /nonexistent: ' ;;
+    *) want='^pristi_serve: invalid-request: ' ;;
+  esac
+  grep -q "$want" "$tmp/flag.err" || fail "$flag printed no typed status"
 done
 
 # ---- 3. pinned defaults ----------------------------------------------------

@@ -645,48 +645,74 @@ void ExpectBitEqual(const Tensor& a, const Tensor& b, const char* what) {
 // kColTile +/- 1, and 2*kColTile + 1.
 const int64_t kOddDims[] = {1, 3, 5, 15, 17, 33};
 
-TEST(KernelLayer, TiledMatchesReferenceOnOddShapes) {
+// The Linear/Conv1x1 products MatMulLastDim issues at the model presets,
+// (B*N*L, d_in) x (d_in, d_out) with B=4, d=64: the AQI-36 full window
+// (N=36, L=36) and METR-LA at full node count (N=207, L=24).
+const int64_t kModelLinearShapes[][3] = {{4 * 36 * 36, 64, 64},
+                                         {4 * 207 * 24, 64, 64}};
+
+// Tiled MatMul / MatMulNT / MatMulTN against the reference kernel at
+// (m, k, n).
+void ExpectTiledMatchesReference(int64_t m, int64_t k, int64_t n, Rng& rng) {
   namespace kn = kernels;
+  Tensor a = Tensor::Randn({m, k}, rng);
+  Tensor b = Tensor::Randn({k, n}, rng);
+  Tensor a_t = TransposeLast2(a);  // stored (k, m)
+  Tensor b_t = TransposeLast2(b);  // stored (n, k)
+
+  Tensor ref(Shape{m, n});
+  kn::ReferenceGemm(kn::Layout::kNormal, kn::Layout::kNormal, m, n, k,
+                    a.data(), b.data(), ref.data());
+
+  ExpectBitEqual(MatMul(a, b), ref, "MatMul(NN)");
+  ExpectBitEqual(MatMulNT(a, b_t), ref, "MatMulNT");
+  ExpectBitEqual(MatMulTN(a_t, b), ref, "MatMulTN");
+}
+
+TEST(KernelLayer, TiledMatchesReferenceOnOddShapes) {
   Rng rng(71);
   for (int64_t m : kOddDims) {
     for (int64_t k : kOddDims) {
       for (int64_t n : kOddDims) {
-        Tensor a = Tensor::Randn({m, k}, rng);
-        Tensor b = Tensor::Randn({k, n}, rng);
-        Tensor a_t = TransposeLast2(a);  // stored (k, m)
-        Tensor b_t = TransposeLast2(b);  // stored (n, k)
-
-        Tensor ref(Shape{m, n});
-        kn::ReferenceGemm(kn::Layout::kNormal, kn::Layout::kNormal, m, n, k,
-                          a.data(), b.data(), ref.data());
-
-        ExpectBitEqual(MatMul(a, b), ref, "MatMul(NN)");
-        ExpectBitEqual(MatMulNT(a, b_t), ref, "MatMulNT");
-        ExpectBitEqual(MatMulTN(a_t, b), ref, "MatMulTN");
+        SCOPED_TRACE(::testing::Message() << m << "x" << k << "x" << n);
+        ExpectTiledMatchesReference(m, k, n, rng);
       }
     }
+  }
+  for (const auto& [m, k, n] : kModelLinearShapes) {
+    SCOPED_TRACE(::testing::Message() << m << "x" << k << "x" << n);
+    ExpectTiledMatchesReference(m, k, n, rng);
   }
 }
 
 TEST(KernelLayer, BatchedTiledMatchesReference) {
   namespace kn = kernels;
   Rng rng(72);
-  const int64_t batch = 3, m = 17, k = 5, n = 33;
-  Tensor a = Tensor::Randn({batch, m, k}, rng);
-  Tensor b = Tensor::Randn({batch, k, n}, rng);
+  // {batch, m, k, n}: an odd shape, then two batched products the models
+  // issue — AQI-36 temporal attention scores Q·Kᵀ (batch = B*h*N = 4*8*36,
+  // S = L = 36, dh = 8) and METR-LA graph-conv node mixing (batch = B*L =
+  // 4*24, an (N, N) support with N = 207, d = 64).
+  const int64_t shapes[][4] = {
+      {3, 17, 5, 33}, {4 * 8 * 36, 36, 8, 36}, {4 * 24, 207, 207, 64}};
+  for (const auto& [batch, m, k, n] : shapes) {
+    SCOPED_TRACE(::testing::Message()
+                 << batch << " x " << m << "x" << k << "x" << n);
+    Tensor a = Tensor::Randn({batch, m, k}, rng);
+    Tensor b = Tensor::Randn({batch, k, n}, rng);
 
-  Tensor ref(Shape{batch, m, n});
-  for (int64_t bi = 0; bi < batch; ++bi) {
-    kn::ReferenceGemm(kn::Layout::kNormal, kn::Layout::kNormal, m, n, k,
-                      a.data() + bi * m * k, b.data() + bi * k * n,
-                      ref.data() + bi * m * n);
+    Tensor ref(Shape{batch, m, n});
+    for (int64_t bi = 0; bi < batch; ++bi) {
+      kn::ReferenceGemm(kn::Layout::kNormal, kn::Layout::kNormal, m, n, k,
+                        a.data() + bi * m * k, b.data() + bi * k * n,
+                        ref.data() + bi * m * n);
+    }
+
+    ExpectBitEqual(BatchedMatMul(a, b), ref, "BatchedMatMul");
+    ExpectBitEqual(BatchedMatMulNT(a, TransposeLast2(b)), ref,
+                   "BatchedMatMulNT");
+    ExpectBitEqual(BatchedMatMulTN(TransposeLast2(a), b), ref,
+                   "BatchedMatMulTN");
   }
-
-  ExpectBitEqual(BatchedMatMul(a, b), ref, "BatchedMatMul");
-  ExpectBitEqual(BatchedMatMulNT(a, TransposeLast2(b)), ref,
-                 "BatchedMatMulNT");
-  ExpectBitEqual(BatchedMatMulTN(TransposeLast2(a), b), ref,
-                 "BatchedMatMulTN");
 }
 
 TEST(KernelLayer, TransposedSharedOperandVariantsMatchComposition) {

@@ -12,6 +12,9 @@
 // model knobs (--channels --heads --layers --virtual-nodes --steps-diffusion).
 // `evaluate --method=` also accepts the classic baselines (mean, da, knn,
 // lin-itp, kf, mice, var, trmf, batf, stmvl, brits, grin, csdi).
+//
+// A bad input — an unknown name, a file that cannot be loaded, an output
+// that cannot be written — is reported on stderr and exits 1.
 
 #include <cstdio>
 #include <fstream>
@@ -34,17 +37,45 @@
 namespace pristi {
 namespace {
 
+// Prints `status` on stderr; returns the exit status of a bad input.
+int Fail(const Status& status) {
+  std::fprintf(stderr, "pristi_cli: %s\n", status.ToString().c_str());
+  return 1;
+}
+
+Status InvalidFlag(const std::string& message) {
+  return Status::Error(ErrorCode::kInvalidRequest, message);
+}
+
+Status WriteFailed(const std::string& flag, const std::string& path) {
+  return Status::Error(ErrorCode::kIoError,
+                       "cannot write --" + flag + " " + path);
+}
+
+// Prefixes a load failure with the flag and path it came from.
+Status LoadFailed(const std::string& flag, const std::string& path,
+                  const Status& status) {
+  return Status::Error(status.code(), "cannot load --" + flag + " " + path +
+                                          ": " + status.message());
+}
+
 // Preset name -> generator config; shared by `generate` and the on-the-fly
 // fallback of every data-consuming subcommand.
-data::SyntheticConfig PresetConfig(const std::string& preset, int64_t nodes,
-                                   int64_t steps) {
-  if (preset == "aqi") return data::Aqi36LikeConfig(nodes, steps);
-  if (preset == "metr") return data::MetrLaLikeConfig(nodes, steps);
-  if (preset == "pems") return data::PemsBayLikeConfig(nodes, steps);
-  if (preset == "large") return data::LargeGraphLikeConfig(nodes, steps);
-  PRISTI_LOG_FATAL << "unknown --preset " << preset
-                   << " (aqi|metr|pems|large)";
-  return {};
+Status PresetConfig(const std::string& preset, int64_t nodes, int64_t steps,
+                    data::SyntheticConfig* config) {
+  if (preset == "aqi") {
+    *config = data::Aqi36LikeConfig(nodes, steps);
+  } else if (preset == "metr") {
+    *config = data::MetrLaLikeConfig(nodes, steps);
+  } else if (preset == "pems") {
+    *config = data::PemsBayLikeConfig(nodes, steps);
+  } else if (preset == "large") {
+    *config = data::LargeGraphLikeConfig(nodes, steps);
+  } else {
+    return InvalidFlag("unknown --preset " + preset +
+                       " (aqi|metr|pems|large)");
+  }
+  return Status::Ok();
 }
 
 // Per-preset default sizes: the large preset exists to exercise the node
@@ -59,28 +90,23 @@ int64_t DefaultPresetSteps(const std::string& preset) {
 Status LoadOrGenerate(const Flags& flags, Rng& rng,
                       data::SpatioTemporalDataset* dataset) {
   std::string path = flags.GetString("data");
-  if (!path.empty()) return data::ReadBinaryDataset(path, dataset);
+  if (!path.empty()) {
+    Status status = data::ReadBinaryDataset(path, dataset);
+    return status.ok() ? status : LoadFailed("data", path, status);
+  }
   // No --data: generate in place. --gen-steps (not --steps, which already
   // means kept reverse steps on these subcommands) controls the length.
   std::string preset = flags.GetString("preset", "aqi");
   int64_t nodes = flags.GetInt("nodes", DefaultPresetNodes(preset));
   int64_t steps = flags.GetInt("gen-steps", DefaultPresetSteps(preset));
+  data::SyntheticConfig config;
+  Status status = PresetConfig(preset, nodes, steps, &config);
+  if (!status.ok()) return status;
   PRISTI_LOG_WARNING << "--data not given; generating a '" << preset
                      << "' dataset (" << nodes << " nodes x " << steps
                      << " steps)";
-  *dataset = data::GenerateSynthetic(PresetConfig(preset, nodes, steps), rng);
+  *dataset = data::GenerateSynthetic(config, rng);
   return Status::Ok();
-}
-
-data::MissingPattern PatternFromFlag(const std::string& name) {
-  if (name == "point") return data::MissingPattern::kPoint;
-  if (name == "block") return data::MissingPattern::kBlock;
-  if (name == "failure" || name == "simulated_failure") {
-    return data::MissingPattern::kSimulatedFailure;
-  }
-  PRISTI_LOG_FATAL << "unknown --pattern " << name
-                   << " (point|block|failure)";
-  return data::MissingPattern::kPoint;
 }
 
 core::PristiConfig ModelConfig(const Flags& flags,
@@ -100,21 +126,24 @@ core::PristiConfig ModelConfig(const Flags& flags,
   return config;
 }
 
-eval::DiffusionRunOptions RunOptions(const Flags& flags,
-                                     const data::ImputationTask& task) {
-  eval::DiffusionRunOptions options;
+Status RunOptions(const Flags& flags, const data::ImputationTask& task,
+                  eval::DiffusionRunOptions* out) {
+  eval::DiffusionRunOptions& options = *out;
   options.diffusion_steps = flags.GetInt("steps-diffusion", 30);
   options.train.epochs = flags.GetInt("epochs", 40);
   options.train.batch_size = flags.GetInt("batch", 8);
   options.train.lr = static_cast<float>(flags.GetDouble("lr", 2e-3));
   options.train.high_t_bias = flags.GetDouble("high-t-bias", 0.5);
   options.impute.num_samples = flags.GetInt("samples", 15);
+  if (options.impute.num_samples < 1) {
+    return InvalidFlag("--samples must be >= 1, got " +
+                       std::to_string(options.impute.num_samples));
+  }
   // --sampler=ddpm|ddim|plms, --steps=K kept reverse steps (0 = full
   // schedule). The default (ddim, 10 of 30) is the old stride-3 DDIM.
   std::string sampler = flags.GetString("sampler", "ddim");
   if (!diffusion::ParseSamplerKind(sampler, &options.impute.sampler)) {
-    PRISTI_LOG_FATAL << "unknown --sampler " << sampler
-                     << " (ddpm|ddim|plms)";
+    return InvalidFlag("unknown --sampler " + sampler + " (ddpm|ddim|plms)");
   }
   options.impute.num_inference_steps = flags.GetInt("steps", 10);
   options.train.ema_decay =
@@ -137,27 +166,26 @@ eval::DiffusionRunOptions RunOptions(const Flags& flags,
       options.train.mask_strategy = data::MaskStrategy::kHybridHistorical;
       break;
   }
-  return options;
+  return Status::Ok();
 }
 
-// Loads or generates the dataset and splits it into a task. A dataset file
-// that fails to load is reported on stderr and returns false.
-bool MakeTaskFromFlags(const Flags& flags, Rng& rng,
-                       data::ImputationTask* task) {
+// Loads or generates the dataset and splits it into a task.
+Status MakeTaskFromFlags(const Flags& flags, Rng& rng,
+                         data::ImputationTask* task) {
+  std::string pattern_name = flags.GetString("pattern", "point");
+  data::MissingPattern pattern;
+  if (!data::ParseMissingPattern(pattern_name, &pattern)) {
+    return InvalidFlag("unknown --pattern " + pattern_name +
+                       " (point|block|failure)");
+  }
   data::SpatioTemporalDataset dataset;
   Status status = LoadOrGenerate(flags, rng, &dataset);
-  if (!status.ok()) {
-    std::fprintf(stderr, "cannot load --data: %s\n",
-                 status.ToString().c_str());
-    return false;
-  }
+  if (!status.ok()) return status;
   data::TaskOptions options;
   options.window_len = flags.GetInt("window", 16);
   options.stride = flags.GetInt("stride", 4);
-  *task = data::MakeTask(std::move(dataset),
-                         PatternFromFlag(flags.GetString("pattern", "point")),
-                         options, rng);
-  return true;
+  *task = data::MakeTask(std::move(dataset), pattern, options, rng);
+  return Status::Ok();
 }
 
 int CmdGenerate(const Flags& flags) {
@@ -165,17 +193,23 @@ int CmdGenerate(const Flags& flags) {
   std::string preset = flags.GetString("preset", "aqi");
   int64_t nodes = flags.GetInt("nodes", DefaultPresetNodes(preset));
   int64_t steps = flags.GetInt("steps", DefaultPresetSteps(preset));
-  auto dataset =
-      data::GenerateSynthetic(PresetConfig(preset, nodes, steps), rng);
+  data::SyntheticConfig config;
+  Status status = PresetConfig(preset, nodes, steps, &config);
+  if (!status.ok()) return Fail(status);
+  auto dataset = data::GenerateSynthetic(config, rng);
   std::string out = flags.GetString("out", "dataset.bin");
-  CHECK(data::WriteBinaryDataset(dataset, out)) << "write failed: " << out;
+  if (!data::WriteBinaryDataset(dataset, out)) {
+    return Fail(WriteFailed("out", out));
+  }
   std::printf("wrote %s: %lld nodes x %lld steps (%s)\n", out.c_str(),
               static_cast<long long>(dataset.num_nodes),
               static_cast<long long>(dataset.num_steps),
               dataset.name.c_str());
   std::string csv = flags.GetString("csv");
   if (!csv.empty()) {
-    CHECK(data::WriteCsvDataset(dataset, csv, flags.GetString("coords")));
+    if (!data::WriteCsvDataset(dataset, csv, flags.GetString("coords"))) {
+      return Fail(WriteFailed("csv", csv));
+    }
     std::printf("wrote %s\n", csv.c_str());
   }
   return 0;
@@ -184,9 +218,12 @@ int CmdGenerate(const Flags& flags) {
 int CmdTrain(const Flags& flags) {
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
   data::ImputationTask task;
-  if (!MakeTaskFromFlags(flags, rng, &task)) return 1;
+  Status status = MakeTaskFromFlags(flags, rng, &task);
+  if (!status.ok()) return Fail(status);
   core::PristiConfig config = ModelConfig(flags, task);
-  eval::DiffusionRunOptions options = RunOptions(flags, task);
+  eval::DiffusionRunOptions options;
+  status = RunOptions(flags, task, &options);
+  if (!status.ok()) return Fail(status);
   options.train.on_epoch = [](int64_t epoch, double loss) {
     if (epoch % 5 == 0) {
       std::printf("epoch %3lld  loss %.4f\n", static_cast<long long>(epoch),
@@ -203,8 +240,12 @@ int CmdTrain(const Flags& flags) {
   diffusion::TrainDiffusionModel(model.get(), schedule, task, options.train,
                                  rng);
   std::string out = flags.GetString("model-out", "pristi.ckpt");
-  Status status = serialize::SaveModuleCheckpointFile(*model, out);
-  CHECK(status.ok()) << "checkpoint write failed: " << status.ToString();
+  status = serialize::SaveModuleCheckpointFile(*model, out);
+  if (!status.ok()) {
+    return Fail(Status::Error(status.code(), "cannot write --model-out " +
+                                                 out + ": " +
+                                                 status.message()));
+  }
   std::printf("saved checkpoint to %s\n", out.c_str());
   return 0;
 }
@@ -212,16 +253,18 @@ int CmdTrain(const Flags& flags) {
 int CmdImpute(const Flags& flags) {
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
   data::ImputationTask task;
-  if (!MakeTaskFromFlags(flags, rng, &task)) return 1;
+  Status status = MakeTaskFromFlags(flags, rng, &task);
+  if (!status.ok()) return Fail(status);
   core::PristiConfig config = ModelConfig(flags, task);
-  eval::DiffusionRunOptions options = RunOptions(flags, task);
+  eval::DiffusionRunOptions options;
+  status = RunOptions(flags, task, &options);
+  if (!status.ok()) return Fail(status);
   auto model = std::make_shared<core::PristiModel>(
       config, task.dataset.graph.adjacency, rng);
   std::string ckpt = flags.GetString("model");
   if (!ckpt.empty()) {
-    Status status = serialize::LoadModuleCheckpointFile(*model, ckpt);
-    CHECK(status.ok()) << "cannot load " << ckpt << ": "
-                       << status.ToString();
+    status = serialize::LoadModuleCheckpointFile(*model, ckpt);
+    if (!status.ok()) return Fail(LoadFailed("model", ckpt, status));
     std::printf("loaded checkpoint %s\n", ckpt.c_str());
   } else {
     PRISTI_LOG_WARNING << "--model not given; imputing with an untrained "
@@ -235,7 +278,9 @@ int CmdImpute(const Flags& flags) {
   out_dataset.observed_mask =
       tensor::Tensor::Ones(completed.shape());
   std::string out = flags.GetString("out", "imputed.csv");
-  CHECK(data::WriteCsvDataset(out_dataset, out));
+  if (!data::WriteCsvDataset(out_dataset, out)) {
+    return Fail(WriteFailed("out", out));
+  }
   std::printf("wrote completed series to %s\n", out.c_str());
   return 0;
 }
@@ -246,11 +291,12 @@ int CmdImpute(const Flags& flags) {
 int CmdSave(const Flags& flags) {
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
   data::ImputationTask task;
-  if (!MakeTaskFromFlags(flags, rng, &task)) return 1;
+  Status status = MakeTaskFromFlags(flags, rng, &task);
+  if (!status.ok()) return Fail(status);
   core::PristiConfig config = ModelConfig(flags, task);
   core::PristiModel model(config, task.dataset.graph.adjacency, rng);
   std::string out = flags.GetString("out", "pristi.ckpt");
-  Status status = serialize::SaveModuleCheckpointFile(model, out);
+  status = serialize::SaveModuleCheckpointFile(model, out);
   if (!status.ok()) {
     std::printf("save failed: %s\n", status.ToString().c_str());
     return 1;
@@ -265,7 +311,8 @@ int CmdSave(const Flags& flags) {
 int CmdLoad(const Flags& flags) {
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
   data::ImputationTask task;
-  if (!MakeTaskFromFlags(flags, rng, &task)) return 1;
+  Status status = MakeTaskFromFlags(flags, rng, &task);
+  if (!status.ok()) return Fail(status);
   core::PristiConfig config = ModelConfig(flags, task);
   core::PristiModel model(config, task.dataset.graph.adjacency, rng);
   std::string path = flags.GetString("model");
@@ -273,7 +320,7 @@ int CmdLoad(const Flags& flags) {
     std::printf("load: --model=<checkpoint> is required\n");
     return 2;
   }
-  Status status = serialize::LoadModuleCheckpointFile(model, path);
+  status = serialize::LoadModuleCheckpointFile(model, path);
   if (!status.ok()) {
     std::printf("load failed: %s\n", status.ToString().c_str());
     return 1;
@@ -368,11 +415,14 @@ std::unique_ptr<baselines::Imputer> MakeBaseline(
 int CmdEvaluate(const Flags& flags) {
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
   data::ImputationTask task;
-  if (!MakeTaskFromFlags(flags, rng, &task)) return 1;
+  Status status = MakeTaskFromFlags(flags, rng, &task);
+  if (!status.ok()) return Fail(status);
   std::string method = flags.GetString("method", "pristi");
   std::unique_ptr<baselines::Imputer> imputer;
   if (method == "pristi" || method == "csdi") {
-    eval::DiffusionRunOptions options = RunOptions(flags, task);
+    eval::DiffusionRunOptions options;
+    status = RunOptions(flags, task, &options);
+    if (!status.ok()) return Fail(status);
     if (method == "pristi") {
       imputer = eval::MakePristiImputer(ModelConfig(flags, task),
                                         task.dataset.graph.adjacency,
@@ -388,7 +438,11 @@ int CmdEvaluate(const Flags& flags) {
     }
   } else {
     imputer = MakeBaseline(method, flags, task, rng);
-    CHECK(imputer != nullptr) << "unknown --method " << method;
+    if (imputer == nullptr) {
+      return Fail(InvalidFlag("unknown --method " + method +
+                              " (pristi|csdi|mean|da|knn|lin-itp|kf|mice|"
+                              "var|trmf|batf|stmvl|brits|grin)"));
+    }
   }
   eval::EvaluateOptions eval_options;
   eval_options.crps_samples = flags.GetInt("crps-samples", 0);
@@ -451,8 +505,12 @@ int Main(int argc, char** argv) {
   } else {
     return Usage();
   }
-  for (const std::string& key : flags.UnqueriedKeys()) {
-    PRISTI_LOG_WARNING << "unused flag --" << key;
+  // A failed command stops reading flags early, so only a finished one
+  // can tell an unused flag from an unread one.
+  if (status == 0) {
+    for (const std::string& key : flags.UnqueriedKeys()) {
+      PRISTI_LOG_WARNING << "unused flag --" << key;
+    }
   }
   return status;
 }

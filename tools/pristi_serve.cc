@@ -24,8 +24,9 @@
 //   stats                   session counters
 //   quit                    drain and exit (EOF does the same)
 //
-// A flag that fails serve::ValidateServeConfig, or an unknown --sampler,
-// is reported on stderr and exits 1.
+// A flag that fails serve::ValidateServeConfig, an unknown --sampler or
+// --pattern, or a --data / --model file that cannot be loaded is reported
+// on stderr and exits 1.
 
 #include <algorithm>
 #include <cstdio>
@@ -47,17 +48,6 @@
 
 namespace pristi {
 namespace {
-
-data::MissingPattern PatternFromFlag(const std::string& name) {
-  if (name == "point") return data::MissingPattern::kPoint;
-  if (name == "block") return data::MissingPattern::kBlock;
-  if (name == "failure" || name == "simulated_failure") {
-    return data::MissingPattern::kSimulatedFailure;
-  }
-  PRISTI_LOG_FATAL << "unknown --pattern " << name
-                   << " (point|block|failure)";
-  return data::MissingPattern::kPoint;
-}
 
 struct Outstanding {
   int64_t id = 0;
@@ -110,13 +100,23 @@ int Main(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
 
+  std::string pattern_name = flags.GetString("pattern", "point");
+  data::MissingPattern pattern;
+  if (!data::ParseMissingPattern(pattern_name, &pattern)) {
+    std::fprintf(stderr,
+                 "pristi_serve: invalid-request: unknown --pattern %s "
+                 "(point|block|failure)\n",
+                 pattern_name.c_str());
+    return 1;
+  }
+
   std::string data_path = flags.GetString("data");
   data::SpatioTemporalDataset dataset;
   if (!data_path.empty()) {
     Status status = data::ReadBinaryDataset(data_path, &dataset);
     if (!status.ok()) {
-      std::fprintf(stderr, "cannot load --data: %s\n",
-                   status.ToString().c_str());
+      std::fprintf(stderr, "pristi_serve: cannot load --data %s: %s\n",
+                   data_path.c_str(), status.ToString().c_str());
       return 1;
     }
   } else {
@@ -127,9 +127,7 @@ int Main(int argc, char** argv) {
   task_options.window_len = flags.GetInt("window", 16);
   task_options.stride = flags.GetInt("stride", 4);
   data::ImputationTask task =
-      data::MakeTask(std::move(dataset),
-                     PatternFromFlag(flags.GetString("pattern", "point")),
-                     task_options, rng);
+      data::MakeTask(std::move(dataset), pattern, task_options, rng);
 
   core::PristiConfig model_config;
   model_config.num_nodes = task.dataset.num_nodes;
@@ -150,7 +148,11 @@ int Main(int argc, char** argv) {
   std::string ckpt = flags.GetString("model");
   if (!ckpt.empty()) {
     Status status = serialize::LoadModuleCheckpointFile(*model, ckpt);
-    CHECK(status.ok()) << "cannot load " << ckpt << ": " << status.ToString();
+    if (!status.ok()) {
+      std::fprintf(stderr, "pristi_serve: cannot load --model %s: %s\n",
+                   ckpt.c_str(), status.ToString().c_str());
+      return 1;
+    }
     std::printf("loaded checkpoint %s\n", ckpt.c_str());
   } else {
     PRISTI_LOG_WARNING << "--model not given; serving an untrained model";

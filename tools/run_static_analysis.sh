@@ -14,8 +14,9 @@
 #                    override with PRISTI_SANITIZE_CONFIGS), a dedicated
 #                    build tree with -DPRISTI_SANITIZE=<preset> running the
 #                    gating ctest suite under instrumented binaries
-#                    (`-LE bench`: the perf sweeps measure throughput and
-#                    the parity sweep trains a model — their code paths
+#                    (`-LE bench`: that label holds the slow assertion
+#                    tests — sampler_parity trains a model and
+#                    attention_bench peaks near 250 MB; their code paths
 #                    are exercised by the gating suites, and a training
 #                    run under TSan would dominate the matrix runtime).
 #                    RelWithDebInfo keeps optimized codegen (so data races
