@@ -95,7 +95,10 @@ Variable AddLike(const Variable& a, const Variable& b, float sign_b) {
   auto an = a.node();
   auto bn = b.node();
   return MakeOp(name, std::move(out), {a, b}, [an, bn, sign_b](const Tensor& g) {
-    an->AccumulateGrad(t::SumToShape(g, an->value.shape()));
+    if (!an->IsConstant()) {
+      an->AccumulateGrad(t::SumToShape(g, an->value.shape()));
+    }
+    if (bn->IsConstant()) return;
     Tensor gb = t::SumToShape(g, bn->value.shape());
     if (sign_b < 0) gb = t::Neg(gb);
     bn->AccumulateGrad(gb);
@@ -112,7 +115,11 @@ Variable Mul(const Variable& a, const Variable& b) {
   auto an = a.node();
   auto bn = b.node();
   return MakeOp("Mul", std::move(out), {a, b}, [an, bn](const Tensor& g) {
-    an->AccumulateGrad(t::SumToShape(t::Mul(g, bn->value), an->value.shape()));
+    if (!an->IsConstant()) {
+      an->AccumulateGrad(
+          t::SumToShape(t::Mul(g, bn->value), an->value.shape()));
+    }
+    if (bn->IsConstant()) return;
     bn->AccumulateGrad(t::SumToShape(t::Mul(g, an->value), bn->value.shape()));
   });
 }
@@ -122,7 +129,11 @@ Variable Div(const Variable& a, const Variable& b) {
   auto an = a.node();
   auto bn = b.node();
   return MakeOp("Div", std::move(out), {a, b}, [an, bn](const Tensor& g) {
-    an->AccumulateGrad(t::SumToShape(t::Div(g, bn->value), an->value.shape()));
+    if (!an->IsConstant()) {
+      an->AccumulateGrad(
+          t::SumToShape(t::Div(g, bn->value), an->value.shape()));
+    }
+    if (bn->IsConstant()) return;
     // d/db (a/b) = -a / b^2
     Tensor db = t::Neg(t::Div(t::Mul(g, an->value), t::Square(bn->value)));
     bn->AccumulateGrad(t::SumToShape(db, bn->value.shape()));
@@ -186,7 +197,7 @@ Variable Relu(const Variable& a) {
   return MakeOp("Relu", t::Relu(a.value()), {a}, [an](const Tensor& g) {
     Tensor masked(g.shape());
     const float* pg = g.data();
-    const float* px = an->value.data();
+    const float* px = std::as_const(an->value).data();
     float* po = masked.data();
     for (int64_t i = 0; i < g.numel(); ++i) {
       po[i] = px[i] > 0.0f ? pg[i] : 0.0f;
@@ -223,7 +234,7 @@ Variable Clamp(const Variable& a, float lo, float hi) {
                 [an, lo, hi](const Tensor& g) {
                   Tensor masked(g.shape());
                   const float* pg = g.data();
-                  const float* px = an->value.data();
+                  const float* px = std::as_const(an->value).data();
                   float* po = masked.data();
                   for (int64_t i = 0; i < g.numel(); ++i) {
                     po[i] = (px[i] > lo && px[i] < hi) ? pg[i] : 0.0f;
@@ -238,16 +249,16 @@ Variable Where(const Tensor& cond, const Variable& a, const Variable& b) {
   auto bn = b.node();
   Tensor cond_copy = cond;
   return MakeOp("Where", std::move(out), {a, b}, [an, bn, cond_copy](const Tensor& g) {
-    Tensor ga(g.shape()), gb(g.shape());
-    for (int64_t i = 0; i < g.numel(); ++i) {
-      if (cond_copy[i] > 0.5f) {
-        ga[i] = g[i];
-      } else {
-        gb[i] = g[i];
+    // Each side receives g where cond routes to it and zero elsewhere.
+    auto routed = [&](bool to_a) {
+      Tensor side(g.shape());
+      for (int64_t i = 0; i < g.numel(); ++i) {
+        if ((cond_copy[i] > 0.5f) == to_a) side[i] = g[i];
       }
-    }
-    an->AccumulateGrad(ga);
-    bn->AccumulateGrad(gb);
+      return side;
+    };
+    if (!an->IsConstant()) an->AccumulateGrad(routed(true));
+    if (!bn->IsConstant()) bn->AccumulateGrad(routed(false));
   });
 }
 
@@ -265,8 +276,8 @@ Variable MatMul(const Variable& a, const Variable& b) {
   auto an = a.node();
   auto bn = b.node();
   return MakeOp("MatMul", std::move(out), {a, b}, [an, bn](const Tensor& g) {
-    an->AccumulateGrad(t::MatMulNT(g, bn->value));
-    bn->AccumulateGrad(t::MatMulTN(an->value, g));
+    if (!an->IsConstant()) an->AccumulateGrad(t::MatMulNT(g, bn->value));
+    if (!bn->IsConstant()) bn->AccumulateGrad(t::MatMulTN(an->value, g));
   });
 }
 
@@ -276,8 +287,8 @@ Variable MatMulNT(const Variable& a, const Variable& b) {
   auto bn = b.node();
   return MakeOp("MatMulNT", std::move(out), {a, b}, [an, bn](const Tensor& g) {
     // out = a bᵀ: da = g b, db = gᵀ a.
-    an->AccumulateGrad(t::MatMul(g, bn->value));
-    bn->AccumulateGrad(t::MatMulTN(g, an->value));
+    if (!an->IsConstant()) an->AccumulateGrad(t::MatMul(g, bn->value));
+    if (!bn->IsConstant()) bn->AccumulateGrad(t::MatMulTN(g, an->value));
   });
 }
 
@@ -287,8 +298,8 @@ Variable MatMulTN(const Variable& a, const Variable& b) {
   auto bn = b.node();
   return MakeOp("MatMulTN", std::move(out), {a, b}, [an, bn](const Tensor& g) {
     // out = aᵀ b: da = b gᵀ, db = a g.
-    an->AccumulateGrad(t::MatMulNT(bn->value, g));
-    bn->AccumulateGrad(t::MatMul(an->value, g));
+    if (!an->IsConstant()) an->AccumulateGrad(t::MatMulNT(bn->value, g));
+    if (!bn->IsConstant()) bn->AccumulateGrad(t::MatMul(an->value, g));
   });
 }
 
@@ -297,8 +308,12 @@ Variable BatchedMatMul(const Variable& a, const Variable& b) {
   auto an = a.node();
   auto bn = b.node();
   return MakeOp("BatchedMatMul", std::move(out), {a, b}, [an, bn](const Tensor& g) {
-    an->AccumulateGrad(t::BatchedMatMulNT(g, bn->value));
-    bn->AccumulateGrad(t::BatchedMatMulTN(an->value, g));
+    if (!an->IsConstant()) {
+      an->AccumulateGrad(t::BatchedMatMulNT(g, bn->value));
+    }
+    if (!bn->IsConstant()) {
+      bn->AccumulateGrad(t::BatchedMatMulTN(an->value, g));
+    }
   });
 }
 
@@ -309,8 +324,12 @@ Variable BatchedMatMulNT(const Variable& a, const Variable& b) {
   return MakeOp("BatchedMatMulNT", std::move(out), {a, b},
                 [an, bn](const Tensor& g) {
                   // Per batch item: da = g b, db = gᵀ a.
-                  an->AccumulateGrad(t::BatchedMatMul(g, bn->value));
-                  bn->AccumulateGrad(t::BatchedMatMulTN(g, an->value));
+                  if (!an->IsConstant()) {
+                    an->AccumulateGrad(t::BatchedMatMul(g, bn->value));
+                  }
+                  if (!bn->IsConstant()) {
+                    bn->AccumulateGrad(t::BatchedMatMulTN(g, an->value));
+                  }
                 });
 }
 
@@ -321,8 +340,12 @@ Variable BatchedMatMulTN(const Variable& a, const Variable& b) {
   return MakeOp("BatchedMatMulTN", std::move(out), {a, b},
                 [an, bn](const Tensor& g) {
                   // Per batch item: da = b gᵀ, db = a g.
-                  an->AccumulateGrad(t::BatchedMatMulNT(bn->value, g));
-                  bn->AccumulateGrad(t::BatchedMatMul(an->value, g));
+                  if (!an->IsConstant()) {
+                    an->AccumulateGrad(t::BatchedMatMulNT(bn->value, g));
+                  }
+                  if (!bn->IsConstant()) {
+                    bn->AccumulateGrad(t::BatchedMatMul(an->value, g));
+                  }
                 });
 }
 
@@ -342,8 +365,12 @@ Variable BatchedMatMulNTScaled(const Variable& a, const Variable& b,
                   // verbatim: scale the upstream grad once, then
                   // da = gs b, db = gsᵀ a.
                   Tensor gs = t::MulScalar(g, scale);
-                  an->AccumulateGrad(t::BatchedMatMul(gs, bn->value));
-                  bn->AccumulateGrad(t::BatchedMatMulTN(gs, an->value));
+                  if (!an->IsConstant()) {
+                    an->AccumulateGrad(t::BatchedMatMul(gs, bn->value));
+                  }
+                  if (!bn->IsConstant()) {
+                    bn->AccumulateGrad(t::BatchedMatMulTN(gs, an->value));
+                  }
                 });
 }
 
@@ -404,7 +431,8 @@ Variable MatMulLastDim(const Variable& x, const Variable& w) {
   auto wn = w.node();
   return MakeOp("MatMulLastDim", std::move(out), {x, w}, [xn, wn](const Tensor& g) {
     // dx = g @ w^T applied along the last axis (w read transposed in place).
-    xn->AccumulateGrad(t::MatMulLastDimT(g, wn->value));
+    if (!xn->IsConstant()) xn->AccumulateGrad(t::MatMulLastDimT(g, wn->value));
+    if (wn->IsConstant()) return;
     // dw = x2d^T @ g2d where both are flattened to (rows, features).
     int64_t k_in = xn->value.dim(-1);
     int64_t k_out = g.dim(-1);
@@ -508,7 +536,10 @@ Variable LayerNormLastDim(const Variable& x, const Variable& gamma,
         Tensor dx(xn->value.shape());
         const float* pg = g.data();
         const float* ph = xhat.data();
-        const float* pgam = gn->value.data();
+        // A const read: gamma is a parameter that concurrent shard sweeps
+        // share, and the mutable data() would fork its storage while an
+        // EMA shadow still aliases it.
+        const float* pgam = std::as_const(gn->value).data();
         const float* pistd = inv_std.data();
         float* pdg = dgamma.data();
         float* pdb = dbeta.data();
@@ -591,8 +622,10 @@ Variable Concat(const std::vector<Variable>& parts, int64_t axis) {
                 [nodes, lengths, norm_axis](const Tensor& g) {
                   int64_t offset = 0;
                   for (size_t i = 0; i < nodes.size(); ++i) {
-                    nodes[i]->AccumulateGrad(
-                        t::SliceAxis(g, norm_axis, offset, lengths[i]));
+                    if (!nodes[i]->IsConstant()) {
+                      nodes[i]->AccumulateGrad(
+                          t::SliceAxis(g, norm_axis, offset, lengths[i]));
+                    }
                     offset += lengths[i];
                   }
                 });

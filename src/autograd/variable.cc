@@ -201,6 +201,11 @@ void Variable::Backward() {
       }
       node->backward_consumed = true;
       node->backward(node->grad);
+      // Every child has already sent its share (reverse topological order),
+      // so this interior gradient is dead: return its block to the pool now
+      // instead of when the graph is destroyed. Leaves have no closure and
+      // keep theirs; the consumed flag still catches a second sweep.
+      node->grad = Tensor();
     }
   }
 }

@@ -6,7 +6,10 @@
 // A `Variable` wraps a tensor value in a shared graph node. Operators in
 // ops.h build the computation graph eagerly; calling `Backward()` on a
 // scalar output propagates gradients to every reachable node that has
-// `requires_grad` set. Gradients accumulate across calls until `ZeroGrad()`.
+// `requires_grad` set. Leaf gradients accumulate across calls until
+// `ZeroGrad()`; an interior node's gradient is freed as soon as the sweep has
+// passed it to the node's parents, so after `Backward()` only leaves (and
+// GradCaptureScope buffers) hold one.
 //
 // The graph is dynamic (rebuilt every forward pass) which matches how the
 // diffusion training loop works: each iteration samples a new diffusion step
@@ -64,7 +67,8 @@ class Variable;
 //     unsynchronized write into the shared node is exactly the data race the
 //     scope exists to prevent;
 //   * interior nodes (those with a backward closure) accumulate normally —
-//     they are private to the sweep that built them.
+//     they are private to the sweep that built them, which frees each one
+//     once its closure has run.
 //
 // Scopes do not nest (checked) and must be destroyed on the thread that
 // created them. `targets` and `buffers` must stay alive for the scope's
@@ -83,7 +87,8 @@ namespace internal {
 // One node of the autodiff tape.
 struct Node {
   Tensor value;
-  // Lazily allocated on first accumulation; empty until then.
+  // Lazily allocated on first accumulation; empty until then. Backward()
+  // empties it again on interior nodes once their closure has run.
   Tensor grad;
   bool requires_grad = false;
   // Name of the operator that produced this node ("leaf" for leaves); used

@@ -18,7 +18,7 @@ MultiHeadAttention::MultiHeadAttention(int64_t d_model, int64_t num_heads,
       head_dim_(d_model / num_heads),
       virtual_nodes_(virtual_nodes) {
   PRISTI_CHECK_GT(num_heads, 0);
-  PRISTI_CHECK_EQ(d_model % num_heads, 0) << "d_model must divide num_heads";
+  PRISTI_CHECK_EQ(d_model % num_heads, 0) << "num_heads must divide d_model";
   wq_ = AddParameter("wq",
                      GlorotUniform({d_model, d_model}, d_model, d_model, rng));
   wk_ = AddParameter("wk",

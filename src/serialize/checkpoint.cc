@@ -243,6 +243,22 @@ Status WriteFileAtomic(const std::string& path,
   return Status::Ok();
 }
 
+Status ProbeFileAtomic(const std::string& path) {
+  std::error_code ec;
+  if (fs::is_directory(path, ec)) {
+    return Status::Error(ErrorCode::kIoError,
+                         "'" + path + "' is a directory");
+  }
+  // Opens exactly the temporary WriteFileAtomic will open, then drops it.
+  std::string tmp = path + ".tmp";
+  if (!std::ofstream(tmp, std::ios::binary | std::ios::trunc)) {
+    return Status::Error(ErrorCode::kIoError,
+                         "cannot open '" + tmp + "' for writing");
+  }
+  fs::remove(tmp, ec);
+  return Status::Ok();
+}
+
 Status ParseCheckpointFile(const std::string& path, CheckpointView* view,
                            bool keep_corrupt) {
   std::ifstream in(path, std::ios::binary);

@@ -72,6 +72,11 @@ Status LoadModuleCheckpointFile(nn::Module& module, const std::string& path);
 Status WriteFileAtomic(const std::string& path,
                        const std::function<Status(std::ostream&)>& write_fn);
 
+// Checks, before any costly work, that a later WriteFileAtomic(path) can open
+// its temporary file and that `path` is not a directory. Neither creates nor
+// truncates `path`: an existing file there survives the probe untouched.
+Status ProbeFileAtomic(const std::string& path);
+
 // Parses `path` into `view` (strict mode unless keep_corrupt).
 Status ParseCheckpointFile(const std::string& path, CheckpointView* view,
                            bool keep_corrupt = false);

@@ -1,6 +1,7 @@
 #include "tensor/storage.h"
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <mutex>
 #include <vector>
@@ -16,12 +17,16 @@ void PackCacheOnStorageDestroyed(uint64_t storage_id);
 namespace pristi::tensor {
 namespace {
 
-// Buckets are powers of two from 64 floats (256 B — below that the header
-// overhead dominates and glibc's fastbins are already fine) up to 1 Gi
-// floats (4 GiB). Requests above the top bucket bypass the pool entirely.
-constexpr int kMinBucketLog2 = 6;
-constexpr int kMaxBucketLog2 = 30;
-constexpr int kNumBuckets = kMaxBucketLog2 - kMinBucketLog2 + 1;
+// Size classes: four per octave, 2^e * {1, 1.25, 1.5, 1.75} floats, from 64
+// floats (256 B — below that the header overhead dominates and glibc's
+// fastbins are already fine) up to 2^30 floats (4 GiB). A request rounds up
+// to its class, so a block holds at most 1.25x its request. Requests above
+// the top class bypass the pool.
+constexpr int kMinClassLog2 = 6;
+constexpr int kMaxClassLog2 = 30;
+constexpr int kClassesPerOctave = 4;
+constexpr int kNumBuckets =
+    (kMaxClassLog2 - kMinClassLog2) * kClassesPerOctave + 1;
 // Blocks a thread keeps privately per bucket before spilling to the shared
 // free list. The sampler's steady state needs only a handful of distinct
 // sizes live at once, so a shallow cache captures nearly all reuse.
@@ -30,15 +35,23 @@ constexpr int kThreadCacheDepth = 4;
 // would push the pool past it goes back to the heap instead.
 constexpr uint64_t kMaxPooledBytes = uint64_t{512} << 20;
 
+// The smallest class holding `numel` floats, or -1 above the top class.
+// Class 4k + m (m in 0..3) holds 2^(6+k) * (4 + m) / 4 floats.
 int BucketFor(int64_t numel) {
-  if (numel > (int64_t{1} << kMaxBucketLog2)) return -1;
-  int bucket = 0;
-  while ((int64_t{1} << (kMinBucketLog2 + bucket)) < numel) ++bucket;
-  return bucket;
+  if (numel > (int64_t{1} << kMaxClassLog2)) return -1;
+  if (numel <= (int64_t{1} << kMinClassLog2)) return 0;
+  // numel lies in (2^e, 2^(e+1)]; count the quarter-octave steps above 2^e
+  // it needs (1..4, where 4 is the next octave's first class).
+  const int e = std::bit_width(static_cast<uint64_t>(numel - 1)) - 1;
+  const int64_t step = int64_t{1} << (e - 2);
+  const int64_t quarters = (numel - (int64_t{1} << e) + step - 1) / step;
+  return (e - kMinClassLog2) * kClassesPerOctave + static_cast<int>(quarters);
 }
 
 int64_t BucketCapacity(int bucket) {
-  return int64_t{1} << (kMinBucketLog2 + bucket);
+  const int e = kMinClassLog2 + bucket / kClassesPerOctave;
+  const int64_t quarters = kClassesPerOctave + bucket % kClassesPerOctave;
+  return quarters << (e - 2);
 }
 
 struct Counters {

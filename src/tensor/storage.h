@@ -6,8 +6,9 @@
 // `Storage` is the single buffer type behind tensor::Tensor: a Tensor is a
 // cheap header (shape + offset + shared_ptr<Storage>), so copies and views
 // share one block and copy-on-write forks it only on mutation. Blocks come
-// from a process-wide, size-bucketed BufferPool: freeing a Storage returns
-// its block to the pool, and the next allocation of a similar size reuses
+// from a process-wide BufferPool with four size classes per octave
+// (2^e * {1, 1.25, 1.5, 1.75} floats): freeing a Storage returns its block
+// to the pool, and the next allocation in the same class reuses
 // it instead of touching the heap, so reverse-diffusion steps recycle the
 // previous step's activation buffers at pool-hit cost, with no mmap/munmap
 // churn.
@@ -34,7 +35,7 @@ namespace pristi::tensor {
 // Storage blocks asked for, `pool_hits` the ones served by recycling, and
 // `heap_allocs` the ones that actually touched the heap — so
 // requests/heap_allocs is the "fewer heap allocations" factor the pool
-// buys. Byte counters track bucket-rounded capacities.
+// buys. Byte counters track class-rounded capacities.
 struct AllocStats {
   uint64_t requests = 0;         // Storage blocks requested
   uint64_t pool_hits = 0;        // served by recycling a pooled block
@@ -74,7 +75,7 @@ class Storage {
 
   float* data() { return data_; }
   const float* data() const { return data_; }
-  // Requested size in floats (the bucket capacity may be larger).
+  // Requested size in floats (its size class may hold up to 1.25x more).
   int64_t size() const { return size_; }
 
   // Identity for content-addressed caches (the GEMM pack cache in
@@ -101,7 +102,7 @@ class Storage {
  private:
   float* data_ = nullptr;
   int64_t size_ = 0;
-  int32_t bucket_ = -1;  // free-list index; -1 = unpooled (oversized/disabled)
+  int32_t bucket_ = -1;  // size class; -1 = unpooled (above the top class)
   uint64_t id_ = 0;  // process-unique (atomic counter, not the address)
   std::atomic<uint64_t> version_{0};  // mutations; bumped via BumpVersion()
 };

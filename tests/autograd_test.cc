@@ -4,7 +4,11 @@
 #include "autograd/ops.h"
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -372,6 +376,107 @@ TEST(MatMulNodeDimGrad, ConstantSupportSkipsItsGradient) {
   EXPECT_TRUE(x_adaptive.has_grad());
 }
 
+using BinaryOp = std::function<Variable(const Variable&, const Variable&)>;
+
+// GEMM calls made by the backward sweep of sum(probe * op(a, b)).
+uint64_t BackwardGemms(const BinaryOp& op, const Variable& a,
+                       const Variable& b, const Tensor& probe) {
+  Variable loss = SumAll(Mul(op(a, b), Constant(probe)));
+  uint64_t before = t::kernels::GetKernelStats().gemm_calls;
+  loss.Backward();
+  return t::kernels::GetKernelStats().gemm_calls - before;
+}
+
+// Every MatMul-family closure skips the GEMM of a constant operand's
+// gradient, and the other operand's gradient keeps its bits.
+TEST(ConstantOperandGrad, MatMulFamilySkipsTheConstantsGemm) {
+  Rng rng(43);
+  struct Case {
+    const char* name;
+    BinaryOp op;
+    Shape a, b, out;
+  };
+  const Case cases[] = {
+      {"MatMul", MatMul, {3, 4}, {4, 5}, {3, 5}},
+      {"MatMulNT", MatMulNT, {3, 4}, {5, 4}, {3, 5}},
+      {"MatMulTN", MatMulTN, {4, 3}, {4, 5}, {3, 5}},
+      {"BatchedMatMul", BatchedMatMul, {2, 3, 4}, {2, 4, 5}, {2, 3, 5}},
+      {"BatchedMatMulNT", BatchedMatMulNT, {2, 3, 4}, {2, 5, 4}, {2, 3, 5}},
+      {"BatchedMatMulTN", BatchedMatMulTN, {2, 4, 3}, {2, 4, 5}, {2, 3, 5}},
+      {"MatMulLastDim", MatMulLastDim, {2, 3, 4}, {4, 5}, {2, 3, 5}},
+      {"BatchedMatMulNTScaled",
+       [](const Variable& a, const Variable& b) {
+         return BatchedMatMulNTScaled(a, b, 0.5f);
+       },
+       {2, 3, 4},
+       {2, 5, 4},
+       {2, 3, 5}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Tensor a_value = Tensor::Randn(c.a, rng);
+    Tensor b_value = Tensor::Randn(c.b, rng);
+    Tensor probe = Tensor::Randn(c.out, rng);
+    Variable a_param(a_value, true), b_param(b_value, true);
+    EXPECT_EQ(BackwardGemms(c.op, a_param, b_param, probe), 2u);
+
+    Variable a_only(a_value, true), b_fixed = Constant(b_value);
+    EXPECT_EQ(BackwardGemms(c.op, a_only, b_fixed, probe), 1u);
+    EXPECT_FALSE(b_fixed.has_grad());
+    EXPECT_TRUE(AllClose(a_only.grad(), a_param.grad(), 0.0f, 0.0f));
+
+    Variable a_fixed = Constant(a_value), b_only(b_value, true);
+    EXPECT_EQ(BackwardGemms(c.op, a_fixed, b_only, probe), 1u);
+    EXPECT_FALSE(a_fixed.has_grad());
+    EXPECT_TRUE(AllClose(b_only.grad(), b_param.grad(), 0.0f, 0.0f));
+  }
+}
+
+// The elementwise, Where and Concat closures leave a constant operand
+// without a gradient and give the other operand the same bits as when both
+// are parameters.
+TEST(ConstantOperandGrad, ElementwiseWhereConcatSkipTheConstant) {
+  Rng rng(44);
+  Tensor a_value = Tensor::Randn({3, 4}, rng);
+  Tensor b_value = Tensor::Rand({3, 4}, rng, 1.0f, 2.0f);
+  Tensor cond = Tensor::Rand({3, 4}, rng);
+  Tensor probe = Tensor::Randn({3, 4}, rng);
+  Tensor probe_cat = Tensor::Randn({3, 8}, rng);
+  const std::pair<const char*, BinaryOp> ops[] = {
+      {"Add", Add},
+      {"Sub", Sub},
+      {"Mul", Mul},
+      {"Div", Div},
+      {"Where",
+       [&](const Variable& a, const Variable& b) {
+         return Where(cond, a, b);
+       }},
+      {"Concat",
+       [](const Variable& a, const Variable& b) {
+         return Concat({a, b}, -1);
+       }},
+  };
+  for (const auto& [name, op] : ops) {
+    SCOPED_TRACE(name);
+    const Tensor& p = std::string(name) == "Concat" ? probe_cat : probe;
+    auto backward = [&](const Variable& a, const Variable& b) {
+      SumAll(Mul(op(a, b), Constant(p))).Backward();
+    };
+    Variable a_param(a_value, true), b_param(b_value, true);
+    backward(a_param, b_param);
+
+    Variable a_only(a_value, true), b_fixed = Constant(b_value);
+    backward(a_only, b_fixed);
+    EXPECT_FALSE(b_fixed.has_grad());
+    EXPECT_TRUE(AllClose(a_only.grad(), a_param.grad(), 0.0f, 0.0f));
+
+    Variable a_fixed = Constant(a_value), b_only(b_value, true);
+    backward(a_fixed, b_only);
+    EXPECT_FALSE(a_fixed.has_grad());
+    EXPECT_TRUE(AllClose(b_only.grad(), b_param.grad(), 0.0f, 0.0f));
+  }
+}
+
 TEST(GradCheck, SoftmaxLastDim) {
   Rng rng(10);
   Tensor probe = Tensor::Randn({3, 4}, rng);
@@ -503,6 +608,57 @@ TEST(GradCheck, MakeCustomOp) {
       },
       {Tensor::Randn({4}, rng)});
   EXPECT_TRUE(r.ok) << r.message;
+}
+
+// ---------------------------------------------------------------------------
+// Gradient lifetime: Backward() frees each interior gradient once its
+// closure has run; only leaves keep theirs.
+// ---------------------------------------------------------------------------
+
+// Live allocator bytes seen from the bottom of a chain of `k` Reshapes (zero-
+// copy views, so the forward pass allocates nothing per link) when the
+// sweep reaches it. Every link's gradient is a fresh buffer; freed as the
+// sweep passes, they never pile up, so the reading does not depend on `k`.
+uint64_t LiveBytesAtChainBottom(int k) {
+  Variable x(Tensor::Ones({64, 64}), /*requires_grad=*/true);
+  uint64_t live = 0;
+  auto xn = x.node();
+  Variable y = MakeCustomOp(x.value(), {x}, [xn, &live](const Tensor& g) {
+    live = t::GetAllocStats().live_bytes;
+    xn->AccumulateGrad(g);
+  });
+  for (int i = 0; i < k; ++i) {
+    y = Reshape(y, i % 2 == 0 ? Shape{4096} : Shape{64, 64});
+  }
+  SumAll(y).Backward();
+  return live;
+}
+
+TEST(GradientLifetime, PeakDoesNotGrowWithChainLength) {
+  const int64_t grad_bytes = 4096 * sizeof(float);
+  const int64_t short_chain = static_cast<int64_t>(LiveBytesAtChainBottom(8));
+  const int64_t long_chain = static_cast<int64_t>(LiveBytesAtChainBottom(64));
+  EXPECT_LT(std::abs(long_chain - short_chain), grad_bytes)
+      << "live bytes at the chain bottom grew from " << short_chain << " (K=8)"
+      << " to " << long_chain << " (K=64)";
+}
+
+TEST(GradientLifetime, OnlyLeavesKeepGradientsAfterBackward) {
+  Rng rng(45);
+  Variable x(Tensor::Randn({3, 4}, rng), /*requires_grad=*/true);
+  Variable w(Tensor::Randn({4, 2}, rng), /*requires_grad=*/true);
+  Variable hidden = MatMul(x, w);
+  Variable activated = Tanh(hidden);
+  Variable loss = SumAll(Square(activated));
+  loss.Backward();
+  EXPECT_TRUE(x.has_grad());
+  EXPECT_TRUE(w.has_grad());
+  EXPECT_FALSE(hidden.has_grad());
+  EXPECT_FALSE(activated.has_grad());
+  EXPECT_FALSE(loss.has_grad());
+  // The consumed closures still flag a second sweep through the graph.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(loss.Backward(), "double backward through op");
 }
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@
 # Usage: cli_flags_test.sh <path to pristi_cli>
 #
 # Each case below — an unknown --preset, --pattern, --sampler or --method,
-# --samples=0, a --model checkpoint that cannot be loaded, and an --out,
-# --csv or --model-out file that cannot be written — must exit 1 with a
-# "pristi_cli: " line on stderr and no "Check failed".
+# --samples=0, a --heads that does not divide --channels, a --model
+# checkpoint that cannot be loaded, and an --out, --csv or --model-out file
+# that cannot be written — must exit 1 with a "pristi_cli: " line on stderr
+# and no "Check failed". None may train first: an unwritable --model-out
+# fails before epoch 0 and leaves an existing checkpoint there intact.
 #
 # Exits 1 on any failure.
 
@@ -34,6 +36,13 @@ data="$tmp/d.bin"
 
 missing="$tmp/no_such_dir"
 small="--data=$data --samples=2 --steps-diffusion=4"
+# A checkpoint whose save temporary cannot be opened (a directory sits at
+# its name) must survive a train that fails on it.
+kept="$tmp/kept.ckpt"
+"$cli" save --data="$data" --out="$kept" > "$tmp/setup.out" 2>&1 ||
+  { cat "$tmp/setup.out" >&2; exit 1; }
+cp "$kept" "$tmp/kept.orig"
+mkdir "$kept.tmp"
 cases=(
   "generate --preset=bogus --out=$tmp/g.bin"
   "evaluate --preset=bogus --method=mean"
@@ -46,6 +55,10 @@ cases=(
   "generate --preset=aqi --nodes=4 --steps=48 --out=$tmp/g.bin --csv=$missing/g.csv"
   "impute $small --out=$missing/i.csv"
   "train $small --epochs=1 --model-out=$missing/m.ckpt"
+  "train $small --epochs=1 --model-out=$kept"
+  "impute $small --heads=3 --out=$tmp/i.csv"
+  "train $small --epochs=1 --heads=0 --model-out=$tmp/m.ckpt"
+  "evaluate --data=$data --method=csdi --epochs=1 --heads=5"
 )
 for args in "${cases[@]}"; do
   # shellcheck disable=SC2086  # each case is a word-split argument list
@@ -55,7 +68,10 @@ for args in "${cases[@]}"; do
   grep -q 'Check failed' "$tmp/case.err" && fail "'$args' aborted"
   grep -q '^pristi_cli: ' "$tmp/case.err" ||
     fail "'$args' printed no pristi_cli: message"
+  grep -q '^epoch' "$tmp/case.out" && fail "'$args' trained before failing"
 done
+cmp -s "$kept" "$tmp/kept.orig" ||
+  fail "a failed train changed the checkpoint at its --model-out"
 
 if [ "$failures" -ne 0 ]; then
   echo "cli_flags: $failures failure(s)" >&2

@@ -3,6 +3,7 @@
 #include "tensor/tensor.h"
 
 #include <cmath>
+#include <memory>
 #include <sstream>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "common/rng.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/kernels/pack_cache.h"
+#include "tensor/storage.h"
 
 namespace pristi::tensor {
 namespace {
@@ -571,6 +573,55 @@ TEST(SharedStorage, PoolRecyclesFreedBlocks) {
   AllocStats after = GetAllocStats();
   EXPECT_GT(after.pool_hits, before.pool_hits);
   EXPECT_EQ(after.heap_allocs, before.heap_allocs);
+}
+
+// Capacity bytes a fresh block of `numel` floats adds to the live counter.
+uint64_t BlockCapacityBytes(int64_t numel) {
+  const uint64_t before = GetAllocStats().live_bytes;
+  std::shared_ptr<Storage> block = Storage::Allocate(numel);
+  return GetAllocStats().live_bytes - before;
+}
+
+// Blocks come in four size classes per octave, 2^e * {1, 1.25, 1.5, 1.75}
+// floats, so above the 64-float minimum no block holds more than 1.25x its
+// request.
+TEST(SharedStorage, SizeClassesHoldAtMostAQuarterMore) {
+  EXPECT_EQ(BlockCapacityBytes(1), 64 * sizeof(float));
+  EXPECT_EQ(BlockCapacityBytes(64), 64 * sizeof(float));
+  std::vector<int64_t> sizes;
+  for (int64_t n = 65; n <= 4096; ++n) sizes.push_back(n);
+  for (int64_t p = int64_t{1} << 13; p <= (int64_t{1} << 22); p <<= 1) {
+    for (int64_t n : {p - 1, p, p + 1, p + p / 4, p + p / 4 + 1}) {
+      sizes.push_back(n);
+    }
+  }
+  // An activation and an MPNN concat of the METR-LA training shapes.
+  sizes.push_back(79488);
+  sizes.push_back(556416);
+  for (int64_t n : sizes) {
+    const uint64_t capacity = BlockCapacityBytes(n) / sizeof(float);
+    EXPECT_GE(capacity, static_cast<uint64_t>(n)) << "numel " << n;
+    EXPECT_LE(capacity * 4, static_cast<uint64_t>(n) * 5) << "numel " << n;
+  }
+  EXPECT_EQ(BlockCapacityBytes(79488), 81920 * sizeof(float));
+  EXPECT_EQ(BlockCapacityBytes(556416), 655360 * sizeof(float));
+}
+
+TEST(SharedStorage, FreedBlockServesTheNextRequestInItsClass) {
+  // 1100 and 1280 floats share the 1280-float class (1024 * 1.25).
+  ASSERT_EQ(BlockCapacityBytes(1100), BlockCapacityBytes(1280));
+  float* freed = nullptr;
+  {
+    std::shared_ptr<Storage> block = Storage::Allocate(1100);
+    freed = block->data();
+  }
+  AllocStats before = GetAllocStats();
+  std::shared_ptr<Storage> reuse = Storage::Allocate(1280);
+  AllocStats after = GetAllocStats();
+  EXPECT_EQ(after.pool_hits, before.pool_hits + 1);
+  EXPECT_EQ(after.heap_allocs, before.heap_allocs);
+  // The freed block sits on top of this thread's cache for the class.
+  EXPECT_EQ(reuse->data(), freed);
 }
 
 TEST(SharedStorage, RecycledBlocksArriveZeroed) {

@@ -59,6 +59,11 @@ Status LoadFailed(const std::string& flag, const std::string& path,
                                           ": " + status.message());
 }
 
+Status ModelOutFailed(const std::string& path, const Status& status) {
+  return Status::Error(status.code(), "cannot write --model-out " + path +
+                                          ": " + status.message());
+}
+
 // Preset name -> generator config; shared by `generate` and the on-the-fly
 // fallback of every data-consuming subcommand.
 Status PresetConfig(const std::string& preset, int64_t nodes, int64_t steps,
@@ -109,9 +114,18 @@ Status LoadOrGenerate(const Flags& flags, Rng& rng,
   return Status::Ok();
 }
 
-core::PristiConfig ModelConfig(const Flags& flags,
-                               const data::ImputationTask& task) {
-  core::PristiConfig config;
+// The attention layers split the channels evenly across the heads.
+Status CheckHeads(int64_t channels, int64_t heads) {
+  if (heads < 1 || channels % heads != 0) {
+    return InvalidFlag("--heads=" + std::to_string(heads) +
+                       " must divide --channels=" + std::to_string(channels));
+  }
+  return Status::Ok();
+}
+
+Status ModelConfig(const Flags& flags, const data::ImputationTask& task,
+                   core::PristiConfig* out) {
+  core::PristiConfig& config = *out;
   config.num_nodes = task.dataset.num_nodes;
   config.window_len = task.window_len;
   config.channels = flags.GetInt("channels", 16);
@@ -123,7 +137,7 @@ core::PristiConfig ModelConfig(const Flags& flags,
   config.temporal_emb_dim = flags.GetInt("temporal-emb", 32);
   config.node_emb_dim = flags.GetInt("node-emb", 16);
   config.adaptive_rank = flags.GetInt("adaptive-rank", 6);
-  return config;
+  return CheckHeads(config.channels, config.heads);
 }
 
 Status RunOptions(const Flags& flags, const data::ImputationTask& task,
@@ -220,10 +234,16 @@ int CmdTrain(const Flags& flags) {
   data::ImputationTask task;
   Status status = MakeTaskFromFlags(flags, rng, &task);
   if (!status.ok()) return Fail(status);
-  core::PristiConfig config = ModelConfig(flags, task);
+  core::PristiConfig config;
+  status = ModelConfig(flags, task, &config);
+  if (!status.ok()) return Fail(status);
   eval::DiffusionRunOptions options;
   status = RunOptions(flags, task, &options);
   if (!status.ok()) return Fail(status);
+  // Fail now, not after the last epoch, if the checkpoint cannot be saved.
+  std::string out = flags.GetString("model-out", "pristi.ckpt");
+  status = serialize::ProbeFileAtomic(out);
+  if (!status.ok()) return Fail(ModelOutFailed(out, status));
   options.train.on_epoch = [](int64_t epoch, double loss) {
     if (epoch % 5 == 0) {
       std::printf("epoch %3lld  loss %.4f\n", static_cast<long long>(epoch),
@@ -239,13 +259,8 @@ int CmdTrain(const Flags& flags) {
               static_cast<long long>(model->ParameterCount()));
   diffusion::TrainDiffusionModel(model.get(), schedule, task, options.train,
                                  rng);
-  std::string out = flags.GetString("model-out", "pristi.ckpt");
   status = serialize::SaveModuleCheckpointFile(*model, out);
-  if (!status.ok()) {
-    return Fail(Status::Error(status.code(), "cannot write --model-out " +
-                                                 out + ": " +
-                                                 status.message()));
-  }
+  if (!status.ok()) return Fail(ModelOutFailed(out, status));
   std::printf("saved checkpoint to %s\n", out.c_str());
   return 0;
 }
@@ -255,7 +270,9 @@ int CmdImpute(const Flags& flags) {
   data::ImputationTask task;
   Status status = MakeTaskFromFlags(flags, rng, &task);
   if (!status.ok()) return Fail(status);
-  core::PristiConfig config = ModelConfig(flags, task);
+  core::PristiConfig config;
+  status = ModelConfig(flags, task, &config);
+  if (!status.ok()) return Fail(status);
   eval::DiffusionRunOptions options;
   status = RunOptions(flags, task, &options);
   if (!status.ok()) return Fail(status);
@@ -293,7 +310,9 @@ int CmdSave(const Flags& flags) {
   data::ImputationTask task;
   Status status = MakeTaskFromFlags(flags, rng, &task);
   if (!status.ok()) return Fail(status);
-  core::PristiConfig config = ModelConfig(flags, task);
+  core::PristiConfig config;
+  status = ModelConfig(flags, task, &config);
+  if (!status.ok()) return Fail(status);
   core::PristiModel model(config, task.dataset.graph.adjacency, rng);
   std::string out = flags.GetString("out", "pristi.ckpt");
   status = serialize::SaveModuleCheckpointFile(model, out);
@@ -313,7 +332,9 @@ int CmdLoad(const Flags& flags) {
   data::ImputationTask task;
   Status status = MakeTaskFromFlags(flags, rng, &task);
   if (!status.ok()) return Fail(status);
-  core::PristiConfig config = ModelConfig(flags, task);
+  core::PristiConfig config;
+  status = ModelConfig(flags, task, &config);
+  if (!status.ok()) return Fail(status);
   core::PristiModel model(config, task.dataset.graph.adjacency, rng);
   std::string path = flags.GetString("model");
   if (path.empty()) {
@@ -424,8 +445,10 @@ int CmdEvaluate(const Flags& flags) {
     status = RunOptions(flags, task, &options);
     if (!status.ok()) return Fail(status);
     if (method == "pristi") {
-      imputer = eval::MakePristiImputer(ModelConfig(flags, task),
-                                        task.dataset.graph.adjacency,
+      core::PristiConfig config;
+      status = ModelConfig(flags, task, &config);
+      if (!status.ok()) return Fail(status);
+      imputer = eval::MakePristiImputer(config, task.dataset.graph.adjacency,
                                         options, rng);
     } else {
       baselines::CsdiConfig config;
@@ -434,6 +457,8 @@ int CmdEvaluate(const Flags& flags) {
       config.channels = flags.GetInt("channels", 16);
       config.heads = flags.GetInt("heads", 4);
       config.layers = flags.GetInt("layers", 2);
+      status = CheckHeads(config.channels, config.heads);
+      if (!status.ok()) return Fail(status);
       imputer = eval::MakeCsdiImputer(config, options, rng);
     }
   } else {
