@@ -8,12 +8,14 @@
 #include "common/check.h"
 #include "common/parallel.h"
 #include "tensor/kernels/attention.h"
+#include "tensor/kernels/kernels.h"
 
 namespace pristi::autograd {
 
 namespace {
 
 namespace t = ::pristi::tensor;
+namespace kn = ::pristi::tensor::kernels;
 
 using internal::Node;
 
@@ -441,6 +443,78 @@ Variable MatMulLastDim(const Variable& x, const Variable& w) {
     Tensor g2d = g.Reshaped({rows, k_out});
     wn->AccumulateGrad(t::MatMulTN(x2d, g2d));
   });
+}
+
+ConcatMatMulLastDim::ConcatMatMulLastDim(const Variable& w, int64_t num_parts)
+    : w_(w), num_parts_(num_parts), record_(GradModeEnabled()) {
+  PRISTI_CHECK_EQ(w_.value().ndim(), 2);
+  PRISTI_CHECK_GT(num_parts_, 0);
+  PRISTI_CHECK_EQ(w_.value().dim(0) % num_parts_, 0)
+      << "weight rows must split evenly across the parts";
+  d_in_ = w_.value().dim(0) / num_parts_;
+  if (record_) parts_.reserve(static_cast<size_t>(num_parts_) + 1);
+}
+
+void ConcatMatMulLastDim::Append(const Variable& part) {
+  PRISTI_CHECK(part.defined())
+      << "ConcatMatMulLastDim received an undefined part";
+  PRISTI_CHECK_LT(appended_, num_parts_) << "more parts than the weight has";
+  const Tensor& x = part.value();
+  PRISTI_CHECK_EQ(x.dim(-1), d_in_) << "ConcatMatMulLastDim part width";
+  const int64_t d_out = w_.value().dim(1);
+  Shape out_shape = x.shape();
+  out_shape.back() = d_out;
+  if (appended_ == 0) {
+    out_ = Tensor(std::move(out_shape));
+  } else {
+    PRISTI_CHECK(t::ShapesEqual(out_shape, out_.shape()))
+        << "ConcatMatMulLastDim parts disagree on their leading dims";
+  }
+  // A const view: the mutable data() would fork the weight's storage and
+  // miss the pack cache on every call.
+  const Tensor w_slice = w_.value().SliceLeading(appended_ * d_in_, d_in_);
+  kn::Gemm(kn::Layout::kNormal, kn::Layout::kNormal, x.numel() / d_in_, d_out,
+           d_in_, x.data(), w_slice.data(), out_.data(), /*cache_a=*/nullptr,
+           /*cache_b=*/&w_slice);
+  if (record_) parts_.push_back(part);
+  ++appended_;
+}
+
+Variable ConcatMatMulLastDim::Finish() {
+  PRISTI_CHECK_EQ(appended_, num_parts_)
+      << "ConcatMatMulLastDim is missing parts";
+  PRISTI_CHECK_EQ(record_, GradModeEnabled())
+      << "grad mode changed while ConcatMatMulLastDim was open";
+  std::vector<Variable> inputs = std::move(parts_);
+  std::vector<std::shared_ptr<Node>> part_nodes;
+  part_nodes.reserve(inputs.size());
+  for (const Variable& part : inputs) part_nodes.push_back(part.node());
+  inputs.push_back(w_);
+  auto wn = w_.node();
+  const int64_t d_in = d_in_;
+  Tensor out = std::move(out_);
+  return MakeOp(
+      "ConcatMatMulLastDim", std::move(out), inputs,
+      [part_nodes, wn, d_in](const Tensor& g) {
+        // dpart_i = g @ w_iᵀ, in part order as Concat's slices were.
+        for (size_t i = 0; i < part_nodes.size(); ++i) {
+          if (part_nodes[i]->IsConstant()) continue;
+          part_nodes[i]->AccumulateGrad(t::MatMulLastDimT(
+              g, wn->value.SliceLeading(static_cast<int64_t>(i) * d_in, d_in)));
+        }
+        if (wn->IsConstant()) return;
+        // dw = concatᵀ @ g, one TN GEMM per d_in-row slice of dw.
+        const int64_t d_out = g.dim(-1);
+        const int64_t rows = g.numel() / d_out;
+        Tensor dw(wn->value.shape());
+        float* pdw = dw.data();
+        for (size_t i = 0; i < part_nodes.size(); ++i) {
+          kn::Gemm(kn::Layout::kTransposed, kn::Layout::kNormal, d_in, d_out,
+                   rows, std::as_const(part_nodes[i]->value).data(), g.data(),
+                   pdw + static_cast<int64_t>(i) * d_in * d_out);
+        }
+        wn->AccumulateGrad(dw);
+      });
 }
 
 Variable MatMulNodeDim(const Variable& p, const Variable& x) {

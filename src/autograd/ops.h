@@ -76,6 +76,35 @@ Variable MatMulLastDim(const Variable& x, const Variable& w);
 // (rows_out, rows_in) x (..., rows_in, d).
 Variable MatMulNodeDim(const Variable& p, const Variable& x);
 
+// MatMulLastDim(Concat(parts, -1), w) built one part at a time: each
+// Append() multiplies its (..., d_in) part into the output against that
+// part's d_in-row slice of w (a zero-copy view), so the concatenation is
+// never materialized. Forward and backward are bitwise the two-op chain
+// (the GEMM continues the chain the output already holds, tensor/kernels/).
+// Under NoGradGuard a part is not kept once it has been mixed, so the
+// caller's buffer can be freed right after Append(); with the tape on, the
+// parts become the node's parents in append order, the weight last.
+class ConcatMatMulLastDim {
+ public:
+  // w: (num_parts * d_in, d_out).
+  ConcatMatMulLastDim(const Variable& w, int64_t num_parts);
+
+  // Mixes the next part in; every part has the same leading dims.
+  void Append(const Variable& part);
+
+  // The (..., d_out) product, once all num_parts parts are appended.
+  Variable Finish();
+
+ private:
+  Variable w_;
+  int64_t num_parts_;
+  int64_t d_in_;
+  bool record_;  // the tape was on at construction: keep the parts
+  int64_t appended_ = 0;
+  std::vector<Variable> parts_;
+  Tensor out_;
+};
+
 // ---- Softmax / normalization ---------------------------------------------
 Variable SoftmaxLastDim(const Variable& a);
 // LayerNorm over the last axis with learnable affine (gamma, beta of shape

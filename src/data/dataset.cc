@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <string>
 #include <vector>
 
 #include "common/logging.h"
@@ -55,6 +56,19 @@ Tensor MakeObservedMask(const SyntheticConfig& config, Rng& rng) {
 }
 
 }  // namespace
+
+Status ValidateSyntheticConfig(const SyntheticConfig& config) {
+  if (config.num_nodes < 2 || config.num_steps < 3 ||
+      config.steps_per_day < 2) {
+    return Status::Error(
+        ErrorCode::kInvalidRequest,
+        "a synthetic dataset needs >= 2 nodes, >= 3 steps and a period of "
+        ">= 2 steps, got " + std::to_string(config.num_nodes) + " nodes, " +
+            std::to_string(config.num_steps) + " steps, period " +
+            std::to_string(config.steps_per_day));
+  }
+  return Status::Ok();
+}
 
 SpatioTemporalDataset GenerateSynthetic(const SyntheticConfig& config,
                                         Rng& rng) {

@@ -19,6 +19,7 @@
 #include <string>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "graph/adjacency.h"
 #include "tensor/tensor.h"
 
@@ -76,6 +77,10 @@ struct SpatioTemporalDataset {
   Tensor observed_mask;  // (T, N) 1 = the raw feed contains this value
   graph::SensorGraph graph;
 };
+
+// kInvalidRequest unless GenerateSynthetic can run `config`: at least 2
+// nodes, 3 steps and a 2-step seasonal period.
+Status ValidateSyntheticConfig(const SyntheticConfig& config);
 
 // Generates a dataset from a config; deterministic given `rng`'s seed.
 SpatioTemporalDataset GenerateSynthetic(const SyntheticConfig& config,

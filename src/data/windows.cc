@@ -117,6 +117,41 @@ Tensor LinearInterpolate(const Tensor& values, const Tensor& mask) {
   return out;
 }
 
+namespace {
+
+// The split points MakeTask cuts a `num_steps`-long series at.
+int64_t TrainEnd(const TaskOptions& options, int64_t num_steps) {
+  return static_cast<int64_t>(num_steps * options.train_frac);
+}
+int64_t ValEnd(const TaskOptions& options, int64_t num_steps) {
+  return TrainEnd(options, num_steps) +
+         static_cast<int64_t>(num_steps * options.val_frac);
+}
+
+}  // namespace
+
+Status ValidateTaskOptions(const TaskOptions& options, int64_t num_steps) {
+  if (options.window_len < 1) {
+    return Status::Error(ErrorCode::kInvalidRequest,
+                         "window_len must be >= 1, got " +
+                             std::to_string(options.window_len));
+  }
+  const int64_t train_end = TrainEnd(options, num_steps);
+  if (train_end <= options.window_len) {
+    return Status::Error(
+        ErrorCode::kInvalidRequest,
+        "window_len=" + std::to_string(options.window_len) +
+            " must be shorter than the " + std::to_string(train_end) +
+            "-step training range of the " + std::to_string(num_steps) +
+            "-step series");
+  }
+  if (ValEnd(options, num_steps) >= num_steps) {
+    return Status::Error(ErrorCode::kInvalidRequest,
+                         "train and validation ranges leave no test steps");
+  }
+  return Status::Ok();
+}
+
 ImputationTask MakeTask(SpatioTemporalDataset dataset, MissingPattern pattern,
                         const TaskOptions& options, Rng& rng) {
   ImputationTask task;
@@ -128,9 +163,8 @@ ImputationTask MakeTask(SpatioTemporalDataset dataset, MissingPattern pattern,
                                  &dataset.graph.distances);
   task.model_observed_mask = MaskMinus(dataset.observed_mask, task.eval_mask);
   int64_t t_steps = dataset.num_steps;
-  task.train_end = static_cast<int64_t>(t_steps * options.train_frac);
-  task.val_end = task.train_end +
-                 static_cast<int64_t>(t_steps * options.val_frac);
+  task.train_end = TrainEnd(options, t_steps);
+  task.val_end = ValEnd(options, t_steps);
   CHECK_GT(task.train_end, options.window_len);
   CHECK_LT(task.val_end, t_steps);
   task.normalizer = Normalizer::Fit(dataset.values, task.model_observed_mask,

@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "common/status.h"
 #include "data/dataset.h"
 #include "data/missing.h"
 
@@ -71,6 +72,12 @@ struct TaskOptions {
   // Stride between window starts when enumerating samples.
   int64_t stride = 0;  // 0 -> window_len (non-overlapping)
 };
+
+// kInvalidRequest unless MakeTask can split a `num_steps`-long series with
+// `options`: a positive window and a training range longer than one window,
+// with the validation range ending before the series does. Front ends call
+// it before MakeTask, which CHECKs the same.
+Status ValidateTaskOptions(const TaskOptions& options, int64_t num_steps);
 
 // Injects `pattern`, fits the normalizer on the training range, and bundles
 // everything for the harness.

@@ -165,15 +165,19 @@ Status LoadTrainingCheckpoint(
 
 }  // namespace
 
-std::vector<double> TrainDiffusionModel(ConditionalNoisePredictor* model,
-                                        const NoiseSchedule& schedule,
-                                        const data::ImputationTask& task,
-                                        const TrainOptions& options,
-                                        Rng& rng) {
+Status TrainDiffusionModel(ConditionalNoisePredictor* model,
+                           const NoiseSchedule& schedule,
+                           const data::ImputationTask& task,
+                           const TrainOptions& options, Rng& rng,
+                           std::vector<double>* epoch_losses) {
   PRISTI_CHECK(model != nullptr);
+  PRISTI_CHECK(epoch_losses != nullptr);
   ModelAccessGuard access_guard(model, "TrainDiffusionModel");
   std::vector<data::Sample> samples = data::ExtractSamples(task, "train");
-  PRISTI_CHECK(!samples.empty()) << "no training windows";
+  if (samples.empty()) {
+    return Status::Error(ErrorCode::kInvalidRequest,
+                         "the task has no training windows");
+  }
 
   nn::Adam optimizer(model->Parameters(), {.lr = options.lr});
   std::vector<int64_t> milestones;
@@ -194,28 +198,39 @@ std::vector<double> TrainDiffusionModel(ConditionalNoisePredictor* model,
       << "checkpointing requires the noise predictor to be an nn::Module";
 
   int64_t start_epoch = 0;
-  std::vector<double> epoch_losses;
+  std::vector<double>& losses = *epoch_losses;
+  losses.clear();
   if (!options.resume_from.empty()) {
     Status status = LoadTrainingCheckpoint(
         options.resume_from, *module, &optimizer,
-        ema ? &*ema : nullptr, &rng, schedule, &start_epoch, &epoch_losses);
-    PRISTI_CHECK(status.ok())
-        << "cannot resume from '" << options.resume_from
-        << "': " << status.ToString();
-    PRISTI_CHECK_LE(start_epoch, options.epochs)
-        << "checkpoint already trained past the requested epoch count";
+        ema ? &*ema : nullptr, &rng, schedule, &start_epoch, &losses);
+    if (!status.ok()) {
+      return Status::Error(status.code(), "cannot resume from '" +
+                                              options.resume_from +
+                                              "': " + status.message());
+    }
+    if (start_epoch > options.epochs) {
+      return Status::Error(
+          ErrorCode::kInvalidRequest,
+          "cannot resume from '" + options.resume_from + "': it holds " +
+              std::to_string(start_epoch) + " epochs, past the requested " +
+              std::to_string(options.epochs));
+    }
   }
   if (!options.checkpoint_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(options.checkpoint_dir, ec);
-    PRISTI_CHECK(!ec) << "cannot create checkpoint dir '"
-                      << options.checkpoint_dir << "'";
+    if (ec) {
+      return Status::Error(ErrorCode::kIoError,
+                           "cannot create checkpoint dir '" +
+                               options.checkpoint_dir + "': " + ec.message());
+    }
   }
 
   for (int64_t epoch = start_epoch; epoch < options.epochs; ++epoch) {
     double mean_loss = RunShardedEpoch(model, schedule, samples, options,
                                        &optimizer, ema ? &*ema : nullptr, rng);
-    epoch_losses.push_back(mean_loss);
+    losses.push_back(mean_loss);
     scheduler.Step(epoch + 1);
     if (options.on_epoch) options.on_epoch(epoch, mean_loss);
 
@@ -228,15 +243,30 @@ std::vector<double> TrainDiffusionModel(ConditionalNoisePredictor* model,
           options.checkpoint_dir, options.checkpoint_prefix, done);
       Status status = SaveTrainingCheckpoint(
           path, *module, optimizer, ema ? &*ema : nullptr, rng, schedule,
-          done, epoch_losses);
-      PRISTI_CHECK(status.ok())
-          << "cannot write checkpoint '" << path << "': " << status.ToString();
+          done, losses);
+      if (!status.ok()) {
+        return Status::Error(status.code(), "cannot write checkpoint '" +
+                                                path + "': " +
+                                                status.message());
+      }
       status = serialize::PruneCheckpoints(options.checkpoint_dir,
                                            options.checkpoint_prefix,
                                            options.checkpoint_keep_last);
-      PRISTI_CHECK(status.ok()) << status.ToString();
+      if (!status.ok()) return status;
     }
   }
+  return Status::Ok();
+}
+
+std::vector<double> TrainDiffusionModel(ConditionalNoisePredictor* model,
+                                        const NoiseSchedule& schedule,
+                                        const data::ImputationTask& task,
+                                        const TrainOptions& options,
+                                        Rng& rng) {
+  std::vector<double> epoch_losses;
+  Status status =
+      TrainDiffusionModel(model, schedule, task, options, rng, &epoch_losses);
+  PRISTI_CHECK(status.ok()) << status.ToString();
   return epoch_losses;
 }
 

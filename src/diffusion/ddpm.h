@@ -13,6 +13,7 @@
 
 #include "autograd/variable.h"
 #include "common/rng.h"
+#include "common/status.h"
 #include "data/windows.h"
 #include "diffusion/sampler.h"
 #include "diffusion/schedule.h"
@@ -135,9 +136,10 @@ struct TrainOptions {
   // and continues from the stored epoch: the resumed run's parameters and
   // loss trajectory are bit-identical to an uninterrupted run. The
   // checkpoint's schedule betas and optimizer/EMA configuration must match
-  // the live ones; any mismatch or file damage aborts with the typed
-  // serialize error in the message (a silently different trajectory would
-  // be worse than a crash). Requires `model` to also be an nn::Module.
+  // the live ones; any mismatch, file damage, or a checkpoint already past
+  // `epochs` fails with a typed status before the first epoch (a silently
+  // different trajectory would be worse than no run). Requires `model` to
+  // also be an nn::Module.
   std::string resume_from;
 };
 
@@ -146,9 +148,20 @@ struct TrainOptions {
 // interpolates the remaining observations, q-samples a diffusion step and
 // regresses the predicted noise against the truth on the masked entries.
 // Each epoch is one RunShardedEpoch (diffusion/sharded_train.h).
-// Returns the per-epoch mean training loss; on resume the restored epochs'
-// losses are included, so the result always covers epoch 0..epochs-1 and can
-// be compared directly against an uninterrupted run.
+// Fills `epoch_losses` with the per-epoch mean training loss; on resume the
+// restored epochs' losses are included, so the result always covers epoch
+// 0..epochs-1 and can be compared directly against an uninterrupted run.
+// A task without training windows, a resume checkpoint that cannot be
+// used, or a checkpoint directory or file that cannot be written comes
+// back as a typed status (kInvalidRequest, or the serialize error code).
+Status TrainDiffusionModel(ConditionalNoisePredictor* model,
+                           const NoiseSchedule& schedule,
+                           const data::ImputationTask& task,
+                           const TrainOptions& options, Rng& rng,
+                           std::vector<double>* epoch_losses);
+
+// The same run for callers whose inputs cannot fail: returns the losses and
+// CHECK-fails on a non-ok status.
 std::vector<double> TrainDiffusionModel(ConditionalNoisePredictor* model,
                                         const NoiseSchedule& schedule,
                                         const data::ImputationTask& task,

@@ -10,6 +10,16 @@ namespace pristi::nn {
 namespace ag = ::pristi::autograd;
 namespace kernels = ::pristi::tensor::kernels;
 
+Status ValidateAttentionHeads(int64_t d_model, int64_t num_heads) {
+  if (num_heads < 1 || d_model % num_heads != 0) {
+    return Status::Error(ErrorCode::kInvalidRequest,
+                         "heads=" + std::to_string(num_heads) +
+                             " must divide channels=" +
+                             std::to_string(d_model));
+  }
+  return Status::Ok();
+}
+
 MultiHeadAttention::MultiHeadAttention(int64_t d_model, int64_t num_heads,
                                        Rng& rng, int64_t virtual_nodes,
                                        int64_t seq_len)

@@ -17,6 +17,11 @@
 
 namespace pristi::nn {
 
+// kInvalidRequest unless `num_heads` >= 1 divides `d_model`: the attention
+// layers split the channels evenly across the heads. Front ends call this
+// before building a model, whose constructor CHECKs the same condition.
+Status ValidateAttentionHeads(int64_t d_model, int64_t num_heads);
+
 class MultiHeadAttention : public Module {
  public:
   // `virtual_nodes` == 0 disables downsampling. When > 0, `seq_len` must be

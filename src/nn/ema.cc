@@ -16,7 +16,9 @@ EmaWeights::EmaWeights(std::vector<Variable> params, float decay)
   shadow_.reserve(params_.size());
   for (const Variable& p : params_) {
     PRISTI_CHECK(p.defined());
-    shadow_.push_back(p.value());  // initialize shadow at current weights
+    // A private copy of the current weights: a header copy would share the
+    // parameter's storage, so the first write to either would fork it.
+    shadow_.push_back(p.value().Clone());
   }
 }
 

@@ -45,8 +45,11 @@ Variable GraphConv::Forward(const Variable& x) const {
   PRISTI_CHECK_EQ(x.value().ndim(), 3);
   PRISTI_CHECK_EQ(x.value().dim(-1), d_in_);
 
-  std::vector<Variable> features;
-  features.push_back(x);
+  // Each feature is mixed into the output as soon as it exists, in concat
+  // order [x, A_1 x, A_1^2 x, ...]; a diffusion step is dropped once the
+  // next one has been computed from it.
+  ag::ConcatMatMulLastDim mix(weight_, weight_.value().dim(0) / d_in_);
+  mix.Append(x);
 
   // Fixed supports.
   for (size_t si = 0; si < supports_.size(); ++si) {
@@ -55,7 +58,7 @@ Variable GraphConv::Forward(const Variable& x) const {
     Variable diffused = x;
     for (int64_t step = 0; step < diffusion_steps_; ++step) {
       diffused = ag::MatMulNodeDim(supports_[si], diffused);
-      features.push_back(diffused);
+      mix.Append(diffused);
     }
   }
   // Adaptive adjacency (learned, dense).
@@ -66,11 +69,10 @@ Variable GraphConv::Forward(const Variable& x) const {
     Variable diffused = x;
     for (int64_t step = 0; step < diffusion_steps_; ++step) {
       diffused = ag::MatMulNodeDim(adaptive, diffused);
-      features.push_back(diffused);
+      mix.Append(diffused);
     }
   }
-  Variable mixed = ag::Concat(features, -1);
-  return ag::Add(ag::MatMulLastDim(mixed, weight_), bias_);
+  return ag::Add(mix.Finish(), bias_);
 }
 
 }  // namespace pristi::nn

@@ -13,7 +13,11 @@
 //   Z = [X, A_1 X, A_1^2 X, ..., A_S^K X]  W + b
 //
 // i.e. K diffusion steps per support, concatenated on the channel axis and
-// mixed by a 1x1 convolution.
+// mixed by a 1x1 convolution. The mix is computed without materializing the
+// concatenation: each step is multiplied into the output against its d_in
+// rows of W as soon as it is produced (autograd::ConcatMatMulLastDim), bit
+// for bit the concat-then-GEMM chain, so inference holds the output plus two
+// consecutive steps instead of all 1 + S*K features and their concatenation.
 
 #include <vector>
 

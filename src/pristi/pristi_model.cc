@@ -1,6 +1,7 @@
 #include "pristi/pristi_model.h"
 
 #include <cmath>
+#include <string>
 
 #include "autograd/ops.h"
 #include "common/logging.h"
@@ -60,6 +61,44 @@ Variable UnflattenSpatial(const Variable& h, int64_t batch, int64_t steps) {
 // ---------------------------------------------------------------------------
 // ConditionalFeatureModule (Eq. 5)
 // ---------------------------------------------------------------------------
+
+Status ValidatePristiConfig(const PristiConfig& config) {
+  struct Bound {
+    const char* name;
+    int64_t value;
+    int64_t min;
+  };
+  const Bound bounds[] = {
+      {"num_nodes", config.num_nodes, 1},
+      {"window_len", config.window_len, 1},
+      {"channels", config.channels, 1},
+      {"layers", config.layers, 1},
+      {"virtual_nodes", config.virtual_nodes, 0},
+      {"diffusion_emb_dim", config.diffusion_emb_dim, 2},
+      {"temporal_emb_dim", config.temporal_emb_dim, 2},
+      {"node_emb_dim", config.node_emb_dim, 1},
+      {"adaptive_rank", config.adaptive_rank, 0},
+      {"graph_diffusion_steps", config.graph_diffusion_steps, 1},
+  };
+  for (const Bound& bound : bounds) {
+    if (bound.value < bound.min) {
+      return Status::Error(ErrorCode::kInvalidRequest,
+                           std::string(bound.name) + " must be >= " +
+                               std::to_string(bound.min) + ", got " +
+                               std::to_string(bound.value));
+    }
+  }
+  Status status = nn::ValidateAttentionHeads(config.channels, config.heads);
+  if (!status.ok()) return status;
+  if (config.virtual_nodes > 0 && config.virtual_nodes >= config.num_nodes) {
+    return Status::Error(ErrorCode::kInvalidRequest,
+                         "virtual_nodes=" +
+                             std::to_string(config.virtual_nodes) +
+                             " must be below num_nodes=" +
+                             std::to_string(config.num_nodes));
+  }
+  return Status::Ok();
+}
 
 ConditionalFeatureModule::ConditionalFeatureModule(
     const PristiConfig& config, std::vector<Tensor> supports, Rng& rng)

@@ -61,6 +61,13 @@ struct PristiConfig {
   bool use_spatial_attention = true;
 };
 
+// kInvalidRequest naming the first field a model cannot be built with: a
+// non-positive size, heads that do not divide the channels, virtual nodes
+// that do not compress the node axis, or embedding widths the sinusoidal
+// encodings cannot take. pristi_cli and pristi_serve call it before
+// building a model; the constructors' CHECKs then guard programmer errors.
+Status ValidatePristiConfig(const PristiConfig& config);
+
 // The "wide" conditional feature extraction module gamma(.) of Eq. 5.
 class ConditionalFeatureModule : public nn::Module {
  public:

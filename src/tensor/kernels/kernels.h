@@ -11,8 +11,10 @@
 //
 // Bit-identity contract: for every output element c[i][j], ALL kernels
 // perform the same scalar chain
-//     c = (((0 + a(i,0)*b(0,j)) + a(i,1)*b(1,j)) + ...)
-// in strictly increasing k order — each product rounded, then the add
+//     c = (((c0 + a(i,0)*b(0,j)) + a(i,1)*b(1,j)) + ...)
+// where c0 is the value C holds on entry (the kernels continue C's chain;
+// every MatMul entry point passes a zeroed C, so c0 = +0), in strictly
+// increasing k order — each product rounded, then the add
 // rounded, never a fused multiply-add (the AVX variant in sgemm.cc uses
 // explicit mul_ps/add_ps, and the build compiles everything with
 // -ffp-contract=off so no config re-fuses them). Tiling and SIMD width
@@ -90,7 +92,9 @@ void ReferenceGemm(Layout layout_a, Layout layout_b, int64_t m, int64_t n,
                    int64_t k, const float* a, const float* b, float* c);
 
 // Single GEMM: C(m,n) += op(A)(m,k) · op(B)(k,n), row-parallel on the
-// persistent pool. `cache_a` / `cache_b`, when non-null, must be the tensor
+// persistent pool. Continues C's chain for any C: bit-equal to
+// ReferenceGemm on the same C, so a product over a concatenated k axis can
+// be computed slice by slice into one C (nn::GraphConv's streamed mix). `cache_a` / `cache_b`, when non-null, must be the tensor
 // whose data() backs the corresponding raw pointer; its storage identity
 // keys the pack cache so the packed panel is reused across calls. Pass
 // nullptr for operands that change every call (activations, gradients).
@@ -101,7 +105,7 @@ void Gemm(Layout layout_a, Layout layout_b, int64_t m, int64_t n, int64_t k,
 // Batched GEMM: batch independent products with element strides between
 // consecutive items (stride 0 broadcasts the operand across the batch, the
 // MatMulNodeDim case). Batch-parallel; each item runs the serial tiled
-// kernel. `cache_a` is honored only with stride_a == 0 (a shared A panel).
+// kernel, continuing C's chain as Gemm does. `cache_a` is honored only with stride_a == 0 (a shared A panel).
 void BatchedGemm(Layout layout_a, Layout layout_b, int64_t batch, int64_t m,
                  int64_t n, int64_t k, const float* a, int64_t stride_a,
                  const float* b, int64_t stride_b, float* c,

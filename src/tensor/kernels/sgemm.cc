@@ -117,10 +117,12 @@ void PackBFull(Layout layout, int64_t k, int64_t n, const float* b,
 // the exact chain ReferenceGemm produces. Zero-padded panel slots only
 // feed accumulator lanes that are never stored (r >= mr or j >= nr).
 //
-// The store is `c +=`: every chain starts at the accumulator's +0.0, and a
-// sum seeded with +0.0 can never round to -0.0, so on the zeroed C the
-// entry points provide, `0.0f + acc` is bitwise `acc` — identical to the
-// reference accumulating into C directly.
+// The kernel continues C's chain: each accumulator is loaded from its
+// c[i][j] before the first product and stored back after the last, so the
+// result is ReferenceGemm's chain from whatever C held — a zeroed C gives
+// the plain product, and a product split over k (two calls over k1 then k2
+// on the same C) equals the single call over k1 + k2 bit for bit. Only the
+// mr x nr live corner of the tile is read or written.
 //
 // Two implementations of the same chain:
 //  * MicroKernelAvx — 8 ymm accumulators via AVX intrinsics. Deliberately
@@ -133,6 +135,8 @@ void PackBFull(Layout layout, int64_t k, int64_t n, const float* b,
 //    mul/add pairs (and contracts the scalar loops above) into FMAs. The
 //    build therefore sets -ffp-contract=off globally (CMakeLists.txt), and
 //    tensor_test's NoFusedMultiplyAdd canary pins the double rounding.
+//    A full tile loads and stores C directly; an edge tile goes through a
+//    zero-filled 4x16 array holding its live corner.
 //  * MicroKernelGeneric — walks the 16-wide panel in two 8-wide halves so
 //    the 4x8 accumulator fits the 16 xmm registers of baseline SSE2 (a
 //    4x16 float accumulator spills, measured 4x slower than reference).
@@ -142,8 +146,13 @@ void PackBFull(Layout layout, int64_t k, int64_t n, const float* b,
 void MicroKernelGeneric(int64_t k, const float* ap, const float* bp,
                         int64_t mr, int64_t nr, float* c, int64_t ldc) {
   constexpr int64_t kHalf = kColTile / 2;
-  for (int64_t h = 0; h < kColTile; h += kHalf) {
+  for (int64_t h = 0; h < nr; h += kHalf) {
+    const int64_t nh = std::min(nr - h, kHalf);
     float acc[kRowTile][kHalf] = {};
+    for (int64_t r = 0; r < mr; ++r) {
+      const float* crow = c + r * ldc + h;
+      for (int64_t j = 0; j < nh; ++j) acc[r][j] = crow[j];
+    }
     for (int64_t kk = 0; kk < k; ++kk) {
       const float* arow = ap + kk * kRowTile;
       const float* brow = bp + kk * kColTile + h;
@@ -152,10 +161,9 @@ void MicroKernelGeneric(int64_t k, const float* ap, const float* bp,
         for (int64_t j = 0; j < kHalf; ++j) acc[r][j] += av * brow[j];
       }
     }
-    const int64_t nh = std::min(nr - h, kHalf);
     for (int64_t r = 0; r < mr; ++r) {
       float* crow = c + r * ldc + h;
-      for (int64_t j = 0; j < nh; ++j) crow[j] += acc[r][j];
+      for (int64_t j = 0; j < nh; ++j) crow[j] = acc[r][j];
     }
   }
 }
@@ -168,10 +176,26 @@ __attribute__((target("avx"))) void MicroKernelAvx(int64_t k, const float* ap,
                                                    const float* bp, int64_t mr,
                                                    int64_t nr, float* c,
                                                    int64_t ldc) {
-  __m256 acc00 = _mm256_setzero_ps(), acc01 = _mm256_setzero_ps();
-  __m256 acc10 = _mm256_setzero_ps(), acc11 = _mm256_setzero_ps();
-  __m256 acc20 = _mm256_setzero_ps(), acc21 = _mm256_setzero_ps();
-  __m256 acc30 = _mm256_setzero_ps(), acc31 = _mm256_setzero_ps();
+  const bool full = mr == kRowTile && nr == kColTile;
+  float edge[kRowTile][kColTile];  // read only when !full
+  float* tile = c;
+  int64_t ld = ldc;
+  if (!full) {
+    for (int64_t r = 0; r < kRowTile; ++r) {
+      for (int64_t j = 0; j < kColTile; ++j) {
+        edge[r][j] = r < mr && j < nr ? c[r * ldc + j] : 0.0f;
+      }
+    }
+    tile = &edge[0][0];
+    ld = kColTile;
+  }
+  __m256 acc00 = _mm256_loadu_ps(tile), acc01 = _mm256_loadu_ps(tile + 8);
+  __m256 acc10 = _mm256_loadu_ps(tile + ld);
+  __m256 acc11 = _mm256_loadu_ps(tile + ld + 8);
+  __m256 acc20 = _mm256_loadu_ps(tile + 2 * ld);
+  __m256 acc21 = _mm256_loadu_ps(tile + 2 * ld + 8);
+  __m256 acc30 = _mm256_loadu_ps(tile + 3 * ld);
+  __m256 acc31 = _mm256_loadu_ps(tile + 3 * ld + 8);
   for (int64_t kk = 0; kk < k; ++kk) {
     const float* arow = ap + kk * kRowTile;
     const __m256 b0 = _mm256_loadu_ps(bp + kk * kColTile);
@@ -189,18 +213,18 @@ __attribute__((target("avx"))) void MicroKernelAvx(int64_t k, const float* ap,
     acc30 = _mm256_add_ps(acc30, _mm256_mul_ps(a3, b0));
     acc31 = _mm256_add_ps(acc31, _mm256_mul_ps(a3, b1));
   }
-  float acc[kRowTile][kColTile];
-  _mm256_storeu_ps(&acc[0][0], acc00);
-  _mm256_storeu_ps(&acc[0][8], acc01);
-  _mm256_storeu_ps(&acc[1][0], acc10);
-  _mm256_storeu_ps(&acc[1][8], acc11);
-  _mm256_storeu_ps(&acc[2][0], acc20);
-  _mm256_storeu_ps(&acc[2][8], acc21);
-  _mm256_storeu_ps(&acc[3][0], acc30);
-  _mm256_storeu_ps(&acc[3][8], acc31);
-  for (int64_t r = 0; r < mr; ++r) {
-    float* crow = c + r * ldc;
-    for (int64_t j = 0; j < nr; ++j) crow[j] += acc[r][j];
+  _mm256_storeu_ps(tile, acc00);
+  _mm256_storeu_ps(tile + 8, acc01);
+  _mm256_storeu_ps(tile + ld, acc10);
+  _mm256_storeu_ps(tile + ld + 8, acc11);
+  _mm256_storeu_ps(tile + 2 * ld, acc20);
+  _mm256_storeu_ps(tile + 2 * ld + 8, acc21);
+  _mm256_storeu_ps(tile + 3 * ld, acc30);
+  _mm256_storeu_ps(tile + 3 * ld + 8, acc31);
+  if (!full) {
+    for (int64_t r = 0; r < mr; ++r) {
+      for (int64_t j = 0; j < nr; ++j) c[r * ldc + j] = edge[r][j];
+    }
   }
 }
 

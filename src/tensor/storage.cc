@@ -223,4 +223,10 @@ void BufferPoolTrim() {
   }
 }
 
+void ResetPeakLiveBytes() {
+  Counters& c = counters();
+  c.peak_live_bytes.store(c.live_bytes.load(std::memory_order_relaxed),
+                          std::memory_order_relaxed);
+}
+
 }  // namespace pristi::tensor

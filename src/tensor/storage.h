@@ -59,6 +59,10 @@ AllocStats GetAllocStats();
 // Tests use this to start a measurement from a cold pool.
 void BufferPoolTrim();
 
+// Restarts the `peak_live_bytes` high-water mark at the current live bytes,
+// so a test can read the peak of one region of work.
+void ResetPeakLiveBytes();
+
 // A ref-counted block of floats. Always obtained via Allocate() and held
 // through shared_ptr; destruction returns the block to the BufferPool. The
 // payload is NOT initialized — Tensor constructors zero-fill, so recycled

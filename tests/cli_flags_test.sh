@@ -4,11 +4,13 @@
 # Usage: cli_flags_test.sh <path to pristi_cli>
 #
 # Each case below — an unknown --preset, --pattern, --sampler or --method,
-# --samples=0, a --heads that does not divide --channels, a --model
-# checkpoint that cannot be loaded, and an --out, --csv or --model-out file
-# that cannot be written — must exit 1 with a "pristi_cli: " line on stderr
-# and no "Check failed". None may train first: an unwritable --model-out
-# fails before epoch 0 and leaves an existing checkpoint there intact.
+# --samples=0, a --heads that does not divide --channels, a --window longer
+# than the training range, --nodes=0, a --model checkpoint that cannot be
+# loaded, a --resume checkpoint that is missing, damaged or already past
+# --epochs, and an --out, --csv or --model-out file that cannot be written —
+# must exit 1 with a "pristi_cli: " line on stderr and no "Check failed".
+# None may train first: an unwritable --model-out fails before epoch 0 and
+# leaves an existing checkpoint there intact.
 #
 # Exits 1 on any failure.
 
@@ -43,6 +45,11 @@ kept="$tmp/kept.ckpt"
   { cat "$tmp/setup.out" >&2; exit 1; }
 cp "$kept" "$tmp/kept.orig"
 mkdir "$kept.tmp"
+# A training checkpoint two epochs in, and a file that is not a checkpoint.
+"$cli" train $small --epochs=2 --checkpoint-dir="$tmp/ck" \
+  --model-out="$tmp/ck.model" > "$tmp/setup.out" 2>&1 ||
+  { cat "$tmp/setup.out" >&2; exit 1; }
+printf 'not a checkpoint' > "$tmp/damaged.ckpt"
 cases=(
   "generate --preset=bogus --out=$tmp/g.bin"
   "evaluate --preset=bogus --method=mean"
@@ -59,6 +66,11 @@ cases=(
   "impute $small --heads=3 --out=$tmp/i.csv"
   "train $small --epochs=1 --heads=0 --model-out=$tmp/m.ckpt"
   "evaluate --data=$data --method=csdi --epochs=1 --heads=5"
+  "evaluate --data=$data --window=100000 --method=mean"
+  "generate --preset=aqi --nodes=0 --out=$tmp/g.bin"
+  "train $small --epochs=1 --resume=$missing/r.ckpt --model-out=$tmp/m.ckpt"
+  "train $small --epochs=1 --resume=$tmp/damaged.ckpt --model-out=$tmp/m.ckpt"
+  "train $small --epochs=1 --resume=$tmp/ck/ckpt-2.ckpt --model-out=$tmp/m.ckpt"
 )
 for args in "${cases[@]}"; do
   # shellcheck disable=SC2086  # each case is a word-split argument list

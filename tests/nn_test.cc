@@ -2,18 +2,23 @@
 // convergence, serialization round trips, attention semantics.
 
 #include <cmath>
+#include <cstring>
+#include <map>
 #include <sstream>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "autograd/ops.h"
 #include "nn/attention.h"
+#include "nn/ema.h"
 #include "nn/embeddings.h"
 #include "nn/graph_conv.h"
 #include "nn/gru.h"
 #include "nn/layers.h"
 #include "nn/module.h"
 #include "nn/optimizer.h"
+#include "tensor/storage.h"
 
 namespace pristi::nn {
 namespace {
@@ -215,6 +220,159 @@ TEST(GraphConvLayer, GradientsFlow) {
   ag::SumAll(ag::Square(conv.Forward(x))).Backward();
   for (auto& [name, param] : conv.NamedParameters()) {
     EXPECT_TRUE(param.has_grad()) << name;
+  }
+}
+
+// A dense row-stochastic support with no symmetry, so a transposed read of
+// it in the backward would show.
+Tensor RandomRowStochastic(int64_t n, Rng& rng) {
+  Tensor a = Tensor::Rand({n, n}, rng, 0.1f, 1.0f);
+  for (int64_t i = 0; i < n; ++i) {
+    float sum = 0.0f;
+    for (int64_t j = 0; j < n; ++j) sum += a.at({i, j});
+    for (int64_t j = 0; j < n; ++j) a.at({i, j}) /= sum;
+  }
+  return a;
+}
+
+void ExpectBitEqual(const Tensor& got, const Tensor& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        sizeof(float) * static_cast<size_t>(got.numel())),
+            0)
+      << what << " is not bit-equal";
+}
+
+// GraphConv's forward spelled out the way it was built before the mix was
+// streamed: every diffusion step kept, concatenated on the channel axis,
+// then one MatMulLastDim against the whole weight.
+Variable ConcatThenMatMulGraphConv(GraphConv& conv,
+                                   const std::vector<Tensor>& supports,
+                                   int64_t steps, const Variable& x) {
+  std::map<std::string, Variable> params;
+  for (auto& [name, param] : conv.NamedParameters()) params[name] = param;
+  std::vector<Variable> features = {x};
+  for (const Tensor& support : supports) {
+    Variable diffused = x;
+    for (int64_t k = 0; k < steps; ++k) {
+      diffused = ag::MatMulNodeDim(ag::Constant(support), diffused);
+      features.push_back(diffused);
+    }
+  }
+  if (conv.has_adaptive()) {
+    Variable adaptive = conv.AdaptiveAdjacency();
+    Variable diffused = x;
+    for (int64_t k = 0; k < steps; ++k) {
+      diffused = ag::MatMulNodeDim(adaptive, diffused);
+      features.push_back(diffused);
+    }
+  }
+  Variable mixed = ag::Concat(features, -1);
+  return ag::Add(ag::MatMulLastDim(mixed, params.at("weight")),
+                 params.at("bias"));
+}
+
+TEST(GraphConvLayer, StreamedMixIsBitEqualToConcatThenMatMul) {
+  // Odd widths and row counts leave partial GEMM tiles on both axes.
+  const int64_t batch = 3, n = 7, d_in = 5, d_out = 19;
+  for (bool adaptive : {false, true}) {
+    for (int64_t steps : {1, 2}) {
+      for (bool grad_mode : {true, false}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "adaptive=" << adaptive << " steps=" << steps
+                     << " grad_mode=" << grad_mode);
+        Rng rng(21);
+        std::vector<Tensor> supports = {RowNormalizedRing(n),
+                                        RandomRowStochastic(n, rng)};
+        GraphConv conv(d_in, d_out, supports, rng, steps,
+                       adaptive ? 3 : 0, n);
+        Tensor x_value = Tensor::Randn({batch, n, d_in}, rng);
+        Tensor probe = Tensor::Randn({batch, n, d_out}, rng);
+        if (!grad_mode) {
+          ag::NoGradGuard no_grad;
+          ExpectBitEqual(
+              conv.Forward(ag::Constant(x_value)).value(),
+              ConcatThenMatMulGraphConv(conv, supports, steps,
+                                        ag::Constant(x_value))
+                  .value(),
+              "forward");
+          continue;
+        }
+        Variable x(x_value, /*requires_grad=*/true);
+        Variable y = conv.Forward(x);
+        ag::SumAll(ag::Mul(y, ag::Constant(probe))).Backward();
+        std::map<std::string, Tensor> streamed_grads;
+        for (auto& [name, param] : conv.NamedParameters()) {
+          streamed_grads[name] = param.grad().Clone();
+        }
+        conv.ZeroGrad();
+
+        Variable x_ref(x_value, /*requires_grad=*/true);
+        Variable y_ref =
+            ConcatThenMatMulGraphConv(conv, supports, steps, x_ref);
+        ag::SumAll(ag::Mul(y_ref, ag::Constant(probe))).Backward();
+        ExpectBitEqual(y.value(), y_ref.value(), "forward");
+        ExpectBitEqual(x.grad(), x_ref.grad(), "dx");
+        for (auto& [name, param] : conv.NamedParameters()) {
+          ExpectBitEqual(streamed_grads.at(name), param.grad(), "d" + name);
+        }
+        EXPECT_EQ(streamed_grads.size(), adaptive ? 4u : 2u);
+      }
+    }
+  }
+}
+
+TEST(GraphConvLayer, InferencePeakStaysWithinFourOutputBlocks) {
+  // Under NoGradGuard the streamed mix holds the output and two consecutive
+  // diffusion steps, however many supports x steps the layer mixes; keeping
+  // every step plus their concatenation grows with that count.
+  const int64_t batch = 64, n = 16, d = 16;
+  const std::vector<std::tuple<int64_t, int64_t, bool>> configs = {
+      {1, 1, false}, {2, 2, false}, {2, 2, true}, {3, 3, true}};
+  for (const auto& [num_supports, steps, adaptive] : configs) {
+    SCOPED_TRACE(::testing::Message()
+                 << "supports=" << num_supports << " steps=" << steps
+                 << " adaptive=" << adaptive);
+    Rng rng(31);
+    std::vector<Tensor> supports;
+    for (int64_t s = 0; s < num_supports; ++s) {
+      supports.push_back(RandomRowStochastic(n, rng));
+    }
+    GraphConv conv(d, d, supports, rng, steps, adaptive ? 4 : 0, n);
+    Variable x = ag::Constant(Tensor::Randn({batch, n, d}, rng));
+    ag::NoGradGuard no_grad;
+    uint64_t block = 0;
+    {
+      const uint64_t before = t::GetAllocStats().live_bytes;
+      Tensor output_sized({batch, n, d});
+      block = t::GetAllocStats().live_bytes - before;
+    }
+    ASSERT_GT(block, 0u);
+    const uint64_t base = t::GetAllocStats().live_bytes;
+    t::ResetPeakLiveBytes();
+    Variable y = conv.Forward(x);
+    const uint64_t peak_above_input = t::GetAllocStats().peak_live_bytes - base;
+    EXPECT_LE(peak_above_input, 4 * block)
+        << "peak " << peak_above_input << " B above the input, output block "
+        << block << " B";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// EMA
+// ---------------------------------------------------------------------------
+
+TEST(EmaWeights, ShadowsOwnTheirStorageFromConstruction) {
+  Rng rng(41);
+  Linear layer(4, 3, rng);
+  std::vector<Variable> params = layer.Parameters();
+  EmaWeights ema(params, 0.9f);
+  ASSERT_EQ(ema.shadow().size(), params.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    EXPECT_NE(ema.shadow()[i].storage_id(), params[i].value().storage_id())
+        << "shadow " << i << " aliases its parameter";
+    ExpectBitEqual(ema.shadow()[i], params[i].value(), "shadow");
   }
 }
 

@@ -766,6 +766,126 @@ TEST(KernelLayer, BatchedTiledMatchesReference) {
   }
 }
 
+// Gemm into a C that already holds values, at (m, k, n), in every layout
+// and with a pack-cached B, against ReferenceGemm continuing the same C.
+void ExpectTiledContinuesNonzeroC(int64_t m, int64_t k, int64_t n, Rng& rng) {
+  namespace kn = kernels;
+  Tensor a = Tensor::Randn({m, k}, rng);
+  Tensor b = Tensor::Randn({k, n}, rng);
+  Tensor a_t = TransposeLast2(a);
+  Tensor b_t = TransposeLast2(b);
+  Tensor c0 = Tensor::Randn({m, n}, rng);
+
+  Tensor ref = c0.Clone();
+  kn::ReferenceGemm(kn::Layout::kNormal, kn::Layout::kNormal, m, n, k,
+                    a.data(), b.data(), ref.data());
+
+  Tensor nn = c0.Clone();
+  kn::Gemm(kn::Layout::kNormal, kn::Layout::kNormal, m, n, k, a.data(),
+           b.data(), nn.data());
+  ExpectBitEqual(nn, ref, "Gemm NN on a nonzero C");
+  Tensor nt = c0.Clone();
+  kn::Gemm(kn::Layout::kNormal, kn::Layout::kTransposed, m, n, k, a.data(),
+           b_t.data(), nt.data());
+  ExpectBitEqual(nt, ref, "Gemm NT on a nonzero C");
+  Tensor tn = c0.Clone();
+  kn::Gemm(kn::Layout::kTransposed, kn::Layout::kNormal, m, n, k,
+           a_t.data(), b.data(), tn.data());
+  ExpectBitEqual(tn, ref, "Gemm TN on a nonzero C");
+  Tensor cached = c0.Clone();
+  const Tensor& b_const = b;
+  kn::Gemm(kn::Layout::kNormal, kn::Layout::kNormal, m, n, k, a.data(),
+           b_const.data(), cached.data(), /*cache_a=*/nullptr,
+           /*cache_b=*/&b_const);
+  ExpectBitEqual(cached, ref, "Gemm with a cached B on a nonzero C");
+}
+
+TEST(KernelLayer, GemmContinuesANonzeroC) {
+  Rng rng(76);
+  for (int64_t m : kOddDims) {
+    for (int64_t k : kOddDims) {
+      for (int64_t n : kOddDims) {
+        SCOPED_TRACE(::testing::Message() << m << "x" << k << "x" << n);
+        ExpectTiledContinuesNonzeroC(m, k, n, rng);
+      }
+    }
+  }
+  for (const auto& [m, k, n] : kModelLinearShapes) {
+    SCOPED_TRACE(::testing::Message() << m << "x" << k << "x" << n);
+    ExpectTiledContinuesNonzeroC(m, k, n, rng);
+  }
+}
+
+TEST(KernelLayer, BatchedGemmContinuesANonzeroC) {
+  namespace kn = kernels;
+  Rng rng(77);
+  const int64_t shapes[][4] = {{3, 17, 5, 33}, {4, 5, 7, 19}, {2, 1, 3, 1}};
+  for (const auto& [batch, m, k, n] : shapes) {
+    // stride_a == 0 is the broadcast (MatMulNodeDim) path.
+    for (bool broadcast_a : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << batch << " x " << m << "x" << k
+                                        << "x" << n
+                                        << " broadcast_a=" << broadcast_a);
+      Tensor a = Tensor::Randn({broadcast_a ? 1 : batch, m, k}, rng);
+      Tensor b = Tensor::Randn({batch, k, n}, rng);
+      Tensor c0 = Tensor::Randn({batch, m, n}, rng);
+      const int64_t stride_a = broadcast_a ? 0 : m * k;
+      Tensor ref = c0.Clone();
+      for (int64_t bi = 0; bi < batch; ++bi) {
+        kn::ReferenceGemm(kn::Layout::kNormal, kn::Layout::kNormal, m, n, k,
+                          a.data() + bi * stride_a, b.data() + bi * k * n,
+                          ref.data() + bi * m * n);
+      }
+      Tensor got = c0.Clone();
+      kn::BatchedGemm(kn::Layout::kNormal, kn::Layout::kNormal, batch, m, n,
+                      k, a.data(), stride_a, b.data(), k * n, got.data());
+      ExpectBitEqual(got, ref, "BatchedGemm on a nonzero C");
+    }
+  }
+}
+
+TEST(KernelLayer, SplitKOnOneCEqualsTheWholeProduct) {
+  // Two calls over k1 then k2 into one C are the single call over k1 + k2:
+  // the streamed graph-conv mix relies on exactly this.
+  namespace kn = kernels;
+  Rng rng(78);
+  const int64_t ks[][2] = {{1, 1}, {5, 17}, {16, 16}, {33, 3}};
+  for (int64_t m : {1, 5, 17}) {
+    for (int64_t n : {3, 16, 33}) {
+      for (const auto& [k1, k2] : ks) {
+        SCOPED_TRACE(::testing::Message() << m << "x(" << k1 << "+" << k2
+                                          << ")x" << n);
+        Tensor a = Tensor::Randn({m, k1 + k2}, rng);
+        Tensor b = Tensor::Randn({k1 + k2, n}, rng);
+        Tensor whole(Shape{m, n});
+        kn::Gemm(kn::Layout::kNormal, kn::Layout::kNormal, m, n, k1 + k2,
+                 a.data(), b.data(), whole.data());
+        Tensor a1 = SliceAxis(a, 1, 0, k1);
+        Tensor a2 = SliceAxis(a, 1, k1, k2);
+        Tensor split(Shape{m, n});
+        kn::Gemm(kn::Layout::kNormal, kn::Layout::kNormal, m, n, k1,
+                 a1.data(), b.data(), split.data());
+        kn::Gemm(kn::Layout::kNormal, kn::Layout::kNormal, m, n, k2,
+                 a2.data(), b.data() + k1 * n, split.data());
+        ExpectBitEqual(split, whole, "Gemm split over k");
+
+        Tensor batched_whole(Shape{2, m, n});
+        Tensor batched_split(Shape{2, m, n});
+        kn::BatchedGemm(kn::Layout::kNormal, kn::Layout::kNormal, 2, m, n,
+                        k1 + k2, a.data(), 0, b.data(), 0,
+                        batched_whole.data());
+        kn::BatchedGemm(kn::Layout::kNormal, kn::Layout::kNormal, 2, m, n, k1,
+                        a1.data(), 0, b.data(), 0, batched_split.data());
+        kn::BatchedGemm(kn::Layout::kNormal, kn::Layout::kNormal, 2, m, n, k2,
+                        a2.data(), 0, b.data() + k1 * n, 0,
+                        batched_split.data());
+        ExpectBitEqual(batched_split, batched_whole,
+                       "BatchedGemm split over k");
+      }
+    }
+  }
+}
+
 TEST(KernelLayer, TransposedSharedOperandVariantsMatchComposition) {
   Rng rng(73);
   Tensor x = Tensor::Randn({2, 3, 7}, rng);

@@ -20,6 +20,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "baselines/factorization.h"
 #include "baselines/kalman.h"
@@ -31,6 +32,8 @@
 #include "common/logging.h"
 #include "data/io.h"
 #include "eval/harness.h"
+#include "nn/attention.h"
+#include "pristi/pristi_model.h"
 #include "serialize/checkpoint.h"
 #include "serialize/format.h"
 
@@ -80,7 +83,7 @@ Status PresetConfig(const std::string& preset, int64_t nodes, int64_t steps,
     return InvalidFlag("unknown --preset " + preset +
                        " (aqi|metr|pems|large)");
   }
-  return Status::Ok();
+  return data::ValidateSyntheticConfig(*config);
 }
 
 // Per-preset default sizes: the large preset exists to exercise the node
@@ -114,15 +117,6 @@ Status LoadOrGenerate(const Flags& flags, Rng& rng,
   return Status::Ok();
 }
 
-// The attention layers split the channels evenly across the heads.
-Status CheckHeads(int64_t channels, int64_t heads) {
-  if (heads < 1 || channels % heads != 0) {
-    return InvalidFlag("--heads=" + std::to_string(heads) +
-                       " must divide --channels=" + std::to_string(channels));
-  }
-  return Status::Ok();
-}
-
 Status ModelConfig(const Flags& flags, const data::ImputationTask& task,
                    core::PristiConfig* out) {
   core::PristiConfig& config = *out;
@@ -137,7 +131,7 @@ Status ModelConfig(const Flags& flags, const data::ImputationTask& task,
   config.temporal_emb_dim = flags.GetInt("temporal-emb", 32);
   config.node_emb_dim = flags.GetInt("node-emb", 16);
   config.adaptive_rank = flags.GetInt("adaptive-rank", 6);
-  return CheckHeads(config.channels, config.heads);
+  return core::ValidatePristiConfig(config);
 }
 
 Status RunOptions(const Flags& flags, const data::ImputationTask& task,
@@ -198,6 +192,8 @@ Status MakeTaskFromFlags(const Flags& flags, Rng& rng,
   data::TaskOptions options;
   options.window_len = flags.GetInt("window", 16);
   options.stride = flags.GetInt("stride", 4);
+  status = data::ValidateTaskOptions(options, dataset.num_steps);
+  if (!status.ok()) return status;
   *task = data::MakeTask(std::move(dataset), pattern, options, rng);
   return Status::Ok();
 }
@@ -257,8 +253,10 @@ int CmdTrain(const Flags& flags) {
       options.diffusion_steps, options.beta_1, options.beta_end);
   std::printf("training PriSTI (%lld parameters)...\n",
               static_cast<long long>(model->ParameterCount()));
-  diffusion::TrainDiffusionModel(model.get(), schedule, task, options.train,
-                                 rng);
+  std::vector<double> losses;
+  status = diffusion::TrainDiffusionModel(model.get(), schedule, task,
+                                          options.train, rng, &losses);
+  if (!status.ok()) return Fail(status);
   status = serialize::SaveModuleCheckpointFile(*model, out);
   if (!status.ok()) return Fail(ModelOutFailed(out, status));
   std::printf("saved checkpoint to %s\n", out.c_str());
@@ -457,7 +455,7 @@ int CmdEvaluate(const Flags& flags) {
       config.channels = flags.GetInt("channels", 16);
       config.heads = flags.GetInt("heads", 4);
       config.layers = flags.GetInt("layers", 2);
-      status = CheckHeads(config.channels, config.heads);
+      status = nn::ValidateAttentionHeads(config.channels, config.heads);
       if (!status.ok()) return Fail(status);
       imputer = eval::MakeCsdiImputer(config, options, rng);
     }

@@ -24,9 +24,10 @@
 //   stats                   session counters
 //   quit                    drain and exit (EOF does the same)
 //
-// A flag that fails serve::ValidateServeConfig, an unknown --sampler or
-// --pattern, or a --data / --model file that cannot be loaded is reported
-// on stderr and exits 1.
+// A flag that fails data::ValidateTaskOptions, core::ValidatePristiConfig
+// or serve::ValidateServeConfig, an unknown --sampler or --pattern, or a
+// --data / --model file that cannot be loaded is reported on stderr and
+// exits 1.
 
 #include <algorithm>
 #include <cstdio>
@@ -79,6 +80,12 @@ void PrintResponse(const Outstanding& entry, serve::ImputeResponse response) {
       static_cast<long long>(response.total_nanos / 1000), mean);
 }
 
+// Reports a typed failure on stderr; the exit code of every bad input.
+int Fail(const Status& status) {
+  std::fprintf(stderr, "pristi_serve: %s\n", status.ToString().c_str());
+  return 1;
+}
+
 void PrintStats(const serve::ServeSession& session) {
   serve::ServeSession::Stats stats = session.stats();
   std::printf(
@@ -126,6 +133,9 @@ int Main(int argc, char** argv) {
   data::TaskOptions task_options;
   task_options.window_len = flags.GetInt("window", 16);
   task_options.stride = flags.GetInt("stride", 4);
+  Status options_status =
+      data::ValidateTaskOptions(task_options, dataset.num_steps);
+  if (!options_status.ok()) return Fail(options_status);
   data::ImputationTask task =
       data::MakeTask(std::move(dataset), pattern, task_options, rng);
 
@@ -141,6 +151,8 @@ int Main(int argc, char** argv) {
   model_config.temporal_emb_dim = flags.GetInt("temporal-emb", 32);
   model_config.node_emb_dim = flags.GetInt("node-emb", 16);
   model_config.adaptive_rank = flags.GetInt("adaptive-rank", 6);
+  Status model_status = core::ValidatePristiConfig(model_config);
+  if (!model_status.ok()) return Fail(model_status);
   tensor::Tensor adjacency = task.dataset.graph.adjacency;
 
   auto model = std::make_shared<core::PristiModel>(model_config, adjacency,
@@ -172,11 +184,7 @@ int Main(int argc, char** argv) {
   Status config_status = serve::ParseSamplerName(
       flags.GetString("sampler", "ddim"), &config.impute.sampler);
   if (config_status.ok()) config_status = serve::ValidateServeConfig(config);
-  if (!config_status.ok()) {
-    std::fprintf(stderr, "pristi_serve: %s\n",
-                 config_status.ToString().c_str());
-    return 1;
-  }
+  if (!config_status.ok()) return Fail(config_status);
 
   auto schedule = diffusion::NoiseSchedule::Quadratic(
       flags.GetInt("steps-diffusion", 30),
