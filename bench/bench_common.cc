@@ -1,9 +1,6 @@
 #include "bench_common.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
-#include <system_error>
 
 namespace pristi::bench {
 
@@ -19,9 +16,9 @@ const char* PresetName(Preset preset) {
   return "unknown";
 }
 
-Scale ResolveScale() {
+Status ScaleNamed(const std::string& name, Scale* out) {
   Scale scale;
-  if (FullScaleRequested()) {
+  if (name == "full") {
     scale.full = true;
     scale.aqi_nodes = 36;
     scale.aqi_steps = 8760;
@@ -41,8 +38,12 @@ Scale ResolveScale() {
     scale.crps_samples = 100;
     scale.rnn_epochs = 100;
     scale.vae_epochs = 100;
+  } else if (name != "quick") {
+    return Status::Error(ErrorCode::kInvalidRequest,
+                         "unknown --scale " + name + " (quick|full)");
   }
-  return scale;
+  *out = scale;
+  return Status::Ok();
 }
 
 data::ImputationTask MakeTask(Preset preset, MissingPattern pattern,
@@ -163,15 +164,6 @@ std::vector<std::unique_ptr<Imputer>> MakeAllMethods(
       task.dataset.num_nodes, VaeOptionsFor(scale), rng));
   methods.push_back(std::make_unique<baselines::RgainImputer>(
       task.dataset.num_nodes, RecurrentOptionsFor(scale), rng));
-  for (auto& method : MakeDeepMethods(task, scale, rng)) {
-    methods.push_back(std::move(method));
-  }
-  return methods;
-}
-
-std::vector<std::unique_ptr<Imputer>> MakeDeepMethods(
-    const data::ImputationTask& task, const Scale& scale, Rng& rng) {
-  std::vector<std::unique_ptr<Imputer>> methods;
   methods.push_back(std::make_unique<baselines::BritsImputer>(
       task.dataset.num_nodes, RecurrentOptionsFor(scale), rng));
   methods.push_back(std::make_unique<baselines::GrinImputer>(
@@ -184,19 +176,6 @@ std::vector<std::unique_ptr<Imputer>> MakeDeepMethods(
       PristiConfigFor(task, scale), task.dataset.graph.adjacency,
       DiffusionOptionsFor(task, scale), rng));
   return methods;
-}
-
-void EmitTable(const std::string& experiment_id, const TablePrinter& table) {
-  std::printf("%s\n", table.ToText().c_str());
-  std::string dir = GetEnvOr("PRISTI_BENCH_DIR", "");
-  if (dir.empty()) dir = "results";
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);  // WriteCsv reports failure
-  std::string csv_path =
-      (std::filesystem::path(dir) / (experiment_id + ".csv")).string();
-  if (table.WriteCsv(csv_path)) {
-    std::printf("[csv written to %s]\n\n", csv_path.c_str());
-  }
 }
 
 }  // namespace pristi::bench

@@ -1,11 +1,13 @@
 #ifndef PRISTI_BENCH_BENCH_COMMON_H_
 #define PRISTI_BENCH_BENCH_COMMON_H_
 
-// Shared scaffolding for the table/figure reproduction binaries.
+// Shared scaffolding of the paper-evaluation driver (pristi_paper): the
+// dataset presets, the two scales, and the task, config and method-roster
+// builders every table and figure draws on.
 //
-// Every bench defaults to a CI-friendly reduced scale (minutes total across
-// the suite); set PRISTI_SCALE=full for paper-shaped runs (hours). The knobs
-// chosen per scale are printed in each bench's header so runs are
+// The quick scale (the default) is CI-sized — minutes for the whole suite;
+// `pristi_paper --scale=full` selects the paper's shapes (hours). The
+// driver prints the scale in each table's header so runs are
 // self-describing.
 
 #include <memory>
@@ -18,7 +20,7 @@
 #include "baselines/rnn.h"
 #include "baselines/simple.h"
 #include "baselines/vae.h"
-#include "common/env.h"
+#include "common/status.h"
 #include "common/table_printer.h"
 #include "eval/harness.h"
 
@@ -31,7 +33,7 @@ enum class Preset { kAqi36, kMetrLa, kPemsBay };
 
 const char* PresetName(Preset preset);
 
-// Scale knobs resolved from PRISTI_SCALE.
+// Scale knobs. A default-constructed Scale is the quick scale.
 struct Scale {
   bool full = false;
   // Dataset sizes per preset.
@@ -55,7 +57,9 @@ struct Scale {
   int64_t vae_epochs = 14;
 };
 
-Scale ResolveScale();
+// Sets `*scale` to the scale named "quick" or "full"; any other name comes
+// back as kInvalidRequest and leaves `*scale` unchanged.
+Status ScaleNamed(const std::string& name, Scale* scale);
 
 // Builds the dataset + injected-pattern task for a preset at a scale. The
 // pattern defaults to the paper's pairing (AQI -> simulated failure).
@@ -75,16 +79,6 @@ baselines::VaeOptions VaeOptionsFor(const Scale& scale);
 // The full Table III method roster, in the paper's row order.
 std::vector<std::unique_ptr<Imputer>> MakeAllMethods(
     const data::ImputationTask& task, const Scale& scale, Rng& rng);
-
-// The "top 4" deep subset used by Tables V and Fig. 5 (BRITS, GRIN, CSDI,
-// PriSTI).
-std::vector<std::unique_ptr<Imputer>> MakeDeepMethods(
-    const data::ImputationTask& task, const Scale& scale, Rng& rng);
-
-// Writes the table text to stdout and its CSV to
-// $PRISTI_BENCH_DIR/<experiment_id>.csv, or results/<experiment_id>.csv when
-// that is unset. The directory is created if missing.
-void EmitTable(const std::string& experiment_id, const TablePrinter& table);
 
 }  // namespace pristi::bench
 

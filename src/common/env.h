@@ -13,10 +13,7 @@
 //
 // pristi-env-registry-begin
 //
-// Scale and debugging:
-//   PRISTI_SCALE  "quick" — benches and eval default to CI-friendly
-//          reduced scale; "full" selects paper-scale shapes
-//          (FullScaleRequested below).
+// Threads and debugging:
 //   PRISTI_THREADS  0 — worker-thread count for the persistent
 //          ParallelFor pool (src/common/parallel.cc); 0/unset means
 //          hardware concurrency. Also honored by the sanitizer matrix in
@@ -30,9 +27,6 @@
 //          (serialize_test, sharded_train_test, sampler_equivalence_test)
 //          rewrite their checked-in golden artifacts instead of comparing
 //          against them.
-//   PRISTI_BENCH_DIR  unset — when set, the paper-table bench binaries
-//          (bench/, via bench::EmitTable) write their CSVs into this
-//          directory instead of results/. Nothing else reads it.
 //   PRISTI_SANITIZE_CONFIGS  "address+undefined thread" — which sanitizer
 //          configs tools/run_static_analysis.sh builds and tests.
 //   PRISTI_NATIVE_BITEQ  1 — 0 skips the -march=native bit-identity leg
@@ -57,11 +51,6 @@ inline int64_t GetEnvIntOr(const char* name, int64_t fallback) {
   long long parsed = std::strtoll(value, &end, 10);
   if (end == value) return fallback;
   return static_cast<int64_t>(parsed);
-}
-
-// True when the caller asked for paper-scale experiment shapes.
-inline bool FullScaleRequested() {
-  return GetEnvOr("PRISTI_SCALE", "quick") == "full";
 }
 
 }  // namespace pristi

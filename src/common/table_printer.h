@@ -1,9 +1,10 @@
 #ifndef PRISTI_COMMON_TABLE_PRINTER_H_
 #define PRISTI_COMMON_TABLE_PRINTER_H_
 
-// Plain-text table and CSV emission for the benchmark harness. Every bench
-// binary prints the rows of the paper table it reproduces through this class
-// so the output format is uniform across experiments.
+// Plain-text table and CSV emission for the benchmark harness. Every
+// experiment of the paper-evaluation driver prints the rows of the paper
+// table it reproduces through this class so the output format is uniform
+// across experiments.
 
 #include <string>
 #include <vector>

@@ -165,6 +165,25 @@ Status LoadTrainingCheckpoint(
 
 }  // namespace
 
+Status ValidateTrainOptions(const TrainOptions& options) {
+  if (options.batch_size < 1) {
+    return Status::Error(ErrorCode::kInvalidRequest,
+                         "batch_size must be >= 1, got " +
+                             std::to_string(options.batch_size));
+  }
+  if (options.epochs < 1) {
+    return Status::Error(ErrorCode::kInvalidRequest,
+                         "epochs must be >= 1, got " +
+                             std::to_string(options.epochs));
+  }
+  if (!std::isfinite(options.lr) || options.lr <= 0.0f) {
+    return Status::Error(ErrorCode::kInvalidRequest,
+                         "lr must be finite and > 0, got " +
+                             std::to_string(options.lr));
+  }
+  return Status::Ok();
+}
+
 Status TrainDiffusionModel(ConditionalNoisePredictor* model,
                            const NoiseSchedule& schedule,
                            const data::ImputationTask& task,
@@ -172,6 +191,8 @@ Status TrainDiffusionModel(ConditionalNoisePredictor* model,
                            std::vector<double>* epoch_losses) {
   PRISTI_CHECK(model != nullptr);
   PRISTI_CHECK(epoch_losses != nullptr);
+  Status valid = ValidateTrainOptions(options);
+  if (!valid.ok()) return valid;
   ModelAccessGuard access_guard(model, "TrainDiffusionModel");
   std::vector<data::Sample> samples = data::ExtractSamples(task, "train");
   if (samples.empty()) {

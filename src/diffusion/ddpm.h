@@ -143,6 +143,12 @@ struct TrainOptions {
   std::string resume_from;
 };
 
+// Checks the training knobs a caller can get wrong: batch_size >= 1,
+// epochs >= 1 and a finite lr > 0. A violation comes back as
+// kInvalidRequest; TrainDiffusionModel returns it before touching the
+// model.
+Status ValidateTrainOptions(const TrainOptions& options);
+
 // Algorithm 1. Trains `model` on the task's training windows: each step
 // re-masks every window of the batch with the configured strategy,
 // interpolates the remaining observations, q-samples a diffusion step and
@@ -151,9 +157,10 @@ struct TrainOptions {
 // Fills `epoch_losses` with the per-epoch mean training loss; on resume the
 // restored epochs' losses are included, so the result always covers epoch
 // 0..epochs-1 and can be compared directly against an uninterrupted run.
-// A task without training windows, a resume checkpoint that cannot be
-// used, or a checkpoint directory or file that cannot be written comes
-// back as a typed status (kInvalidRequest, or the serialize error code).
+// Options that fail ValidateTrainOptions, a task without training windows,
+// a resume checkpoint that cannot be used, or a checkpoint directory or file
+// that cannot be written comes back as a typed status (kInvalidRequest, or
+// the serialize error code).
 Status TrainDiffusionModel(ConditionalNoisePredictor* model,
                            const NoiseSchedule& schedule,
                            const data::ImputationTask& task,

@@ -1,10 +1,20 @@
 #include "diffusion/schedule.h"
 
 #include <cmath>
+#include <string>
 
 #include "common/check.h"
 
 namespace pristi::diffusion {
+
+Status ValidateScheduleSteps(int64_t num_steps) {
+  if (num_steps < 2) {
+    return Status::Error(ErrorCode::kInvalidRequest,
+                         "diffusion steps must be >= 2, got " +
+                             std::to_string(num_steps));
+  }
+  return Status::Ok();
+}
 
 NoiseSchedule::NoiseSchedule(std::vector<float> beta)
     : beta_(std::move(beta)) {

@@ -9,7 +9,13 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
+
 namespace pristi::diffusion {
+
+// A schedule needs T >= 2 steps (Quadratic and Linear divide by T - 1);
+// anything less comes back as kInvalidRequest.
+Status ValidateScheduleSteps(int64_t num_steps);
 
 class NoiseSchedule {
  public:

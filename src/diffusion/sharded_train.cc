@@ -163,6 +163,8 @@ double RunShardedEpoch(ConditionalNoisePredictor* model,
                        nn::EmaWeights* ema, Rng& rng) {
   PRISTI_CHECK(model != nullptr);
   PRISTI_CHECK(optimizer != nullptr);
+  PRISTI_CHECK_GT(options.batch_size, 0)
+      << "TrainOptions::batch_size (see ValidateTrainOptions)";
   PRISTI_CHECK_GE(options.num_shards, 0)
       << "TrainOptions::num_shards: 0 = one shard per pool worker";
   const int64_t num_shards =

@@ -1,8 +1,7 @@
-// Pins the bench harness's full-scale configuration to the paper's Table II
-// hyperparameters, so a refactor cannot silently drift the "paper-shaped"
-// mode away from the published setup.
-
-#include <cstdlib>
+// Pins the bench harness's scales: quick stays CI-sized and full matches
+// the paper's Table II hyperparameters, so a refactor cannot silently drift
+// the "paper-shaped" mode away from the published setup. Scales are read
+// through ScaleNamed, the parser behind `pristi_paper --scale`.
 
 #include <gtest/gtest.h>
 
@@ -11,23 +10,37 @@
 namespace pristi::bench {
 namespace {
 
-class ScaleTest : public ::testing::Test {
- protected:
-  void TearDown() override { unsetenv("PRISTI_SCALE"); }
-};
+Scale Named(const std::string& name) {
+  Scale scale;
+  Status status = ScaleNamed(name, &scale);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return scale;
+}
 
-TEST_F(ScaleTest, QuickIsDefault) {
-  unsetenv("PRISTI_SCALE");
-  Scale scale = ResolveScale();
+TEST(ScaleTest, QuickIsDefault) {
+  Scale scale = Named("quick");
   EXPECT_FALSE(scale.full);
+  // A default-constructed Scale is the quick scale.
+  EXPECT_EQ(scale.aqi_nodes, Scale{}.aqi_nodes);
+  EXPECT_EQ(scale.diffusion_epochs, Scale{}.diffusion_epochs);
   // Quick mode must stay CI-sized.
   EXPECT_LE(scale.aqi_nodes, 36);
   EXPECT_LE(scale.diffusion_epochs, 60);
 }
 
-TEST_F(ScaleTest, FullMatchesPaperTable2) {
-  setenv("PRISTI_SCALE", "full", 1);
-  Scale scale = ResolveScale();
+TEST(ScaleTest, UnknownNameIsATypedError) {
+  for (const char* name : {"Full", "mid", "", "quick "}) {
+    Scale scale;
+    scale.channels = 7;
+    Status status = ScaleNamed(name, &scale);
+    EXPECT_EQ(status.code(), ErrorCode::kInvalidRequest) << name;
+    EXPECT_NE(status.message().find("quick|full"), std::string::npos);
+    EXPECT_EQ(scale.channels, 7) << "a failed parse must leave *scale alone";
+  }
+}
+
+TEST(ScaleTest, FullMatchesPaperTable2) {
+  Scale scale = Named("full");
   ASSERT_TRUE(scale.full);
   // Dataset sizes (Table in Sec. IV-A): 36 / 207 / 325 sensors.
   EXPECT_EQ(scale.aqi_nodes, 36);
@@ -43,9 +56,8 @@ TEST_F(ScaleTest, FullMatchesPaperTable2) {
   EXPECT_EQ(scale.window_len, 24);      // L for METR-LA / PEMS-BAY
 }
 
-TEST_F(ScaleTest, FullDisablesQuickAdaptations) {
-  setenv("PRISTI_SCALE", "full", 1);
-  Scale scale = ResolveScale();
+TEST(ScaleTest, FullDisablesQuickAdaptations) {
+  Scale scale = Named("full");
   data::ImputationTask task =
       MakeTask(Preset::kAqi36, data::MissingPattern::kPoint,
                [] {
@@ -67,9 +79,8 @@ TEST_F(ScaleTest, FullDisablesQuickAdaptations) {
   EXPECT_DOUBLE_EQ(options.train.lr_milestone_fracs[1], 0.9);
 }
 
-TEST_F(ScaleTest, PristiConfigUsesPaperEmbeddingDims) {
-  setenv("PRISTI_SCALE", "full", 1);
-  Scale scale = ResolveScale();
+TEST(ScaleTest, PristiConfigUsesPaperEmbeddingDims) {
+  Scale scale = Named("full");
   Scale tiny;
   data::ImputationTask task =
       MakeTask(Preset::kAqi36, data::MissingPattern::kPoint, tiny, 2);

@@ -1,22 +1,30 @@
 #!/usr/bin/env bash
-# Bad pristi_cli inputs fail with a typed message, never a CHECK abort.
+# Bad pristi_cli and pristi_paper inputs fail with a typed message, never a
+# CHECK abort.
 #
-# Usage: cli_flags_test.sh <path to pristi_cli>
+# Usage: cli_flags_test.sh <path to pristi_cli> <path to pristi_paper>
 #
 # Each case below — an unknown --preset, --pattern, --sampler or --method,
 # --samples=0, a --heads that does not divide --channels, a --window longer
-# than the training range, --nodes=0, a --model checkpoint that cannot be
+# than the training range, --nodes=0, --batch=0, --epochs=0, a --lr that is
+# not > 0, --steps-diffusion below 2, a negative --steps, a --model
+# checkpoint that cannot be
 # loaded, a --resume checkpoint that is missing, damaged or already past
 # --epochs, and an --out, --csv or --model-out file that cannot be written —
 # must exit 1 with a "pristi_cli: " line on stderr and no "Check failed".
 # None may train first: an unwritable --model-out fails before epoch 0 and
 # leaves an existing checkpoint there intact.
 #
+# pristi_paper: an unknown flag, argument, --scale or --only name, and an
+# --out where no CSV can be written, exit 1 with a "pristi_paper: " line
+# before the first experiment starts.
+#
 # Exits 1 on any failure.
 
 set -u
 
 cli="$1"
+paper="$2"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 failures=0
@@ -71,6 +79,12 @@ cases=(
   "train $small --epochs=1 --resume=$missing/r.ckpt --model-out=$tmp/m.ckpt"
   "train $small --epochs=1 --resume=$tmp/damaged.ckpt --model-out=$tmp/m.ckpt"
   "train $small --epochs=1 --resume=$tmp/ck/ckpt-2.ckpt --model-out=$tmp/m.ckpt"
+  "train $small --epochs=1 --batch=0 --model-out=$tmp/m.ckpt"
+  "train $small --epochs=0 --model-out=$tmp/m.ckpt"
+  "train $small --epochs=1 --lr=-1 --model-out=$tmp/m.ckpt"
+  "train --data=$data --epochs=1 --steps-diffusion=0 --model-out=$tmp/m.ckpt"
+  "evaluate --data=$data --method=pristi --epochs=1 --steps-diffusion=1"
+  "impute $small --steps=-3 --out=$tmp/i.csv"
 )
 for args in "${cases[@]}"; do
   # shellcheck disable=SC2086  # each case is a word-split argument list
@@ -82,6 +96,32 @@ for args in "${cases[@]}"; do
     fail "'$args' printed no pristi_cli: message"
   grep -q '^epoch' "$tmp/case.out" && fail "'$args' trained before failing"
 done
+# A regular file where --out needs a directory, and a CSV path taken by a
+# directory.
+touch "$tmp/file"
+mkdir -p "$tmp/taken/table3_overall_mae_mse.csv"
+paper_cases=(
+  "--scale=Full"
+  "--scale=mid"
+  "--only=table7"
+  "--only=,table3"
+  "--seeds=5"
+  "table3"
+  "--out=$tmp/file"
+  "--out=$tmp/file/sub --only=fig6"
+  "--out=$tmp/taken --only=table3"
+)
+for args in "${paper_cases[@]}"; do
+  # shellcheck disable=SC2086  # each case is a word-split argument list
+  "$paper" $args > "$tmp/case.out" 2> "$tmp/case.err"
+  code=$?
+  [ "$code" -eq 1 ] || fail "pristi_paper '$args' exited $code, want 1"
+  grep -q 'Check failed' "$tmp/case.err" && fail "pristi_paper '$args' aborted"
+  grep -q '^pristi_paper: ' "$tmp/case.err" ||
+    fail "pristi_paper '$args' printed no pristi_paper: message"
+  [ -s "$tmp/case.out" ] && fail "pristi_paper '$args' ran before failing"
+done
+
 cmp -s "$kept" "$tmp/kept.orig" ||
   fail "a failed train changed the checkpoint at its --model-out"
 

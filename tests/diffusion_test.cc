@@ -4,6 +4,7 @@
 #include "diffusion/ddpm.h"
 
 #include <cmath>
+#include <functional>
 #include <cstring>
 #include <limits>
 
@@ -351,6 +352,46 @@ TEST(TrainingOptions, HighTBiasStillTrains) {
   auto losses = TrainDiffusionModel(&model, schedule, task, options, rng);
   EXPECT_EQ(losses.size(), 2u);
   for (double loss : losses) EXPECT_GT(loss, 0.0);
+}
+
+TEST(TrainingOptions, InvalidOptionsComeBackTypedBeforeTraining) {
+  data::SyntheticConfig config;
+  config.num_nodes = 4;
+  config.num_steps = 120;
+  Rng rng(44);
+  auto dataset = data::GenerateSynthetic(config, rng);
+  auto task = data::MakeTask(std::move(dataset), data::MissingPattern::kPoint,
+                             data::TaskOptions{.window_len = 8, .stride = 8},
+                             rng);
+  ZeroPredictor2 model;
+  NoiseSchedule schedule = NoiseSchedule::Quadratic(10, 1e-4f, 0.2f);
+  EXPECT_TRUE(ValidateTrainOptions(TrainOptions{}).ok());
+  // A zero batch used to walk empty batches forever.
+  const std::vector<std::function<void(TrainOptions&)>> breaks = {
+      [](TrainOptions& o) { o.batch_size = 0; },
+      [](TrainOptions& o) { o.epochs = 0; },
+      [](TrainOptions& o) { o.lr = -1.0f; },
+      [](TrainOptions& o) { o.lr = 0.0f; },
+      [](TrainOptions& o) {
+        o.lr = std::numeric_limits<float>::quiet_NaN();
+      },
+  };
+  for (const auto& apply : breaks) {
+    TrainOptions options;
+    apply(options);
+    std::vector<double> losses = {1.0};
+    Status status =
+        TrainDiffusionModel(&model, schedule, task, options, rng, &losses);
+    EXPECT_EQ(status.code(), ErrorCode::kInvalidRequest) << status.message();
+    EXPECT_EQ(losses, std::vector<double>{1.0}) << "trained before failing";
+  }
+}
+
+TEST(Schedule, FewerThanTwoStepsIsATypedError) {
+  EXPECT_TRUE(ValidateScheduleSteps(2).ok());
+  for (int64_t steps : {1, 0, -3}) {
+    EXPECT_EQ(ValidateScheduleSteps(steps).code(), ErrorCode::kInvalidRequest);
+  }
 }
 
 }  // namespace

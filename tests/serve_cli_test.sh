@@ -53,7 +53,8 @@ grep -q '^request 0: ok start=0 seed=1 ' "$tmp/range.out" ||
 # ---- 2. bad flags ----------------------------------------------------------
 for flag in --max-batch=0 --queue-cap=0 --max-wait-ms=-1 --samples=0 \
     --sampler=bogus --pattern=bogus --heads=3 --virtual-nodes=16 \
-    --window=100000 --model=/nonexistent; do
+    --window=100000 --steps-diffusion=0 --steps-diffusion=1 \
+    --model=/nonexistent; do
   echo quit | "$serve" "$flag" > "$tmp/flag.out" 2> "$tmp/flag.err"
   code=$?
   [ "$code" -eq 1 ] || fail "$flag exited $code, want 1"

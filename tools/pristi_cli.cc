@@ -13,8 +13,10 @@
 // `evaluate --method=` also accepts the classic baselines (mean, da, knn,
 // lin-itp, kf, mice, var, trmf, batf, stmvl, brits, grin, csdi).
 //
-// A bad input — an unknown name, a file that cannot be loaded, an output
-// that cannot be written — is reported on stderr and exits 1.
+// A bad input — an unknown name, a value the library would reject (see
+// diffusion::ValidateTrainOptions, ValidateScheduleSteps), a file that
+// cannot be loaded, an output that cannot be written — is reported on
+// stderr and exits 1.
 
 #include <cstdio>
 #include <fstream>
@@ -154,6 +156,10 @@ Status RunOptions(const Flags& flags, const data::ImputationTask& task,
     return InvalidFlag("unknown --sampler " + sampler + " (ddpm|ddim|plms)");
   }
   options.impute.num_inference_steps = flags.GetInt("steps", 10);
+  if (options.impute.num_inference_steps < 0) {
+    return InvalidFlag("--steps must be >= 0, got " +
+                       std::to_string(options.impute.num_inference_steps));
+  }
   options.train.ema_decay =
       static_cast<float>(flags.GetDouble("ema-decay", 0.0));
   // Shard-parallel training (diffusion/sharded_train.h): --shards=K, 0 =
@@ -174,7 +180,9 @@ Status RunOptions(const Flags& flags, const data::ImputationTask& task,
       options.train.mask_strategy = data::MaskStrategy::kHybridHistorical;
       break;
   }
-  return Status::Ok();
+  Status status = diffusion::ValidateScheduleSteps(options.diffusion_steps);
+  return status.ok() ? diffusion::ValidateTrainOptions(options.train)
+                     : status;
 }
 
 // Loads or generates the dataset and splits it into a task.

@@ -24,8 +24,9 @@
 //   stats                   session counters
 //   quit                    drain and exit (EOF does the same)
 //
-// A flag that fails data::ValidateTaskOptions, core::ValidatePristiConfig
-// or serve::ValidateServeConfig, an unknown --sampler or --pattern, or a
+// A flag that fails data::ValidateTaskOptions, core::ValidatePristiConfig,
+// diffusion::ValidateScheduleSteps or serve::ValidateServeConfig, an
+// unknown --sampler or --pattern, or a
 // --data / --model file that cannot be loaded is reported on stderr and
 // exits 1.
 
@@ -152,6 +153,10 @@ int Main(int argc, char** argv) {
   model_config.node_emb_dim = flags.GetInt("node-emb", 16);
   model_config.adaptive_rank = flags.GetInt("adaptive-rank", 6);
   Status model_status = core::ValidatePristiConfig(model_config);
+  const int64_t diffusion_steps = flags.GetInt("steps-diffusion", 30);
+  if (model_status.ok()) {
+    model_status = diffusion::ValidateScheduleSteps(diffusion_steps);
+  }
   if (!model_status.ok()) return Fail(model_status);
   tensor::Tensor adjacency = task.dataset.graph.adjacency;
 
@@ -187,7 +192,7 @@ int Main(int argc, char** argv) {
   if (!config_status.ok()) return Fail(config_status);
 
   auto schedule = diffusion::NoiseSchedule::Quadratic(
-      flags.GetInt("steps-diffusion", 30),
+      diffusion_steps,
       static_cast<float>(flags.GetDouble("beta-1", 1e-4)),
       static_cast<float>(flags.GetDouble("beta-end", 0.2)));
 
