@@ -80,6 +80,34 @@ Variable MakeOp(const char* name, const Tensor& value,
   return Variable::FromNode(std::move(node));
 }
 
+// Elements per worker below which a row-parallel elementwise pass stays on
+// one thread: the tensor layer's elementwise threshold.
+constexpr int64_t kRowPassMinElements = 1 << 14;
+
+int64_t MinRowsPerChunk(int64_t row_len) {
+  return std::max<int64_t>(1,
+                           kRowPassMinElements / std::max<int64_t>(1, row_len));
+}
+
+// out[r, j] = out[r, j] + bias[j] for every row r of `out`: the row path of
+// t::Add(out, bias), element for element, without the second block.
+void AddBiasInPlace(Tensor* out, const Tensor& bias) {
+  const int64_t row = bias.numel();
+  PRISTI_CHECK_EQ(bias.ndim(), 1) << "bias must be a vector";
+  PRISTI_CHECK_EQ(out->dim(-1), row) << "bias width mismatch";
+  const float* pb = bias.data();
+  float* po = out->data();
+  ParallelFor(
+      0, out->numel() / row,
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t r = lo; r < hi; ++r) {
+          float* dst = po + r * row;
+          for (int64_t j = 0; j < row; ++j) dst[j] = dst[j] + pb[j];
+        }
+      },
+      MinRowsPerChunk(row));
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -245,6 +273,80 @@ Variable Clamp(const Variable& a, float lo, float hi) {
                 });
 }
 
+Variable GatedActivation(const Variable& x) {
+  const Tensor& xv = x.value();
+  const int64_t d = xv.dim(-1);
+  PRISTI_CHECK_EQ(d % 2, 0) << "GatedActivation needs an even channel count";
+  const int64_t half = d / 2;
+  const int64_t rows = d > 0 ? xv.numel() / d : 0;
+  Shape out_shape = xv.shape();
+  out_shape.back() = half;
+  Tensor out(out_shape);
+  // The backward reads tanh of the filter half and sigmoid of the gate half,
+  // kept side by side in x's layout; inference keeps neither.
+  const bool record = GradModeEnabled() && !x.node()->IsConstant();
+  Tensor act = record ? Tensor(xv.shape()) : Tensor();
+  {
+    const float* px = xv.data();
+    float* po = out.data();
+    float* pa = record ? act.data() : nullptr;
+    ParallelFor(
+        0, rows,
+        [&](int64_t lo, int64_t hi) {
+          for (int64_t r = lo; r < hi; ++r) {
+            const float* src = px + r * d;
+            float* dst = po + r * half;
+            for (int64_t j = 0; j < half; ++j) {
+              // t::Tanh, t::Sigmoid and t::Mul, element for element.
+              const float th = std::tanh(src[j]);
+              const float sg = 1.0f / (1.0f + std::exp(-src[half + j]));
+              dst[j] = th * sg;
+              if (pa != nullptr) {
+                pa[r * d + j] = th;
+                pa[r * d + half + j] = sg;
+              }
+            }
+          }
+        },
+        MinRowsPerChunk(d));
+  }
+  auto xn = x.node();
+  return MakeOp(
+      "GatedActivation", std::move(out), {x},
+      [xn, act, rows, d, half](const Tensor& g) {
+        Tensor dx(act.shape());
+        const float* pg = g.data();
+        const float* pa = act.data();
+        float* pd = dx.data();
+        ParallelFor(
+            0, rows,
+            [&](int64_t lo, int64_t hi) {
+              for (int64_t r = lo; r < hi; ++r) {
+                const float* grow = pg + r * half;
+                const float* th = pa + r * d;
+                const float* sg = th + half;
+                float* dfilt = pd + r * d;
+                float* dgate = dfilt + half;
+                for (int64_t j = 0; j < half; ++j) {
+                  // The chain's expressions in order: Mul's backward lands
+                  // in the zeroed Tanh / Sigmoid gradients (0 + g·other),
+                  // their closures multiply by 1 - tanh² and s·(1 - s)
+                  // spelled as Neg and AddScalar, and each SliceAxis
+                  // scatters into a zeroed block (0 + v).
+                  const float g_th = 0.0f + grow[j] * sg[j];
+                  const float d_th = g_th * (-(th[j] * th[j]) + 1.0f);
+                  const float g_sg = 0.0f + grow[j] * th[j];
+                  const float d_sg = g_sg * (sg[j] * (-sg[j] + 1.0f));
+                  dfilt[j] = 0.0f + d_th;
+                  dgate[j] = 0.0f + d_sg;
+                }
+              }
+            },
+            MinRowsPerChunk(d));
+        xn->AccumulateGrad(dx);
+      });
+}
+
 Variable Where(const Tensor& cond, const Variable& a, const Variable& b) {
   Tensor out = t::Where(cond, a.value(), b.value());
   auto an = a.node();
@@ -377,36 +479,42 @@ Variable BatchedMatMulNTScaled(const Variable& a, const Variable& b,
 }
 
 Variable FusedAttention(const Variable& q, const Variable& k,
-                        const Variable& v, float scale) {
+                        const Variable& v, int64_t num_heads, float scale) {
   const Tensor& qv = q.value();
   const Tensor& kv = k.value();
   const Tensor& vv = v.value();
   int64_t nd = qv.ndim();
-  PRISTI_CHECK_GE(nd, 2) << "FusedAttention needs (..., seq, head_dim)";
+  PRISTI_CHECK_GE(nd, 2) << "FusedAttention needs (..., seq, heads*head_dim)";
   PRISTI_CHECK_EQ(kv.ndim(), nd);
   PRISTI_CHECK_EQ(vv.ndim(), nd);
-  int64_t dh = qv.dim(nd - 1);
+  PRISTI_CHECK_GT(num_heads, 0);
+  int64_t width = qv.dim(nd - 1);
+  PRISTI_CHECK_EQ(width % num_heads, 0)
+      << "FusedAttention heads must divide the last axis";
+  int64_t dh = width / num_heads;
   int64_t s_q = qv.dim(nd - 2);
   int64_t s_k = kv.dim(nd - 2);
   PRISTI_CHECK_GT(qv.numel(), 0) << "FusedAttention on an empty tensor";
-  PRISTI_CHECK_EQ(kv.dim(nd - 1), dh) << "FusedAttention head_dim mismatch";
-  PRISTI_CHECK_EQ(vv.dim(nd - 1), dh) << "FusedAttention head_dim mismatch";
+  PRISTI_CHECK_EQ(kv.dim(nd - 1), width) << "FusedAttention width mismatch";
+  PRISTI_CHECK_EQ(vv.dim(nd - 1), width) << "FusedAttention width mismatch";
   PRISTI_CHECK_EQ(vv.dim(nd - 2), s_k) << "FusedAttention kv length mismatch";
-  int64_t batch = qv.numel() / (s_q * dh);
-  PRISTI_CHECK_EQ(kv.numel(), batch * s_k * dh)
+  int64_t batch = qv.numel() / (s_q * width);
+  PRISTI_CHECK_EQ(kv.numel(), batch * s_k * width)
       << "FusedAttention leading dims mismatch";
   Tensor out(qv.shape());
-  Tensor lse(Shape{batch, s_q});
-  t::kernels::FusedAttentionForward(batch, s_q, s_k, dh, scale, qv.data(),
-                                 kv.data(), vv.data(), out.data(), lse.data(),
-                                 &kv);
+  // The logsumexp is backward state: inference leaves it out.
+  const bool record = GradModeEnabled();
+  Tensor lse = record ? Tensor(Shape{batch * num_heads, s_q}) : Tensor();
+  kn::FusedAttentionForward(batch, num_heads, s_q, s_k, dh, scale, qv.data(),
+                            kv.data(), vv.data(), out.data(),
+                            record ? lse.data() : nullptr, &kv);
   auto qn = q.node();
   auto kn = k.node();
   auto vn = v.node();
   Tensor out_copy = out;
   return MakeOp(
       "FusedAttention", std::move(out), {q, k, v},
-      [qn, kn, vn, out_copy, lse, scale, batch, s_q, s_k,
+      [qn, kn, vn, out_copy, lse, scale, batch, num_heads, s_q, s_k,
        dh](const Tensor& g) {
         // Const views so reading the saved inputs never bumps a storage
         // version (which would evict the packed K panels the backward is
@@ -417,32 +525,60 @@ Variable FusedAttention(const Variable& q, const Variable& k,
         Tensor dq(qt.shape());
         Tensor dk(kt.shape());
         Tensor dv(vt.shape());
-        t::kernels::FusedAttentionBackward(batch, s_q, s_k, dh, scale, qt.data(),
-                                        kt.data(), vt.data(), out_copy.data(),
-                                        lse.data(), g.data(), dq.data(),
-                                        dk.data(), dv.data(), &kt);
+        kn::FusedAttentionBackward(batch, num_heads, s_q, s_k, dh, scale,
+                                   qt.data(), kt.data(), vt.data(),
+                                   out_copy.data(), lse.data(), g.data(),
+                                   dq.data(), dk.data(), dv.data(), &kt);
         qn->AccumulateGrad(dq);
         kn->AccumulateGrad(dk);
         vn->AccumulateGrad(dv);
       });
 }
 
+namespace {
+
+// MatMulLastDim's backward: dx and dw from the output gradient `g`.
+void MatMulLastDimBackward(Node* xn, Node* wn, const Tensor& g) {
+  // dx = g @ w^T applied along the last axis (w read transposed in place).
+  if (!xn->IsConstant()) xn->AccumulateGrad(t::MatMulLastDimT(g, wn->value));
+  if (wn->IsConstant()) return;
+  // dw = x2d^T @ g2d where both are flattened to (rows, features).
+  int64_t k_in = xn->value.dim(-1);
+  int64_t k_out = g.dim(-1);
+  int64_t rows = xn->value.numel() / k_in;
+  Tensor x2d = xn->value.Reshaped({rows, k_in});
+  Tensor g2d = g.Reshaped({rows, k_out});
+  wn->AccumulateGrad(t::MatMulTN(x2d, g2d));
+}
+
+}  // namespace
+
 Variable MatMulLastDim(const Variable& x, const Variable& w) {
   Tensor out = t::MatMulLastDim(x.value(), w.value());
   auto xn = x.node();
   auto wn = w.node();
-  return MakeOp("MatMulLastDim", std::move(out), {x, w}, [xn, wn](const Tensor& g) {
-    // dx = g @ w^T applied along the last axis (w read transposed in place).
-    if (!xn->IsConstant()) xn->AccumulateGrad(t::MatMulLastDimT(g, wn->value));
-    if (wn->IsConstant()) return;
-    // dw = x2d^T @ g2d where both are flattened to (rows, features).
-    int64_t k_in = xn->value.dim(-1);
-    int64_t k_out = g.dim(-1);
-    int64_t rows = xn->value.numel() / k_in;
-    Tensor x2d = xn->value.Reshaped({rows, k_in});
-    Tensor g2d = g.Reshaped({rows, k_out});
-    wn->AccumulateGrad(t::MatMulTN(x2d, g2d));
-  });
+  return MakeOp("MatMulLastDim", std::move(out), {x, w},
+                [xn, wn](const Tensor& g) {
+                  MatMulLastDimBackward(xn.get(), wn.get(), g);
+                });
+}
+
+Variable MatMulLastDimBias(const Variable& x, const Variable& w,
+                           const Variable& b) {
+  Tensor out = t::MatMulLastDim(x.value(), w.value());
+  AddBiasInPlace(&out, b.value());
+  auto xn = x.node();
+  auto wn = w.node();
+  auto bn = b.node();
+  return MakeOp(
+      "MatMulLastDimBias", std::move(out), {x, w, b},
+      [xn, wn, bn](const Tensor& g) {
+        // Add's backward, then MatMulLastDim's, on the same gradient.
+        if (!bn->IsConstant()) {
+          bn->AccumulateGrad(t::SumToShape(g, bn->value.shape()));
+        }
+        MatMulLastDimBackward(xn.get(), wn.get(), g);
+      });
 }
 
 ConcatMatMulLastDim::ConcatMatMulLastDim(const Variable& w, int64_t num_parts)
@@ -480,22 +616,30 @@ void ConcatMatMulLastDim::Append(const Variable& part) {
   ++appended_;
 }
 
-Variable ConcatMatMulLastDim::Finish() {
+Variable ConcatMatMulLastDim::Finish(const Variable& bias) {
   PRISTI_CHECK_EQ(appended_, num_parts_)
       << "ConcatMatMulLastDim is missing parts";
   PRISTI_CHECK_EQ(record_, GradModeEnabled())
       << "grad mode changed while ConcatMatMulLastDim was open";
+  PRISTI_CHECK(bias.defined()) << "ConcatMatMulLastDim needs a bias";
   std::vector<Variable> inputs = std::move(parts_);
   std::vector<std::shared_ptr<Node>> part_nodes;
   part_nodes.reserve(inputs.size());
   for (const Variable& part : inputs) part_nodes.push_back(part.node());
   inputs.push_back(w_);
+  inputs.push_back(bias);
   auto wn = w_.node();
+  auto bn = bias.node();
   const int64_t d_in = d_in_;
   Tensor out = std::move(out_);
+  AddBiasInPlace(&out, bias.value());
   return MakeOp(
       "ConcatMatMulLastDim", std::move(out), inputs,
-      [part_nodes, wn, d_in](const Tensor& g) {
+      [part_nodes, wn, bn, d_in](const Tensor& g) {
+        // Add's backward into the bias first, then the product's.
+        if (!bn->IsConstant()) {
+          bn->AccumulateGrad(t::SumToShape(g, bn->value.shape()));
+        }
         // dpart_i = g @ w_iᵀ, in part order as Concat's slices were.
         for (size_t i = 0; i < part_nodes.size(); ++i) {
           if (part_nodes[i]->IsConstant()) continue;

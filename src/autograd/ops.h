@@ -36,6 +36,12 @@ Variable Tanh(const Variable& a);
 Variable Clamp(const Variable& a, float lo, float hi);
 // Elementwise select with a constant condition mask: cond ? a : b.
 Variable Where(const Tensor& cond, const Variable& a, const Variable& b);
+// DiffWave-style gate over an even last axis d: tanh(x[..., :d/2]) *
+// sigmoid(x[..., d/2:]), as one op. Forward and backward are bitwise the
+// SliceAxis -> Tanh / Sigmoid -> Mul chain (the backward repeats its
+// expressions, the slices' `0 +` scatter included); under NoGradGuard only
+// the (..., d/2) output is allocated.
+Variable GatedActivation(const Variable& x);
 
 // ---- Matrix products ------------------------------------------------------
 // The NT/TN variants read the transposed operand in place (tiled kernel
@@ -61,17 +67,26 @@ Variable BatchedMatMulTN(const Variable& a, const Variable& b);
 // scale fold; the fused kernel folds the scale into its Q-load instead.
 Variable BatchedMatMulNTScaled(const Variable& a, const Variable& b,
                                float scale);
-// Streaming fused attention: softmax(scale * q·kᵀ)·v over q(..., s_q, dh),
-// k/v(..., s_k, dh) with matching leading dims, without materializing the
-// (..., s_q, s_k) scores (tensor/kernels/attention.h). Saves the per-row
-// logsumexp so the backward recomputes score blocks instead of storing
-// softmax weights. Forward matches the reference chain to 1e-5 (online
-// softmax reorders the reduction — NOT bitwise); the op itself is
-// bit-identical across thread counts and runs.
+// Streaming fused multi-head attention over q(..., s_q, h·dh) and
+// k/v(..., s_k, h·dh) with matching leading dims: head i of the result,
+// columns [i·dh, (i+1)·dh), is softmax(scale * q_i·k_iᵀ)·v_i for the same
+// columns of q, k and v. The heads are read and written in place at their
+// row stride (tensor/kernels/attention.h), so neither a head-split copy of
+// the inputs nor the (..., h, s_q, s_k) scores ever exist, and the result
+// needs no merge. Saves the per-row logsumexp so the backward recomputes
+// score blocks instead of storing softmax weights. Bitwise the same op on
+// head-split copies; matches the reference chain to 1e-5 (online softmax
+// reorders the reduction — NOT bitwise); bit-identical across thread counts
+// and runs.
 Variable FusedAttention(const Variable& q, const Variable& k,
-                        const Variable& v, float scale);
+                        const Variable& v, int64_t num_heads, float scale);
 // Shared weight on the last axis: (..., k_in) x (k_in, k_out).
 Variable MatMulLastDim(const Variable& x, const Variable& w);
+// MatMulLastDim(x, w) + b for a (k_out) bias, added into the fresh product
+// in place: bitwise Add(MatMulLastDim(x, w), b), forward and backward, with
+// one output block and one tape node.
+Variable MatMulLastDimBias(const Variable& x, const Variable& w,
+                           const Variable& b);
 // Shared matrix on the second-to-last ("node") axis:
 // (rows_out, rows_in) x (..., rows_in, d).
 Variable MatMulNodeDim(const Variable& p, const Variable& x);
@@ -92,8 +107,9 @@ class ConcatMatMulLastDim {
   // Mixes the next part in; every part has the same leading dims.
   void Append(const Variable& part);
 
-  // The (..., d_out) product, once all num_parts parts are appended.
-  Variable Finish();
+  // The (..., d_out) product plus the (d_out) `bias`, added in place once
+  // all num_parts parts are appended: bitwise Add(<product>, bias).
+  Variable Finish(const Variable& bias);
 
  private:
   Variable w_;

@@ -16,6 +16,24 @@ using core::FlattenTemporal;
 using core::UnflattenSpatial;
 using core::UnflattenTemporal;
 
+Status ValidateCsdiConfig(const CsdiConfig& config) {
+  // Every CSDI size is also a PriSTI size with the same bound; the
+  // PriSTI-only fields are set to values that always pass.
+  core::PristiConfig shared;
+  shared.num_nodes = config.num_nodes;
+  shared.window_len = config.window_len;
+  shared.channels = config.channels;
+  shared.heads = config.heads;
+  shared.layers = config.layers;
+  shared.diffusion_emb_dim = config.diffusion_emb_dim;
+  shared.temporal_emb_dim = config.temporal_emb_dim;
+  shared.node_emb_dim = config.node_emb_dim;
+  shared.virtual_nodes = 0;
+  shared.adaptive_rank = 0;
+  shared.graph_diffusion_steps = 1;
+  return core::ValidatePristiConfig(shared);
+}
+
 // One CSDI residual layer: temporal self-attention, feature (node)
 // self-attention, gated residual/skip.
 class CsdiModel::Layer : public nn::Module {
@@ -48,7 +66,7 @@ class CsdiModel::Layer : public nn::Module {
     y = UnflattenTemporal(attn_tem_.Forward(FlattenTemporal(y)), b, n);
     // Feature/node transformer layer.
     y = UnflattenSpatial(attn_spa_.Forward(FlattenSpatial(y)), b, l);
-    Variable gated = nn::GatedActivation(mid_conv_.Forward(y));
+    Variable gated = ag::GatedActivation(mid_conv_.Forward(y));
     Variable both = out_conv_.Forward(gated);
     Variable residual_part = ag::SliceAxis(both, -1, 0, channels_);
     Variable skip = ag::SliceAxis(both, -1, channels_, channels_);

@@ -36,6 +36,13 @@ struct CsdiConfig {
   int64_t node_emb_dim = 16;
 };
 
+// kInvalidRequest naming the first field a model cannot be built with, like
+// core::ValidatePristiConfig: a non-positive size or embedding width, or
+// heads that do not divide the channels. pristi_cli calls it before
+// building a CSDI model; the constructors' CHECKs then guard programmer
+// errors.
+Status ValidateCsdiConfig(const CsdiConfig& config);
+
 class CsdiModel : public nn::Module,
                   public diffusion::ConditionalNoisePredictor {
  public:

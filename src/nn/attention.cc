@@ -1,6 +1,7 @@
 #include "nn/attention.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "tensor/kernels/attention.h"
@@ -74,38 +75,49 @@ Variable MultiHeadAttention::Forward(const Variable& qk_source,
   PRISTI_CHECK_EQ(qk_source.value().dim(0), v_source.value().dim(0));
   PRISTI_CHECK_EQ(qk_source.value().dim(1), v_source.value().dim(1));
 
+  // Each projection lives only until the attention has read it: under
+  // NoGradGuard the peak is the three projections plus the context, then
+  // the context plus the output.
   Variable q = ag::MatMulLastDim(qk_source, wq_);
-  Variable key_input = qk_source;
-  Variable value_input = v_source;
-  if (virtual_nodes_ > 0) {
-    // Eq. 9: compress keys/values to k virtual positions before projection.
-    key_input = ag::MatMulNodeDim(pk_, qk_source);
-    value_input = ag::MatMulNodeDim(pv_, v_source);
+  Variable k, v;
+  {
+    Variable key_input = qk_source;
+    Variable value_input = v_source;
+    if (virtual_nodes_ > 0) {
+      // Eq. 9: compress keys/values to k virtual positions before
+      // projection.
+      key_input = ag::MatMulNodeDim(pk_, qk_source);
+      value_input = ag::MatMulNodeDim(pv_, v_source);
+    }
+    k = ag::MatMulLastDim(key_input, wk_);
+    v = ag::MatMulLastDim(value_input, wv_);
   }
-  Variable k = ag::MatMulLastDim(key_input, wk_);
-  Variable v = ag::MatMulLastDim(value_input, wv_);
-
-  Variable qh = SplitHeads(q);  // (B, h, S, dh)
-  Variable kh = SplitHeads(k);  // (B, h, S_k, dh)
-  Variable vh = SplitHeads(v);  // (B, h, S_k, dh)
 
   float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  Variable context;
+  Variable context;  // (B, S, d)
   if (kernels::FusedAttentionEnabled()) {
-    // Streaming fused kernel: online softmax over packed K panels, the
-    // (B, h, S, S_k) scores never materialize, scale folded into the
-    // Q-load. Matches the reference chain to 1e-5, not bitwise
+    // Streaming fused kernel: each head is read from and written to its
+    // d/h columns of the (B, S, d) projections in place, the (B, h, S, S_k)
+    // scores never materialize, and the scale is folded into the Q-load.
+    // Matches the reference chain to 1e-5, not bitwise
     // (tensor/kernels/attention.h).
-    context = ag::FusedAttention(qh, kh, vh, scale);
+    context = ag::FusedAttention(std::exchange(q, Variable()),
+                                 std::exchange(k, Variable()),
+                                 std::exchange(v, Variable()), num_heads_,
+                                 scale);
   } else {
     // Reference chain, reached only through the SetFusedAttentionEnabled
-    // test seam: Q·Kᵀ via the NT kernel with the scale as an in-place
-    // epilogue — bitwise the pre-fusion MulScalar pass.
+    // test seam: the heads are split into (B, h, S, dh) copies, Q·Kᵀ runs
+    // on the NT kernel with the scale as an in-place epilogue — bitwise the
+    // pre-fusion MulScalar pass — and the heads are merged back.
+    Variable qh = SplitHeads(q);
+    Variable kh = SplitHeads(k);
+    Variable vh = SplitHeads(v);
     Variable weights =
         ag::SoftmaxLastDim(ag::BatchedMatMulNTScaled(qh, kh, scale));
-    context = ag::BatchedMatMul(weights, vh);  // (B, h, S, dh)
+    context = MergeHeads(ag::BatchedMatMul(weights, vh));
   }
-  return ag::MatMulLastDim(MergeHeads(context), wo_);
+  return ag::MatMulLastDim(context, wo_);
 }
 
 }  // namespace pristi::nn

@@ -42,7 +42,8 @@ class MultiHeadAttention : public Module {
   int64_t virtual_nodes() const { return virtual_nodes_; }
 
  private:
-  // (B, S, d) -> (B, h, S, d/h).
+  // The reference chain's head layout copies; the fused kernel reads the
+  // heads in place. (B, S, d) -> (B, h, S, d/h).
   Variable SplitHeads(const Variable& x) const;
   // (B, h, S, d/h) -> (B, S, d).
   Variable MergeHeads(const Variable& x) const;

@@ -72,7 +72,7 @@ Variable GraphConv::Forward(const Variable& x) const {
       mix.Append(diffused);
     }
   }
-  return ag::Add(mix.Finish(), bias_);
+  return mix.Finish(bias_);
 }
 
 }  // namespace pristi::nn

@@ -18,6 +18,7 @@
 // rows of W as soon as it is produced (autograd::ConcatMatMulLastDim), bit
 // for bit the concat-then-GEMM chain, so inference holds the output plus two
 // consecutive steps instead of all 1 + S*K features and their concatenation.
+// The bias is added into that output in place.
 
 #include <vector>
 

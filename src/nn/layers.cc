@@ -23,9 +23,8 @@ Linear::Linear(int64_t in_features, int64_t out_features, Rng& rng, bool bias)
 Variable Linear::Forward(const Variable& x) const {
   PRISTI_CHECK_EQ(x.value().dim(-1), in_features_)
       << "Linear expected last dim " << in_features_;
-  Variable out = ag::MatMulLastDim(x, weight_);
-  if (has_bias_) out = ag::Add(out, bias_);
-  return out;
+  return has_bias_ ? ag::MatMulLastDimBias(x, weight_, bias_)
+                   : ag::MatMulLastDim(x, weight_);
 }
 
 LayerNorm::LayerNorm(int64_t features, float eps) : eps_(eps) {
@@ -47,15 +46,9 @@ Mlp::Mlp(int64_t in_features, int64_t hidden_features, int64_t out_features,
 }
 
 Variable Mlp::Forward(const Variable& x) const {
-  return fc2_.Forward(ag::Relu(fc1_.Forward(x)));
-}
-
-Variable GatedActivation(const Variable& x) {
-  int64_t d = x.value().dim(-1);
-  PRISTI_CHECK_EQ(d % 2, 0) << "GatedActivation needs an even channel count";
-  Variable filt = ag::SliceAxis(x, -1, 0, d / 2);
-  Variable gate = ag::SliceAxis(x, -1, d / 2, d / 2);
-  return ag::Mul(ag::Tanh(filt), ag::Sigmoid(gate));
+  // fc1's output dies once ReLU has read it, before fc2 runs.
+  Variable hidden = ag::Relu(fc1_.Forward(x));
+  return fc2_.Forward(hidden);
 }
 
 }  // namespace pristi::nn

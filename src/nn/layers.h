@@ -11,7 +11,8 @@
 
 namespace pristi::nn {
 
-// Affine map on the last axis: y = x W + b, W of shape (in, out).
+// Affine map on the last axis: y = x W + b, W of shape (in, out), the bias
+// added into the product in place (autograd::MatMulLastDimBias).
 class Linear : public Module {
  public:
   Linear(int64_t in_features, int64_t out_features, Rng& rng,
@@ -60,10 +61,6 @@ class Mlp : public Module {
   Linear fc1_;
   Linear fc2_;
 };
-
-// DiffWave-style gated activation: splits the last axis in half and returns
-// tanh(first) * sigmoid(second). Input last dim must be even.
-Variable GatedActivation(const Variable& x);
 
 }  // namespace pristi::nn
 

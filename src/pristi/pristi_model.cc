@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "autograd/ops.h"
 #include "common/logging.h"
@@ -47,6 +48,13 @@ Variable ReuseFlattenSpatial(const Variable& h, const Variable& flat) {
     h_node->AccumulateGrad(
         t::Permute(g.Reshaped({s[0], s[2], s[1], s[3]}), {0, 2, 1, 3}));
   });
+}
+
+// Norm(x + h). `x` is released as soon as the sum exists and the sum once
+// the norm does, so without a tape two blocks are live here, not three.
+Variable AddNorm(const nn::LayerNorm& norm, Variable&& x, const Variable& h) {
+  Variable sum = ag::Add(std::exchange(x, Variable()), h);
+  return norm.Forward(sum);
 }
 
 }  // namespace
@@ -126,23 +134,29 @@ Variable ConditionalFeatureModule::Forward(const Variable& h) const {
   int64_t b = h.value().dim(0);
   int64_t n = h.value().dim(1);
   int64_t l = h.value().dim(2);
+  // Every intermediate is released at its last use: each branch keeps only
+  // its normalized output, and the three outputs are dropped as they are
+  // summed, before the MLP runs.
 
   // phi_TA(H) = Norm(Attn_tem(H) + H)
-  Variable h_t = FlattenTemporal(h);
-  Variable phi_ta = norm_ta_.Forward(
-      ag::Add(UnflattenTemporal(attn_tem_.Forward(h_t), b, n), h));
+  Variable ta = UnflattenTemporal(attn_tem_.Forward(FlattenTemporal(h)), b, n);
+  Variable phi_ta = AddNorm(norm_ta_, std::move(ta), h);
 
   // phi_SA(H) = Norm(Attn_spa(H) + H)
   Variable h_s = FlattenSpatial(h);
-  Variable phi_sa = norm_sa_.Forward(
-      ag::Add(UnflattenSpatial(attn_spa_.Forward(h_s), b, l), h));
+  Variable sa = UnflattenSpatial(attn_spa_.Forward(h_s), b, l);
+  Variable phi_sa = AddNorm(norm_sa_, std::move(sa), h);
 
   // phi_MP(H, A) = Norm(MPNN(H, A) + H)
-  Variable phi_mp = norm_mp_.Forward(
-      ag::Add(UnflattenSpatial(mpnn_.Forward(h_s), b, l), h));
+  Variable mp =
+      UnflattenSpatial(mpnn_.Forward(std::exchange(h_s, Variable())), b, l);
+  Variable phi_mp = AddNorm(norm_mp_, std::move(mp), h);
 
   // H^pri = MLP(phi_SA + phi_TA + phi_MP)
-  return mlp_.Forward(ag::Add(ag::Add(phi_sa, phi_ta), phi_mp));
+  Variable sum = ag::Add(std::exchange(phi_sa, Variable()),
+                         std::exchange(phi_ta, Variable()));
+  sum = ag::Add(sum, std::exchange(phi_mp, Variable()));
+  return mlp_.Forward(sum);
 }
 
 // ---------------------------------------------------------------------------
@@ -182,54 +196,69 @@ NoiseEstimationLayer::Output NoiseEstimationLayer::Forward(
   int64_t b = h_in.value().dim(0);
   int64_t n = h_in.value().dim(1);
   int64_t l = h_in.value().dim(2);
+  // Each stage's input is released once the stage has read it, so without
+  // a tape the layer holds its running feature `h` and one stage's working
+  // set.
 
   // Diffusion-step conditioning, broadcast over (B, N, L).
-  Variable y = ag::Add(h_in, diff_proj_.Forward(diff_emb));
+  Variable h = ag::Add(h_in, diff_proj_.Forward(diff_emb));
 
   // gamma_T: temporal attention, weights from H^pri (Eq. 7).
-  Variable h_tem = y;
   if (config_.use_temporal) {
-    Variable qk = config_.use_conditional_feature ? h_pri : y;
-    h_tem = UnflattenTemporal(
+    Variable y = std::exchange(h, Variable());
+    const Variable& qk = config_.use_conditional_feature ? h_pri : y;
+    h = UnflattenTemporal(
         attn_tem_.Forward(FlattenTemporal(qk), FlattenTemporal(y)), b, n);
   }
 
   // gamma_S: spatial attention + message passing over the temporal feature
   // (Eq. 6, 8, 9).
-  Variable h_spa = h_tem;
   if (config_.use_spatial &&
       (config_.use_spatial_attention || config_.use_mpnn)) {
-    // h_tem is permuted to (B·L, N, d) once; the attention's V, the MPNN
-    // and, without the conditional feature, the attention's Q/K reuse it.
-    Variable h_tem_spa = FlattenSpatial(h_tem);
     Variable acc;
-    if (config_.use_spatial_attention) {
-      Variable qk_spa = config_.use_conditional_feature
-                            ? FlattenSpatial(h_pri)
-                            : ReuseFlattenSpatial(h_tem, h_tem_spa);
-      Variable sa =
-          UnflattenSpatial(attn_spa_.Forward(qk_spa, h_tem_spa), b, l);
-      acc = norm_sa_.Forward(ag::Add(sa, h_tem));
+    {
+      Variable h_tem = std::exchange(h, Variable());
+      // h_tem is permuted to (B·L, N, d) once; the attention's V, the MPNN
+      // and, without the conditional feature, the attention's Q/K reuse it.
+      Variable h_tem_spa = FlattenSpatial(h_tem);
+      if (config_.use_spatial_attention) {
+        Variable sa;
+        {
+          Variable qk_spa = config_.use_conditional_feature
+                                ? FlattenSpatial(h_pri)
+                                : ReuseFlattenSpatial(h_tem, h_tem_spa);
+          sa = UnflattenSpatial(attn_spa_.Forward(qk_spa, h_tem_spa), b, l);
+        }
+        acc = AddNorm(norm_sa_, std::move(sa), h_tem);
+      }
+      if (config_.use_mpnn) {
+        Variable mp = UnflattenSpatial(
+            mpnn_.Forward(ReuseFlattenSpatial(
+                h_tem, std::exchange(h_tem_spa, Variable()))),
+            b, l);
+        Variable phi_mp = AddNorm(norm_mp_, std::move(mp), h_tem);
+        acc = acc.defined() ? ag::Add(acc, phi_mp) : phi_mp;
+      }
     }
-    if (config_.use_mpnn) {
-      Variable mp = UnflattenSpatial(
-          mpnn_.Forward(ReuseFlattenSpatial(h_tem, h_tem_spa)), b, l);
-      Variable phi_mp = norm_mp_.Forward(ag::Add(mp, h_tem));
-      acc = acc.defined() ? ag::Add(acc, phi_mp) : phi_mp;
-    }
-    h_spa = mlp_.Forward(acc);
+    h = mlp_.Forward(acc);
   }
 
   // Gated activation, then split into residual and skip streams.
-  Variable gated = nn::GatedActivation(mid_conv_.Forward(h_spa));
-  Variable both = out_conv_.Forward(gated);
-  Variable residual_part = ag::SliceAxis(both, -1, 0, config_.channels);
-  Variable skip = ag::SliceAxis(both, -1, config_.channels,
-                                config_.channels);
-  constexpr float kInvSqrt2 = 0.70710678f;
+  Variable gated;
+  {
+    Variable mid = mid_conv_.Forward(std::exchange(h, Variable()));
+    gated = ag::GatedActivation(mid);
+  }
+  Variable residual_part;
   Output out;
-  out.residual = ag::MulScalar(ag::Add(h_in, residual_part), kInvSqrt2);
-  out.skip = skip;
+  {
+    Variable both = out_conv_.Forward(std::exchange(gated, Variable()));
+    residual_part = ag::SliceAxis(both, -1, 0, config_.channels);
+    out.skip = ag::SliceAxis(both, -1, config_.channels, config_.channels);
+  }
+  constexpr float kInvSqrt2 = 0.70710678f;
+  Variable sum = ag::Add(h_in, std::exchange(residual_part, Variable()));
+  out.residual = ag::MulScalar(sum, kInvSqrt2);
   return out;
 }
 
@@ -352,16 +381,21 @@ Variable PristiModel::PredictNoise(const Tensor& noisy,
       nn::DiffusionStepEncoding(t, config_.diffusion_emb_dim));
   diff_emb = diff_mlp2_.Forward(ag::Relu(diff_mlp1_.Forward(diff_emb)));
 
-  Variable h = h_in;
+  // H^in is the first layer's input and is released with it: only the
+  // running residual and the skip sum cross the layers.
   Variable skip_sum;
-  for (const auto& layer : layers_) {
-    NoiseEstimationLayer::Output out = layer->Forward(h, h_pri, diff_emb);
-    h = out.residual;
-    skip_sum = skip_sum.defined() ? ag::Add(skip_sum, out.skip) : out.skip;
+  {
+    Variable h = std::exchange(h_in, Variable());
+    for (const auto& layer : layers_) {
+      NoiseEstimationLayer::Output out = layer->Forward(h, h_pri, diff_emb);
+      h = std::move(out.residual);
+      skip_sum = skip_sum.defined() ? ag::Add(skip_sum, out.skip) : out.skip;
+    }
   }
   float inv_sqrt_layers =
       1.0f / std::sqrt(static_cast<float>(config_.layers));
-  Variable y = ag::MulScalar(skip_sum, inv_sqrt_layers);
+  Variable y =
+      ag::MulScalar(std::exchange(skip_sum, Variable()), inv_sqrt_layers);
   y = out_conv2_.Forward(ag::Relu(out_conv1_.Forward(ag::Relu(y))));
   return ag::Reshape(y, {b, n, l});
 }

@@ -32,32 +32,53 @@ int64_t FloatsPerItem(int64_t s_k, int64_t dh) {
   return PanelsPerItem(s_k) * dh * kColTile;
 }
 
-// Packs item `item` of K(batch, s_k, dh) into `dst` (FloatsPerItem floats):
-// panel j0 holds, for each kk, the kColTile contiguous values K[j0+j, kk].
-// A gather only — no arithmetic, so layout can never change results.
-void PackKItem(const float* k_item, int64_t s_k, int64_t dh, float* dst) {
+// Where the heads of a (batch, s, heads·dh) operand live: attention item
+// `item` is head item % heads of batch row item / heads, whose s rows of dh
+// values start at Offset(item, s) and lie `ld` = heads·dh floats apart.
+// heads == 1 is the contiguous (batch, s, dh) layout.
+struct HeadLayout {
+  int64_t heads;
+  int64_t dh;
+  int64_t ld;
+
+  HeadLayout(int64_t heads_in, int64_t dh_in)
+      : heads(heads_in), dh(dh_in), ld(heads_in * dh_in) {}
+
+  int64_t Offset(int64_t item, int64_t s) const {
+    return (item / heads) * s * ld + (item % heads) * dh;
+  }
+};
+
+// Packs one item of K, rows `ld` floats apart, into `dst` (FloatsPerItem
+// floats): panel j0 holds, for each kk, the kColTile contiguous values
+// K[j0+j, kk]. A gather only — no arithmetic, so layout can never change
+// results.
+void PackKItem(const float* k_item, int64_t s_k, int64_t dh, int64_t ld,
+               float* dst) {
   for (int64_t j0 = 0; j0 < s_k; j0 += kColTile) {
     int64_t width = std::min<int64_t>(kColTile, s_k - j0);
     float* panel = dst + (j0 / kColTile) * (dh * kColTile);
     for (int64_t kk = 0; kk < dh; ++kk) {
       float* d = panel + kk * kColTile;
-      const float* col = k_item + j0 * dh + kk;
-      for (int64_t j = 0; j < width; ++j) d[j] = col[j * dh];
+      const float* col = k_item + j0 * ld + kk;
+      for (int64_t j = 0; j < width; ++j) d[j] = col[j * ld];
       for (int64_t j = width; j < kColTile; ++j) d[j] = 0.0f;
     }
   }
 }
 
-// Packs all batch items of K, consulting the pack cache when `cache_k`
-// identifies cacheable storage: the forward inserts, and the backward's
-// block recomputation — running while the autograd graph still pins K —
-// hits instead of repacking. Returns the shared buffer; `*scratch` keeps a
-// non-cached pack alive for the caller's duration.
-const float* AcquireKPanels(int64_t batch, int64_t s_k, int64_t dh,
-                            const float* k, const Tensor* cache_k,
-                            PackedPanel* scratch) {
+// Packs every item of K (batch·heads of them), consulting the pack cache
+// when `cache_k` identifies cacheable storage: the forward inserts, and the
+// backward's block recomputation — running while the autograd graph still
+// pins K — hits instead of repacking. Returns the shared buffer; `*scratch`
+// keeps a non-cached pack alive for the caller's duration.
+const float* AcquireKPanels(int64_t batch, const HeadLayout& layout,
+                            int64_t s_k, const float* k,
+                            const Tensor* cache_k, PackedPanel* scratch) {
+  const int64_t dh = layout.dh;
+  const int64_t items = batch * layout.heads;
   int64_t per_item = FloatsPerItem(s_k, dh);
-  int64_t total = batch * per_item;
+  int64_t total = items * per_item;
   bool cacheable = cache_k != nullptr && cache_k->storage_id() != 0;
   PackKey key;
   if (cacheable) {
@@ -67,6 +88,7 @@ const float* AcquireKPanels(int64_t batch, int64_t s_k, int64_t dh,
     key.cols = dh;
     key.layout = Layout::kTransposed;
     key.operand = 'K';
+    key.stride = layout.ld;
     PackedPanel hit = PackCacheLookup(key, cache_k->storage_version());
     if (hit != nullptr) {
       *scratch = hit;
@@ -77,13 +99,14 @@ const float* AcquireKPanels(int64_t batch, int64_t s_k, int64_t dh,
       static_cast<size_t>(total));
   float* dst = packed->data();
   // Item-parallel gather into the preallocated buffer (disjoint slices).
-  ParallelFor(0, batch, [&](int64_t lo, int64_t hi) {
+  ParallelFor(0, items, [&](int64_t lo, int64_t hi) {
     for (int64_t item = lo; item < hi; ++item) {
-      PackKItem(k + item * s_k * dh, s_k, dh, dst + item * per_item);
+      PackKItem(k + layout.Offset(item, s_k), s_k, dh, layout.ld,
+                dst + item * per_item);
     }
   });
   Counters().panels_packed.fetch_add(
-      static_cast<uint64_t>(batch * PanelsPerItem(s_k)),
+      static_cast<uint64_t>(items * PanelsPerItem(s_k)),
       std::memory_order_relaxed);
   PackedPanel shared = std::move(packed);
   if (cacheable) PackCacheInsert(key, cache_k->storage_version(), shared);
@@ -219,9 +242,10 @@ void FusedExpBlock(const float* x, float* y) {
 // dispatch path (the AVX2 row-group kernel below runs these chains once per
 // lane, one query row per lane). kColTile is an algorithmic constant of the
 // kernel, not a tuning knob — the recorded golden pins its value.
+// V rows lie `ld` floats apart.
 // [fp-blessed] in tools/analysis/layers.manifest.
 void FusedForwardRow(const float* q_row, const float* panels,
-                     const float* v_item, int64_t s_k, int64_t dh,
+                     const float* v_item, int64_t s_k, int64_t dh, int64_t ld,
                      float scale, float* out_row, float* lse_out) {
   float qs[kMaxHeadDim];
   for (int64_t kk = 0; kk < dh; ++kk) qs[kk] = q_row[kk] * scale;
@@ -248,14 +272,16 @@ void FusedForwardRow(const float* q_row, const float* panels,
     FusedExpBlock(pblk, pblk);
     for (int64_t j = 0; j < width; ++j) l += pblk[j];
     for (int64_t j = 0; j < width; ++j) {
-      const float* v_row = v_item + (j0 + j) * dh;
+      const float* v_row = v_item + (j0 + j) * ld;
       for (int64_t d = 0; d < dh; ++d) o[d] += pblk[j] * v_row[d];
     }
   }
   for (int64_t d = 0; d < dh; ++d) {
     out_row[d] = static_cast<float>(static_cast<double>(o[d]) / l);
   }
-  *lse_out = static_cast<float>(static_cast<double>(m) + std::log(l));
+  if (lse_out != nullptr) {
+    *lse_out = static_cast<float>(static_cast<double>(m) + std::log(l));
+  }
 }
 
 #if PRISTI_ATTN_HAVE_AVX2
@@ -263,25 +289,26 @@ void FusedForwardRow(const float* q_row, const float* panels,
 constexpr int64_t kRowGroup = 8;
 
 // Row-group forward for head_dim DH (4 and 8): lane r of every register is
-// query row row0 + r of one batch item, and the eight rows share that item's
+// query row row0 + r of one item, and the eight rows share that item's
 // K panels and V. Each lane runs FusedForwardRow's chains exactly — scores in
 // increasing kk with the multiply and the add rounded separately, the block
 // max as `s > bm ? s : bm`, one rescale per block in lanes whose max
 // advanced (the others multiply by an exact 1.0), weights through the same
 // polynomial exp, l adds in double and o accumulation in column order — so
 // the output is bit-identical to the scalar path. Spare lanes of a partial
-// tail group repeat the last valid row and are never stored.
+// tail group repeat the last valid row and are never stored. Q, V and out
+// rows lie `ld` floats apart.
 template <int64_t DH>
 __attribute__((target("avx2"))) void FusedForwardGroupAvx(
     const float* q_item, int64_t row0, int64_t s_q, const float* panels,
-    const float* v_item, int64_t s_k, float scale, float* out_item,
-    float* lse_item) {
+    const float* v_item, int64_t s_k, int64_t ld, float scale,
+    float* out_item, float* lse_item) {
   const int64_t valid = std::min<int64_t>(kRowGroup, s_q - row0);
   __m256 qv[DH];
   {
     alignas(32) float qt[DH][kRowGroup];
     for (int64_t r = 0; r < kRowGroup; ++r) {
-      const float* q_row = q_item + (row0 + std::min(r, valid - 1)) * DH;
+      const float* q_row = q_item + (row0 + std::min(r, valid - 1)) * ld;
       for (int64_t kk = 0; kk < DH; ++kk) qt[kk][r] = q_row[kk];
     }
     const __m256 sv = _mm256_set1_ps(scale);
@@ -319,14 +346,14 @@ __attribute__((target("avx2"))) void FusedForwardGroupAvx(
     l_hi = _mm256_mul_pd(l_hi, _mm256_cvtps_pd(_mm256_extractf128_ps(corr, 1)));
     for (int64_t d = 0; d < DH; ++d) o[d] = _mm256_mul_ps(o[d], corr);
     m = _mm256_blendv_ps(m, bm, adv);
-    const float* v_rows = v_item + j0 * DH;
+    const float* v_rows = v_item + j0 * ld;
     for (int64_t j = 0; j < width; ++j) {
       const __m256 p = FusedExpAvx8(_mm256_sub_ps(sblk[j], m));
       l_lo = _mm256_add_pd(l_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(p)));
       l_hi = _mm256_add_pd(l_hi, _mm256_cvtps_pd(_mm256_extractf128_ps(p, 1)));
       for (int64_t d = 0; d < DH; ++d) {
         o[d] = _mm256_add_ps(
-            o[d], _mm256_mul_ps(p, _mm256_broadcast_ss(v_rows + j * DH + d)));
+            o[d], _mm256_mul_ps(p, _mm256_broadcast_ss(v_rows + j * ld + d)));
       }
     }
   }
@@ -338,38 +365,45 @@ __attribute__((target("avx2"))) void FusedForwardGroupAvx(
   _mm256_store_pd(lt, l_lo);
   _mm256_store_pd(lt + 4, l_hi);
   for (int64_t r = 0; r < valid; ++r) {
-    float* out_row = out_item + (row0 + r) * DH;
+    float* out_row = out_item + (row0 + r) * ld;
     for (int64_t d = 0; d < DH; ++d) {
       out_row[d] = static_cast<float>(static_cast<double>(ot[d][r]) / lt[r]);
     }
-    lse_item[row0 + r] =
-        static_cast<float>(static_cast<double>(mt[r]) + std::log(lt[r]));
+    if (lse_item != nullptr) {
+      lse_item[row0 + r] =
+          static_cast<float>(static_cast<double>(mt[r]) + std::log(lt[r]));
+    }
   }
 }
 #endif  // PRISTI_ATTN_HAVE_AVX2
 
-// Backward for one batch item, serial over its rows: recompute each score
+// Backward for one item, serial over its rows: recompute each score
 // block from the packed panels (bitwise the forward's scores), reform
-// p_j = exp(s_j - lse_i), and accumulate the three gradients. dq/dk/dv
-// slices of this item are owned exclusively by the calling worker.
+// p_j = exp(s_j - lse_i), and accumulate the three gradients. Every row of
+// every operand lies `ld` floats from the next. dq/dk/dv slices of this item
+// are owned exclusively by the calling worker.
 // [fp-blessed] in tools/analysis/layers.manifest.
 void FusedBackwardItem(const float* q_item, const float* panels,
                        const float* k_item, const float* v_item,
                        const float* out_item, const float* lse_item,
                        const float* g_item, int64_t s_q, int64_t s_k,
-                       int64_t dh, float scale, float* dq_item, float* dk_item,
-                       float* dv_item) {
-  for (int64_t i = 0; i < s_q * dh; ++i) dq_item[i] = 0.0f;
-  for (int64_t i = 0; i < s_k * dh; ++i) dk_item[i] = 0.0f;
-  for (int64_t i = 0; i < s_k * dh; ++i) dv_item[i] = 0.0f;
+                       int64_t dh, int64_t ld, float scale, float* dq_item,
+                       float* dk_item, float* dv_item) {
+  for (int64_t i = 0; i < s_q; ++i) {
+    std::fill_n(dq_item + i * ld, dh, 0.0f);
+  }
+  for (int64_t j = 0; j < s_k; ++j) {
+    std::fill_n(dk_item + j * ld, dh, 0.0f);
+    std::fill_n(dv_item + j * ld, dh, 0.0f);
+  }
   float qs[kMaxHeadDim];
   double dq_acc[kMaxHeadDim];
   float sblk[kColTile];
   float pblk[kColTile];
   for (int64_t i = 0; i < s_q; ++i) {
-    const float* q_row = q_item + i * dh;
-    const float* g_row = g_item + i * dh;
-    const float* o_row = out_item + i * dh;
+    const float* q_row = q_item + i * ld;
+    const float* g_row = g_item + i * ld;
+    const float* o_row = out_item + i * ld;
     float lse = lse_item[i];
     for (int64_t kk = 0; kk < dh; ++kk) qs[kk] = q_row[kk] * scale;
     for (int64_t kk = 0; kk < dh; ++kk) dq_acc[kk] = 0.0;
@@ -388,10 +422,10 @@ void FusedBackwardItem(const float* q_item, const float* panels,
       for (int64_t j = 0; j < width; ++j) {
         int64_t col = j0 + j;
         float pf = pblk[j];
-        const float* v_row = v_item + col * dh;
-        float* dv_row = dv_item + col * dh;
-        float* dk_row = dk_item + col * dh;
-        const float* k_row = k_item + col * dh;
+        const float* v_row = v_item + col * ld;
+        float* dv_row = dv_item + col * ld;
+        float* dk_row = dk_item + col * ld;
+        const float* k_row = k_item + col * ld;
         double dp = 0.0;
         for (int64_t d = 0; d < dh; ++d) {
           dp += static_cast<double>(g_row[d]) * static_cast<double>(v_row[d]);
@@ -404,7 +438,7 @@ void FusedBackwardItem(const float* q_item, const float* panels,
         }
       }
     }
-    float* dq_row = dq_item + i * dh;
+    float* dq_row = dq_item + i * ld;
     for (int64_t kk = 0; kk < dh; ++kk) {
       dq_row[kk] = static_cast<float>(dq_acc[kk]) * scale;
     }
@@ -421,7 +455,7 @@ struct BackwardScratch {
   std::vector<double> dq_acc;
 };
 
-// Backward for one batch item at head_dim DH (4 and 8), bit-identical to
+// Backward for one item at head_dim DH (4 and 8), bit-identical to
 // FusedBackwardItem. Lanes run over kv COLUMNS, not rows as in the forward:
 // dV[j] and dK[j] sum over rows i in increasing i, so with one column per
 // lane those sums — and the scores, p = exp(s - lse), the double
@@ -436,20 +470,21 @@ struct BackwardScratch {
 // column groups, which arrive in increasing j. V is packed into K's panel
 // layout so a column group's V loads are contiguous; the packing and the
 // final dK/dV stores only move data. Tail lanes past s_k read the panels'
-// zero padding and are never stored.
+// zero padding and are never stored. Every row of every operand lies `ld`
+// floats from the next.
 // [fp-blessed] in tools/analysis/layers.manifest.
 template <int64_t DH>
 __attribute__((target("avx2"))) void FusedBackwardItemAvx(
     const float* q_item, const float* panels, const float* k_item,
     const float* v_item, const float* out_item, const float* lse_item,
-    const float* g_item, int64_t s_q, int64_t s_k, float scale,
+    const float* g_item, int64_t s_q, int64_t s_k, int64_t ld, float scale,
     float* dq_item, float* dk_item, float* dv_item,
     BackwardScratch* scratch) {
   static_assert(DH % 4 == 0, "one __m256d per 4 head dims");
   constexpr int64_t kLanes = 8;
   constexpr int64_t kDq = DH / 4;
   scratch->v_panels.resize(static_cast<size_t>(FloatsPerItem(s_k, DH)));
-  PackKItem(v_item, s_k, DH, scratch->v_panels.data());
+  PackKItem(v_item, s_k, DH, ld, scratch->v_panels.data());
   scratch->p_rows.resize(static_cast<size_t>(s_q * kLanes));
   float* p_rows = scratch->p_rows.data();
   scratch->dq_acc.assign(static_cast<size_t>(s_q * DH), 0.0);
@@ -458,8 +493,8 @@ __attribute__((target("avx2"))) void FusedBackwardItemAvx(
   scratch->d_rows.resize(static_cast<size_t>(s_q));
   double* d_rows = scratch->d_rows.data();
   for (int64_t i = 0; i < s_q; ++i) {
-    const float* g_row = g_item + i * DH;
-    const float* o_row = out_item + i * DH;
+    const float* g_row = g_item + i * ld;
+    const float* o_row = out_item + i * ld;
     double d_i = 0.0;
     for (int64_t d = 0; d < DH; ++d) {
       d_i += static_cast<double>(g_row[d]) * static_cast<double>(o_row[d]);
@@ -478,7 +513,7 @@ __attribute__((target("avx2"))) void FusedBackwardItemAvx(
       dk[d] = _mm256_setzero_ps();
     }
     for (int64_t i = 0; i < s_q; ++i) {
-      const float* q_row = q_item + i * DH;
+      const float* q_row = q_item + i * ld;
       __m256 s = _mm256_setzero_ps();
       for (int64_t kk = 0; kk < DH; ++kk) {
         const __m256 qs = _mm256_set1_ps(q_row[kk] * scale);
@@ -490,8 +525,8 @@ __attribute__((target("avx2"))) void FusedBackwardItemAvx(
           FusedExpAvx8(_mm256_sub_ps(s, _mm256_set1_ps(lse_item[i]))));
     }
     for (int64_t i = 0; i < s_q; ++i) {
-      const float* q_row = q_item + i * DH;
-      const float* g_row = g_item + i * DH;
+      const float* q_row = q_item + i * ld;
+      const float* g_row = g_item + i * ld;
       __m256 qs[DH];
       for (int64_t kk = 0; kk < DH; ++kk) {
         qs[kk] = _mm256_set1_ps(q_row[kk] * scale);
@@ -533,7 +568,7 @@ __attribute__((target("avx2"))) void FusedBackwardItemAvx(
       }
       for (int64_t j = 0; j < width; ++j) {
         const __m256d dsj = _mm256_set1_pd(dsd[j]);
-        const float* k_row = k_item + (c0 + j) * DH;
+        const float* k_row = k_item + (c0 + j) * ld;
         for (int64_t r = 0; r < kDq; ++r) {
           const __m256d kd = _mm256_cvtps_pd(_mm_loadu_ps(k_row + 4 * r));
           acc[r] = _mm256_add_pd(acc[r], _mm256_mul_pd(dsj, kd));
@@ -551,15 +586,15 @@ __attribute__((target("avx2"))) void FusedBackwardItemAvx(
     }
     for (int64_t j = 0; j < width; ++j) {
       for (int64_t d = 0; d < DH; ++d) {
-        dv_item[(c0 + j) * DH + d] = dvt[d][j];
-        dk_item[(c0 + j) * DH + d] = dkt[d][j];
+        dv_item[(c0 + j) * ld + d] = dvt[d][j];
+        dk_item[(c0 + j) * ld + d] = dkt[d][j];
       }
     }
   }
   const __m128 sv = _mm_set1_ps(scale);
   for (int64_t i = 0; i < s_q; ++i) {
     for (int64_t r = 0; r < kDq; ++r) {
-      _mm_storeu_ps(dq_item + i * DH + 4 * r,
+      _mm_storeu_ps(dq_item + i * ld + 4 * r,
                     _mm_mul_ps(_mm256_cvtpd_ps(_mm256_loadu_pd(
                                    dq_acc + i * DH + 4 * r)),
                                sv));
@@ -585,16 +620,19 @@ namespace {
 
 // Shared body of FusedAttentionForward and its scalar oracle. Every output
 // row is owned by exactly one ParallelFor worker, on either path.
-void ForwardImpl(int64_t batch, int64_t s_q, int64_t s_k, int64_t dh,
-                 float scale, const float* q, const float* k, const float* v,
-                 float* out, float* lse, const Tensor* cache_k,
-                 bool allow_row_groups) {
-  if (batch <= 0 || s_q <= 0 || s_k <= 0 || dh <= 0) return;
+void ForwardImpl(int64_t batch, int64_t heads, int64_t s_q, int64_t s_k,
+                 int64_t dh, float scale, const float* q, const float* k,
+                 const float* v, float* out, float* lse,
+                 const Tensor* cache_k, bool allow_row_groups) {
+  if (batch <= 0 || heads <= 0 || s_q <= 0 || s_k <= 0 || dh <= 0) return;
   PRISTI_CHECK_LE(dh, kMaxHeadDim) << "head_dim exceeds fused-kernel cap";
+  const HeadLayout layout(heads, dh);
+  const int64_t ld = layout.ld;
+  const int64_t items = batch * heads;
   PackedPanel hold;
-  const float* panels = AcquireKPanels(batch, s_k, dh, k, cache_k, &hold);
+  const float* panels = AcquireKPanels(batch, layout, s_k, k, cache_k, &hold);
   int64_t per_item = FloatsPerItem(s_k, dh);
-  int64_t rows = batch * s_q;
+  int64_t rows = items * s_q;
   // Per-row cost is the 2*2*s_k*dh multiply-add flops of the two fused
   // products.
   int64_t row_flops = std::max<int64_t>(1, 4 * s_k * dh);
@@ -609,13 +647,16 @@ void ForwardImpl(int64_t batch, int64_t s_q, int64_t s_k, int64_t dh,
     int64_t min_units =
         std::max<int64_t>(1, kMinFlopsPerChunk / (kRowGroup * row_flops));
     ParallelFor(
-        0, batch * groups,
+        0, items * groups,
         [&](int64_t lo, int64_t hi) {
           for (int64_t unit = lo; unit < hi; ++unit) {
             int64_t item = unit / groups;
-            group_kernel(q + item * s_q * dh, (unit % groups) * kRowGroup,
-                         s_q, panels + item * per_item, v + item * s_k * dh,
-                         s_k, scale, out + item * s_q * dh, lse + item * s_q);
+            int64_t qoff = layout.Offset(item, s_q);
+            group_kernel(q + qoff, (unit % groups) * kRowGroup, s_q,
+                         panels + item * per_item,
+                         v + layout.Offset(item, s_k), s_k, ld, scale,
+                         out + qoff,
+                         lse != nullptr ? lse + item * s_q : nullptr);
           }
         },
         min_units);
@@ -628,9 +669,10 @@ void ForwardImpl(int64_t batch, int64_t s_q, int64_t s_k, int64_t dh,
         [&](int64_t lo, int64_t hi) {
           for (int64_t idx = lo; idx < hi; ++idx) {
             int64_t item = idx / s_q;
-            FusedForwardRow(q + idx * dh, panels + item * per_item,
-                            v + item * s_k * dh, s_k, dh, scale,
-                            out + idx * dh, lse + idx);
+            int64_t qoff = layout.Offset(item, s_q) + (idx % s_q) * ld;
+            FusedForwardRow(q + qoff, panels + item * per_item,
+                            v + layout.Offset(item, s_k), s_k, dh, ld, scale,
+                            out + qoff, lse != nullptr ? lse + idx : nullptr);
           }
         },
         std::max<int64_t>(1, kMinFlopsPerChunk / row_flops));
@@ -641,25 +683,29 @@ void ForwardImpl(int64_t batch, int64_t s_q, int64_t s_k, int64_t dh,
   ctr.fused_attn_kv_blocks.fetch_add(
       static_cast<uint64_t>(rows * PanelsPerItem(s_k)),
       std::memory_order_relaxed);
-  // What the reference chain would have materialized: the (batch, s_q, s_k)
+  // What the reference chain would have materialized: the (items, s_q, s_k)
   // scores tensor and the same-shaped softmax output.
   ctr.fused_attn_bytes_avoided.fetch_add(
-      static_cast<uint64_t>(2 * batch * s_q * s_k) * sizeof(float),
+      static_cast<uint64_t>(2 * items * s_q * s_k) * sizeof(float),
       std::memory_order_relaxed);
 }
 
 // Shared body of FusedAttentionBackward and its scalar oracle.
 // Item-parallel, serial within an item: each item's dq/dk/dv slices are
 // written by exactly one worker, in the same order at any thread count.
-void BackwardImpl(int64_t batch, int64_t s_q, int64_t s_k, int64_t dh,
-                  float scale, const float* q, const float* k, const float* v,
-                  const float* out, const float* lse, const float* grad_out,
-                  float* dq, float* dk, float* dv, const Tensor* cache_k,
-                  bool allow_columns) {
-  if (batch <= 0 || s_q <= 0 || s_k <= 0 || dh <= 0) return;
+// The heads of one batch row share its rows but own disjoint columns.
+void BackwardImpl(int64_t batch, int64_t heads, int64_t s_q, int64_t s_k,
+                  int64_t dh, float scale, const float* q, const float* k,
+                  const float* v, const float* out, const float* lse,
+                  const float* grad_out, float* dq, float* dk, float* dv,
+                  const Tensor* cache_k, bool allow_columns) {
+  if (batch <= 0 || heads <= 0 || s_q <= 0 || s_k <= 0 || dh <= 0) return;
   PRISTI_CHECK_LE(dh, kMaxHeadDim) << "head_dim exceeds fused-kernel cap";
+  const HeadLayout layout(heads, dh);
+  const int64_t ld = layout.ld;
+  const int64_t items = batch * heads;
   PackedPanel hold;
-  const float* panels = AcquireKPanels(batch, s_k, dh, k, cache_k, &hold);
+  const float* panels = AcquireKPanels(batch, layout, s_k, k, cache_k, &hold);
   int64_t per_item = FloatsPerItem(s_k, dh);
 #if PRISTI_ATTN_HAVE_AVX2
   // head_dim 4 and 8 take the column-lane kernel, bit-identical to
@@ -667,72 +713,72 @@ void BackwardImpl(int64_t batch, int64_t s_q, int64_t s_k, int64_t dh,
   if (allow_columns && (dh == 4 || dh == 8) && Avx2Available()) {
     auto* item_kernel =
         dh == 4 ? &FusedBackwardItemAvx<4> : &FusedBackwardItemAvx<8>;
-    ParallelFor(0, batch, [&](int64_t lo, int64_t hi) {
+    ParallelFor(0, items, [&](int64_t lo, int64_t hi) {
       BackwardScratch scratch;
       for (int64_t item = lo; item < hi; ++item) {
-        int64_t qoff = item * s_q * dh;
-        int64_t koff = item * s_k * dh;
+        int64_t qoff = layout.Offset(item, s_q);
+        int64_t koff = layout.Offset(item, s_k);
         item_kernel(q + qoff, panels + item * per_item, k + koff, v + koff,
                     out + qoff, lse + item * s_q, grad_out + qoff, s_q, s_k,
-                    scale, dq + qoff, dk + koff, dv + koff, &scratch);
+                    ld, scale, dq + qoff, dk + koff, dv + koff, &scratch);
       }
     });
   } else
 #endif
   {
     (void)allow_columns;
-    ParallelFor(0, batch, [&](int64_t lo, int64_t hi) {
+    ParallelFor(0, items, [&](int64_t lo, int64_t hi) {
       for (int64_t item = lo; item < hi; ++item) {
-        int64_t qoff = item * s_q * dh;
-        int64_t koff = item * s_k * dh;
+        int64_t qoff = layout.Offset(item, s_q);
+        int64_t koff = layout.Offset(item, s_k);
         FusedBackwardItem(q + qoff, panels + item * per_item, k + koff,
                           v + koff, out + qoff, lse + item * s_q,
-                          grad_out + qoff, s_q, s_k, dh, scale, dq + qoff,
-                          dk + koff, dv + koff);
+                          grad_out + qoff, s_q, s_k, dh, ld, scale,
+                          dq + qoff, dk + koff, dv + koff);
       }
     });
   }
   Counters().fused_attn_kv_blocks.fetch_add(
-      static_cast<uint64_t>(batch * s_q * PanelsPerItem(s_k)),
+      static_cast<uint64_t>(items * s_q * PanelsPerItem(s_k)),
       std::memory_order_relaxed);
 }
 
 }  // namespace
 
-void FusedAttentionForward(int64_t batch, int64_t s_q, int64_t s_k,
-                           int64_t dh, float scale, const float* q,
-                           const float* k, const float* v, float* out,
-                           float* lse, const Tensor* cache_k) {
-  ForwardImpl(batch, s_q, s_k, dh, scale, q, k, v, out, lse, cache_k,
+void FusedAttentionForward(int64_t batch, int64_t heads, int64_t s_q,
+                           int64_t s_k, int64_t dh, float scale,
+                           const float* q, const float* k, const float* v,
+                           float* out, float* lse, const Tensor* cache_k) {
+  ForwardImpl(batch, heads, s_q, s_k, dh, scale, q, k, v, out, lse, cache_k,
               /*allow_row_groups=*/true);
 }
 
-void FusedAttentionForwardScalar(int64_t batch, int64_t s_q, int64_t s_k,
-                                 int64_t dh, float scale, const float* q,
-                                 const float* k, const float* v, float* out,
-                                 float* lse) {
-  ForwardImpl(batch, s_q, s_k, dh, scale, q, k, v, out, lse,
+void FusedAttentionForwardScalar(int64_t batch, int64_t heads, int64_t s_q,
+                                 int64_t s_k, int64_t dh, float scale,
+                                 const float* q, const float* k,
+                                 const float* v, float* out, float* lse) {
+  ForwardImpl(batch, heads, s_q, s_k, dh, scale, q, k, v, out, lse,
               /*cache_k=*/nullptr, /*allow_row_groups=*/false);
 }
 
-void FusedAttentionBackward(int64_t batch, int64_t s_q, int64_t s_k,
-                            int64_t dh, float scale, const float* q,
-                            const float* k, const float* v, const float* out,
-                            const float* lse, const float* grad_out,
-                            float* dq, float* dk, float* dv,
-                            const Tensor* cache_k) {
-  BackwardImpl(batch, s_q, s_k, dh, scale, q, k, v, out, lse, grad_out, dq,
-               dk, dv, cache_k, /*allow_columns=*/true);
+void FusedAttentionBackward(int64_t batch, int64_t heads, int64_t s_q,
+                            int64_t s_k, int64_t dh, float scale,
+                            const float* q, const float* k, const float* v,
+                            const float* out, const float* lse,
+                            const float* grad_out, float* dq, float* dk,
+                            float* dv, const Tensor* cache_k) {
+  BackwardImpl(batch, heads, s_q, s_k, dh, scale, q, k, v, out, lse, grad_out,
+               dq, dk, dv, cache_k, /*allow_columns=*/true);
 }
 
-void FusedAttentionBackwardScalar(int64_t batch, int64_t s_q, int64_t s_k,
-                                  int64_t dh, float scale, const float* q,
-                                  const float* k, const float* v,
-                                  const float* out, const float* lse,
-                                  const float* grad_out, float* dq, float* dk,
-                                  float* dv) {
-  BackwardImpl(batch, s_q, s_k, dh, scale, q, k, v, out, lse, grad_out, dq,
-               dk, dv, /*cache_k=*/nullptr, /*allow_columns=*/false);
+void FusedAttentionBackwardScalar(int64_t batch, int64_t heads, int64_t s_q,
+                                  int64_t s_k, int64_t dh, float scale,
+                                  const float* q, const float* k,
+                                  const float* v, const float* out,
+                                  const float* lse, const float* grad_out,
+                                  float* dq, float* dk, float* dv) {
+  BackwardImpl(batch, heads, s_q, s_k, dh, scale, q, k, v, out, lse, grad_out,
+               dq, dk, dv, /*cache_k=*/nullptr, /*allow_columns=*/false);
 }
 
 }  // namespace pristi::tensor::kernels

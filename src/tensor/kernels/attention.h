@@ -15,7 +15,7 @@
 // polynomial exp (Cephes-style 2^n·poly(r), < 1e-7 relative error) rather
 // than libm. On AVX2 hosts head_dim 4 and 8 (the bench and paper configs)
 // run a row-group kernel: each of the 8 float lanes is one query row of the
-// same batch item, and the eight rows share that item's K panels and V. It
+// same item, and the eight rows share that item's K panels and V. It
 // stays bit-identical to the scalar row kernel because every lane repeats
 // the scalar chains in the same order — scores in increasing k with the
 // multiply and the add rounded separately, the block max as
@@ -59,12 +59,13 @@
 // The 1/sqrt(head_dim) scale is folded into the Q-row load (one mul per
 // q element instead of a full-tensor pass over the scores).
 //
-// K panels reuse the PR 5 pack cache: the forward packs K of each batch
-// item into kColTile-wide k-major column panels (the PackBPanel format for
-// a kTransposed operand) and inserts the buffer keyed on K's storage
-// identity, so the backward's block recomputation — running while the
-// autograd graph still pins K's storage version — hits instead of
-// repacking. V is consumed row-contiguously and needs no packing.
+// K panels reuse the GEMM layer's pack cache: the forward gathers K of each
+// (batch row, head) item into kColTile-wide k-major column panels (the
+// PackBPanel format for a kTransposed operand) and inserts the buffer keyed
+// on K's storage identity and head stride, so the backward's block
+// recomputation — running while the autograd graph still pins K's storage
+// version — hits instead of repacking. V is read in place, one dh-wide row
+// segment at a time, and needs no packing.
 
 #include <cstdint>
 
@@ -82,55 +83,67 @@ bool FusedAttentionEnabled();
 // (fused-vs-reference parity); nothing else calls it.
 bool SetFusedAttentionEnabled(bool enabled);
 
-// Forward: out(batch, s_q, dh) = softmax(scale * Q·Kᵀ) · V with
-// Q(batch, s_q, dh), K/V(batch, s_k, dh) row-major and batch the product of
-// all leading dims (B*h for multi-head attention). `lse(batch, s_q)`
-// receives the per-row logsumexp of the SCALED scores, the saved state the
-// backward needs. `cache_k`, when non-null, must be the tensor whose data()
-// backs `k`; its storage identity keys the packed K panels in the pack
-// cache.
-void FusedAttentionForward(int64_t batch, int64_t s_q, int64_t s_k,
-                           int64_t dh, float scale, const float* q,
-                           const float* k, const float* v, float* out,
-                           float* lse, const Tensor* cache_k = nullptr);
+// Layout contract. Every entry point below takes `heads` and reads its
+// operands in the (batch, s, heads·dh) row-major layout a multi-head
+// layer's projections already have: attention item (b, h) — batch row b,
+// head h — is the dh-wide column block starting at h·dh of each of b's s
+// rows, and consecutive rows of one item lie heads·dh floats apart. So
+// q/out/grad_out/dq are (batch, s_q, heads·dh) and k/v/dk/dv are
+// (batch, s_k, heads·dh); no operand is copied into a (batch, heads, s, dh)
+// head-split layout. The per-row logsumexp `lse` is (batch, heads, s_q),
+// item-major. heads == 1 is the plain contiguous (batch, s, dh) layout,
+// with batch the product of all leading dims. Each item runs the same
+// chains whatever its stride, so a strided call is bitwise the contiguous
+// call on head-split copies of the operands.
+
+// Forward: out = softmax(scale * Q·Kᵀ) · V per item. `lse` receives the
+// per-row logsumexp of the SCALED scores, the saved state the backward
+// needs; it may be null when no backward follows. `cache_k`, when
+// non-null, must be the tensor whose data() backs `k`; its storage identity
+// keys the packed K panels in the pack cache.
+void FusedAttentionForward(int64_t batch, int64_t heads, int64_t s_q,
+                           int64_t s_k, int64_t dh, float scale,
+                           const float* q, const float* k, const float* v,
+                           float* out, float* lse,
+                           const Tensor* cache_k = nullptr);
 
 // Test-only oracle, like ReferenceGemm for the GEMM layer: the same forward
 // computed one row at a time by the scalar row kernel — the path head_dims
 // other than 4 and 8, and hosts without AVX2, always take. On an AVX2 host
 // nothing else reaches it at head_dim 4 or 8, so tests compare the
 // dispatched forward against it bitwise. Never packs through the pack cache.
-void FusedAttentionForwardScalar(int64_t batch, int64_t s_q, int64_t s_k,
-                                 int64_t dh, float scale, const float* q,
-                                 const float* k, const float* v, float* out,
-                                 float* lse);
+void FusedAttentionForwardScalar(int64_t batch, int64_t heads, int64_t s_q,
+                                 int64_t s_k, int64_t dh, float scale,
+                                 const float* q, const float* k,
+                                 const float* v, float* out, float* lse);
 
 // Backward by block recomputation: given the forward's saved `out` and
 // `lse`, recomputes each score block from the packed K panels (pack-cache
 // hit when `cache_k` identifies unchanged storage), reforms the softmax row
-// p_j = exp(s_j - lse_i), and accumulates
+// p_j = exp(s_j - lse_i), and accumulates, per item,
 //   dV[j]  += p_j * gO[i]
 //   ds_j    = p_j * (gO[i]·V[j] - D_i),   D_i = gO[i]·out[i]
 //   dK[j]  += ds_j * (scale * Q[i])
 //   dQ[i]  += scale * sum_j ds_j * K[j]
 // dq/dk/dv must be distinct from every input and are OVERWRITTEN.
-// Batch-item-parallel, serial within an item.
-void FusedAttentionBackward(int64_t batch, int64_t s_q, int64_t s_k,
-                            int64_t dh, float scale, const float* q,
-                            const float* k, const float* v, const float* out,
-                            const float* lse, const float* grad_out,
-                            float* dq, float* dk, float* dv,
-                            const Tensor* cache_k = nullptr);
+// Item-parallel, serial within an item.
+void FusedAttentionBackward(int64_t batch, int64_t heads, int64_t s_q,
+                            int64_t s_k, int64_t dh, float scale,
+                            const float* q, const float* k, const float* v,
+                            const float* out, const float* lse,
+                            const float* grad_out, float* dq, float* dk,
+                            float* dv, const Tensor* cache_k = nullptr);
 
 // Test-only oracle for the backward, the counterpart of
 // FusedAttentionForwardScalar: the scalar item kernel, one (row, column)
 // pair at a time. Tests compare the dispatched backward against it bitwise
 // at head_dim 4 and 8. Never packs through the pack cache.
-void FusedAttentionBackwardScalar(int64_t batch, int64_t s_q, int64_t s_k,
-                                  int64_t dh, float scale, const float* q,
-                                  const float* k, const float* v,
-                                  const float* out, const float* lse,
-                                  const float* grad_out, float* dq, float* dk,
-                                  float* dv);
+void FusedAttentionBackwardScalar(int64_t batch, int64_t heads, int64_t s_q,
+                                  int64_t s_k, int64_t dh, float scale,
+                                  const float* q, const float* k,
+                                  const float* v, const float* out,
+                                  const float* lse, const float* grad_out,
+                                  float* dq, float* dk, float* dv);
 
 }  // namespace pristi::tensor::kernels
 

@@ -28,7 +28,8 @@ struct KeyHash {
     h = MixHash(h, static_cast<uint64_t>(k.rows));
     h = MixHash(h, static_cast<uint64_t>(k.cols));
     h = MixHash(h, static_cast<uint64_t>(k.layout));
-    return MixHash(h, static_cast<uint64_t>(k.operand));
+    h = MixHash(h, static_cast<uint64_t>(k.operand));
+    return MixHash(h, static_cast<uint64_t>(k.stride));
   }
 };
 
@@ -36,7 +37,7 @@ struct KeyEq {
   bool operator()(const PackKey& a, const PackKey& b) const {
     return a.storage_id == b.storage_id && a.offset == b.offset &&
            a.rows == b.rows && a.cols == b.cols && a.layout == b.layout &&
-           a.operand == b.operand;
+           a.operand == b.operand && a.stride == b.stride;
   }
 };
 

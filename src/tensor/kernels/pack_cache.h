@@ -41,7 +41,8 @@ KernelCounters& Counters();
 // read how (layout), packed into which format (operand 'A' = kRowTile-
 // interleaved row panels, 'B' = kColTile-interleaved column panels), with
 // which logical dims (rows/cols of the STORED matrix as the kernel sees it:
-// m x k for A, k x n for B).
+// m x k for A, k x n for B), and the row stride of a strided operand (the
+// fused-attention K, whose heads share each row; 0 for a contiguous one).
 struct PackKey {
   uint64_t storage_id = 0;
   int64_t offset = 0;
@@ -49,6 +50,7 @@ struct PackKey {
   int64_t cols = 0;
   Layout layout = Layout::kNormal;
   char operand = 'B';
+  int64_t stride = 0;
 };
 
 // Panels are immutable once packed and shared by reference, so an evicted

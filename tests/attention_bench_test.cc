@@ -33,7 +33,7 @@ TEST(AttentionBench, FusedPeakStaysAScoresTensorBelowReference) {
   Tensor v = Tensor::Randn({batch, s, dh}, rng);
   Tensor out(q.shape()), lse(Shape{batch, s});
 
-  kernels::FusedAttentionForward(batch, s, s, dh, scale_q, q.data(),
+  kernels::FusedAttentionForward(batch, 1, s, s, dh, scale_q, q.data(),
                                  k.data(), v.data(), out.data(), lse.data(),
                                  &k);
   const uint64_t fused_peak = GetAllocStats().peak_live_bytes;

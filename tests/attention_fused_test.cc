@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -76,7 +77,7 @@ Tensor ReferenceAttention(const Tensor& q, const Tensor& k, const Tensor& v,
 
 Tensor FusedAttention(const Tensor& q, const Tensor& k, const Tensor& v,
                       float scale) {
-  return ag::FusedAttention(Variable(q), Variable(k), Variable(v), scale)
+  return ag::FusedAttention(Variable(q), Variable(k), Variable(v), 1, scale)
       .value();
 }
 
@@ -253,10 +254,10 @@ FusedRound RunFusedRound(const Tensor& q, const Tensor& k, const Tensor& v,
                 dh = q.dim(2);
   FusedRound r{Tensor(q.shape()), Tensor(Shape{batch, s_q}),
                Tensor(q.shape()), Tensor(k.shape()), Tensor(v.shape())};
-  kn::FusedAttentionForward(batch, s_q, s_k, dh, scale, q.data(), k.data(),
-                            v.data(), r.out.data(), r.lse.data(), &k);
-  kn::FusedAttentionBackward(batch, s_q, s_k, dh, scale, q.data(), k.data(),
-                             v.data(), r.out.data(), r.lse.data(),
+  kn::FusedAttentionForward(batch, 1, s_q, s_k, dh, scale, q.data(),
+                            k.data(), v.data(), r.out.data(), r.lse.data(), &k);
+  kn::FusedAttentionBackward(batch, 1, s_q, s_k, dh, scale, q.data(),
+                             k.data(), v.data(), r.out.data(), r.lse.data(),
                              grad_out.data(), r.dq.data(), r.dk.data(),
                              r.dv.data(), &k);
   return r;
@@ -327,9 +328,9 @@ void ExpectDispatchMatchesOracle(const Tensor& q, const Tensor& k,
   const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
   Tensor out(q.shape()), lse(Shape{batch, s_q});
   Tensor out_ref(q.shape()), lse_ref(Shape{batch, s_q});
-  kn::FusedAttentionForward(batch, s_q, s_k, dh, scale, q.data(), k.data(),
-                            v.data(), out.data(), lse.data());
-  kn::FusedAttentionForwardScalar(batch, s_q, s_k, dh, scale, q.data(),
+  kn::FusedAttentionForward(batch, 1, s_q, s_k, dh, scale, q.data(),
+                            k.data(), v.data(), out.data(), lse.data());
+  kn::FusedAttentionForwardScalar(batch, 1, s_q, s_k, dh, scale, q.data(),
                                   k.data(), v.data(), out_ref.data(),
                                   lse_ref.data());
   ExpectBytesEqual(out, out_ref, what + ": out");
@@ -410,7 +411,7 @@ TEST(FusedDispatch, BackwardMatchesScalarOracleBitwise) {
           FusedRound r = RunFusedRound(q, k, v, g, scale);
           Tensor dq(q.shape()), dk(k.shape()), dv(v.shape());
           kn::FusedAttentionBackwardScalar(
-              3, s_q, s_k, dh, scale, q.data(), k.data(), v.data(),
+              3, 1, s_q, s_k, dh, scale, q.data(), k.data(), v.data(),
               r.out.data(), r.lse.data(), g.data(), dq.data(), dk.data(),
               dv.data());
           const std::string what =
@@ -422,6 +423,176 @@ TEST(FusedDispatch, BackwardMatchesScalarOracleBitwise) {
           ExpectBytesEqual(r.dv, dv, what + ": dv");
         }
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Heads read in place at their row stride
+// ---------------------------------------------------------------------------
+
+// (batch, s, heads·dh) -> the (batch·heads, s, dh) head-split copy the
+// kernel used to be fed.
+Tensor SplitHeadsCopy(const Tensor& x, int64_t heads) {
+  const int64_t batch = x.dim(0), s = x.dim(1), dh = x.dim(2) / heads;
+  return Permute(x.Reshaped({batch, s, heads, dh}), {0, 2, 1, 3})
+      .Reshaped({batch * heads, s, dh});
+}
+
+// The inverse of SplitHeadsCopy.
+Tensor MergeHeadsCopy(const Tensor& x, int64_t heads) {
+  const int64_t batch = x.dim(0) / heads, s = x.dim(1), dh = x.dim(2);
+  return Permute(x.Reshaped({batch, heads, s, dh}), {0, 2, 1, 3})
+      .Reshaped({batch, s, heads * dh});
+}
+
+// Forward and backward with the heads at their stride equal the same calls
+// on head-split copies, bit for bit, through the scalar oracles; the
+// dispatched kernels (AVX2 at dh 4 and 8) equal the strided oracles. s_q = 9
+// leaves a partial row group and s_k = 37 a partial kv block.
+TEST(FusedStridedHeads, EqualSplitCopiesThroughScalarOracles) {
+  Rng rng(110);
+  const int64_t batch = 3, s_q = 9;
+  for (int64_t dh : {4, 8}) {
+    for (int64_t heads : {1, 2, 4}) {
+      for (int64_t s_k : {8, 37}) {
+        SCOPED_TRACE(::testing::Message() << "dh=" << dh << " heads=" << heads
+                                          << " s_k=" << s_k);
+        const int64_t width = heads * dh;
+        const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+        Tensor q = Tensor::Randn({batch, s_q, width}, rng);
+        Tensor k = Tensor::Randn({batch, s_k, width}, rng);
+        Tensor v = Tensor::Randn({batch, s_k, width}, rng);
+        Tensor g = Tensor::Randn({batch, s_q, width}, rng);
+
+        Tensor out(q.shape()), lse(Shape{batch * heads, s_q});
+        kn::FusedAttentionForwardScalar(batch, heads, s_q, s_k, dh, scale,
+                                        q.data(), k.data(), v.data(),
+                                        out.data(), lse.data());
+        Tensor dq(q.shape()), dk(k.shape()), dv(v.shape());
+        kn::FusedAttentionBackwardScalar(
+            batch, heads, s_q, s_k, dh, scale, q.data(), k.data(), v.data(),
+            out.data(), lse.data(), g.data(), dq.data(), dk.data(),
+            dv.data());
+
+        const Tensor qh = SplitHeadsCopy(q, heads);
+        const Tensor kh = SplitHeadsCopy(k, heads);
+        const Tensor vh = SplitHeadsCopy(v, heads);
+        const Tensor gh = SplitHeadsCopy(g, heads);
+        const int64_t items = batch * heads;
+        Tensor out_h(qh.shape()), lse_h(Shape{items, s_q});
+        kn::FusedAttentionForwardScalar(items, 1, s_q, s_k, dh, scale,
+                                        qh.data(), kh.data(), vh.data(),
+                                        out_h.data(), lse_h.data());
+        Tensor dq_h(qh.shape()), dk_h(kh.shape()), dv_h(vh.shape());
+        kn::FusedAttentionBackwardScalar(
+            items, 1, s_q, s_k, dh, scale, qh.data(), kh.data(), vh.data(),
+            out_h.data(), lse_h.data(), gh.data(), dq_h.data(), dk_h.data(),
+            dv_h.data());
+        ExpectBytesEqual(out, MergeHeadsCopy(out_h, heads), "out");
+        ExpectBytesEqual(lse, lse_h, "lse");
+        ExpectBytesEqual(dq, MergeHeadsCopy(dq_h, heads), "dq");
+        ExpectBytesEqual(dk, MergeHeadsCopy(dk_h, heads), "dk");
+        ExpectBytesEqual(dv, MergeHeadsCopy(dv_h, heads), "dv");
+
+        Tensor out_d(q.shape()), lse_d(Shape{batch * heads, s_q});
+        kn::FusedAttentionForward(batch, heads, s_q, s_k, dh, scale,
+                                  q.data(), k.data(), v.data(), out_d.data(),
+                                  lse_d.data(), &k);
+        Tensor dq_d(q.shape()), dk_d(k.shape()), dv_d(v.shape());
+        kn::FusedAttentionBackward(batch, heads, s_q, s_k, dh, scale,
+                                   q.data(), k.data(), v.data(),
+                                   out_d.data(), lse_d.data(), g.data(),
+                                   dq_d.data(), dk_d.data(), dv_d.data(),
+                                   &k);
+        ExpectBytesEqual(out_d, out, "dispatched out");
+        ExpectBytesEqual(lse_d, lse, "dispatched lse");
+        ExpectBytesEqual(dq_d, dq, "dispatched dq");
+        ExpectBytesEqual(dk_d, dk, "dispatched dk");
+        ExpectBytesEqual(dv_d, dv, "dispatched dv");
+      }
+    }
+  }
+}
+
+// MultiHeadAttention as it was built before the kernel read heads in place:
+// the projections, SplitHeads copies (Reshape + Permute), the one-head
+// fused op, MergeHeads, and the output projection, from the module's own
+// parameters.
+Variable SplitFusedMergeAttention(nn::MultiHeadAttention& attn,
+                                  const Variable& qk_source,
+                                  const Variable& v_source) {
+  std::map<std::string, Variable> p;
+  for (auto& [name, param] : attn.NamedParameters()) p[name] = param;
+  const int64_t heads = attn.num_heads(), d = attn.d_model(),
+                dh = d / heads;
+  Variable q = ag::MatMulLastDim(qk_source, p.at("wq"));
+  Variable key_input = qk_source;
+  Variable value_input = v_source;
+  if (attn.virtual_nodes() > 0) {
+    key_input = ag::MatMulNodeDim(p.at("pk"), qk_source);
+    value_input = ag::MatMulNodeDim(p.at("pv"), v_source);
+  }
+  Variable k = ag::MatMulLastDim(key_input, p.at("wk"));
+  Variable v = ag::MatMulLastDim(value_input, p.at("wv"));
+  auto split = [&](const Variable& x) {
+    const int64_t b = x.value().dim(0), s = x.value().dim(1);
+    return ag::Permute(ag::Reshape(x, {b, s, heads, dh}), {0, 2, 1, 3});
+  };
+  Variable qh = split(q);
+  Variable kh = split(k);
+  Variable vh = split(v);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+  Variable context = ag::FusedAttention(qh, kh, vh, 1, scale);
+  const int64_t b = context.value().dim(0), s = context.value().dim(2);
+  Variable merged =
+      ag::Reshape(ag::Permute(context, {0, 2, 1, 3}), {b, s, d});
+  return ag::MatMulLastDim(merged, p.at("wo"));
+}
+
+// The module's forward and every gradient — both inputs and each parameter —
+// equal the rebuilt split/merge composition bit for bit: plain decoupled
+// attention at head_dim 4 and 8, and the virtual-node path.
+TEST(FusedStridedHeads, MultiHeadAttentionEqualsSplitMergeComposition) {
+  struct Case {
+    int64_t d_model, heads, virtual_nodes, seq;
+  };
+  for (const Case& c : {Case{16, 4, 0, 23}, Case{16, 2, 0, 9},
+                        Case{32, 4, 6, 29}}) {
+    SCOPED_TRACE(::testing::Message() << "d=" << c.d_model << " heads="
+                                      << c.heads << " virtual="
+                                      << c.virtual_nodes);
+    Rng rng(111);
+    nn::MultiHeadAttention attn(c.d_model, c.heads, rng, c.virtual_nodes,
+                                c.seq);
+    Tensor qk_value = Tensor::Randn({5, c.seq, c.d_model}, rng);
+    Tensor v_value = Tensor::Randn({5, c.seq, c.d_model}, rng);
+    Tensor probe = Tensor::Randn({5, c.seq, c.d_model}, rng);
+    struct Result {
+      Tensor out, dqk, dv;
+      std::map<std::string, Tensor> params;
+    };
+    auto run = [&](bool module) {
+      attn.ZeroGrad();
+      Variable qk(qk_value, /*requires_grad=*/true);
+      Variable vs(v_value, /*requires_grad=*/true);
+      Variable y = module ? attn.Forward(qk, vs)
+                          : SplitFusedMergeAttention(attn, qk, vs);
+      ag::SumAll(ag::Mul(y, Variable(probe))).Backward();
+      Result r{y.value(), qk.grad(), vs.grad(), {}};
+      for (auto& [name, param] : attn.NamedParameters()) {
+        r.params[name] = param.grad().Clone();
+      }
+      return r;
+    };
+    Result module = run(true);
+    Result composed = run(false);
+    ExpectBytesEqual(module.out, composed.out, "forward");
+    ExpectBytesEqual(module.dqk, composed.dqk, "d qk_source");
+    ExpectBytesEqual(module.dv, composed.dv, "d v_source");
+    ASSERT_EQ(module.params.size(), c.virtual_nodes > 0 ? 6u : 4u);
+    for (const auto& [name, grad] : module.params) {
+      ExpectBytesEqual(grad, composed.params.at(name), "d" + name);
     }
   }
 }
@@ -443,8 +614,8 @@ TEST(FusedCounters, RowsBlocksAndAvoidedBytesAdvance) {
     Tensor out(q.shape()), lse(Shape{batch, s_q});
 
     kn::KernelStats before = kn::GetKernelStats();
-    kn::FusedAttentionForward(batch, s_q, s_k, dh, scale, q.data(), k.data(),
-                              v.data(), out.data(), lse.data(), &k);
+    kn::FusedAttentionForward(batch, 1, s_q, s_k, dh, scale, q.data(),
+                              k.data(), v.data(), out.data(), lse.data(), &k);
     kn::KernelStats after = kn::GetKernelStats();
 
     const uint64_t rows = static_cast<uint64_t>(batch * s_q);
@@ -544,8 +715,8 @@ TEST(FusedAttentionGolden, SeededForwardMatchesGolden) {
   Tensor k = Tensor::Randn({batch, s_k, dh}, rng);
   Tensor v = Tensor::Randn({batch, s_k, dh}, rng);
   Tensor out(q.shape()), lse(Shape{batch, s_q});
-  kn::FusedAttentionForward(batch, s_q, s_k, dh, scale, q.data(), k.data(),
-                            v.data(), out.data(), lse.data(), &k);
+  kn::FusedAttentionForward(batch, 1, s_q, s_k, dh, scale, q.data(),
+                            k.data(), v.data(), out.data(), lse.data(), &k);
   CheckGolden(PRISTI_ATTN_GOLDEN_PATH,
               "seeded fused-attention forward (out rows then lse rows)",
               {{"out", &out}, {"lse", &lse}});

@@ -270,14 +270,18 @@ TEST(BatchedMatMulNTScaledGrad, MatchesMulScalarComposition) {
 // the saved logsumexp) against central differences. Plain self-attention
 // shape, a virtual-node shape (s_k << s_q, the pk_/pv_ path's geometry),
 // and ragged sizes that exercise the kv-block tail (s_k not a multiple of
-// the kColTile block width) and an odd head_dim.
+// the kColTile block width) and an odd head_dim, each with one head, then
+// heads read in place at their row stride.
 TEST(GradCheck, FusedAttention) {
   Rng rng(68);
-  auto attn = [](std::vector<Variable>& v) {
-    int64_t dh = v[0].value().dim(-1);
-    float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-    return SumAll(Square(FusedAttention(v[0], v[1], v[2], scale)));
+  auto attn_heads = [](int64_t heads) {
+    return [heads](std::vector<Variable>& v) {
+      int64_t dh = v[0].value().dim(-1) / heads;
+      float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+      return SumAll(Square(FusedAttention(v[0], v[1], v[2], heads, scale)));
+    };
   };
+  auto attn = attn_heads(1);
   // Plain: s_q == s_k == 5, dh = 4, batched (2, 2) leading dims.
   auto r = CheckGradients(attn, {Tensor::Randn({2, 2, 5, 4}, rng),
                                  Tensor::Randn({2, 2, 5, 4}, rng),
@@ -294,6 +298,16 @@ TEST(GradCheck, FusedAttention) {
                             Tensor::Randn({2, 19, 3}, rng),
                             Tensor::Randn({2, 19, 3}, rng)});
   EXPECT_TRUE(r.ok) << "tail: " << r.message;
+  // Strided heads: 3 heads of dh = 2 share each row of the (2, 5, 6)
+  // operands, and 2 heads of dh = 3 against a ragged s_k = 17.
+  r = CheckGradients(attn_heads(3), {Tensor::Randn({2, 5, 6}, rng),
+                                     Tensor::Randn({2, 5, 6}, rng),
+                                     Tensor::Randn({2, 5, 6}, rng)});
+  EXPECT_TRUE(r.ok) << "3 heads: " << r.message;
+  r = CheckGradients(attn_heads(2), {Tensor::Randn({2, 4, 6}, rng),
+                                     Tensor::Randn({2, 17, 6}, rng),
+                                     Tensor::Randn({2, 17, 6}, rng)});
+  EXPECT_TRUE(r.ok) << "2 heads, tail: " << r.message;
 }
 
 // The NT composition must also agree with the transpose-then-multiply
@@ -324,6 +338,110 @@ TEST(GradCheck, MatMulLastDim) {
       },
       {Tensor::Randn({2, 3, 4}, rng), Tensor::Randn({4, 3}, rng)});
   EXPECT_TRUE(r.ok) << r.message;
+}
+
+TEST(GradCheck, MatMulLastDimBias) {
+  Rng rng(69);
+  auto r = CheckGradients(
+      [](std::vector<Variable>& v) {
+        return SumAll(Square(MatMulLastDimBias(v[0], v[1], v[2])));
+      },
+      {Tensor::Randn({2, 3, 4}, rng), Tensor::Randn({4, 3}, rng),
+       Tensor::Randn({3}, rng)});
+  EXPECT_TRUE(r.ok) << r.message;
+}
+
+TEST(GradCheck, GatedActivation) {
+  Rng rng(70);
+  auto r = CheckGradients(
+      [](std::vector<Variable>& v) {
+        return SumAll(Square(GatedActivation(v[0])));
+      },
+      {Tensor::Randn({2, 3, 6}, rng)});
+  EXPECT_TRUE(r.ok) << r.message;
+}
+
+void ExpectBitEqual(const Tensor& got, const Tensor& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        sizeof(float) * static_cast<size_t>(got.numel())),
+            0)
+      << what << " is not bit-equal";
+}
+
+// An upstream gradient with exact zeros of both signs, so the chain's
+// `0 +` steps, which turn -0 into +0, are exercised.
+Tensor ProbeWithSignedZeros(const Shape& shape, Rng& rng) {
+  Tensor g = Tensor::Randn(shape, rng);
+  for (int64_t i = 0; i < g.numel(); i += 3) g[i] = i % 2 == 0 ? 0.0f : -0.0f;
+  return g;
+}
+
+// The fused op against the SliceAxis -> Tanh / Sigmoid -> Mul chain it
+// replaced: forward bits in both modes, and the gradient bits of an input
+// that a second consumer also reads, so the op's addend must land in the
+// same order the chain's did. The rows are long enough to split across
+// workers.
+TEST(GatedActivationOp, BitEqualToSliceTanhSigmoidMulChain) {
+  Rng rng(71);
+  const Shape shape = {4, 37, 130};
+  Tensor x_value = Tensor::Randn(shape, rng);
+  for (int64_t i = 0; i < x_value.numel(); i += 7) x_value[i] = 0.0f;
+  Tensor probe = ProbeWithSignedZeros({4, 37, 65}, rng);
+  Tensor side = Tensor::Randn(shape, rng);
+  auto chain = [](const Variable& x) {
+    int64_t d = x.value().dim(-1);
+    return Mul(Tanh(SliceAxis(x, -1, 0, d / 2)),
+               Sigmoid(SliceAxis(x, -1, d / 2, d / 2)));
+  };
+  auto run = [&](bool fused, Tensor* out, Tensor* grad) {
+    Variable x(x_value, /*requires_grad=*/true);
+    Variable y = fused ? GatedActivation(x) : chain(x);
+    *out = y.value();
+    Add(SumAll(Mul(y, Constant(probe))), SumAll(Mul(x, Constant(side))))
+        .Backward();
+    *grad = x.grad();
+  };
+  Tensor out_fused, grad_fused, out_chain, grad_chain;
+  run(true, &out_fused, &grad_fused);
+  run(false, &out_chain, &grad_chain);
+  ExpectBitEqual(out_fused, out_chain, "forward");
+  ExpectBitEqual(grad_fused, grad_chain, "dx");
+  NoGradGuard no_grad;
+  ExpectBitEqual(GatedActivation(Constant(x_value)).value(), out_chain,
+                 "inference forward");
+}
+
+// Bias folded into the product against Add(MatMulLastDim(x, w), b): forward
+// and all three gradients, with the weight and bias used twice so their
+// addends must arrive in the same order.
+TEST(MatMulLastDimBiasOp, BitEqualToMatMulThenAdd) {
+  Rng rng(72);
+  Tensor x_value = Tensor::Randn({3, 41, 7}, rng);
+  Tensor w_value = Tensor::Randn({7, 19}, rng);
+  Tensor b_value = Tensor::Randn({19}, rng);
+  Tensor probe = ProbeWithSignedZeros({3, 41, 19}, rng);
+  struct Grads {
+    Tensor out, dx, dw, db;
+  };
+  auto run = [&](bool fused) {
+    Variable x(x_value, true), w(w_value, true), b(b_value, true);
+    auto affine = [&](const Variable& in) {
+      return fused ? MatMulLastDimBias(in, w, b)
+                   : Add(MatMulLastDim(in, w), b);
+    };
+    Variable y = affine(x);
+    Variable y2 = affine(Tanh(x));
+    SumAll(Mul(Add(y, y2), Constant(probe))).Backward();
+    return Grads{y.value(), x.grad(), w.grad(), b.grad()};
+  };
+  Grads fused = run(true);
+  Grads chain = run(false);
+  ExpectBitEqual(fused.out, chain.out, "forward");
+  ExpectBitEqual(fused.dx, chain.dx, "dx");
+  ExpectBitEqual(fused.dw, chain.dw, "dw");
+  ExpectBitEqual(fused.db, chain.db, "db");
 }
 
 TEST(GradCheck, MatMulNodeDim) {

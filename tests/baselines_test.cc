@@ -393,6 +393,34 @@ TEST(CsdiTest, ForwardShapeAndGrads) {
   }
 }
 
+// Every field a CSDI model cannot be built with is a typed error naming it,
+// checked before any constructor CHECK could fire.
+TEST(CsdiTest, ValidateConfigNamesTheFirstBadField) {
+  CsdiConfig good;
+  good.num_nodes = 5;
+  good.window_len = 6;
+  EXPECT_TRUE(ValidateCsdiConfig(good).ok());
+  struct Case {
+    const char* field;
+    void (*set)(CsdiConfig&);
+  };
+  const Case cases[] = {
+      {"layers", [](CsdiConfig& c) { c.layers = 0; }},
+      {"channels", [](CsdiConfig& c) { c.channels = 0; }},
+      {"num_nodes", [](CsdiConfig& c) { c.num_nodes = 0; }},
+      {"temporal_emb_dim", [](CsdiConfig& c) { c.temporal_emb_dim = 1; }},
+      {"heads=3", [](CsdiConfig& c) { c.heads = 3; }},
+  };
+  for (const Case& bad : cases) {
+    CsdiConfig config = good;
+    bad.set(config);
+    Status status = ValidateCsdiConfig(config);
+    EXPECT_EQ(status.code(), ErrorCode::kInvalidRequest) << bad.field;
+    EXPECT_NE(status.message().find(bad.field), std::string::npos)
+        << status.message();
+  }
+}
+
 // CSDI's side information (U plus cond_mask) is step-invariant: inside a
 // reverse run it comes from the step cache, bit-identical to recomputing it.
 TEST(CsdiTest, StepCacheHitIsBitwiseEqualToUncachedCall) {

@@ -5,7 +5,8 @@
 # Usage: cli_flags_test.sh <path to pristi_cli> <path to pristi_paper>
 #
 # Each case below — an unknown --preset, --pattern, --sampler or --method,
-# --samples=0, a --heads that does not divide --channels, a --window longer
+# --samples=0, a --heads that does not divide --channels, a CSDI --layers or
+# --channels of 0, a --window longer
 # than the training range, --nodes=0, --batch=0, --epochs=0, a --lr that is
 # not > 0, --steps-diffusion below 2, a negative --steps, a --model
 # checkpoint that cannot be
@@ -74,6 +75,8 @@ cases=(
   "impute $small --heads=3 --out=$tmp/i.csv"
   "train $small --epochs=1 --heads=0 --model-out=$tmp/m.ckpt"
   "evaluate --data=$data --method=csdi --epochs=1 --heads=5"
+  "evaluate --data=$data --method=csdi --epochs=1 --layers=0"
+  "evaluate --data=$data --method=csdi --epochs=1 --channels=0"
   "evaluate --data=$data --window=100000 --method=mean"
   "generate --preset=aqi --nodes=0 --out=$tmp/g.bin"
   "train $small --epochs=1 --resume=$missing/r.ckpt --model-out=$tmp/m.ckpt"

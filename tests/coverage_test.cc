@@ -204,7 +204,7 @@ TEST(GatedActivationGrad, FiniteDifferenceCheck) {
   Rng rng(10);
   auto result = ag::CheckGradients(
       [](std::vector<ag::Variable>& v) {
-        return ag::SumAll(ag::Square(nn::GatedActivation(v[0])));
+        return ag::SumAll(ag::Square(ag::GatedActivation(v[0])));
       },
       {Tensor::Randn({3, 6}, rng)});
   EXPECT_TRUE(result.ok) << result.message;

@@ -323,6 +323,23 @@ TEST(GraphConvLayer, StreamedMixIsBitEqualToConcatThenMatMul) {
   }
 }
 
+// Live bytes of one zero-filled tensor of `shape`: the pool's size class,
+// the unit the inference-peak tests count in.
+uint64_t BlockBytes(const Shape& shape) {
+  const uint64_t before = t::GetAllocStats().live_bytes;
+  Tensor block(shape);
+  return t::GetAllocStats().live_bytes - before;
+}
+
+// Peak live bytes that `fn` adds above what is live when it starts.
+template <typename Fn>
+uint64_t PeakAboveLive(Fn&& fn) {
+  const uint64_t base = t::GetAllocStats().live_bytes;
+  t::ResetPeakLiveBytes();
+  fn();
+  return t::GetAllocStats().peak_live_bytes - base;
+}
+
 TEST(GraphConvLayer, InferencePeakStaysWithinFourOutputBlocks) {
   // Under NoGradGuard the streamed mix holds the output and two consecutive
   // diffusion steps, however many supports x steps the layer mixes; keeping
@@ -342,21 +359,65 @@ TEST(GraphConvLayer, InferencePeakStaysWithinFourOutputBlocks) {
     GraphConv conv(d, d, supports, rng, steps, adaptive ? 4 : 0, n);
     Variable x = ag::Constant(Tensor::Randn({batch, n, d}, rng));
     ag::NoGradGuard no_grad;
-    uint64_t block = 0;
-    {
-      const uint64_t before = t::GetAllocStats().live_bytes;
-      Tensor output_sized({batch, n, d});
-      block = t::GetAllocStats().live_bytes - before;
-    }
+    const uint64_t block = BlockBytes({batch, n, d});
     ASSERT_GT(block, 0u);
-    const uint64_t base = t::GetAllocStats().live_bytes;
-    t::ResetPeakLiveBytes();
-    Variable y = conv.Forward(x);
-    const uint64_t peak_above_input = t::GetAllocStats().peak_live_bytes - base;
+    Variable y;
+    const uint64_t peak_above_input =
+        PeakAboveLive([&] { y = conv.Forward(x); });
     EXPECT_LE(peak_above_input, 4 * block)
         << "peak " << peak_above_input << " B above the input, output block "
         << block << " B";
   }
+}
+
+TEST(Attention, InferencePeakStaysWithinFourOutputBlocks) {
+  // Under NoGradGuard the heads are read from the (B, S, d) projections in
+  // place: Q, K, V and the context, then the context and the output. Head-
+  // split copies of Q/K/V and a merged copy of the context would add four.
+  const int64_t batch = 48, s = 24, d = 16;
+  for (int64_t heads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "heads=" << heads);
+    Rng rng(32);
+    MultiHeadAttention attn(d, heads, rng);
+    Variable qk = ag::Constant(Tensor::Randn({batch, s, d}, rng));
+    Variable v = ag::Constant(Tensor::Randn({batch, s, d}, rng));
+    ag::NoGradGuard no_grad;
+    const uint64_t block = BlockBytes({batch, s, d});
+    ASSERT_GT(block, 0u);
+    Variable y;
+    const uint64_t peak = PeakAboveLive([&] { y = attn.Forward(qk, v); });
+    EXPECT_LE(peak, 4 * block)
+        << "peak " << peak << " B above the inputs, output block " << block
+        << " B";
+  }
+}
+
+TEST(GatedActivationFn, InferencePeakIsOneOutputBlock) {
+  // Slices, tanh, sigmoid and product were five half-width blocks.
+  const int64_t rows = 4096, d = 32;
+  Rng rng(33);
+  Variable x = ag::Constant(Tensor::Randn({rows, 2 * d}, rng));
+  ag::NoGradGuard no_grad;
+  const uint64_t block = BlockBytes({rows, d});
+  Variable y;
+  const uint64_t peak =
+      PeakAboveLive([&] { y = ag::GatedActivation(x); });
+  EXPECT_LE(peak, block) << "peak " << peak << " B, output block " << block
+                         << " B";
+}
+
+TEST(LinearLayer, InferencePeakIsOneOutputBlock) {
+  // The bias lands in the product's own block instead of an Add's.
+  const int64_t rows = 4096, d_in = 16, d_out = 32;
+  Rng rng(34);
+  Linear linear(d_in, d_out, rng);
+  Variable x = ag::Constant(Tensor::Randn({rows, d_in}, rng));
+  ag::NoGradGuard no_grad;
+  const uint64_t block = BlockBytes({rows, d_out});
+  Variable y;
+  const uint64_t peak = PeakAboveLive([&] { y = linear.Forward(x); });
+  EXPECT_LE(peak, block) << "peak " << peak << " B, output block " << block
+                         << " B";
 }
 
 // ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/csdi.h"
 #include "baselines/factorization.h"
 #include "baselines/kalman.h"
 #include "baselines/regression.h"
@@ -34,7 +35,6 @@
 #include "common/logging.h"
 #include "data/io.h"
 #include "eval/harness.h"
-#include "nn/attention.h"
 #include "pristi/pristi_model.h"
 #include "serialize/checkpoint.h"
 #include "serialize/format.h"
@@ -463,7 +463,7 @@ int CmdEvaluate(const Flags& flags) {
       config.channels = flags.GetInt("channels", 16);
       config.heads = flags.GetInt("heads", 4);
       config.layers = flags.GetInt("layers", 2);
-      status = nn::ValidateAttentionHeads(config.channels, config.heads);
+      status = baselines::ValidateCsdiConfig(config);
       if (!status.ok()) return Fail(status);
       imputer = eval::MakeCsdiImputer(config, options, rng);
     }

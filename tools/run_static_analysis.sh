@@ -30,8 +30,8 @@
 #                    contract mul/add chains — exactly the configuration
 #                    that masks a missing -ffp-contract=off). Skip with
 #                    PRISTI_NATIVE_BITEQ=0.
-#   5. impute-biteq — 1-thread vs 4-thread imputation through pristi_cli,
-#                    CSVs byte-compared.
+#   5. impute-biteq — 1-thread vs 4-thread training and imputation through
+#                    pristi_cli, checkpoints and CSVs byte-compared.
 #
 # Training's shard/thread bit-identity and the fused-vs-reference attention
 # imputation parity are in-process ctests (sharded_train_test,
@@ -162,13 +162,14 @@ if [ "${PRISTI_NATIVE_BITEQ:-1}" != "0" ]; then
   fi
 fi
 
-# ---- leg 5: imputation thread-count bit-identity ---------------------------
-# Trains a tiny seeded model once, then imputes the same task through
-# pristi_cli at PRISTI_THREADS=1 and =4 and byte-compares the CSVs. At 48
-# nodes, L=24 and S=4 the activations exceed the elementwise split floor, so
-# the pooled data-movement ops (permute, broadcast, concat/slice) and the
-# per-worker GEMM packing really split; the unit suites' N=6 fixtures never
-# do.
+# ---- leg 5: training and imputation thread-count bit-identity --------------
+# Trains a tiny seeded model through pristi_cli at PRISTI_THREADS=1 and =4
+# and byte-compares the checkpoints, then imputes the same task with it at
+# both thread counts and byte-compares the CSVs. At 48 nodes, L=24 and S=4
+# the activations exceed the elementwise split floor, so the pooled
+# data-movement ops (permute, broadcast, concat/slice), the fused
+# elementwise ops and their backward passes, and the per-worker GEMM packing
+# really split; the unit suites' N=6 fixtures never do.
 build_dir="$repo_root/build-impute-biteq"
 echo "==== [impute-biteq] configure -> $build_dir ===="
 imp_tmp="$build_dir/impute-biteq-out"
@@ -176,9 +177,13 @@ imp_flags="--preset=aqi --nodes=48 --gen-steps=240 --window=24 --stride=24"
 if cmake -S "$repo_root" -B "$build_dir" -DCMAKE_BUILD_TYPE=Release \
     && cmake --build "$build_dir" -j "$jobs" --target pristi_cli \
     && mkdir -p "$imp_tmp" \
-    && "$build_dir/tools/pristi_cli" train $imp_flags \
+    && PRISTI_THREADS=1 "$build_dir/tools/pristi_cli" train $imp_flags \
         --epochs=1 --batch=4 --steps-diffusion=8 \
         --model-out="$imp_tmp/model.ckpt" > "$imp_tmp/train.log" 2>&1 \
+    && PRISTI_THREADS=4 "$build_dir/tools/pristi_cli" train $imp_flags \
+        --epochs=1 --batch=4 --steps-diffusion=8 \
+        --model-out="$imp_tmp/model-t4.ckpt" > "$imp_tmp/train-t4.log" 2>&1 \
+    && cmp "$imp_tmp/model.ckpt" "$imp_tmp/model-t4.ckpt" \
     && PRISTI_THREADS=1 "$build_dir/tools/pristi_cli" impute $imp_flags \
         --steps-diffusion=8 --samples=4 --seed=5 \
         --model="$imp_tmp/model.ckpt" \
@@ -188,7 +193,7 @@ if cmake -S "$repo_root" -B "$build_dir" -DCMAKE_BUILD_TYPE=Release \
         --model="$imp_tmp/model.ckpt" \
         --out="$imp_tmp/t4.csv" > "$imp_tmp/t4.log" 2>&1 \
     && cmp "$imp_tmp/t1.csv" "$imp_tmp/t4.csv"; then
-  echo "==== [impute-biteq] OK (1-thread == 4-thread imputation) ===="
+  echo "==== [impute-biteq] OK (1-thread == 4-thread training and imputation) ===="
 else
   echo "==== [impute-biteq] FAILED ===="
   status=1
