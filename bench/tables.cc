@@ -154,7 +154,11 @@ TablePrinter Table6(Paper& paper) {
        }},
       {"w/o CF",
        [](core::PristiConfig& c) { c.use_conditional_feature = false; }},
-      {"w/o spa", [](core::PristiConfig& c) { c.use_spatial = false; }},
+      {"w/o spa",
+       [](core::PristiConfig& c) {
+         c.use_mpnn = false;
+         c.use_spatial_attention = false;
+       }},
       {"w/o tem", [](core::PristiConfig& c) { c.use_temporal = false; }},
       {"w/o MPNN", [](core::PristiConfig& c) { c.use_mpnn = false; }},
       {"w/o Attn",

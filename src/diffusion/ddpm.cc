@@ -202,10 +202,10 @@ Status TrainDiffusionModel(ConditionalNoisePredictor* model,
 
   nn::Adam optimizer(model->Parameters(), {.lr = options.lr});
   std::vector<int64_t> milestones;
-  for (double frac : options.lr_milestone_fracs) {
+  for (double frac : kLrMilestoneFracs) {
     milestones.push_back(static_cast<int64_t>(frac * options.epochs));
   }
-  nn::MultiStepLr scheduler(&optimizer, milestones, options.lr_decay);
+  nn::MultiStepLr scheduler(&optimizer, milestones, kLrDecay);
 
   std::optional<nn::EmaWeights> ema;
   if (options.ema_decay > 0.0f) {
@@ -261,7 +261,7 @@ Status TrainDiffusionModel(ConditionalNoisePredictor* model,
         (last_epoch || (options.checkpoint_every > 0 &&
                         done % options.checkpoint_every == 0))) {
       std::string path = serialize::CheckpointFileName(
-          options.checkpoint_dir, options.checkpoint_prefix, done);
+          options.checkpoint_dir, kCheckpointPrefix, done);
       Status status = SaveTrainingCheckpoint(
           path, *module, optimizer, ema ? &*ema : nullptr, rng, schedule,
           done, losses);
@@ -271,7 +271,7 @@ Status TrainDiffusionModel(ConditionalNoisePredictor* model,
                                                 status.message());
       }
       status = serialize::PruneCheckpoints(options.checkpoint_dir,
-                                           options.checkpoint_prefix,
+                                           kCheckpointPrefix,
                                            options.checkpoint_keep_last);
       if (!status.ok()) return status;
     }
@@ -302,6 +302,17 @@ float ImputationResult::Quantile(int64_t node, int64_t step, double q) const {
   size_t hi = std::min(lo + 1, values.size() - 1);
   double frac = pos - static_cast<double>(lo);
   return static_cast<float>(values[lo] * (1.0 - frac) + values[hi] * frac);
+}
+
+void ImputationResult::FinalizeMedian() {
+  PRISTI_CHECK(!samples.empty());
+  int64_t n = samples[0].dim(0), l = samples[0].dim(1);
+  median = Tensor(t::Shape{n, l});
+  for (int64_t node = 0; node < n; ++node) {
+    for (int64_t step = 0; step < l; ++step) {
+      median.at({node, step}) = Quantile(node, step, 0.5);
+    }
+  }
 }
 
 std::vector<Rng> MakeChainStreams(Rng& rng, int64_t count) {
@@ -393,16 +404,6 @@ void AppendMergedChain(const float* chain, const Tensor& observed_values,
   result->samples.push_back(std::move(merged));
 }
 
-// Fills result->median (the per-entry median across samples).
-void FinalizeMedian(ImputationResult* result, int64_t n, int64_t l) {
-  result->median = Tensor(t::Shape{n, l});
-  for (int64_t node = 0; node < n; ++node) {
-    for (int64_t step = 0; step < l; ++step) {
-      result->median.at({node, step}) = result->Quantile(node, step, 0.5);
-    }
-  }
-}
-
 // The stacked-imputation core: R same-shape windows, S chains each, advance
 // through ONE reverse chain of (R*S, N, L) model calls. `chains` holds the
 // R*S chain streams, request-major; where they come from is the only thing
@@ -466,7 +467,7 @@ std::vector<ImputationResult> ImputeStacked(
                         observed_vals[static_cast<size_t>(r)],
                         target_masks[static_cast<size_t>(r)], &result);
     }
-    FinalizeMedian(&result, n, l);
+    result.FinalizeMedian();
   }
   return results;
 }
@@ -495,7 +496,6 @@ ImputationResult ImputeWindow(ConditionalNoisePredictor* model,
   }
 
   // Oracle path: one chain per model call, batch size 1.
-  int64_t n = sample.values.dim(0), l = sample.values.dim(1);
   Tensor target_mask = InferenceTargetMask(sample);
   DiffusionBatch batch =
       MakeSingleWindowBatch(sample.values, sample.observed, target_mask);
@@ -510,7 +510,7 @@ ImputationResult ImputeWindow(ConditionalNoisePredictor* model,
                                  batch.target_mask);
     AppendMergedChain(xc.data(), observed_values, target_mask, &result);
   }
-  FinalizeMedian(&result, n, l);
+  result.FinalizeMedian();
   return result;
 }
 

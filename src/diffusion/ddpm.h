@@ -86,14 +86,18 @@ StepInvariantCache* UsableStepCache(const DiffusionBatch& batch,
 Tensor QSample(const Tensor& x0, const Tensor& eps,
                const NoiseSchedule& schedule, int64_t t);
 
+// The paper's learning-rate schedule: the rate is multiplied by kLrDecay at
+// each of these fractions of the total epochs.
+inline constexpr double kLrMilestoneFracs[] = {0.75, 0.9};
+inline constexpr float kLrDecay = 0.1f;
+// Training checkpoints are named "<checkpoint_dir>/ckpt-<epochs>.ckpt".
+inline constexpr char kCheckpointPrefix[] = "ckpt";
+
 struct TrainOptions {
   int64_t epochs = 30;
   int64_t batch_size = 8;
   float lr = 1e-3f;
   data::MaskStrategy mask_strategy = data::MaskStrategy::kHybrid;
-  // LR decay milestones as fractions of total epochs (paper: 0.75 / 0.9).
-  std::vector<double> lr_milestone_fracs = {0.75, 0.9};
-  float lr_decay = 0.1f;
   // With this probability, the diffusion step is drawn from the upper half
   // [T/2, T] instead of uniformly from [1, T]. High-t steps are where the
   // model must actually learn the conditional distribution (low-t steps are
@@ -122,14 +126,13 @@ struct TrainOptions {
 
   // ---- Checkpointing / resume ---------------------------------------------
   // When `checkpoint_dir` is non-empty, the trainer writes
-  // "<dir>/<prefix>-<epochs completed>.ckpt" after every `checkpoint_every`
+  // "<dir>/ckpt-<epochs completed>.ckpt" after every `checkpoint_every`
   // epochs (and after the final epoch). Writes are atomic (temp file +
   // rename), and only the newest `checkpoint_keep_last` files are kept
   // (<= 0 keeps everything). A training checkpoint holds model parameters,
   // Adam state, EMA shadows, the RNG stream position, the noise-schedule
   // betas and the loss history — everything needed to resume bit-identically.
   std::string checkpoint_dir;
-  std::string checkpoint_prefix = "ckpt";
   int64_t checkpoint_every = 1;
   int64_t checkpoint_keep_last = 3;
   // When non-empty, restores a training checkpoint before the first epoch
@@ -185,6 +188,8 @@ struct ImputationResult {
   Tensor median;  // (N, L) per-entry median across samples
   // Quantile helper over the generated samples for one entry.
   float Quantile(int64_t node, int64_t step, double q) const;
+  // Sets `median` from `samples` (Quantile at 0.5 for every entry).
+  void FinalizeMedian();
 };
 
 struct ImputeOptions {

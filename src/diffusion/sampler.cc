@@ -27,20 +27,16 @@ const char* SamplerKindName(SamplerKind kind) {
   return "unknown";
 }
 
-bool ParseSamplerKind(const std::string& name, SamplerKind* out) {
-  if (name == "ddpm") {
-    *out = SamplerKind::kDdpm;
-    return true;
+Status ParseSamplerKind(const std::string& name, SamplerKind* out) {
+  for (SamplerKind kind :
+       {SamplerKind::kDdpm, SamplerKind::kDdim, SamplerKind::kPlms}) {
+    if (name == SamplerKindName(kind)) {
+      *out = kind;
+      return Status::Ok();
+    }
   }
-  if (name == "ddim") {
-    *out = SamplerKind::kDdim;
-    return true;
-  }
-  if (name == "plms" || name == "pndm") {  // pndm: the family's paper name
-    *out = SamplerKind::kPlms;
-    return true;
-  }
-  return false;
+  return Status::Error(ErrorCode::kInvalidRequest,
+                       "unknown sampler '" + name + "' (ddpm|ddim|plms)");
 }
 
 std::vector<ReverseStep> PlanReverseSteps(const NoiseSchedule& schedule,

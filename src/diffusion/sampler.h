@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "diffusion/schedule.h"
 #include "tensor/tensor.h"
 
@@ -47,10 +48,11 @@ enum class SamplerKind { kDdpm, kDdim, kPlms };
 
 // "ddpm" | "ddim" | "plms".
 const char* SamplerKindName(SamplerKind kind);
-// Parses a sampler name; returns false (leaving *out untouched) on unknown
-// names. The serving layer wraps this with its typed kInvalidRequest status
-// (serve::ParseSamplerName).
-bool ParseSamplerKind(const std::string& name, SamplerKind* out);
+// Parses a sampler name, the inverse of SamplerKindName. An unknown name
+// returns kInvalidRequest naming the three valid ones and leaves *out
+// untouched, so a command-line flag and a per-request protocol field are
+// rejected alike.
+Status ParseSamplerKind(const std::string& name, SamplerKind* out);
 
 // Schedule constants for one kept reverse step, precomputed once per window
 // so the per-step (and, sequentially, per-chain) loop does no schedule

@@ -108,21 +108,23 @@ MethodResult EvaluateFittedImputer(Imputer* imputer,
     if (t::SumAll(eval_mask) == 0.0f) continue;
     Tensor truth_raw =
         task.normalizer.Invert(sample.values, /*node_major=*/true);
-    Tensor prediction = imputer->Impute(sample, rng);
-    Tensor prediction_raw =
-        task.normalizer.Invert(prediction, /*node_major=*/true);
-    errors.Add(prediction_raw, truth_raw, eval_mask);
-    if (options.crps_samples > 0) {
-      std::vector<Tensor> samples =
-          imputer->ImputeSamples(sample, options.crps_samples, rng);
-      std::vector<Tensor> samples_raw;
-      samples_raw.reserve(samples.size());
-      for (const Tensor& s : samples) {
-        samples_raw.push_back(
-            task.normalizer.Invert(s, /*node_major=*/true));
-      }
-      crps.Add(samples_raw, truth_raw, eval_mask);
+    if (options.crps_samples <= 0) {
+      Tensor prediction = imputer->Impute(sample, rng);
+      errors.Add(task.normalizer.Invert(prediction, /*node_major=*/true),
+                 truth_raw, eval_mask);
+      continue;
     }
+    diffusion::ImputationResult drawn;
+    drawn.samples = imputer->ImputeSamples(sample, options.crps_samples, rng);
+    drawn.FinalizeMedian();
+    errors.Add(task.normalizer.Invert(drawn.median, /*node_major=*/true),
+               truth_raw, eval_mask);
+    std::vector<Tensor> samples_raw;
+    samples_raw.reserve(drawn.samples.size());
+    for (const Tensor& s : drawn.samples) {
+      samples_raw.push_back(task.normalizer.Invert(s, /*node_major=*/true));
+    }
+    crps.Add(samples_raw, truth_raw, eval_mask);
   }
   result.impute_seconds = impute_watch.ElapsedSeconds();
   if (diffusion_adapter != nullptr) {

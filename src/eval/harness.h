@@ -109,7 +109,10 @@ struct MethodResult {
 };
 
 struct EvaluateOptions {
-  // > 0 enables CRPS with this many generated samples per window.
+  // > 0 enables CRPS with this many generated samples per window. The
+  // window's one sample set is then scored twice: MAE/MSE on its per-entry
+  // median (ImputationResult::FinalizeMedian), CRPS on the samples.
+  // 0 scores MAE/MSE on the imputer's deterministic Impute.
   int64_t crps_samples = 0;
   // Restrict scoring to these nodes (empty = all); used by the
   // sensor-failure study.

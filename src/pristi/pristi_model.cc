@@ -213,8 +213,7 @@ NoiseEstimationLayer::Output NoiseEstimationLayer::Forward(
 
   // gamma_S: spatial attention + message passing over the temporal feature
   // (Eq. 6, 8, 9).
-  if (config_.use_spatial &&
-      (config_.use_spatial_attention || config_.use_mpnn)) {
+  if (config_.use_spatial_attention || config_.use_mpnn) {
     Variable acc;
     {
       Variable h_tem = std::exchange(h, Variable());
@@ -310,17 +309,17 @@ PristiModel::PristiModel(const PristiConfig& config, const Tensor& adjacency,
   }
 }
 
-Variable PristiModel::AuxiliaryInfo(int64_t batch_size) const {
+Variable PristiModel::AuxiliaryInfo() const {
   int64_t n = config_.num_nodes;
   int64_t l = config_.window_len;
-  // U_tem: (L, dt) -> broadcast to (B, N, L, dt).
+  // U_tem: (L, dt) -> broadcast to (1, N, L, dt).
   Variable u_tem = ag::Add(
-      ag::Constant(Tensor::Zeros({batch_size, n, l, config_.temporal_emb_dim})),
+      ag::Constant(Tensor::Zeros({1, n, l, config_.temporal_emb_dim})),
       ag::Constant(
           temporal_encoding_.Reshaped({1, 1, l, config_.temporal_emb_dim})));
-  // U_spa: (N, ds) -> broadcast to (B, N, L, ds). Learnable.
+  // U_spa: (N, ds) -> broadcast to (1, N, L, ds). Learnable.
   Variable u_spa = ag::Add(
-      ag::Constant(Tensor::Zeros({batch_size, n, l, config_.node_emb_dim})),
+      ag::Constant(Tensor::Zeros({1, n, l, config_.node_emb_dim})),
       ag::Reshape(node_embedding_, {1, n, 1, config_.node_emb_dim}));
   return aux_proj_.Forward(ag::Concat({u_tem, u_spa}, -1));
 }
@@ -351,12 +350,15 @@ Variable PristiModel::PredictNoise(const Tensor& noisy,
   // U and H^pri depend only on the conditioning and the weights, so within
   // a reverse run they are computed on the first call and then read back
   // from the batch's step cache. The w/o-CF prior mixes in the noisy
-  // stream and is never cached.
+  // stream and is never cached. U does not depend on the batch row either:
+  // it is one (1, N, L, d) block, broadcast over the batch.
   diffusion::StepInvariantCache* cache =
       diffusion::UsableStepCache(batch, this);
   bool cached = cache != nullptr && !cache->tensors.empty();
-  if (cached) CHECK_EQ(cache->tensors[0].dim(0), b);
-  Variable aux = cached ? ag::Constant(cache->tensors[0]) : AuxiliaryInfo(b);
+  if (cached && config_.use_conditional_feature) {
+    CHECK_EQ(cache->tensors[1].dim(0), b);
+  }
+  Variable aux = cached ? ag::Constant(cache->tensors[0]) : AuxiliaryInfo();
   h_in = ag::Add(h_in, aux);
 
   // Conditional prior H^pri.

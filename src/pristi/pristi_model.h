@@ -53,19 +53,18 @@ struct PristiConfig {
   bool use_conditional_feature = true;
   // w/o tem: drop the temporal dependency module gamma_T.
   bool use_temporal = true;
-  // w/o spa: drop the spatial dependency module gamma_S entirely.
-  bool use_spatial = true;
   // w/o MPNN: drop the message-passing component of gamma_S.
   bool use_mpnn = true;
   // w/o Attn: drop the spatial global attention component of gamma_S.
+  // w/o spa (the whole spatial dependency module) drops both.
   bool use_spatial_attention = true;
 };
 
 // kInvalidRequest naming the first field a model cannot be built with: a
 // non-positive size, heads that do not divide the channels, virtual nodes
 // that do not compress the node axis, or embedding widths the sinusoidal
-// encodings cannot take. pristi_cli and pristi_serve call it before
-// building a model; the constructors' CHECKs then guard programmer errors.
+// encodings cannot take. pristi_cli calls it before building a model; the
+// constructors' CHECKs then guard programmer errors.
 Status ValidatePristiConfig(const PristiConfig& config);
 
 // The "wide" conditional feature extraction module gamma(.) of Eq. 5.
@@ -136,8 +135,9 @@ class PristiModel : public nn::Module,
   const PristiConfig& config() const { return config_; }
 
  private:
-  // Builds the auxiliary information U (B, N, L, d).
-  Variable AuxiliaryInfo(int64_t batch_size) const;
+  // Builds the auxiliary information U (1, N, L, d); it is the same for
+  // every batch row.
+  Variable AuxiliaryInfo() const;
 
   const PristiConfig config_;
   nn::Conv1x1 input_conv_;  // 2 -> d (conditional ‖ noisy)

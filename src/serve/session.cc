@@ -46,15 +46,6 @@ Status ValidateServeConfig(const ServeConfig& config) {
   return Status::Ok();
 }
 
-Status ParseSamplerName(const std::string& name,
-                        diffusion::SamplerKind* out) {
-  if (!diffusion::ParseSamplerKind(name, out)) {
-    return Status::Error(ErrorCode::kInvalidRequest,
-                         "unknown sampler '" + name + "' (ddpm|ddim|plms)");
-  }
-  return Status::Ok();
-}
-
 ServeSession::ServeSession(ModelSlot initial, ModelFactory factory,
                            diffusion::NoiseSchedule schedule,
                            const ServeConfig& config, Clock* clock)

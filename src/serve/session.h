@@ -95,12 +95,6 @@ struct ServeConfig {
 // ServeSession's constructor CHECKs it.
 Status ValidateServeConfig(const ServeConfig& config);
 
-// Parses a sampler name ("ddpm" | "ddim" | "plms") into `*out`; unknown
-// names return the typed kInvalidRequest status (and leave `*out`
-// untouched) so protocol front ends reject them like any other malformed
-// request field.
-Status ParseSamplerName(const std::string& name, diffusion::SamplerKind* out);
-
 struct ImputeRequest {
   data::Sample window;  // values + observed mask, (N, L)
   // The request's determinism key: the response equals

@@ -3,6 +3,8 @@
 // the "paper-shaped" mode away from the published setup. Scales are read
 // through ScaleNamed, the parser behind `pristi_paper --scale`.
 
+#include <iterator>
+
 #include <gtest/gtest.h>
 
 #include "bench_common.h"
@@ -73,10 +75,11 @@ TEST(ScaleTest, FullDisablesQuickAdaptations) {
   // Paper schedule bounds (Table II): beta_1 = 1e-4, beta_T = 0.2.
   EXPECT_FLOAT_EQ(options.beta_1, 1e-4f);
   EXPECT_FLOAT_EQ(options.beta_end, 0.2f);
-  // Paper LR schedule: decay at 75% and 90% of epochs.
-  ASSERT_EQ(options.train.lr_milestone_fracs.size(), 2u);
-  EXPECT_DOUBLE_EQ(options.train.lr_milestone_fracs[0], 0.75);
-  EXPECT_DOUBLE_EQ(options.train.lr_milestone_fracs[1], 0.9);
+  // Paper LR schedule: decay by 10x at 75% and 90% of epochs.
+  ASSERT_EQ(std::size(diffusion::kLrMilestoneFracs), 2u);
+  EXPECT_DOUBLE_EQ(diffusion::kLrMilestoneFracs[0], 0.75);
+  EXPECT_DOUBLE_EQ(diffusion::kLrMilestoneFracs[1], 0.9);
+  EXPECT_FLOAT_EQ(diffusion::kLrDecay, 0.1f);
 }
 
 TEST(ScaleTest, PristiConfigUsesPaperEmbeddingDims) {

@@ -178,7 +178,11 @@ INSTANTIATE_TEST_SUITE_P(
                      }},
         AblationSpec{"wo_cf",
                      [](PristiConfig& c) { c.use_conditional_feature = false; }},
-        AblationSpec{"wo_spa", [](PristiConfig& c) { c.use_spatial = false; }},
+        AblationSpec{"wo_spa",
+                     [](PristiConfig& c) {
+                       c.use_mpnn = false;
+                       c.use_spatial_attention = false;
+                     }},
         AblationSpec{"wo_tem", [](PristiConfig& c) { c.use_temporal = false; }},
         AblationSpec{"wo_mpnn", [](PristiConfig& c) { c.use_mpnn = false; }},
         AblationSpec{"wo_attn",

@@ -369,17 +369,23 @@ TEST(CoalescedEquivalence, DegenerateWindowsMatchSoloAndStayFinite) {
 
 TEST(SamplerKindNames, ParseAndPrintRoundTrip) {
   SamplerKind kind = SamplerKind::kDdpm;
-  EXPECT_TRUE(ParseSamplerKind("ddim", &kind));
+  EXPECT_TRUE(ParseSamplerKind("ddim", &kind).ok());
   EXPECT_EQ(kind, SamplerKind::kDdim);
-  EXPECT_TRUE(ParseSamplerKind("plms", &kind));
+  EXPECT_TRUE(ParseSamplerKind("plms", &kind).ok());
   EXPECT_EQ(kind, SamplerKind::kPlms);
-  EXPECT_TRUE(ParseSamplerKind("pndm", &kind));  // family alias
-  EXPECT_EQ(kind, SamplerKind::kPlms);
-  EXPECT_TRUE(ParseSamplerKind("ddpm", &kind));
+  EXPECT_TRUE(ParseSamplerKind("ddpm", &kind).ok());
   EXPECT_EQ(kind, SamplerKind::kDdpm);
+  // Unknown names, including the family name "pndm", come back as a typed
+  // invalid request that lists the valid names, and leave *out untouched.
   kind = SamplerKind::kPlms;
-  EXPECT_FALSE(ParseSamplerKind("euler", &kind));
-  EXPECT_EQ(kind, SamplerKind::kPlms);  // untouched on failure
+  for (const char* bad : {"pndm", "euler", "", "DDIM"}) {
+    SCOPED_TRACE(bad);
+    Status status = ParseSamplerKind(bad, &kind);
+    EXPECT_EQ(status.code(), ErrorCode::kInvalidRequest);
+    EXPECT_FALSE(status.retryable());
+    EXPECT_NE(status.message().find("ddpm|ddim|plms"), std::string::npos);
+    EXPECT_EQ(kind, SamplerKind::kPlms);
+  }
   EXPECT_STREQ(SamplerKindName(SamplerKind::kDdpm), "ddpm");
   EXPECT_STREQ(SamplerKindName(SamplerKind::kDdim), "ddim");
   EXPECT_STREQ(SamplerKindName(SamplerKind::kPlms), "plms");

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# End-to-end checks of the pristi_serve command line and stdin protocol.
+# End-to-end checks of the `pristi_cli serve` command line and stdin
+# protocol.
 #
-# Usage: serve_cli_test.sh <path to pristi_serve>
+# Usage: serve_cli_test.sh <path to pristi_cli>
 #
 #   1. An `impute` start outside [0, num_steps - window_len] — including one
 #      where start + window_len would overflow int64 — answers
@@ -18,7 +19,8 @@
 
 set -u
 
-serve="$1"
+cli="$1"
+serve() { "$cli" serve "$@"; }
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 failures=0
@@ -39,7 +41,7 @@ strip_timing() {
 # ---- 1. out-of-range starts ------------------------------------------------
 printf '%s\n' 'impute 9223372036854775807 1' 'impute 705 1' 'impute -1 1' \
   'impute 0 1' 'wait' 'quit' |
-  "$serve" > "$tmp/range.out" 2> "$tmp/range.err"
+  serve > "$tmp/range.out" 2> "$tmp/range.err"
 code=$?
 [ "$code" -eq 0 ] || fail "out-of-range script exited $code"
 grep -q 'Check failed' "$tmp/range.err" && fail "out-of-range start aborted"
@@ -55,20 +57,20 @@ for flag in --max-batch=0 --queue-cap=0 --max-wait-ms=-1 --samples=0 \
     --sampler=bogus --pattern=bogus --heads=3 --virtual-nodes=16 \
     --window=100000 --steps-diffusion=0 --steps-diffusion=1 \
     --model=/nonexistent; do
-  echo quit | "$serve" "$flag" > "$tmp/flag.out" 2> "$tmp/flag.err"
+  echo quit | serve "$flag" > "$tmp/flag.out" 2> "$tmp/flag.err"
   code=$?
   [ "$code" -eq 1 ] || fail "$flag exited $code, want 1"
   grep -q 'Check failed' "$tmp/flag.err" && fail "$flag aborted"
   case "$flag" in
-    --model=*) want='^pristi_serve: cannot load --model /nonexistent: ' ;;
-    *) want='^pristi_serve: invalid-request: ' ;;
+    --model=*) want='^pristi_cli: [a-z-]*: cannot load --model /nonexistent: ' ;;
+    *) want='^pristi_cli: invalid-request: ' ;;
   esac
   grep -q "$want" "$tmp/flag.err" || fail "$flag printed no typed status"
 done
 
 # ---- 3. pinned defaults ----------------------------------------------------
 printf '%s\n' 'impute 0 1' 'impute 16 2' 'impute 100 7 plms 5' 'wait' 'quit' |
-  "$serve" 2> "$tmp/pinned.err" | strip_timing > "$tmp/pinned.out"
+  serve 2> "$tmp/pinned.err" | strip_timing > "$tmp/pinned.out"
 cat > "$tmp/pinned.want" <<'EOF'
 serving AQI-36-like: N=16 L=16 max_batch=8 max_wait_ms=5 queue_cap=64
 submitted request 0

@@ -589,19 +589,9 @@ TEST(ServeAdmission, MisshapenWindowRejectedTyped) {
   EXPECT_EQ(session.stats().rejected_invalid, 1);
 }
 
-TEST(ServeAdmission, UnknownSamplerNameAndNegativeStepsRejectedTyped) {
-  // The front-end parser maps unknown sampler names to kInvalidRequest
-  // without touching the session...
-  diffusion::SamplerKind kind = diffusion::SamplerKind::kDdpm;
-  Status bad_name = serve::ParseSamplerName("euler", &kind);
-  EXPECT_EQ(bad_name.code(), ErrorCode::kInvalidRequest);
-  EXPECT_FALSE(bad_name.retryable());
-  EXPECT_EQ(kind, diffusion::SamplerKind::kDdpm);  // untouched on failure
-  EXPECT_TRUE(serve::ParseSamplerName("plms", &kind).ok());
-  EXPECT_EQ(kind, diffusion::SamplerKind::kPlms);
-
-  // ...and a request carrying a nonsensical step-count override is
-  // rejected at admission, resolving immediately with the same typed code.
+TEST(ServeAdmission, NegativeStepsOverrideRejectedTyped) {
+  // A request carrying a nonsensical step-count override is rejected at
+  // admission, resolving immediately with a typed, non-retryable code.
   auto model = MakeTinyModel(12);
   serve::ServeSession session(SlotFor(model), nullptr, TestSchedule(),
                               ManualConfig());

@@ -30,8 +30,10 @@
 #                    contract mul/add chains — exactly the configuration
 #                    that masks a missing -ffp-contract=off). Skip with
 #                    PRISTI_NATIVE_BITEQ=0.
-#   5. impute-biteq — 1-thread vs 4-thread training and imputation through
-#                    pristi_cli, checkpoints and CSVs byte-compared.
+#   5. impute-biteq — 1-thread vs 4-thread training, imputation and
+#                    serving through pristi_cli: checkpoints, CSVs and
+#                    `serve` transcripts (timing fields stripped)
+#                    byte-compared.
 #
 # Training's shard/thread bit-identity and the fused-vs-reference attention
 # imputation parity are in-process ctests (sharded_train_test,
@@ -165,7 +167,10 @@ fi
 # ---- leg 5: training and imputation thread-count bit-identity --------------
 # Trains a tiny seeded model through pristi_cli at PRISTI_THREADS=1 and =4
 # and byte-compares the checkpoints, then imputes the same task with it at
-# both thread counts and byte-compares the CSVs. At 48 nodes, L=24 and S=4
+# both thread counts and byte-compares the CSVs, then pipes one fixed
+# request script into `pristi_cli serve` with it at both thread counts and
+# byte-compares the transcripts without their timing-dependent fields
+# (batch sizes, latencies and the stats line). At 48 nodes, L=24 and S=4
 # the activations exceed the elementwise split floor, so the pooled
 # data-movement ops (permute, broadcast, concat/slice), the fused
 # elementwise ops and their backward passes, and the per-worker GEMM packing
@@ -174,6 +179,23 @@ build_dir="$repo_root/build-impute-biteq"
 echo "==== [impute-biteq] configure -> $build_dir ===="
 imp_tmp="$build_dir/impute-biteq-out"
 imp_flags="--preset=aqi --nodes=48 --gen-steps=240 --window=24 --stride=24"
+serve_script="impute 0 1
+impute 24 2
+impute 48 3 ddpm 4
+impute 100 4 plms 5
+wait
+impute 216 5 ddim 2
+quit"
+# Runs the serve script at PRISTI_THREADS=$1 and writes the transcript,
+# timing fields stripped, to $2.
+serve_transcript() {
+  printf '%s\n' "$serve_script" |
+    PRISTI_THREADS="$1" "$build_dir/tools/pristi_cli" serve $imp_flags \
+      --steps-diffusion=8 --samples=4 --model="$imp_tmp/model.ckpt" \
+      2> "$2.err" |
+    sed -E 's/ batch=[0-9]+ queue_us=[0-9]+ total_us=[0-9]+//' |
+    grep -v '^admitted=' > "$2"
+}
 if cmake -S "$repo_root" -B "$build_dir" -DCMAKE_BUILD_TYPE=Release \
     && cmake --build "$build_dir" -j "$jobs" --target pristi_cli \
     && mkdir -p "$imp_tmp" \
@@ -192,8 +214,12 @@ if cmake -S "$repo_root" -B "$build_dir" -DCMAKE_BUILD_TYPE=Release \
         --steps-diffusion=8 --samples=4 --seed=5 \
         --model="$imp_tmp/model.ckpt" \
         --out="$imp_tmp/t4.csv" > "$imp_tmp/t4.log" 2>&1 \
-    && cmp "$imp_tmp/t1.csv" "$imp_tmp/t4.csv"; then
-  echo "==== [impute-biteq] OK (1-thread == 4-thread training and imputation) ===="
+    && cmp "$imp_tmp/t1.csv" "$imp_tmp/t4.csv" \
+    && serve_transcript 1 "$imp_tmp/serve-t1.out" \
+    && serve_transcript 4 "$imp_tmp/serve-t4.out" \
+    && grep -q '^request 4: ok ' "$imp_tmp/serve-t1.out" \
+    && cmp "$imp_tmp/serve-t1.out" "$imp_tmp/serve-t4.out"; then
+  echo "==== [impute-biteq] OK (1-thread == 4-thread training, imputation and serving) ===="
 else
   echo "==== [impute-biteq] FAILED ===="
   status=1
