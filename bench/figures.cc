@@ -148,8 +148,7 @@ TablePrinter Fig6(Paper& paper) {
   const data::ImputationTask& task = paper.Task(setting);
   Fitted fit = paper.Fit(setting, "PriSTI");
   data::Sample window = data::ExtractSamples(task, "test").front();
-  diffusion::ImputationResult summary;
-  summary.samples = fit.model->ImputeSamples(
+  diffusion::ImputationResult summary = fit.model->ImputeSamples(
       window, std::max<int64_t>(paper.scale().crps_samples, 20), fit.rng);
 
   int64_t num_sensors = std::min<int64_t>(5, task.dataset.num_nodes);

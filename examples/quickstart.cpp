@@ -64,9 +64,7 @@ int main() {
 
   // --- 3. Impute one test window probabilistically.
   data::Sample window = data::ExtractSamples(task, "test").front();
-  std::vector<tensor::Tensor> draws = pristi->ImputeSamples(window, 15, rng);
-  diffusion::ImputationResult summary;
-  summary.samples = draws;
+  diffusion::ImputationResult summary = pristi->ImputeSamples(window, 15, rng);
 
   std::printf("\nsensor 0, window starting at step %lld "
               "(values in raw units):\n",
@@ -78,7 +76,7 @@ int main() {
     double mean0 = task.normalizer.mean(0);
     double std0 = task.normalizer.stddev(0);
     double truth = truth_n * std0 + mean0;
-    double median = summary.Quantile(0, step, 0.5) * std0 + mean0;
+    double median = summary.median.at({0, step}) * std0 + mean0;
     double lo = summary.Quantile(0, step, 0.05) * std0 + mean0;
     double hi = summary.Quantile(0, step, 0.95) * std0 + mean0;
     const char* status = window.observed.at({0, step}) > 0.5f

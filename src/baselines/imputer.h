@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "data/windows.h"
+#include "diffusion/ddpm.h"
 #include "tensor/tensor.h"
 
 namespace pristi::baselines {
@@ -30,14 +31,17 @@ class Imputer {
   // an estimate at every entry (observed entries may be passed through).
   virtual Tensor Impute(const data::Sample& sample, Rng& rng) = 0;
 
-  // Probabilistic imputation; the default wraps the deterministic output
-  // (a point mass), which is the correct degenerate distribution for
-  // deterministic methods when computing CRPS.
-  virtual std::vector<Tensor> ImputeSamples(const data::Sample& sample,
-                                            int64_t num_samples, Rng& rng) {
-    std::vector<Tensor> out;
-    Tensor point = Impute(sample, rng);
-    out.assign(static_cast<size_t>(num_samples), point);
+  // Probabilistic imputation: `num_samples` draws of the window and their
+  // per-entry median, computed once by whoever drew them. The default wraps
+  // the deterministic output (a point mass, whose median is the point),
+  // which is the correct degenerate distribution for deterministic methods
+  // when computing CRPS.
+  virtual diffusion::ImputationResult ImputeSamples(const data::Sample& sample,
+                                                    int64_t num_samples,
+                                                    Rng& rng) {
+    diffusion::ImputationResult out;
+    out.median = Impute(sample, rng);
+    out.samples.assign(static_cast<size_t>(num_samples), out.median);
     return out;
   }
 };

@@ -178,21 +178,21 @@ Tensor VrinImputer::Impute(const data::Sample& sample, Rng&) {
   return MergeObserved(sample, decoded);
 }
 
-std::vector<Tensor> VrinImputer::ImputeSamples(const data::Sample& sample,
-                                               int64_t num_samples,
-                                               Rng& rng) {
+diffusion::ImputationResult VrinImputer::ImputeSamples(
+    const data::Sample& sample, int64_t num_samples, Rng& rng) {
   std::vector<const data::Sample*> batch = {&sample};
   Tensor values = StackWindows(batch, true);
   Tensor observed = StackWindows(batch, false);
   auto [mu, logvar] = net_->Encode(values, observed);
-  std::vector<Tensor> out;
-  out.reserve(static_cast<size_t>(num_samples));
+  diffusion::ImputationResult out;
+  out.samples.reserve(static_cast<size_t>(num_samples));
   for (int64_t i = 0; i < num_samples; ++i) {
     Variable z = Reparameterize(mu, logvar, rng);
     Tensor decoded =
         net_->Decode(z).value().Reshaped(sample.values.shape());
-    out.push_back(MergeObserved(sample, decoded));
+    out.samples.push_back(MergeObserved(sample, decoded));
   }
+  out.FinalizeMedian();
   return out;
 }
 
@@ -310,15 +310,14 @@ Tensor GpVaeImputer::Impute(const data::Sample& sample, Rng&) {
   return MergeObserved(sample, decoded);
 }
 
-std::vector<Tensor> GpVaeImputer::ImputeSamples(const data::Sample& sample,
-                                                int64_t num_samples,
-                                                Rng& rng) {
+diffusion::ImputationResult GpVaeImputer::ImputeSamples(
+    const data::Sample& sample, int64_t num_samples, Rng& rng) {
   std::vector<const data::Sample*> batch = {&sample};
   Tensor values = StackWindows(batch, true);
   Tensor observed = StackWindows(batch, false);
   Net::Encoding enc = net_->Encode(values, observed);
-  std::vector<Tensor> out;
-  out.reserve(static_cast<size_t>(num_samples));
+  diffusion::ImputationResult out;
+  out.samples.reserve(static_cast<size_t>(num_samples));
   for (int64_t i = 0; i < num_samples; ++i) {
     std::vector<Variable> z;
     z.reserve(enc.mu.size());
@@ -328,8 +327,9 @@ std::vector<Tensor> GpVaeImputer::ImputeSamples(const data::Sample& sample,
     Tensor decoded = net_->DecodeSequence(z)
                          .value()
                          .Reshaped(sample.values.shape());
-    out.push_back(MergeObserved(sample, decoded));
+    out.samples.push_back(MergeObserved(sample, decoded));
   }
+  out.FinalizeMedian();
   return out;
 }
 

@@ -39,8 +39,9 @@ class VrinImputer : public Imputer {
   std::string name() const override { return "V-RIN"; }
   void Fit(const data::ImputationTask& task, Rng& rng) override;
   Tensor Impute(const data::Sample& sample, Rng& rng) override;
-  std::vector<Tensor> ImputeSamples(const data::Sample& sample,
-                                    int64_t num_samples, Rng& rng) override;
+  diffusion::ImputationResult ImputeSamples(const data::Sample& sample,
+                                            int64_t num_samples,
+                                            Rng& rng) override;
 
  private:
   struct Net;
@@ -54,8 +55,9 @@ class GpVaeImputer : public Imputer {
   std::string name() const override { return "GP-VAE"; }
   void Fit(const data::ImputationTask& task, Rng& rng) override;
   Tensor Impute(const data::Sample& sample, Rng& rng) override;
-  std::vector<Tensor> ImputeSamples(const data::Sample& sample,
-                                    int64_t num_samples, Rng& rng) override;
+  diffusion::ImputationResult ImputeSamples(const data::Sample& sample,
+                                            int64_t num_samples,
+                                            Rng& rng) override;
 
  private:
   struct Net;

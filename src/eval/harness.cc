@@ -38,7 +38,7 @@ Tensor DiffusionImputerAdapter::Impute(const data::Sample& sample, Rng& rng) {
   return result.median;
 }
 
-std::vector<Tensor> DiffusionImputerAdapter::ImputeSamples(
+diffusion::ImputationResult DiffusionImputerAdapter::ImputeSamples(
     const data::Sample& sample, int64_t num_samples, Rng& rng) {
   diffusion::ImputeOptions impute = options_.impute;
   impute.num_samples = num_samples;
@@ -47,7 +47,7 @@ std::vector<Tensor> DiffusionImputerAdapter::ImputeSamples(
       diffusion::ImputeWindow(model_.get(), schedule_, sample, impute, rng);
   sample_seconds_ += watch.ElapsedSeconds();
   generated_samples_ += num_samples;
-  return std::move(result.samples);
+  return result;
 }
 
 std::unique_ptr<DiffusionImputerAdapter> MakePristiImputer(
@@ -114,9 +114,8 @@ MethodResult EvaluateFittedImputer(Imputer* imputer,
                  truth_raw, eval_mask);
       continue;
     }
-    diffusion::ImputationResult drawn;
-    drawn.samples = imputer->ImputeSamples(sample, options.crps_samples, rng);
-    drawn.FinalizeMedian();
+    diffusion::ImputationResult drawn =
+        imputer->ImputeSamples(sample, options.crps_samples, rng);
     errors.Add(task.normalizer.Invert(drawn.median, /*node_major=*/true),
                truth_raw, eval_mask);
     std::vector<Tensor> samples_raw;

@@ -50,8 +50,9 @@ class DiffusionImputerAdapter : public Imputer {
   std::string name() const override { return name_; }
   void Fit(const data::ImputationTask& task, Rng& rng) override;
   Tensor Impute(const data::Sample& sample, Rng& rng) override;
-  std::vector<Tensor> ImputeSamples(const data::Sample& sample,
-                                    int64_t num_samples, Rng& rng) override;
+  diffusion::ImputationResult ImputeSamples(const data::Sample& sample,
+                                            int64_t num_samples,
+                                            Rng& rng) override;
 
   const std::vector<double>& train_losses() const { return train_losses_; }
 
@@ -110,8 +111,8 @@ struct MethodResult {
 
 struct EvaluateOptions {
   // > 0 enables CRPS with this many generated samples per window. The
-  // window's one sample set is then scored twice: MAE/MSE on its per-entry
-  // median (ImputationResult::FinalizeMedian), CRPS on the samples.
+  // window's one sample set is then scored twice: MAE/MSE on the per-entry
+  // median ImputeSamples returns with it, CRPS on the samples.
   // 0 scores MAE/MSE on the imputer's deterministic Impute.
   int64_t crps_samples = 0;
   // Restrict scoring to these nodes (empty = all); used by the

@@ -4,10 +4,21 @@
 // Tiled SGEMM kernel layer.
 //
 // Every MatMul-family entry point in tensor/tensor.h bottoms out here. The
-// layer provides one register-tiled (kRowTile x kColTile accumulator
-// block), panel-packed micro-kernel with four logical layouts (NN/NT/TN —
-// TT never occurs in this codebase) and a batched driver, plus a retained
-// reference kernel that tests call directly as the exact-equality oracle.
+// layer provides register-tiled, panel-packed GEMM with three logical
+// layouts (NN/NT/TN — TT never occurs in this codebase) and a batched
+// driver, plus a retained reference kernel that tests call directly as the
+// exact-equality oracle.
+//
+// Micro-kernels (sgemm.cc): one template, MicroKernelSimd<Traits>, over a
+// vector-traits type, instantiated twice behind per-function target
+// attributes — zmm (AVX-512F), a 12x16 tile reading three consecutive
+// kRowTile-row A panels with one zmm accumulator per row, and ymm (AVX),
+// the 4x16 tile with two ymm accumulators per row — plus a generic SSE2
+// 4x16 kernel. One runtime CPUID dispatch picks avx512f -> zmm, else
+// avx -> ymm, else generic; no flag or env variable selects it. Under zmm
+// each worker walks its row blocks three at a time and runs the one or two
+// left over at the end of its range through the 4-row ymm tile. Edge tiles
+// load and store C through lane masks, so no edge tile is copied.
 //
 // Bit-identity contract: for every output element c[i][j], ALL kernels
 // perform the same scalar chain
@@ -15,12 +26,12 @@
 // where c0 is the value C holds on entry (the kernels continue C's chain;
 // every MatMul entry point passes a zeroed C, so c0 = +0), in strictly
 // increasing k order — each product rounded, then the add
-// rounded, never a fused multiply-add (the AVX variant in sgemm.cc uses
+// rounded, never a fused multiply-add (the vector traits in sgemm.cc use
 // explicit mul_ps/add_ps, and the build compiles everything with
 // -ffp-contract=off so no config re-fuses them). Tiling and SIMD width
 // only change which independent chains advance together, and packing only
-// changes where operand bytes are read from, so the tiled kernels (AVX or
-// generic, selected by runtime CPUID) are bit-identical to the reference
+// changes where operand bytes are read from, so the tiled kernels (zmm,
+// ymm or generic) are bit-identical to the reference
 // i-k-j kernel — and therefore to every golden produced before this layer
 // existed — at any thread count, with packing on or off.
 //
@@ -47,8 +58,10 @@
 
 namespace pristi::tensor::kernels {
 
-// Register-tile footprint of the micro-kernel: kRowTile rows of A against
-// kColTile columns of B accumulate in registers across the full k extent.
+// Packing geometry: A is packed in kRowTile-row panels and B in
+// kColTile-column panels. A micro-kernel tile is kColTile columns by one
+// (ymm, generic) or three (zmm) A panels, accumulated in registers across
+// the full k extent.
 inline constexpr int64_t kRowTile = 4;
 inline constexpr int64_t kColTile = 16;
 

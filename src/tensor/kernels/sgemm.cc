@@ -6,10 +6,11 @@
 #include "common/check.h"
 #include "common/parallel.h"
 #include "tensor/kernels/kernels.h"
+#include "tensor/kernels/micro_kernel.h"
 #include "tensor/kernels/pack_cache.h"
 
-// The AVX micro-kernel below is compiled with a per-function target
-// attribute and selected behind a runtime CPUID check, so the translation
+// The ymm and zmm micro-kernels below are compiled with per-function target
+// attributes and selected behind a runtime CPUID check, so the translation
 // unit itself stays buildable for (and safe on) plain-SSE2 x86-64.
 #if defined(__GNUC__) && defined(__x86_64__)
 #define PRISTI_GEMM_X86_DISPATCH 1
@@ -111,38 +112,30 @@ void PackBFull(Layout layout, int64_t k, int64_t n, const float* b,
                                      std::memory_order_relaxed);
 }
 
-// kRowTile x kColTile register-tiled micro-kernel: one (row panel, column
-// panel) pair across the FULL k extent — k is deliberately not blocked, so
-// each accumulator slot carries a single increasing-kk chain of `+= a*b`,
-// the exact chain ReferenceGemm produces. Zero-padded panel slots only
-// feed accumulator lanes that are never stored (r >= mr or j >= nr).
+// Register-tiled micro-kernels: one (row tile, column panel) pair across
+// the FULL k extent — k is deliberately not blocked, so each accumulator
+// slot carries a single increasing-kk chain of `+= a*b`, the exact chain
+// ReferenceGemm produces. Zero-padded panel slots only feed accumulator
+// lanes that are never stored (r >= mr or j >= nr).
 //
-// The kernel continues C's chain: each accumulator is loaded from its
+// The kernels continue C's chain: each accumulator is loaded from its
 // c[i][j] before the first product and stored back after the last, so the
 // result is ReferenceGemm's chain from whatever C held — a zeroed C gives
 // the plain product, and a product split over k (two calls over k1 then k2
 // on the same C) equals the single call over k1 + k2 bit for bit. Only the
 // mr x nr live corner of the tile is read or written.
 //
-// Two implementations of the same chain:
-//  * MicroKernelAvx — 8 ymm accumulators via AVX intrinsics. Deliberately
-//    mul_ps + add_ps, never an FMA: a fused multiply-add rounds once where
-//    the contract rounds twice, so FMA would break bit-identity. Each SIMD
-//    lane is one independent c[i][j] chain — vector width changes nothing
-//    about per-element arithmetic order. NOTE: writing separate intrinsics
-//    is not sufficient by itself — the compiler inlines this function into
-//    -march=native callers and, under -ffp-contract=fast/on, re-fuses the
-//    mul/add pairs (and contracts the scalar loops above) into FMAs. The
-//    build therefore sets -ffp-contract=off globally (CMakeLists.txt), and
-//    tensor_test's NoFusedMultiplyAdd canary pins the double rounding.
-//    A full tile loads and stores C directly; an edge tile goes through a
-//    zero-filled 4x16 array holding its live corner.
-//  * MicroKernelGeneric — walks the 16-wide panel in two 8-wide halves so
-//    the 4x8 accumulator fits the 16 xmm registers of baseline SSE2 (a
-//    4x16 float accumulator spills, measured 4x slower than reference).
-//    Each half walks the full k extent, so per-element chains are again
-//    untouched.
+// Every kernel shares one signature: `ap` holds the tile's A panels
+// back to back (panel p at ap + p * k * kRowTile, as PackAFull lays them
+// out), `bp` one packed column panel, and (mr, nr) the live corner of C.
+using MicroKernelFn = void (*)(int64_t k, const float* ap, const float* bp,
+                               int64_t mr, int64_t nr, float* c,
+                               int64_t ldc);
 
+// MicroKernelGeneric — walks the 16-wide panel in two 8-wide halves so the
+// 4x8 accumulator fits the 16 xmm registers of baseline SSE2 (a 4x16 float
+// accumulator spills, measured 4x slower than reference). Each half walks
+// the full k extent, so per-element chains are again untouched.
 void MicroKernelGeneric(int64_t k, const float* ap, const float* bp,
                         int64_t mr, int64_t nr, float* c, int64_t ldc) {
   constexpr int64_t kHalf = kColTile / 2;
@@ -169,115 +162,268 @@ void MicroKernelGeneric(int64_t k, const float* ap, const float* bp,
 }
 
 #ifdef PRISTI_GEMM_X86_DISPATCH
-static_assert(kRowTile == 4 && kColTile == 16,
-              "MicroKernelAvx hard-codes the 4x16 tile");
+// MicroKernelSimd<Traits> — the vector kernel, written once over a vector
+// traits type: `Vec` holds kLanes floats, a tile is kPanels A panels
+// (kPanels * kRowTile rows) by kColTile columns, each row kColTile / kLanes
+// vectors. Each SIMD lane is one independent c[i][j] chain, so neither the
+// vector width nor the tile height changes any element's arithmetic order.
+//
+// MulAdd is deliberately mul_ps then add_ps, never an FMA: a fused
+// multiply-add rounds once where the contract rounds twice. Writing
+// separate intrinsics is not sufficient by itself — inlined into a
+// -march=native caller, GCC under -ffp-contract=fast/on re-fuses the pairs
+// (and contracts the scalar loops above) into FMAs. The build therefore
+// sets -ffp-contract=off globally (CMakeLists.txt), tensor_test's
+// NoFusedMultiplyAdd canary pins the double rounding, and pristi_analyze's
+// fp-contraction pass rejects any FMA spelling under src/.
+//
+// Edge tiles need no copy: Load and Store take the live lane count of a
+// vector (1..kLanes, masked below kLanes); vectors with no live lane and
+// rows >= mr are neither loaded nor stored.
+//
+// The body uses no intrinsic itself. Each traits operation carries its ISA
+// as a target attribute and takes vectors by pointer, so the template
+// compiles for any target, and the flattening wrappers below
+// (MicroKernelYmm / MicroKernelZmm) inline all of it into one function of
+// their ISA.
+template <class Traits>
+void MicroKernelSimd(int64_t k, const float* ap, const float* bp, int64_t mr,
+                     int64_t nr, float* c, int64_t ldc) {
+  using Vec = typename Traits::Vec;
+  constexpr int64_t kLanes = Traits::kLanes;
+  constexpr int64_t kPanels = Traits::kPanels;
+  constexpr int64_t kRows = kPanels * kRowTile;
+  constexpr int64_t kVecs = kColTile / kLanes;
+  static_assert(kColTile % kLanes == 0, "a row is whole vectors");
+  int64_t live[kVecs];
+  for (int64_t v = 0; v < kVecs; ++v) {
+    live[v] = std::clamp<int64_t>(nr - v * kLanes, 0, kLanes);
+  }
+  const float* panel[kPanels];
+  for (int64_t p = 0; p < kPanels; ++p) panel[p] = ap + p * k * kRowTile;
 
-__attribute__((target("avx"))) void MicroKernelAvx(int64_t k, const float* ap,
-                                                   const float* bp, int64_t mr,
-                                                   int64_t nr, float* c,
-                                                   int64_t ldc) {
-  const bool full = mr == kRowTile && nr == kColTile;
-  float edge[kRowTile][kColTile];  // read only when !full
-  float* tile = c;
-  int64_t ld = ldc;
-  if (!full) {
-    for (int64_t r = 0; r < kRowTile; ++r) {
-      for (int64_t j = 0; j < kColTile; ++j) {
-        edge[r][j] = r < mr && j < nr ? c[r * ldc + j] : 0.0f;
+  Vec acc[kRows][kVecs];
+#pragma GCC unroll 12
+  for (int64_t r = 0; r < kRows; ++r) {
+#pragma GCC unroll 2
+    for (int64_t v = 0; v < kVecs; ++v) {
+      if (r < mr && live[v] > 0) {
+        Traits::Load(&acc[r][v], c + r * ldc + v * kLanes, live[v]);
+      } else {
+        Traits::Zero(&acc[r][v]);
       }
     }
-    tile = &edge[0][0];
-    ld = kColTile;
   }
-  __m256 acc00 = _mm256_loadu_ps(tile), acc01 = _mm256_loadu_ps(tile + 8);
-  __m256 acc10 = _mm256_loadu_ps(tile + ld);
-  __m256 acc11 = _mm256_loadu_ps(tile + ld + 8);
-  __m256 acc20 = _mm256_loadu_ps(tile + 2 * ld);
-  __m256 acc21 = _mm256_loadu_ps(tile + 2 * ld + 8);
-  __m256 acc30 = _mm256_loadu_ps(tile + 3 * ld);
-  __m256 acc31 = _mm256_loadu_ps(tile + 3 * ld + 8);
   for (int64_t kk = 0; kk < k; ++kk) {
-    const float* arow = ap + kk * kRowTile;
-    const __m256 b0 = _mm256_loadu_ps(bp + kk * kColTile);
-    const __m256 b1 = _mm256_loadu_ps(bp + kk * kColTile + 8);
-    const __m256 a0 = _mm256_broadcast_ss(arow + 0);
-    acc00 = _mm256_add_ps(acc00, _mm256_mul_ps(a0, b0));
-    acc01 = _mm256_add_ps(acc01, _mm256_mul_ps(a0, b1));
-    const __m256 a1 = _mm256_broadcast_ss(arow + 1);
-    acc10 = _mm256_add_ps(acc10, _mm256_mul_ps(a1, b0));
-    acc11 = _mm256_add_ps(acc11, _mm256_mul_ps(a1, b1));
-    const __m256 a2 = _mm256_broadcast_ss(arow + 2);
-    acc20 = _mm256_add_ps(acc20, _mm256_mul_ps(a2, b0));
-    acc21 = _mm256_add_ps(acc21, _mm256_mul_ps(a2, b1));
-    const __m256 a3 = _mm256_broadcast_ss(arow + 3);
-    acc30 = _mm256_add_ps(acc30, _mm256_mul_ps(a3, b0));
-    acc31 = _mm256_add_ps(acc31, _mm256_mul_ps(a3, b1));
+    Vec b[kVecs];
+#pragma GCC unroll 2
+    for (int64_t v = 0; v < kVecs; ++v) {
+      Traits::Load(&b[v], bp + kk * kColTile + v * kLanes, kLanes);
+    }
+#pragma GCC unroll 12
+    for (int64_t r = 0; r < kRows; ++r) {
+      Vec a;
+      Traits::Broadcast(&a, panel[r / kRowTile] + kk * kRowTile +
+                                r % kRowTile);
+#pragma GCC unroll 2
+      for (int64_t v = 0; v < kVecs; ++v) {
+        Traits::MulAdd(&acc[r][v], &a, &b[v]);
+      }
+    }
   }
-  _mm256_storeu_ps(tile, acc00);
-  _mm256_storeu_ps(tile + 8, acc01);
-  _mm256_storeu_ps(tile + ld, acc10);
-  _mm256_storeu_ps(tile + ld + 8, acc11);
-  _mm256_storeu_ps(tile + 2 * ld, acc20);
-  _mm256_storeu_ps(tile + 2 * ld + 8, acc21);
-  _mm256_storeu_ps(tile + 3 * ld, acc30);
-  _mm256_storeu_ps(tile + 3 * ld + 8, acc31);
-  if (!full) {
-    for (int64_t r = 0; r < mr; ++r) {
-      for (int64_t j = 0; j < nr; ++j) c[r * ldc + j] = edge[r][j];
+#pragma GCC unroll 12
+  for (int64_t r = 0; r < kRows; ++r) {
+    if (r >= mr) break;
+#pragma GCC unroll 2
+    for (int64_t v = 0; v < kVecs; ++v) {
+      if (live[v] > 0) {
+        Traits::Store(c + r * ldc + v * kLanes, &acc[r][v], live[v]);
+      }
     }
   }
 }
 
-bool CpuHasAvx() {
-  static const bool has = __builtin_cpu_supports("avx") != 0;
-  return has;
+// AVX: the 4x16 tile, two ymm vectors per row (8 accumulators).
+struct YmmTraits {
+  using Vec = __m256;
+  static constexpr int64_t kLanes = 8;
+  static constexpr int64_t kPanels = 1;
+
+  __attribute__((target("avx"))) static void Zero(Vec* v) {
+    *v = _mm256_setzero_ps();
+  }
+  // *v = p[0, live), lanes past `live` zero; nothing past them is read
+  // (a masked-off lane neither loads nor faults). live is in 1..kLanes.
+  __attribute__((target("avx"))) static void Load(Vec* v, const float* p,
+                                                  int64_t live) {
+    *v = live == kLanes ? _mm256_loadu_ps(p)
+                        : _mm256_maskload_ps(p, LaneMask(live));
+  }
+  // p[0, live) = the first `live` lanes of *v; nothing past them is written.
+  __attribute__((target("avx"))) static void Store(float* p, const Vec* v,
+                                                   int64_t live) {
+    if (live == kLanes) {
+      _mm256_storeu_ps(p, *v);
+    } else {
+      _mm256_maskstore_ps(p, LaneMask(live), *v);
+    }
+  }
+  __attribute__((target("avx"))) static void Broadcast(Vec* v,
+                                                       const float* a) {
+    *v = _mm256_broadcast_ss(a);
+  }
+  // *acc = *acc + *a * *b: the product rounded, then the sum.
+  __attribute__((target("avx"))) static void MulAdd(Vec* acc, const Vec* a,
+                                                    const Vec* b) {
+    *acc = _mm256_add_ps(*acc, _mm256_mul_ps(*a, *b));
+  }
+
+ private:
+  // All-ones in lanes [0, live): a window into eight -1s then eight 0s.
+  __attribute__((target("avx"))) static __m256i LaneMask(int64_t live) {
+    static const int32_t kRun[2 * kLanes] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                             0,  0,  0,  0,  0,  0,  0,  0};
+    return _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(kRun + kLanes - live));
+  }
+};
+
+// AVX-512F: a 12x16 tile over three consecutive A panels, one zmm vector
+// per row (12 accumulators of the 32 zmm registers).
+struct ZmmTraits {
+  using Vec = __m512;
+  static constexpr int64_t kLanes = 16;
+  static constexpr int64_t kPanels = 3;
+
+  __attribute__((target("avx512f"))) static void Zero(Vec* v) {
+    *v = _mm512_setzero_ps();
+  }
+  __attribute__((target("avx512f"))) static void Load(Vec* v, const float* p,
+                                                      int64_t live) {
+    *v = live == kLanes ? _mm512_loadu_ps(p)
+                        : _mm512_maskz_loadu_ps(LaneMask(live), p);
+  }
+  __attribute__((target("avx512f"))) static void Store(float* p,
+                                                       const Vec* v,
+                                                       int64_t live) {
+    if (live == kLanes) {
+      _mm512_storeu_ps(p, *v);
+    } else {
+      _mm512_mask_storeu_ps(p, LaneMask(live), *v);
+    }
+  }
+  __attribute__((target("avx512f"))) static void Broadcast(Vec* v,
+                                                           const float* a) {
+    *v = _mm512_set1_ps(*a);
+  }
+  __attribute__((target("avx512f"))) static void MulAdd(Vec* acc,
+                                                        const Vec* a,
+                                                        const Vec* b) {
+    *acc = _mm512_add_ps(*acc, _mm512_mul_ps(*a, *b));
+  }
+
+ private:
+  static __mmask16 LaneMask(int64_t live) {
+    return static_cast<__mmask16>((1u << live) - 1u);
+  }
+};
+
+__attribute__((target("avx"), flatten)) void MicroKernelYmm(
+    int64_t k, const float* ap, const float* bp, int64_t mr, int64_t nr,
+    float* c, int64_t ldc) {
+  MicroKernelSimd<YmmTraits>(k, ap, bp, mr, nr, c, ldc);
+}
+
+__attribute__((target("avx512f"), flatten)) void MicroKernelZmm(
+    int64_t k, const float* ap, const float* bp, int64_t mr, int64_t nr,
+    float* c, int64_t ldc) {
+  MicroKernelSimd<ZmmTraits>(k, ap, bp, mr, nr, c, ldc);
 }
 #endif  // PRISTI_GEMM_X86_DISPATCH
 
-inline void MicroKernel(int64_t k, const float* ap, const float* bp,
-                        int64_t mr, int64_t nr, float* c, int64_t ldc) {
-#ifdef PRISTI_GEMM_X86_DISPATCH
-  if (CpuHasAvx()) {
-    MicroKernelAvx(k, ap, bp, mr, nr, c, ldc);
-    return;
-  }
-#endif
-  MicroKernelGeneric(k, ap, bp, mr, nr, c, ldc);
+// The kernel the next GEMM runs: -1 follows BestMicroKernel(), anything
+// else is a MicroKernelKind pinned by ScopedMicroKernelForTest.
+std::atomic<int> g_pinned_kernel{-1};
+
+MicroKernelKind ActiveMicroKernel() {
+  const int pinned = g_pinned_kernel.load(std::memory_order_relaxed);
+  return pinned < 0 ? BestMicroKernel()
+                    : static_cast<MicroKernelKind>(pinned);
 }
 
-// Computes row block `ib` of C from its packed A panel and every packed
-// column panel of B.
-void ComputeRowBlock(int64_t ib, int64_t m, int64_t n, int64_t k,
-                     const float* a_panel, const float* bp, float* c) {
+// The tiles one GEMM runs: `wide` covers `wide_panels` consecutive row
+// blocks per call, `narrow` one row block (the row blocks left over when a
+// worker's range is not a multiple of wide_panels). Only zmm has a wide
+// tile; its leftovers run the ymm tile.
+struct TileSet {
+  MicroKernelFn wide;
+  int64_t wide_panels;
+  MicroKernelFn narrow;
+};
+
+TileSet TilesFor(MicroKernelKind kind) {
+#ifdef PRISTI_GEMM_X86_DISPATCH
+  if (kind == MicroKernelKind::kZmm) {
+    return {MicroKernelZmm, ZmmTraits::kPanels, MicroKernelYmm};
+  }
+  if (kind == MicroKernelKind::kYmm) return {MicroKernelYmm, 1, MicroKernelYmm};
+#endif
+  PRISTI_CHECK(kind == MicroKernelKind::kGeneric);
+  return {MicroKernelGeneric, 1, MicroKernelGeneric};
+}
+
+// Computes `panels` row blocks of C starting at block `ib`, from their
+// packed A panels (back to back at `a_panels`) and every packed column
+// panel of B, with one `kernel` call per column panel.
+void ComputeRowBlocks(MicroKernelFn kernel, int64_t panels, int64_t ib,
+                      int64_t m, int64_t n, int64_t k, const float* a_panels,
+                      const float* bp, float* c) {
   const int64_t i0 = ib * kRowTile;
-  const int64_t mr = std::min(kRowTile, m - i0);
+  const int64_t mr = std::min(panels * kRowTile, m - i0);
   const int64_t col_blocks = CeilDiv(n, kColTile);
   for (int64_t jb = 0; jb < col_blocks; ++jb) {
     const int64_t j0 = jb * kColTile;
-    MicroKernel(k, a_panel, bp + jb * k * kColTile, mr,
-                std::min(kColTile, n - j0), c + i0 * n + j0, n);
+    kernel(k, a_panels, bp + jb * k * kColTile, mr,
+           std::min(kColTile, n - j0), c + i0 * n + j0, n);
   }
 }
 
-// Serial tiled compute over row blocks [b0, b1) given fully packed panels.
-void TiledCompute(int64_t b0, int64_t b1, int64_t m, int64_t n, int64_t k,
-                  const float* ap, const float* bp, float* c) {
-  for (int64_t ib = b0; ib < b1; ++ib) {
-    ComputeRowBlock(ib, m, n, k, ap + ib * k * kRowTile, bp, c);
+// Serial tiled compute over row blocks [b0, b1) given fully packed panels:
+// wide tiles while a whole group of row blocks is left, then narrow ones.
+void TiledCompute(const TileSet& tiles, int64_t b0, int64_t b1, int64_t m,
+                  int64_t n, int64_t k, const float* ap, const float* bp,
+                  float* c) {
+  int64_t ib = b0;
+  for (; ib + tiles.wide_panels <= b1; ib += tiles.wide_panels) {
+    ComputeRowBlocks(tiles.wide, tiles.wide_panels, ib, m, n, k,
+                     ap + ib * k * kRowTile, bp, c);
+  }
+  for (; ib < b1; ++ib) {
+    ComputeRowBlocks(tiles.narrow, 1, ib, m, n, k, ap + ib * k * kRowTile,
+                     bp, c);
   }
 }
 
-// TiledCompute for an A that is not packed up front: each row panel is
-// packed from `a` into a reused per-thread scratch just before its row
-// block runs, so a worker packs only the panels it computes.
-void PackAndComputeRows(Layout layout_a, int64_t b0, int64_t b1, int64_t m,
-                        int64_t n, int64_t k, const float* a,
-                        const float* bp, float* c) {
-  thread_local std::vector<float> a_panel;
-  ResizeForPanel(&a_panel, k * kRowTile);
-  for (int64_t ib = b0; ib < b1; ++ib) {
-    PackAPanel(layout_a, m, k, a, ib * kRowTile, a_panel.data());
-    ComputeRowBlock(ib, m, n, k, a_panel.data(), bp, c);
+// TiledCompute for an A that is not packed up front: each tile's row
+// panels are packed from `a` into a reused per-thread scratch just before
+// the tile runs, so a worker packs only the panels it computes.
+void PackAndComputeRows(const TileSet& tiles, Layout layout_a, int64_t b0,
+                        int64_t b1, int64_t m, int64_t n, int64_t k,
+                        const float* a, const float* bp, float* c) {
+  thread_local std::vector<float> a_panels;
+  ResizeForPanel(&a_panels, tiles.wide_panels * k * kRowTile);
+  int64_t ib = b0;
+  for (; ib + tiles.wide_panels <= b1; ib += tiles.wide_panels) {
+    for (int64_t p = 0; p < tiles.wide_panels; ++p) {
+      PackAPanel(layout_a, m, k, a, (ib + p) * kRowTile,
+                 a_panels.data() + p * k * kRowTile);
+    }
+    ComputeRowBlocks(tiles.wide, tiles.wide_panels, ib, m, n, k,
+                     a_panels.data(), bp, c);
+  }
+  for (; ib < b1; ++ib) {
+    PackAPanel(layout_a, m, k, a, ib * kRowTile, a_panels.data());
+    ComputeRowBlocks(tiles.narrow, 1, ib, m, n, k, a_panels.data(), bp, c);
   }
   Counters().panels_packed.fetch_add(static_cast<uint64_t>(b1 - b0),
                                      std::memory_order_relaxed);
@@ -335,6 +481,67 @@ int64_t MinChunkFor(int64_t unit_flops) {
 
 
 }  // namespace
+
+const char* MicroKernelName(MicroKernelKind kind) {
+  switch (kind) {
+    case MicroKernelKind::kGeneric:
+      return "generic";
+    case MicroKernelKind::kYmm:
+      return "ymm";
+    case MicroKernelKind::kZmm:
+      return "zmm";
+  }
+  return "unknown";
+}
+
+const char* MicroKernelCpuFlag(MicroKernelKind kind) {
+  switch (kind) {
+    case MicroKernelKind::kGeneric:
+      return "";
+    case MicroKernelKind::kYmm:
+      return "avx";
+    case MicroKernelKind::kZmm:
+      return "avx512f";
+  }
+  return "";
+}
+
+bool MicroKernelSupported(MicroKernelKind kind) {
+#ifdef PRISTI_GEMM_X86_DISPATCH
+  static const bool has_avx = __builtin_cpu_supports("avx") != 0;
+  static const bool has_avx512f = __builtin_cpu_supports("avx512f") != 0;
+  switch (kind) {
+    case MicroKernelKind::kGeneric:
+      return true;
+    case MicroKernelKind::kYmm:
+      return has_avx;
+    case MicroKernelKind::kZmm:
+      // The zmm tile's leftover row blocks run the ymm tile.
+      return has_avx512f && has_avx;
+  }
+  return false;
+#else
+  return kind == MicroKernelKind::kGeneric;
+#endif
+}
+
+MicroKernelKind BestMicroKernel() {
+  static const MicroKernelKind best =
+      MicroKernelSupported(MicroKernelKind::kZmm)   ? MicroKernelKind::kZmm
+      : MicroKernelSupported(MicroKernelKind::kYmm) ? MicroKernelKind::kYmm
+                                                    : MicroKernelKind::kGeneric;
+  return best;
+}
+
+ScopedMicroKernelForTest::ScopedMicroKernelForTest(MicroKernelKind kind) {
+  PRISTI_CHECK(MicroKernelSupported(kind)) << MicroKernelName(kind);
+  PRISTI_CHECK_EQ(g_pinned_kernel.exchange(static_cast<int>(kind)), -1)
+      << "ScopedMicroKernelForTest scopes do not nest";
+}
+
+ScopedMicroKernelForTest::~ScopedMicroKernelForTest() {
+  g_pinned_kernel.store(-1);
+}
 
 KernelStats GetKernelStats() {
   const KernelCounters& c = Counters();
@@ -396,14 +603,15 @@ void Gemm(Layout layout_a, Layout layout_b, int64_t m, int64_t n, int64_t k,
   const float* bp =
       AcquirePanel('B', layout_b, k, n, b, cache_b, &b_hold, &b_scratch);
 
+  const TileSet tiles = TilesFor(ActiveMicroKernel());
   const int64_t row_blocks = CeilDiv(m, kRowTile);
   pristi::ParallelFor(
       0, row_blocks,
       [&](int64_t b0, int64_t b1) {
         if (ap != nullptr) {
-          TiledCompute(b0, b1, m, n, k, ap, bp, c);
+          TiledCompute(tiles, b0, b1, m, n, k, ap, bp, c);
         } else {
-          PackAndComputeRows(layout_a, b0, b1, m, n, k, a, bp, c);
+          PackAndComputeRows(tiles, layout_a, b0, b1, m, n, k, a, bp, c);
         }
       },
       MinChunkFor(2 * kRowTile * n * k));
@@ -433,6 +641,7 @@ void BatchedGemm(Layout layout_a, Layout layout_b, int64_t batch, int64_t m,
                              cache_a, &a_hold, &a_shared);
   }
 
+  const TileSet tiles = TilesFor(ActiveMicroKernel());
   const int64_t row_blocks = CeilDiv(m, kRowTile);
   pristi::ParallelFor(
       0, batch,
@@ -446,7 +655,7 @@ void BatchedGemm(Layout layout_a, Layout layout_b, int64_t batch, int64_t m,
             ap = a_scratch.data();
           }
           PackBFull(layout_b, k, n, b + bi * stride_b, &b_scratch);
-          TiledCompute(0, row_blocks, m, n, k, ap, b_scratch.data(),
+          TiledCompute(tiles, 0, row_blocks, m, n, k, ap, b_scratch.data(),
                        c + bi * m * n);
         }
       },

@@ -337,7 +337,7 @@ TEST(VrinTest, ProducesSpreadInSamples) {
                    rng);
   vrin.Fit(task, rng);
   data::Sample sample = data::ExtractSamples(task, "test").front();
-  std::vector<Tensor> samples = vrin.ImputeSamples(sample, 8, rng);
+  std::vector<Tensor> samples = vrin.ImputeSamples(sample, 8, rng).samples;
   ASSERT_EQ(samples.size(), 8u);
   // Find a missing entry and confirm sample spread > 0 there.
   double max_spread = 0.0;

@@ -8,7 +8,8 @@
 # --samples=0, a --heads that does not divide --channels, a CSDI --layers or
 # --channels of 0, a --window longer
 # than the training range, --nodes=0, --batch=0, --epochs=0, a --lr that is
-# not > 0, --steps-diffusion below 2, a negative --steps, a --model
+# not > 0, --steps-diffusion below 2, a negative --steps, a `generate
+# --steps` (the series length is --gen-steps in every subcommand), a --model
 # checkpoint that cannot be
 # loaded, a --resume checkpoint that is missing, damaged or already past
 # --epochs, and an --out, --csv or --model-out file that cannot be written —
@@ -40,7 +41,7 @@ done < <(compgen -e | grep '^PRISTI_')
 
 # A small dataset keeps the cases that train or impute before failing fast.
 data="$tmp/d.bin"
-"$cli" generate --preset=aqi --nodes=6 --steps=96 --out="$data" \
+"$cli" generate --preset=aqi --nodes=6 --gen-steps=96 --out="$data" \
   > "$tmp/setup.out" 2>&1 || { cat "$tmp/setup.out" >&2; exit 1; }
 "$cli" evaluate --data="$data" --method=mean > "$tmp/setup.out" 2>&1 ||
   fail "evaluate --method=mean on a good dataset exited $?"
@@ -67,8 +68,8 @@ cases=(
   "evaluate --data=$data --method=bogus"
   "impute --data=$data --samples=0 --out=$tmp/i.csv"
   "impute $small --model=/nonexistent --out=$tmp/i.csv"
-  "generate --preset=aqi --nodes=4 --steps=48 --out=$missing/g.bin"
-  "generate --preset=aqi --nodes=4 --steps=48 --out=$tmp/g.bin --csv=$missing/g.csv"
+  "generate --preset=aqi --nodes=4 --gen-steps=48 --out=$missing/g.bin"
+  "generate --preset=aqi --nodes=4 --gen-steps=48 --out=$tmp/g.bin --csv=$missing/g.csv"
   "impute $small --out=$missing/i.csv"
   "train $small --epochs=1 --model-out=$missing/m.ckpt"
   "train $small --epochs=1 --model-out=$kept"
@@ -88,6 +89,7 @@ cases=(
   "train --data=$data --epochs=1 --steps-diffusion=0 --model-out=$tmp/m.ckpt"
   "evaluate --data=$data --method=pristi --epochs=1 --steps-diffusion=1"
   "impute $small --steps=-3 --out=$tmp/i.csv"
+  "generate --preset=aqi --nodes=4 --steps=48 --out=$tmp/g.bin"
 )
 for args in "${cases[@]}"; do
   # shellcheck disable=SC2086  # each case is a word-split argument list
@@ -124,6 +126,13 @@ for args in "${paper_cases[@]}"; do
     fail "pristi_paper '$args' printed no pristi_paper: message"
   [ -s "$tmp/case.out" ] && fail "pristi_paper '$args' ran before failing"
 done
+
+# The old series-length spelling names the one that replaced it.
+"$cli" generate --preset=aqi --nodes=4 --steps=48 --out="$tmp/len.bin" \
+  > /dev/null 2> "$tmp/case.err"
+grep -q -- '--gen-steps' "$tmp/case.err" ||
+  fail "'generate --steps' did not name --gen-steps"
+[ -e "$tmp/len.bin" ] && fail "'generate --steps' wrote a dataset"
 
 cmp -s "$kept" "$tmp/kept.orig" ||
   fail "a failed train changed the checkpoint at its --model-out"

@@ -232,5 +232,50 @@ TEST(DiffusionAdapter, ImputeOptionsSwitchable) {
   EXPECT_EQ(out.shape(), window.values.shape());
 }
 
+// ImputeSamples hands back the median of exactly the samples it drew, so
+// EvaluateFittedImputer can score MAE/MSE on it without recomputing it:
+// bit-equal to FinalizeMedian over the returned samples, for the diffusion
+// adapter and for the point-mass default.
+void ExpectMedianOfItsSamples(const diffusion::ImputationResult& drawn,
+                              int64_t num_samples) {
+  ASSERT_EQ(static_cast<int64_t>(drawn.samples.size()), num_samples);
+  diffusion::ImputationResult again;
+  again.samples = drawn.samples;
+  again.FinalizeMedian();
+  ASSERT_EQ(drawn.median.shape(), again.median.shape());
+  for (int64_t i = 0; i < again.median.numel(); ++i) {
+    ASSERT_EQ(drawn.median[i], again.median[i]) << "entry " << i;
+  }
+}
+
+TEST(Harness, ImputeSamplesReturnsTheMedianOfItsSamples) {
+  data::ImputationTask task = SmallTask(83);
+  data::Sample window = data::ExtractSamples(task, "test").front();
+  Rng rng(12);
+  core::PristiConfig config;
+  config.num_nodes = task.dataset.num_nodes;
+  config.window_len = task.window_len;
+  config.channels = 8;
+  config.heads = 2;
+  config.layers = 1;
+  config.virtual_nodes = 3;
+  config.diffusion_emb_dim = 16;
+  config.temporal_emb_dim = 16;
+  config.node_emb_dim = 8;
+  config.adaptive_rank = 4;
+  DiffusionRunOptions options;
+  options.diffusion_steps = 6;
+  auto pristi =
+      MakePristiImputer(config, task.dataset.graph.adjacency, options, rng);
+  for (int64_t samples : {1, 4, 5}) {
+    SCOPED_TRACE(::testing::Message() << samples << " samples");
+    ExpectMedianOfItsSamples(pristi->ImputeSamples(window, samples, rng),
+                             samples);
+  }
+  baselines::MeanImputer mean;
+  mean.Fit(task, rng);
+  ExpectMedianOfItsSamples(mean.ImputeSamples(window, 4, rng), 4);
+}
+
 }  // namespace
 }  // namespace pristi::eval

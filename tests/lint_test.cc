@@ -707,6 +707,27 @@ TEST_F(FpContractionTest, FiresOnFmaPragmaAndUnblessedAccumulation) {
   EXPECT_EQ(CountRule(v, "fp-contraction"), 3u);
 }
 
+TEST_F(FpContractionTest, FiresOnAvx512FmaEvenInsideTheBlessedKernel) {
+  // Blessing covers the twice-rounded `acc += a * b` chain, never a fused
+  // multiply-add: a zmm traits MulAdd spelled with the AVX-512 FMA is
+  // flagged although the kernel template it serves is blessed.
+  WriteManifestWithBlessed("MicroKernelSimd");
+  WriteFileAt(root_ / "src/tensor/kernels/zmm.cc",
+              "struct ZmmTraits {\n"
+              "  static void MulAdd(__m512* acc, const __m512* a,\n"
+              "                     const __m512* b) {\n"
+              "    *acc = _mm512_fmadd_ps(*a, *b, *acc);\n"
+              "  }\n"
+              "};\n"
+              "template <class Traits>\n"
+              "void MicroKernelSimd(float* c, const float* a, int n) {\n"
+              "  for (int i = 0; i < n; ++i) c[i] += a[i] * a[i];\n"
+              "}\n");
+  std::vector<Violation> v = CheckFpContraction(Ctx());
+  EXPECT_TRUE(HasViolation(v, "fp-contraction", "`_mm512_fmadd_ps`"));
+  EXPECT_EQ(CountRule(v, "fp-contraction"), 1u);
+}
+
 TEST_F(FpContractionTest, BlessedHelperAndNonKernelCodeAreQuiet) {
   WriteManifestWithBlessed("BlessedKernel");
   WriteFileAt(root_ / "src/tensor/kernels/good.cc",

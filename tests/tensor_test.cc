@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "tensor/kernels/kernels.h"
+#include "tensor/kernels/micro_kernel.h"
 #include "tensor/kernels/pack_cache.h"
 #include "tensor/storage.h"
 
@@ -692,15 +695,64 @@ void ExpectBitEqual(const Tensor& a, const Tensor& b, const char* what) {
   }
 }
 
-// Shapes straddling every tile boundary: 1, odd, kRowTile +/- 1,
-// kColTile +/- 1, and 2*kColTile + 1.
-const int64_t kOddDims[] = {1, 3, 5, 15, 17, 33};
+// Edge-tile shapes: every m in 1..25 covers each residue of the 4-row and
+// the 12-row (zmm) tile with and without a whole tile before it; n covers
+// one lane, one short of a panel, a panel, one past it and two panels plus
+// one; k covers one and two products, a panel's worth, the model width and
+// the PEMS-BAY node count.
+constexpr int64_t kEdgeMaxRows = 25;
+const int64_t kEdgeCols[] = {1, 15, 16, 17, 33};
+const int64_t kEdgeDepths[] = {1, 2, 16, 64, 325};
 
 // The Linear/Conv1x1 products MatMulLastDim issues at the model presets,
 // (B*N*L, d_in) x (d_in, d_out) with B=4, d=64: the AQI-36 full window
 // (N=36, L=36) and METR-LA at full node count (N=207, L=24).
 const int64_t kModelLinearShapes[][3] = {{4 * 36 * 36, 64, 64},
                                          {4 * 207 * 24, 64, 64}};
+
+// Runs each test once per micro-kernel (micro_kernel.h), pinned for the
+// test's duration; a kernel the CPU cannot run is skipped, naming the
+// missing CPUID flag.
+class KernelLayerEachTile
+    : public ::testing::TestWithParam<kernels::MicroKernelKind> {
+ protected:
+  void SetUp() override {
+    const kernels::MicroKernelKind kind = GetParam();
+    if (!kernels::MicroKernelSupported(kind)) {
+      GTEST_SKIP() << "the " << kernels::MicroKernelName(kind)
+                   << " micro-kernel needs the CPU flag "
+                   << kernels::MicroKernelCpuFlag(kind)
+                   << ", which this CPU (or build) lacks";
+    }
+    pin_.emplace(kind);
+  }
+  void TearDown() override { pin_.reset(); }
+
+ private:
+  std::optional<kernels::ScopedMicroKernelForTest> pin_;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    MicroKernels, KernelLayerEachTile,
+    ::testing::Values(kernels::MicroKernelKind::kGeneric,
+                      kernels::MicroKernelKind::kYmm,
+                      kernels::MicroKernelKind::kZmm),
+    [](const ::testing::TestParamInfo<kernels::MicroKernelKind>& info) {
+      return std::string(kernels::MicroKernelName(info.param));
+    });
+
+TEST(KernelLayer, DispatchPrefersTheWidestSupportedTile) {
+  namespace kn = kernels;
+  EXPECT_TRUE(kn::MicroKernelSupported(kn::MicroKernelKind::kGeneric));
+  const kn::MicroKernelKind want =
+      kn::MicroKernelSupported(kn::MicroKernelKind::kZmm)
+          ? kn::MicroKernelKind::kZmm
+      : kn::MicroKernelSupported(kn::MicroKernelKind::kYmm)
+          ? kn::MicroKernelKind::kYmm
+          : kn::MicroKernelKind::kGeneric;
+  EXPECT_EQ(kn::BestMicroKernel(), want)
+      << kn::MicroKernelName(kn::BestMicroKernel());
+}
 
 // Tiled MatMul / MatMulNT / MatMulTN against the reference kernel at
 // (m, k, n).
@@ -720,11 +772,11 @@ void ExpectTiledMatchesReference(int64_t m, int64_t k, int64_t n, Rng& rng) {
   ExpectBitEqual(MatMulTN(a_t, b), ref, "MatMulTN");
 }
 
-TEST(KernelLayer, TiledMatchesReferenceOnOddShapes) {
+TEST_P(KernelLayerEachTile, TiledMatchesReferenceOnOddShapes) {
   Rng rng(71);
-  for (int64_t m : kOddDims) {
-    for (int64_t k : kOddDims) {
-      for (int64_t n : kOddDims) {
+  for (int64_t m = 1; m <= kEdgeMaxRows; ++m) {
+    for (int64_t k : kEdgeDepths) {
+      for (int64_t n : kEdgeCols) {
         SCOPED_TRACE(::testing::Message() << m << "x" << k << "x" << n);
         ExpectTiledMatchesReference(m, k, n, rng);
       }
@@ -736,15 +788,18 @@ TEST(KernelLayer, TiledMatchesReferenceOnOddShapes) {
   }
 }
 
-TEST(KernelLayer, BatchedTiledMatchesReference) {
+TEST_P(KernelLayerEachTile, BatchedTiledMatchesReference) {
   namespace kn = kernels;
   Rng rng(72);
-  // {batch, m, k, n}: an odd shape, then two batched products the models
-  // issue — AQI-36 temporal attention scores Q·Kᵀ (batch = B*h*N = 4*8*36,
+  // {batch, m, k, n}: odd shapes (with a partial 12-row group and a lone
+  // leftover row block), then two batched products the models issue —
+  // AQI-36 temporal attention scores Q·Kᵀ (batch = B*h*N = 4*8*36,
   // S = L = 36, dh = 8) and METR-LA graph-conv node mixing (batch = B*L =
   // 4*24, an (N, N) support with N = 207, d = 64).
-  const int64_t shapes[][4] = {
-      {3, 17, 5, 33}, {4 * 8 * 36, 36, 8, 36}, {4 * 24, 207, 207, 64}};
+  const int64_t shapes[][4] = {{3, 17, 5, 33},
+                               {2, 25, 16, 17},
+                               {4 * 8 * 36, 36, 8, 36},
+                               {4 * 24, 207, 207, 64}};
   for (const auto& [batch, m, k, n] : shapes) {
     SCOPED_TRACE(::testing::Message()
                  << batch << " x " << m << "x" << k << "x" << n);
@@ -768,6 +823,8 @@ TEST(KernelLayer, BatchedTiledMatchesReference) {
 
 // Gemm into a C that already holds values, at (m, k, n), in every layout
 // and with a pack-cached B, against ReferenceGemm continuing the same C.
+// A nonzero C is what shows an edge tile reading or writing outside its
+// live corner.
 void ExpectTiledContinuesNonzeroC(int64_t m, int64_t k, int64_t n, Rng& rng) {
   namespace kn = kernels;
   Tensor a = Tensor::Randn({m, k}, rng);
@@ -800,11 +857,11 @@ void ExpectTiledContinuesNonzeroC(int64_t m, int64_t k, int64_t n, Rng& rng) {
   ExpectBitEqual(cached, ref, "Gemm with a cached B on a nonzero C");
 }
 
-TEST(KernelLayer, GemmContinuesANonzeroC) {
+TEST_P(KernelLayerEachTile, GemmContinuesANonzeroC) {
   Rng rng(76);
-  for (int64_t m : kOddDims) {
-    for (int64_t k : kOddDims) {
-      for (int64_t n : kOddDims) {
+  for (int64_t m = 1; m <= kEdgeMaxRows; ++m) {
+    for (int64_t k : kEdgeDepths) {
+      for (int64_t n : kEdgeCols) {
         SCOPED_TRACE(::testing::Message() << m << "x" << k << "x" << n);
         ExpectTiledContinuesNonzeroC(m, k, n, rng);
       }
@@ -816,10 +873,11 @@ TEST(KernelLayer, GemmContinuesANonzeroC) {
   }
 }
 
-TEST(KernelLayer, BatchedGemmContinuesANonzeroC) {
+TEST_P(KernelLayerEachTile, BatchedGemmContinuesANonzeroC) {
   namespace kn = kernels;
   Rng rng(77);
-  const int64_t shapes[][4] = {{3, 17, 5, 33}, {4, 5, 7, 19}, {2, 1, 3, 1}};
+  const int64_t shapes[][4] = {
+      {3, 17, 5, 33}, {4, 5, 7, 19}, {2, 1, 3, 1}, {2, 25, 16, 17}};
   for (const auto& [batch, m, k, n] : shapes) {
     // stride_a == 0 is the broadcast (MatMulNodeDim) path.
     for (bool broadcast_a : {false, true}) {
@@ -844,13 +902,13 @@ TEST(KernelLayer, BatchedGemmContinuesANonzeroC) {
   }
 }
 
-TEST(KernelLayer, SplitKOnOneCEqualsTheWholeProduct) {
+TEST_P(KernelLayerEachTile, SplitKOnOneCEqualsTheWholeProduct) {
   // Two calls over k1 then k2 into one C are the single call over k1 + k2:
   // the streamed graph-conv mix relies on exactly this.
   namespace kn = kernels;
   Rng rng(78);
   const int64_t ks[][2] = {{1, 1}, {5, 17}, {16, 16}, {33, 3}};
-  for (int64_t m : {1, 5, 17}) {
+  for (int64_t m : {1, 5, 12, 13, 17, 25}) {
     for (int64_t n : {3, 16, 33}) {
       for (const auto& [k1, k2] : ks) {
         SCOPED_TRACE(::testing::Message() << m << "x(" << k1 << "+" << k2
@@ -860,6 +918,10 @@ TEST(KernelLayer, SplitKOnOneCEqualsTheWholeProduct) {
         Tensor whole(Shape{m, n});
         kn::Gemm(kn::Layout::kNormal, kn::Layout::kNormal, m, n, k1 + k2,
                  a.data(), b.data(), whole.data());
+        Tensor reference(Shape{m, n});
+        kn::ReferenceGemm(kn::Layout::kNormal, kn::Layout::kNormal, m, n,
+                          k1 + k2, a.data(), b.data(), reference.data());
+        ExpectBitEqual(whole, reference, "Gemm over the whole k");
         Tensor a1 = SliceAxis(a, 1, 0, k1);
         Tensor a2 = SliceAxis(a, 1, k1, k2);
         Tensor split(Shape{m, n});
@@ -884,6 +946,46 @@ TEST(KernelLayer, SplitKOnOneCEqualsTheWholeProduct) {
       }
     }
   }
+}
+
+// Runs `op` at 1 and at 4 threads and checks both against `serial`
+// (defined with the pooled data-movement tests below).
+template <typename Op>
+void ExpectSerialAtOneAndFourThreads(const Op& op, const Tensor& serial,
+                                     const char* what);
+
+TEST_P(KernelLayerEachTile, ChunkBoundaryInsideAWideRowGroup) {
+  // 279 rows = 70 row blocks, the last one partial. At 4 threads
+  // ParallelFor cuts them into chunks of max(min_chunk, ceil(70 / 16)) = 5
+  // blocks (min_chunk is 3 at n*k = 33*325), so each worker's range is one
+  // 12-row group plus two leftover blocks, and the tail chunk ends in the
+  // partial block. At 1 thread the same rows run as 23 groups and the tail.
+  // Both must equal the reference, with A packed per worker and with A
+  // served packed from the cache.
+  namespace kn = kernels;
+  const int64_t m = 279, k = 325, n = 33;
+  Rng rng(79);
+  const Tensor a = Tensor::Randn({m, k}, rng);
+  const Tensor b = Tensor::Randn({k, n}, rng);
+  Tensor ref(Shape{m, n});
+  kn::ReferenceGemm(kn::Layout::kNormal, kn::Layout::kNormal, m, n, k,
+                    a.data(), b.data(), ref.data());
+  ExpectSerialAtOneAndFourThreads(
+      [&] {
+        Tensor c(Shape{m, n});
+        kn::Gemm(kn::Layout::kNormal, kn::Layout::kNormal, m, n, k, a.data(),
+                 b.data(), c.data());
+        return c;
+      },
+      ref, "Gemm, A packed per worker");
+  ExpectSerialAtOneAndFourThreads(
+      [&] {
+        Tensor c(Shape{m, n});
+        kn::Gemm(kn::Layout::kNormal, kn::Layout::kNormal, m, n, k, a.data(),
+                 b.data(), c.data(), /*cache_a=*/&a);
+        return c;
+      },
+      ref, "Gemm, A from the pack cache");
 }
 
 TEST(KernelLayer, TransposedSharedOperandVariantsMatchComposition) {

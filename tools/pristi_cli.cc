@@ -1,7 +1,7 @@
 // pristi_cli — command-line driver for the library, the entry point a
 // downstream user scripts against.
 //
-//   pristi_cli generate --preset=aqi --nodes=36 --steps=2160 --out=data.bin
+//   pristi_cli generate --preset=aqi --nodes=36 --gen-steps=2160 --out=data.bin
 //   pristi_cli train    --data=data.bin --pattern=failure --epochs=60
 //       ... --model-out=pristi.ckpt
 //   pristi_cli impute   --data=data.bin --pattern=failure
@@ -114,16 +114,15 @@ Rng SeededRng(const Flags& flags) {
   return Rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
 }
 
-// --preset and --nodes, plus the length read from `steps_flag`, as a
-// generator config; shared by `generate` and the on-the-fly fallback of
-// every data-consuming subcommand. The large preset exists to exercise the
-// node axis; the classic three default to quick CI-scale shapes.
-Status GeneratorConfig(const Flags& flags, const std::string& steps_flag,
-                       data::SyntheticConfig* config) {
+// --preset, --nodes and the series length --gen-steps as a generator
+// config; shared by `generate` and the on-the-fly fallback of every
+// data-consuming subcommand. The large preset exists to exercise the node
+// axis; the classic three default to quick CI-scale shapes.
+Status GeneratorConfig(const Flags& flags, data::SyntheticConfig* config) {
   std::string preset = flags.GetString("preset", "aqi");
   bool large = preset == "large";
   int64_t nodes = flags.GetInt("nodes", large ? 1024 : 16);
-  int64_t steps = flags.GetInt(steps_flag, large ? 384 : 720);
+  int64_t steps = flags.GetInt("gen-steps", large ? 384 : 720);
   if (preset == "aqi") {
     *config = data::Aqi36LikeConfig(nodes, steps);
   } else if (preset == "metr") {
@@ -146,10 +145,9 @@ Status LoadOrGenerate(const Flags& flags, Rng& rng,
     Status status = data::ReadBinaryDataset(path, dataset);
     return status.ok() ? status : LoadFailed("data", path, status);
   }
-  // No --data: generate in place. --gen-steps (not --steps, which already
-  // means kept reverse steps on these subcommands) controls the length.
+  // No --data: generate in place, --gen-steps long.
   data::SyntheticConfig config;
-  Status status = GeneratorConfig(flags, "gen-steps", &config);
+  Status status = GeneratorConfig(flags, &config);
   if (!status.ok()) return status;
   PRISTI_LOG_WARNING << "--data not given; generating a '" << config.name
                      << "' dataset (" << config.num_nodes << " nodes x "
@@ -294,8 +292,14 @@ Status BuildModel(const Flags& flags, const core::PristiConfig& config,
 
 int CmdGenerate(const Flags& flags) {
   Rng rng = SeededRng(flags);
+  // --steps means kept reverse steps everywhere else; the series length has
+  // one name in every subcommand.
+  if (flags.Has("steps")) {
+    return Fail(InvalidFlag(
+        "generate takes the series length as --gen-steps, not --steps"));
+  }
   data::SyntheticConfig config;
-  Status status = GeneratorConfig(flags, "steps", &config);
+  Status status = GeneratorConfig(flags, &config);
   if (!status.ok()) return Fail(status);
   auto dataset = data::GenerateSynthetic(config, rng);
   std::string out = flags.GetString("out", "dataset.bin");
@@ -749,7 +753,7 @@ int Usage() {
       "usage: pristi_cli "
       "<generate|train|impute|evaluate|serve|save|load|inspect> "
       "[--flags]\n"
-      "  generate --preset=aqi|metr|pems|large --nodes=N --steps=T "
+      "  generate --preset=aqi|metr|pems|large --nodes=N --gen-steps=T "
       "--out=F.bin\n"
       "  train    --data=F.bin --pattern=point|block|failure --epochs=E\n"
       "           --model-out=F.ckpt [--shards=K] [--checkpoint-dir=D]\n"
