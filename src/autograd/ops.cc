@@ -755,8 +755,8 @@ Variable LayerNormLastDim(const Variable& x, const Variable& gamma,
         const float* pg = g.data();
         const float* ph = xhat.data();
         // A const read: gamma is a parameter that concurrent shard sweeps
-        // share, and the mutable data() would fork its storage while an
-        // EMA shadow still aliases it.
+        // share, and the mutable data() would fork its storage whenever
+        // another tensor header shares it.
         const float* pgam = std::as_const(gn->value).data();
         const float* pistd = inv_std.data();
         float* pdg = dgamma.data();

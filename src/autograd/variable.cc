@@ -189,7 +189,7 @@ void Variable::Backward() {
           << "': this graph already ran Backward(); rebuild the forward "
              "graph (the tape is single-shot) before calling it again";
       // A parent whose value changed since the forward pass (optimizer
-      // step, checkpoint load, EMA swap) makes the recorded activations —
+      // step, checkpoint load) makes the recorded activations —
       // and therefore this gradient — stale.
       for (size_t i = 0; i < node->parent_versions.size(); ++i) {
         PRISTI_CHECK(node->parents[i]->value_version ==

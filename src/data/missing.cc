@@ -36,20 +36,6 @@ bool ParseMissingPattern(const std::string& name, MissingPattern* out) {
   return false;
 }
 
-const char* MaskStrategyName(MaskStrategy strategy) {
-  switch (strategy) {
-    case MaskStrategy::kPoint:
-      return "point";
-    case MaskStrategy::kBlock:
-      return "block";
-    case MaskStrategy::kHybrid:
-      return "hybrid";
-    case MaskStrategy::kHybridHistorical:
-      return "hybrid_historical";
-  }
-  return "unknown";
-}
-
 Tensor InjectPointMissing(const Tensor& observed_mask, double rate,
                           Rng& rng) {
   CHECK_GE(rate, 0.0);

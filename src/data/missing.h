@@ -81,8 +81,6 @@ enum class MaskStrategy {
   kHybridHistorical,  // 50% point; else an historical pattern if provided
 };
 
-const char* MaskStrategyName(MaskStrategy strategy);
-
 // `historical_pattern`, when non-null, must be an (N, L) observed mask from
 // another sample; its MISSING entries become this sample's targets (the
 // paper's "historical missing pattern" option inside the hybrid strategy).

@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -14,7 +13,6 @@
 #include "autograd/ops.h"
 #include "common/check.h"
 #include "diffusion/sharded_train.h"
-#include "nn/ema.h"
 #include "nn/module.h"
 #include "nn/optimizer.h"
 #include "serialize/checkpoint.h"
@@ -94,14 +92,13 @@ std::vector<double> ScheduleBetas(const NoiseSchedule& schedule) {
 // so a resume may pick a different one.
 Status SaveTrainingCheckpoint(
     const std::string& path, nn::Module& module, const nn::Adam& optimizer,
-    const nn::EmaWeights* ema, const Rng& rng, const NoiseSchedule& schedule,
-    int64_t epochs_done, const std::vector<double>& epoch_losses) {
+    const Rng& rng, const NoiseSchedule& schedule, int64_t epochs_done,
+    const std::vector<double>& epoch_losses) {
   return serialize::WriteFileAtomic(path, [&](std::ostream& out) {
     serialize::CheckpointWriter writer(out);
     writer.AddString("meta.kind", "pristi-training");
     serialize::AppendModule(module, &writer);
     serialize::AppendAdam(optimizer, &writer);
-    if (ema != nullptr) serialize::AppendEma(*ema, &writer);
     serialize::AppendRng(rng, &writer);
     writer.AddF64List("schedule.beta", ScheduleBetas(schedule));
     writer.AddI64("train.epoch", epochs_done);
@@ -113,12 +110,11 @@ Status SaveTrainingCheckpoint(
   });
 }
 
-// Restores model/optimizer/EMA/RNG state and returns the number of completed
+// Restores model/optimizer/RNG state and returns the number of completed
 // epochs via `epochs_done`. Every failure is a typed serialize error.
 Status LoadTrainingCheckpoint(
     const std::string& path, nn::Module& module, nn::Adam* optimizer,
-    nn::EmaWeights* ema, Rng* rng, const NoiseSchedule& schedule,
-    int64_t* epochs_done,
+    Rng* rng, const NoiseSchedule& schedule, int64_t* epochs_done,
     std::vector<double>* epoch_losses) {
   serialize::CheckpointView view;
   Status status = serialize::ParseCheckpointFile(path, &view);
@@ -142,13 +138,6 @@ Status LoadTrainingCheckpoint(
   }
   if (!(status = serialize::LoadModule(module, view)).ok()) return status;
   if (!(status = serialize::LoadAdam(optimizer, view)).ok()) return status;
-  if (ema != nullptr) {
-    if (!(status = serialize::LoadEma(ema, view)).ok()) return status;
-  } else if (view.Find("ema.__count") != nullptr) {
-    return Status::Error(
-        ErrorCode::kConfigMismatch,
-        "checkpoint carries EMA shadows but the run has ema_decay = 0");
-  }
   if (!(status = serialize::LoadRng(rng, view)).ok()) return status;
   if (!(status = view.GetI64("train.epoch", epochs_done)).ok()) return status;
   if (!(status = view.GetF64List("train.losses", epoch_losses)).ok()) {
@@ -207,11 +196,6 @@ Status TrainDiffusionModel(ConditionalNoisePredictor* model,
   }
   nn::MultiStepLr scheduler(&optimizer, milestones, kLrDecay);
 
-  std::optional<nn::EmaWeights> ema;
-  if (options.ema_decay > 0.0f) {
-    ema.emplace(model->Parameters(), options.ema_decay);
-  }
-
   bool wants_checkpointing =
       !options.checkpoint_dir.empty() || !options.resume_from.empty();
   nn::Module* module = dynamic_cast<nn::Module*>(model);
@@ -222,9 +206,9 @@ Status TrainDiffusionModel(ConditionalNoisePredictor* model,
   std::vector<double>& losses = *epoch_losses;
   losses.clear();
   if (!options.resume_from.empty()) {
-    Status status = LoadTrainingCheckpoint(
-        options.resume_from, *module, &optimizer,
-        ema ? &*ema : nullptr, &rng, schedule, &start_epoch, &losses);
+    Status status =
+        LoadTrainingCheckpoint(options.resume_from, *module, &optimizer, &rng,
+                               schedule, &start_epoch, &losses);
     if (!status.ok()) {
       return Status::Error(status.code(), "cannot resume from '" +
                                               options.resume_from +
@@ -249,8 +233,8 @@ Status TrainDiffusionModel(ConditionalNoisePredictor* model,
   }
 
   for (int64_t epoch = start_epoch; epoch < options.epochs; ++epoch) {
-    double mean_loss = RunShardedEpoch(model, schedule, samples, options,
-                                       &optimizer, ema ? &*ema : nullptr, rng);
+    double mean_loss =
+        RunShardedEpoch(model, schedule, samples, options, &optimizer, rng);
     losses.push_back(mean_loss);
     scheduler.Step(epoch + 1);
     if (options.on_epoch) options.on_epoch(epoch, mean_loss);
@@ -262,9 +246,8 @@ Status TrainDiffusionModel(ConditionalNoisePredictor* model,
                         done % options.checkpoint_every == 0))) {
       std::string path = serialize::CheckpointFileName(
           options.checkpoint_dir, kCheckpointPrefix, done);
-      Status status = SaveTrainingCheckpoint(
-          path, *module, optimizer, ema ? &*ema : nullptr, rng, schedule,
-          done, losses);
+      Status status = SaveTrainingCheckpoint(path, *module, optimizer, rng,
+                                             schedule, done, losses);
       if (!status.ok()) {
         return Status::Error(status.code(), "cannot write checkpoint '" +
                                                 path + "': " +

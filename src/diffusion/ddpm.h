@@ -118,31 +118,27 @@ struct TrainOptions {
   // any thread count: K only changes scheduling.
   int64_t num_shards = 0;
 
-  // ---- EMA ----------------------------------------------------------------
-  // When > 0, maintains an exponential moving average of the weights
-  // (updated after every optimizer step); the EMA shadows are part of the
-  // training checkpoint. 0 disables EMA entirely.
-  float ema_decay = 0.0f;
-
   // ---- Checkpointing / resume ---------------------------------------------
   // When `checkpoint_dir` is non-empty, the trainer writes
   // "<dir>/ckpt-<epochs completed>.ckpt" after every `checkpoint_every`
   // epochs (and after the final epoch). Writes are atomic (temp file +
   // rename), and only the newest `checkpoint_keep_last` files are kept
   // (<= 0 keeps everything). A training checkpoint holds model parameters,
-  // Adam state, EMA shadows, the RNG stream position, the noise-schedule
-  // betas and the loss history — everything needed to resume bit-identically.
+  // Adam state, the RNG stream position, the noise-schedule betas and the
+  // loss history — everything needed to resume bit-identically.
   std::string checkpoint_dir;
   int64_t checkpoint_every = 1;
   int64_t checkpoint_keep_last = 3;
   // When non-empty, restores a training checkpoint before the first epoch
   // and continues from the stored epoch: the resumed run's parameters and
   // loss trajectory are bit-identical to an uninterrupted run. The
-  // checkpoint's schedule betas and optimizer/EMA configuration must match
+  // checkpoint's schedule betas and optimizer configuration must match
   // the live ones; any mismatch, file damage, or a checkpoint already past
   // `epochs` fails with a typed status before the first epoch (a silently
-  // different trajectory would be worse than no run). Requires `model` to
-  // also be an nn::Module.
+  // different trajectory would be worse than no run). Records the trainer
+  // does not read are ignored, so a checkpoint that carries extra state
+  // written by an older build still resumes. Requires `model` to also be an
+  // nn::Module.
   std::string resume_from;
 };
 

@@ -160,7 +160,7 @@ double RunShardedEpoch(ConditionalNoisePredictor* model,
                        const NoiseSchedule& schedule,
                        const std::vector<data::Sample>& samples,
                        const TrainOptions& options, nn::Adam* optimizer,
-                       nn::EmaWeights* ema, Rng& rng) {
+                       Rng& rng) {
   PRISTI_CHECK(model != nullptr);
   PRISTI_CHECK(optimizer != nullptr);
   PRISTI_CHECK_GT(options.batch_size, 0)
@@ -241,7 +241,6 @@ double RunShardedEpoch(ConditionalNoisePredictor* model,
       }
     }
     optimizer->Step();
-    if (ema != nullptr) ema->Update();
     loss_sum += TreeReduce(std::move(leaf_losses));
     ++step_count;
   }

@@ -40,7 +40,6 @@
 #include "data/windows.h"
 #include "diffusion/ddpm.h"
 #include "diffusion/schedule.h"
-#include "nn/ema.h"
 #include "nn/optimizer.h"
 
 namespace pristi::diffusion {
@@ -116,14 +115,14 @@ double ShardStep(ConditionalNoisePredictor* model,
 // the epoch's windows, and per optimizer step builds each batch
 // window as an independent leaf, partitions leaves across shards on the
 // persistent pool, merges gradients and losses through the tree reduce, and
-// applies one optimizer (+ EMA) update. options.num_shards == 0 runs one
-// shard per pool worker (ParallelThreadCount()). Returns the epoch's mean
-// loss over optimizer steps. `ema` may be null.
+// applies one optimizer update. options.num_shards == 0 runs one shard per
+// pool worker (ParallelThreadCount()). Returns the epoch's mean loss over
+// optimizer steps.
 double RunShardedEpoch(ConditionalNoisePredictor* model,
                        const NoiseSchedule& schedule,
                        const std::vector<data::Sample>& samples,
                        const TrainOptions& options, nn::Adam* optimizer,
-                       nn::EmaWeights* ema, Rng& rng);
+                       Rng& rng);
 
 }  // namespace pristi::diffusion
 

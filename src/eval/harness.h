@@ -73,7 +73,7 @@ class DiffusionImputerAdapter : public Imputer {
   }
 
   // Training knobs applied by the next Fit(); exposes the checkpoint/resume
-  // options (TrainOptions::checkpoint_dir / resume_from / ema_decay / ...)
+  // options (TrainOptions::checkpoint_dir / resume_from / ...)
   // so the CLI and studies can thread them through without widening Fit's
   // signature.
   diffusion::TrainOptions& mutable_train_options() { return options_.train; }

@@ -16,13 +16,8 @@ void ErrorAccumulator::Add(const Tensor& prediction, const Tensor& truth,
     double diff = static_cast<double>(prediction[i]) - truth[i];
     abs_sum_ += std::fabs(diff);
     sq_sum_ += diff * diff;
-    abs_truth_sum_ += std::fabs(truth[i]);
     ++count_;
   }
-}
-
-double ErrorAccumulator::Mre() const {
-  return abs_truth_sum_ > 0.0 ? abs_sum_ / abs_truth_sum_ : 0.0;
 }
 
 double ErrorAccumulator::Mae() const {
@@ -34,20 +29,6 @@ double ErrorAccumulator::Mse() const {
 }
 
 double ErrorAccumulator::Rmse() const { return std::sqrt(Mse()); }
-
-double MaskedMae(const Tensor& prediction, const Tensor& truth,
-                 const Tensor& mask) {
-  ErrorAccumulator acc;
-  acc.Add(prediction, truth, mask);
-  return acc.Mae();
-}
-
-double MaskedMse(const Tensor& prediction, const Tensor& truth,
-                 const Tensor& mask) {
-  ErrorAccumulator acc;
-  acc.Add(prediction, truth, mask);
-  return acc.Mse();
-}
 
 double CrpsFromSamples(std::vector<float> samples, float truth) {
   CHECK(!samples.empty());

@@ -23,22 +23,13 @@ class ErrorAccumulator {
   double Mae() const;
   double Mse() const;
   double Rmse() const;
-  // Mean relative error sum|err| / sum|truth| (the ST-MVL convention).
-  double Mre() const;
   int64_t count() const { return count_; }
 
  private:
   double abs_sum_ = 0.0;
   double sq_sum_ = 0.0;
-  double abs_truth_sum_ = 0.0;
   int64_t count_ = 0;
 };
-
-// One-shot helpers.
-double MaskedMae(const Tensor& prediction, const Tensor& truth,
-                 const Tensor& mask);
-double MaskedMse(const Tensor& prediction, const Tensor& truth,
-                 const Tensor& mask);
 
 // CRPS of a single scalar against an empirical sample set, via the
 // discretized quantile-loss sum of Eq. 11 (quantile levels 0.05..0.95).

@@ -140,50 +140,6 @@ Status LoadAdam(nn::Adam* optimizer, const CheckpointView& view,
   return Status::Ok();
 }
 
-// ---- EMA -------------------------------------------------------------------
-
-void AppendEma(const nn::EmaWeights& ema, CheckpointWriter* writer,
-               const std::string& prefix) {
-  writer->AddF64(prefix + "decay", ema.decay());
-  const std::vector<Tensor>& shadow = ema.shadow();
-  writer->AddI64(prefix + "__count", static_cast<int64_t>(shadow.size()));
-  for (size_t i = 0; i < shadow.size(); ++i) {
-    writer->AddTensor(prefix + "shadow." + std::to_string(i), shadow[i]);
-  }
-}
-
-Status LoadEma(nn::EmaWeights* ema, const CheckpointView& view,
-               const std::string& prefix) {
-  double decay = 0;
-  int64_t count = 0;
-  Status status;
-  if (!(status = view.GetF64(prefix + "decay", &decay)).ok()) return status;
-  if (!(status = view.GetI64(prefix + "__count", &count)).ok()) return status;
-  if (static_cast<float>(decay) != ema->decay()) {
-    return Status::Error(ErrorCode::kConfigMismatch,
-                         "checkpoint EMA decay differs from the live EMA");
-  }
-  const std::vector<Tensor>& live = ema->shadow();
-  if (count != static_cast<int64_t>(live.size())) {
-    return Status::Error(ErrorCode::kCountMismatch,
-                         "checkpoint stores " + std::to_string(count) +
-                             " EMA shadows, live EMA tracks " +
-                             std::to_string(live.size()));
-  }
-  std::vector<Tensor> shadow(live.size());
-  for (size_t i = 0; i < live.size(); ++i) {
-    std::string name = prefix + "shadow." + std::to_string(i);
-    if (!(status = view.GetTensor(name, &shadow[i])).ok()) return status;
-    if (!t::ShapesEqual(shadow[i].shape(), live[i].shape())) {
-      return Status::Error(ErrorCode::kShapeMismatch,
-                           "EMA shadow " + std::to_string(i) +
-                               " shape differs from the live parameter");
-    }
-  }
-  ema->RestoreShadow(std::move(shadow));
-  return Status::Ok();
-}
-
 // ---- RNG -------------------------------------------------------------------
 
 void AppendRng(const Rng& rng, CheckpointWriter* writer,

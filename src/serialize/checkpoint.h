@@ -3,10 +3,10 @@
 
 // High-level checkpoint assembly on top of the record format (format.h):
 // named parameter maps for nn::Module trees, Adam optimizer state (step
-// count + moment buffers + hyperparameters), EMA shadow weights, RNG stream
-// positions and the diffusion noise schedule — everything a training run
-// needs to resume bit-identically — plus crash-safe file handling (atomic
-// write-to-temp + rename) and keep-last-K retention.
+// count + moment buffers + hyperparameters), RNG stream positions and the
+// diffusion noise schedule — everything a training run needs to resume
+// bit-identically — plus crash-safe file handling (atomic write-to-temp +
+// rename) and keep-last-K retention.
 //
 // Record naming convention inside one checkpoint file:
 //   meta.kind                "pristi-module" | "pristi-training"
@@ -14,7 +14,6 @@
 //   model.<hierarchical name>  one tensor per named parameter
 //   adam.step / adam.lr / adam.beta1 / adam.beta2 / adam.eps
 //   adam.weight_decay / adam.__count / adam.m.<i> / adam.v.<i>
-//   ema.decay / ema.__count / ema.shadow.<i>
 //   rng.train                textual mt19937_64 stream state
 //   schedule.beta            the beta vector the model was trained under
 //   train.epoch              epochs completed (index of the next epoch)
@@ -26,7 +25,6 @@
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "nn/ema.h"
 #include "nn/module.h"
 #include "nn/optimizer.h"
 #include "serialize/format.h"
@@ -47,11 +45,6 @@ void AppendAdam(const nn::Adam& optimizer, CheckpointWriter* writer,
                 const std::string& prefix = "adam.");
 Status LoadAdam(nn::Adam* optimizer, const CheckpointView& view,
                 const std::string& prefix = "adam.");
-
-void AppendEma(const nn::EmaWeights& ema, CheckpointWriter* writer,
-               const std::string& prefix = "ema.");
-Status LoadEma(nn::EmaWeights* ema, const CheckpointView& view,
-               const std::string& prefix = "ema.");
 
 void AppendRng(const Rng& rng, CheckpointWriter* writer,
                const std::string& name = "rng.train");

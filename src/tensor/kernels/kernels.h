@@ -86,14 +86,6 @@ struct KernelStats {
   uint64_t fused_attn_rows = 0;
   uint64_t fused_attn_kv_blocks = 0;
   uint64_t fused_attn_bytes_avoided = 0;
-
-  double PackCacheHitRate() const {
-    uint64_t lookups = pack_cache_hits + pack_cache_misses;
-    return lookups > 0
-               ? static_cast<double>(pack_cache_hits) /
-                     static_cast<double>(lookups)
-               : 0.0;
-  }
 };
 
 KernelStats GetKernelStats();

@@ -138,17 +138,6 @@ void PackCacheInsert(const PackKey& key, uint64_t version, PackedPanel panel) {
   Counters().pack_cache_bytes.store(c.bytes, std::memory_order_relaxed);
 }
 
-void PackCacheClear() {
-  Cache& c = cache();
-  std::scoped_lock lock(c.mu);
-  c.map.clear();
-  c.lru.clear();
-  c.by_storage.clear();
-  c.bytes = 0;
-  c.entry_count.store(0, std::memory_order_relaxed);
-  Counters().pack_cache_bytes.store(0, std::memory_order_relaxed);
-}
-
 void PackCacheOnStorageDestroyed(uint64_t storage_id) {
   Cache& c = cache();
   // Relaxed pre-check: a racing insert for a DIFFERENT storage may be

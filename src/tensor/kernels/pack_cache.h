@@ -66,9 +66,6 @@ PackedPanel PackCacheLookup(const PackKey& key, uint64_t version);
 // until the byte cap holds.
 void PackCacheInsert(const PackKey& key, uint64_t version, PackedPanel panel);
 
-// Drops every entry (counters keep accumulating). Test hook.
-void PackCacheClear();
-
 // Storage-destruction hook (called by ~Storage): drops every entry packed
 // from this storage id. Ids are process-unique, so such entries can never
 // hit again — without this, panels of short-lived cacheable tensors would

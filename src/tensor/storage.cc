@@ -208,21 +208,6 @@ AllocStats GetAllocStats() {
   return s;
 }
 
-void BufferPoolTrim() {
-  GlobalPool& pool = global_pool();
-  std::scoped_lock lock(pool.mu);
-  for (int b = 0; b < kNumBuckets; ++b) {
-    const uint64_t capacity_bytes =
-        static_cast<uint64_t>(BucketCapacity(b)) * sizeof(float);
-    for (float* p : pool.free_lists[b]) {
-      HeapFree(p, BucketCapacity(b));
-      counters().pooled_bytes.fetch_sub(capacity_bytes,
-                                        std::memory_order_relaxed);
-    }
-    pool.free_lists[b].clear();
-  }
-}
-
 void ResetPeakLiveBytes() {
   Counters& c = counters();
   c.peak_live_bytes.store(c.live_bytes.load(std::memory_order_relaxed),

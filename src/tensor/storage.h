@@ -44,20 +44,9 @@ struct AllocStats {
   uint64_t live_bytes = 0;       // capacity bytes in live Storage blocks
   uint64_t pooled_bytes = 0;     // capacity bytes cached in the free pool
   uint64_t peak_live_bytes = 0;  // high-water mark of live_bytes
-
-  double HitRate() const {
-    return requests > 0
-               ? static_cast<double>(pool_hits) / static_cast<double>(requests)
-               : 0.0;
-  }
 };
 
 AllocStats GetAllocStats();
-
-// Releases every block cached in the global free pool back to the heap
-// (per-thread caches are flushed lazily as their threads allocate or exit).
-// Tests use this to start a measurement from a cold pool.
-void BufferPoolTrim();
 
 // Restarts the `peak_live_bytes` high-water mark at the current live bytes,
 // so a test can read the peak of one region of work.

@@ -15,7 +15,8 @@
 # --epochs, and an --out, --csv or --model-out file that cannot be written —
 # must exit 1 with a "pristi_cli: " line on stderr and no "Check failed".
 # None may train first: an unwritable --model-out fails before epoch 0 and
-# leaves an existing checkpoint there intact.
+# leaves an existing checkpoint there intact. A flag `train` does not read
+# (a sampler flag, or --ema-decay) trains normally and is reported as unused.
 #
 # pristi_paper: an unknown flag, argument, --scale or --only name, and an
 # --out where no CSV can be written, exit 1 with a "pristi_paper: " line
@@ -47,7 +48,9 @@ data="$tmp/d.bin"
   fail "evaluate --method=mean on a good dataset exited $?"
 
 missing="$tmp/no_such_dir"
+# `train` reads no sampler flag, so its small settings leave --samples out.
 small="--data=$data --samples=2 --steps-diffusion=4"
+train_small="--data=$data --steps-diffusion=4"
 # A checkpoint whose save temporary cannot be opened (a directory sits at
 # its name) must survive a train that fails on it.
 kept="$tmp/kept.ckpt"
@@ -56,7 +59,7 @@ kept="$tmp/kept.ckpt"
 cp "$kept" "$tmp/kept.orig"
 mkdir "$kept.tmp"
 # A training checkpoint two epochs in, and a file that is not a checkpoint.
-"$cli" train $small --epochs=2 --checkpoint-dir="$tmp/ck" \
+"$cli" train $train_small --epochs=2 --checkpoint-dir="$tmp/ck" \
   --model-out="$tmp/ck.model" > "$tmp/setup.out" 2>&1 ||
   { cat "$tmp/setup.out" >&2; exit 1; }
 printf 'not a checkpoint' > "$tmp/damaged.ckpt"
@@ -71,21 +74,21 @@ cases=(
   "generate --preset=aqi --nodes=4 --gen-steps=48 --out=$missing/g.bin"
   "generate --preset=aqi --nodes=4 --gen-steps=48 --out=$tmp/g.bin --csv=$missing/g.csv"
   "impute $small --out=$missing/i.csv"
-  "train $small --epochs=1 --model-out=$missing/m.ckpt"
-  "train $small --epochs=1 --model-out=$kept"
+  "train $train_small --epochs=1 --model-out=$missing/m.ckpt"
+  "train $train_small --epochs=1 --model-out=$kept"
   "impute $small --heads=3 --out=$tmp/i.csv"
-  "train $small --epochs=1 --heads=0 --model-out=$tmp/m.ckpt"
+  "train $train_small --epochs=1 --heads=0 --model-out=$tmp/m.ckpt"
   "evaluate --data=$data --method=csdi --epochs=1 --heads=5"
   "evaluate --data=$data --method=csdi --epochs=1 --layers=0"
   "evaluate --data=$data --method=csdi --epochs=1 --channels=0"
   "evaluate --data=$data --window=100000 --method=mean"
   "generate --preset=aqi --nodes=0 --out=$tmp/g.bin"
-  "train $small --epochs=1 --resume=$missing/r.ckpt --model-out=$tmp/m.ckpt"
-  "train $small --epochs=1 --resume=$tmp/damaged.ckpt --model-out=$tmp/m.ckpt"
-  "train $small --epochs=1 --resume=$tmp/ck/ckpt-2.ckpt --model-out=$tmp/m.ckpt"
-  "train $small --epochs=1 --batch=0 --model-out=$tmp/m.ckpt"
-  "train $small --epochs=0 --model-out=$tmp/m.ckpt"
-  "train $small --epochs=1 --lr=-1 --model-out=$tmp/m.ckpt"
+  "train $train_small --epochs=1 --resume=$missing/r.ckpt --model-out=$tmp/m.ckpt"
+  "train $train_small --epochs=1 --resume=$tmp/damaged.ckpt --model-out=$tmp/m.ckpt"
+  "train $train_small --epochs=1 --resume=$tmp/ck/ckpt-2.ckpt --model-out=$tmp/m.ckpt"
+  "train $train_small --epochs=1 --batch=0 --model-out=$tmp/m.ckpt"
+  "train $train_small --epochs=0 --model-out=$tmp/m.ckpt"
+  "train $train_small --epochs=1 --lr=-1 --model-out=$tmp/m.ckpt"
   "train --data=$data --epochs=1 --steps-diffusion=0 --model-out=$tmp/m.ckpt"
   "evaluate --data=$data --method=pristi --epochs=1 --steps-diffusion=1"
   "impute $small --steps=-3 --out=$tmp/i.csv"
@@ -133,6 +136,18 @@ done
 grep -q -- '--gen-steps' "$tmp/case.err" ||
   fail "'generate --steps' did not name --gen-steps"
 [ -e "$tmp/len.bin" ] && fail "'generate --steps' wrote a dataset"
+
+# `train` samples nothing: a sampler flag, or --ema-decay (the trainer keeps
+# no weight EMA), trains normally and is reported as unused.
+for flag in --steps=240 --ema-decay=0.99; do
+  # shellcheck disable=SC2086  # $train_small is a word-split argument list
+  "$cli" train $train_small --epochs=1 "$flag" --model-out="$tmp/u.ckpt" \
+    > "$tmp/case.out" 2> "$tmp/case.err"
+  code=$?
+  [ "$code" -eq 0 ] || fail "'train $flag' exited $code, want 0"
+  grep -q -- "unused flag ${flag%%=*}\$" "$tmp/case.err" ||
+    fail "'train $flag' did not report ${flag%%=*} as unused"
+done
 
 cmp -s "$kept" "$tmp/kept.orig" ||
   fail "a failed train changed the checkpoint at its --model-out"

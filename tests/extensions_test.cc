@@ -1,5 +1,5 @@
-// Tests for the scalability/robustness extensions: ParallelFor, EMA
-// weights, the MNAR injector, and the MRE metric.
+// Tests for the scalability/robustness extensions: ParallelFor, the MNAR
+// injector, and the Clamp / Where / Stack ops.
 
 #include <atomic>
 #include <cmath>
@@ -11,14 +11,10 @@
 #include "common/parallel.h"
 #include "data/dataset.h"
 #include "data/missing.h"
-#include "metrics/metrics.h"
-#include "nn/ema.h"
-#include "nn/optimizer.h"
 
 namespace pristi {
 namespace {
 
-namespace ag = ::pristi::autograd;
 namespace t = ::pristi::tensor;
 using t::Tensor;
 
@@ -46,53 +42,6 @@ TEST(ParallelForTest, RespectsMinChunk) {
   ParallelFor(
       0, 10, [&](int64_t, int64_t) { calls++; }, /*min_chunk=*/10);
   EXPECT_EQ(calls.load(), 1);
-}
-
-// ---------------------------------------------------------------------------
-// EMA
-// ---------------------------------------------------------------------------
-
-TEST(EmaTest, ShadowTracksParameterDrift) {
-  ag::Variable w(Tensor::Zeros({2}), /*requires_grad=*/true);
-  nn::EmaWeights ema({w}, 0.5f);
-  w.mutable_value() = Tensor({2}, {1.0f, 1.0f});
-  ema.Update();  // shadow = 0.5*0 + 0.5*1 = 0.5
-  ema.ApplyShadow();
-  EXPECT_FLOAT_EQ(w.value()[0], 0.5f);
-  ema.Restore();
-  EXPECT_FLOAT_EQ(w.value()[0], 1.0f);
-}
-
-TEST(EmaTest, ConvergesToConstantWeights) {
-  ag::Variable w(Tensor::Full({3}, 2.0f), true);
-  nn::EmaWeights ema({w}, 0.9f);
-  for (int i = 0; i < 200; ++i) ema.Update();
-  ema.ApplyShadow();
-  EXPECT_NEAR(w.value()[0], 2.0f, 1e-4f);
-  ema.Restore();
-}
-
-TEST(EmaTest, SmoothsOptimizerNoise) {
-  // Noisy quadratic descent: EMA weights should sit closer to the optimum
-  // than the raw final iterate on average.
-  Rng rng(8);
-  ag::Variable x(Tensor::Zeros({1}), true);
-  nn::Adam opt({x}, {.lr = 0.2f});
-  nn::EmaWeights ema({x}, 0.98f);
-  for (int iter = 0; iter < 400; ++iter) {
-    opt.ZeroGrad();
-    float noise = static_cast<float>(rng.Normal(0, 0.5));
-    ag::Variable loss = ag::Square(
-        ag::AddScalar(x, -(3.0f + noise)));  // noisy target around 3
-    ag::SumAll(loss).Backward();
-    opt.Step();
-    ema.Update();
-  }
-  float raw = std::fabs(x.value()[0] - 3.0f);
-  ema.ApplyShadow();
-  float smoothed = std::fabs(x.value()[0] - 3.0f);
-  ema.Restore();
-  EXPECT_LT(smoothed, raw + 0.25f);  // EMA no worse (usually much better)
 }
 
 // ---------------------------------------------------------------------------
@@ -138,23 +87,6 @@ TEST(MnarInjector, SubsetOfObserved) {
   Tensor eval = data::InjectValueDependentMissing(
       dataset.values, dataset.observed_mask, 0.2, 1.0, rng);
   EXPECT_NEAR(data::MaskOverlap(eval, dataset.observed_mask), 1.0, 1e-12);
-}
-
-// ---------------------------------------------------------------------------
-// MRE
-// ---------------------------------------------------------------------------
-
-TEST(MreMetric, HandComputed) {
-  metrics::ErrorAccumulator acc;
-  acc.Add(Tensor({2}, {11.0f, 18.0f}), Tensor({2}, {10.0f, 20.0f}),
-          Tensor::Ones({2}));
-  EXPECT_NEAR(acc.Mre(), (1.0 + 2.0) / 30.0, 1e-9);
-}
-
-TEST(MreMetric, ZeroTruthGivesZero) {
-  metrics::ErrorAccumulator acc;
-  acc.Add(Tensor({1}, {5.0f}), Tensor::Zeros({1}), Tensor::Ones({1}));
-  EXPECT_EQ(acc.Mre(), 0.0);
 }
 
 }  // namespace

@@ -32,8 +32,11 @@ TEST(ErrorAccumulatorTest, MaskExcludesEntries) {
   Tensor pred({1, 3}, {0, 100, 0});
   Tensor truth({1, 3}, {0, 0, 0});
   Tensor mask({1, 3}, {1, 0, 1});
-  EXPECT_NEAR(MaskedMae(pred, truth, mask), 0.0, 1e-9);
-  EXPECT_NEAR(MaskedMse(pred, truth, mask), 0.0, 1e-9);
+  ErrorAccumulator acc;
+  acc.Add(pred, truth, mask);
+  EXPECT_EQ(acc.count(), 2);
+  EXPECT_NEAR(acc.Mae(), 0.0, 1e-9);
+  EXPECT_NEAR(acc.Mse(), 0.0, 1e-9);
 }
 
 TEST(ErrorAccumulatorTest, AggregatesAcrossWindowsByCount) {

@@ -11,7 +11,6 @@
 
 #include "autograd/ops.h"
 #include "nn/attention.h"
-#include "nn/ema.h"
 #include "nn/embeddings.h"
 #include "nn/graph_conv.h"
 #include "nn/gru.h"
@@ -418,23 +417,6 @@ TEST(LinearLayer, InferencePeakIsOneOutputBlock) {
   const uint64_t peak = PeakAboveLive([&] { y = linear.Forward(x); });
   EXPECT_LE(peak, block) << "peak " << peak << " B, output block " << block
                          << " B";
-}
-
-// ---------------------------------------------------------------------------
-// EMA
-// ---------------------------------------------------------------------------
-
-TEST(EmaWeights, ShadowsOwnTheirStorageFromConstruction) {
-  Rng rng(41);
-  Linear layer(4, 3, rng);
-  std::vector<Variable> params = layer.Parameters();
-  EmaWeights ema(params, 0.9f);
-  ASSERT_EQ(ema.shadow().size(), params.size());
-  for (size_t i = 0; i < params.size(); ++i) {
-    EXPECT_NE(ema.shadow()[i].storage_id(), params[i].value().storage_id())
-        << "shadow " << i << " aliases its parameter";
-    ExpectBitEqual(ema.shadow()[i], params[i].value(), "shadow");
-  }
 }
 
 // ---------------------------------------------------------------------------

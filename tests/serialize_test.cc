@@ -1,6 +1,6 @@
 // Tests for the versioned checkpoint format (src/serialize): CRC reference
 // vectors, bit-exact round-trip fuzzing over random tensor shapes, full-model
-// and component (Adam / EMA / RNG) round trips, typed-error contracts, fault
+// and component (Adam / RNG) round trips, typed-error contracts, fault
 // injection (truncation at and inside every record, random bit flips),
 // atomic-write crash safety, keep-last-K retention, and resume equivalence
 // of the diffusion trainer. The seeded training-loss golden lives in
@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -28,7 +29,6 @@
 #include "data/windows.h"
 #include "diffusion/ddpm.h"
 #include "diffusion/schedule.h"
-#include "nn/ema.h"
 #include "nn/layers.h"
 #include "nn/optimizer.h"
 #include "pristi/pristi_model.h"
@@ -316,7 +316,7 @@ TEST(ModuleRoundTrip, FileRoundTripAndNonCheckpointRejectedTyped) {
 }
 
 // ---------------------------------------------------------------------------
-// Component round trips: Adam, EMA, RNG
+// Component round trips: Adam, RNG
 // ---------------------------------------------------------------------------
 
 TEST(AdamRoundTrip, StateRestoredConfigVerified) {
@@ -358,32 +358,6 @@ TEST(AdamRoundTrip, StateRestoredConfigVerified) {
   nn::Adam opt_c(net_c.Parameters(), skewed);
   EXPECT_EQ(LoadAdam(&opt_c, view).code(), ErrorCode::kConfigMismatch);
   EXPECT_EQ(opt_c.step_count(), 0);
-}
-
-TEST(EmaRoundTrip, ShadowRestoredDecayVerified) {
-  Rng rng(12);
-  nn::Mlp net_a(3, 4, 2, rng), net_b(3, 4, 2, rng);
-  nn::EmaWeights ema_a(net_a.Parameters(), 0.9f);
-  std::vector<Tensor> shadow;
-  for (const Tensor& buf : ema_a.shadow()) {
-    shadow.push_back(Tensor::Randn(buf.shape(), rng));
-  }
-  ema_a.RestoreShadow(shadow);
-
-  std::string bytes =
-      WriteBytes([&](CheckpointWriter* w) { AppendEma(ema_a, w); });
-  CheckpointView view;
-  ASSERT_TRUE(ParseBytes(bytes, &view).ok());
-
-  nn::EmaWeights ema_b(net_b.Parameters(), 0.9f);
-  ASSERT_TRUE(LoadEma(&ema_b, view).ok());
-  for (size_t i = 0; i < shadow.size(); ++i) {
-    ExpectBitEqual(ema_b.shadow()[i], shadow[i],
-                   "shadow." + std::to_string(i));
-  }
-
-  nn::EmaWeights ema_c(net_b.Parameters(), 0.5f);
-  EXPECT_EQ(LoadEma(&ema_c, view).code(), ErrorCode::kConfigMismatch);
 }
 
 TEST(RngRoundTrip, StreamPositionContinuesIdentically) {
@@ -655,7 +629,6 @@ diffusion::TrainOptions BaseTrainOptions() {
   options.epochs = 4;
   options.batch_size = 2;
   options.lr = 1e-3f;
-  options.ema_decay = 0.99f;
   return options;
 }
 
@@ -664,7 +637,11 @@ diffusion::TrainOptions BaseTrainOptions() {
 // model restored from it and trained for the remaining N epochs must match
 // the uninterrupted run bit-for-bit — identical loss curve, identical final
 // weights. Resume is a pure continuation, not an approximate restart.
-void CheckResumeEquivalence(int64_t threads) {
+// Given `rewrite`, the run resumes from rewrite's copy of that checkpoint.
+using RewriteCheckpoint =
+    std::function<void(const std::string& from, const std::string& to)>;
+void CheckResumeEquivalence(int64_t threads,
+                            const RewriteCheckpoint& rewrite = nullptr) {
   int64_t previous_threads = ParallelThreadCount();
   SetParallelThreadCount(threads);
   data::ImputationTask task = MakeTrainTask(8, 240, 31);
@@ -688,6 +665,11 @@ void CheckResumeEquivalence(int64_t threads) {
   diffusion::TrainOptions resumed = BaseTrainOptions();
   resumed.checkpoint_dir = tmp.File("resumed");
   resumed.resume_from = CheckpointFileName(full.checkpoint_dir, "ckpt", 2);
+  if (rewrite) {
+    std::string rewritten = tmp.File("rewritten.ckpt");
+    rewrite(resumed.resume_from, rewritten);
+    resumed.resume_from = rewritten;
+  }
   std::vector<double> resumed_losses = diffusion::TrainDiffusionModel(
       resumed_model.get(), schedule, task, resumed, resumed_rng);
 
@@ -707,6 +689,65 @@ TEST(ResumeEquivalence, MultiThreadBitIdentical) {
   CheckResumeEquivalence(4);
 }
 
+// A trainer that kept an exponential moving average (EMA) of the weights
+// wrote it as ema.decay / ema.__count / ema.shadow.<i> records between the
+// Adam and RNG records. The shadows never fed the raw weights, so a resume
+// from such a file ignores them and still continues bit for bit.
+TEST(ResumeEquivalence, LegacyEmaRecordsIgnored) {
+  CheckResumeEquivalence(1, [](const std::string& from,
+                               const std::string& to) {
+    CheckpointView view;
+    ASSERT_TRUE(ParseCheckpointFile(from, &view).ok());
+    std::ofstream out(to, std::ios::binary);
+    CheckpointWriter writer(out);
+    std::vector<Tensor> shadows;  // one per model.* parameter, in order
+    for (const Record& record : view.records()) {
+      if (record.name == "rng.train") {
+        writer.AddF64("ema.decay", 0.99);
+        writer.AddI64("ema.__count", static_cast<int64_t>(shadows.size()));
+        for (size_t i = 0; i < shadows.size(); ++i) {
+          writer.AddTensor("ema.shadow." + std::to_string(i), shadows[i]);
+        }
+      }
+      Tensor tensor;
+      int64_t i64 = 0;
+      double f64 = 0;
+      std::vector<double> f64_list;
+      std::string text;
+      switch (record.tag) {
+        case RecordTag::kEnd:
+          break;
+        case RecordTag::kTensor:
+          ASSERT_TRUE(view.GetTensor(record.name, &tensor).ok());
+          writer.AddTensor(record.name, tensor);
+          if (record.name.rfind("model.", 0) == 0) shadows.push_back(tensor);
+          break;
+        case RecordTag::kI64:
+          ASSERT_TRUE(view.GetI64(record.name, &i64).ok());
+          writer.AddI64(record.name, i64);
+          break;
+        case RecordTag::kF64:
+          ASSERT_TRUE(view.GetF64(record.name, &f64).ok());
+          writer.AddF64(record.name, f64);
+          break;
+        case RecordTag::kF64List:
+          ASSERT_TRUE(view.GetF64List(record.name, &f64_list).ok());
+          writer.AddF64List(record.name, f64_list);
+          break;
+        case RecordTag::kString:
+          ASSERT_TRUE(view.GetString(record.name, &text).ok());
+          writer.AddString(record.name, text);
+          break;
+      }
+    }
+    ASSERT_TRUE(writer.Finish());
+    out.close();
+    CheckpointView legacy;
+    ASSERT_TRUE(ParseCheckpointFile(to, &legacy).ok());
+    ASSERT_NE(legacy.Find("ema.shadow.0"), nullptr);
+  });
+}
+
 TEST(ResumeEquivalence, TrainerRetentionKeepsLastK) {
   data::ImputationTask task = MakeTrainTask(6, 160, 47);
   diffusion::NoiseSchedule schedule =
@@ -716,7 +757,6 @@ TEST(ResumeEquivalence, TrainerRetentionKeepsLastK) {
   Rng rng(55);
   diffusion::TrainOptions options = BaseTrainOptions();
   options.epochs = 5;
-  options.ema_decay = 0.0f;
   options.checkpoint_dir = tmp.File("ckpts");
   options.checkpoint_keep_last = 2;
   diffusion::TrainDiffusionModel(model.get(), schedule, task, options, rng);

@@ -87,7 +87,6 @@ TrainOptions BaseShardedOptions(int64_t num_shards) {
   options.epochs = 2;
   options.batch_size = 4;
   options.lr = 1e-3f;
-  options.ema_decay = 0.99f;
   options.num_shards = num_shards;
   return options;
 }

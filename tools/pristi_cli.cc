@@ -181,14 +181,21 @@ Status ModelConfig(const Flags& flags, const data::ImputationTask& task,
   return core::ValidatePristiConfig(*out);
 }
 
+// The noise-schedule length (--steps-diffusion) a model is trained and
+// sampled on.
+Status ScheduleOptions(const Flags& flags,
+                       eval::DiffusionRunOptions* options) {
+  options->diffusion_steps = flags.GetInt("steps-diffusion", 30);
+  return diffusion::ValidateScheduleSteps(options->diffusion_steps);
+}
+
 // What a trained model is sampled with: the schedule length it was trained
 // on and the reverse-process sampler (--sampler=ddpm|ddim|plms, --steps=K
 // kept reverse steps, 0 = full schedule). The default, ddim keeping 10 of
 // 30 steps, is a stride-3 DDIM.
 Status InferenceOptions(const Flags& flags,
                         eval::DiffusionRunOptions* options) {
-  options->diffusion_steps = flags.GetInt("steps-diffusion", 30);
-  Status status = diffusion::ValidateScheduleSteps(options->diffusion_steps);
+  Status status = ScheduleOptions(flags, options);
   if (!status.ok()) return status;
   diffusion::ImputeOptions& impute = options->impute;
   impute.num_samples = flags.GetInt("samples", 15);
@@ -207,36 +214,34 @@ Status InferenceOptions(const Flags& flags,
   return Status::Ok();
 }
 
-Status RunOptions(const Flags& flags, const data::ImputationTask& task,
-                  eval::DiffusionRunOptions* out) {
-  eval::DiffusionRunOptions& options = *out;
-  Status status = InferenceOptions(flags, &options);
-  if (!status.ok()) return status;
-  options.train.epochs = flags.GetInt("epochs", 40);
-  options.train.batch_size = flags.GetInt("batch", 8);
-  options.train.lr = static_cast<float>(flags.GetDouble("lr", 2e-3));
-  options.train.high_t_bias = flags.GetDouble("high-t-bias", 0.5);
-  options.train.ema_decay =
-      static_cast<float>(flags.GetDouble("ema-decay", 0.0));
+// How a model is trained: the epoch, batch, optimizer, shard and checkpoint
+// flags, and the re-masking strategy the task's pattern calls for. Reads no
+// schedule or sampler flag; the caller reads whichever of those it uses.
+Status TrainingOptions(const Flags& flags, const data::ImputationTask& task,
+                       diffusion::TrainOptions* options) {
+  options->epochs = flags.GetInt("epochs", 40);
+  options->batch_size = flags.GetInt("batch", 8);
+  options->lr = static_cast<float>(flags.GetDouble("lr", 2e-3));
+  options->high_t_bias = flags.GetDouble("high-t-bias", 0.5);
   // Shard-parallel training (diffusion/sharded_train.h): --shards=K, 0 =
   // one shard per pool worker. K changes no bit.
-  options.train.num_shards = flags.GetInt("shards", 0);
-  options.train.checkpoint_dir = flags.GetString("checkpoint-dir");
-  options.train.checkpoint_every = flags.GetInt("checkpoint-every", 1);
-  options.train.checkpoint_keep_last = flags.GetInt("keep-last", 3);
-  options.train.resume_from = flags.GetString("resume");
+  options->num_shards = flags.GetInt("shards", 0);
+  options->checkpoint_dir = flags.GetString("checkpoint-dir");
+  options->checkpoint_every = flags.GetInt("checkpoint-every", 1);
+  options->checkpoint_keep_last = flags.GetInt("keep-last", 3);
+  options->resume_from = flags.GetString("resume");
   switch (task.pattern) {
     case data::MissingPattern::kPoint:
-      options.train.mask_strategy = data::MaskStrategy::kPoint;
+      options->mask_strategy = data::MaskStrategy::kPoint;
       break;
     case data::MissingPattern::kBlock:
-      options.train.mask_strategy = data::MaskStrategy::kHybrid;
+      options->mask_strategy = data::MaskStrategy::kHybrid;
       break;
     case data::MissingPattern::kSimulatedFailure:
-      options.train.mask_strategy = data::MaskStrategy::kHybridHistorical;
+      options->mask_strategy = data::MaskStrategy::kHybridHistorical;
       break;
   }
-  return diffusion::ValidateTrainOptions(options.train);
+  return diffusion::ValidateTrainOptions(*options);
 }
 
 // The noise schedule a model is trained and sampled on.
@@ -328,8 +333,12 @@ int CmdTrain(const Flags& flags) {
   core::PristiConfig config;
   status = ModelConfig(flags, task, &config);
   if (!status.ok()) return Fail(status);
+  // `train` samples nothing, so a sampler flag stays unread and is reported
+  // as unused.
   eval::DiffusionRunOptions options;
-  status = RunOptions(flags, task, &options);
+  status = ScheduleOptions(flags, &options);
+  if (!status.ok()) return Fail(status);
+  status = TrainingOptions(flags, task, &options.train);
   if (!status.ok()) return Fail(status);
   // Fail now, not after the last epoch, if the checkpoint cannot be saved.
   std::string out = flags.GetString("model-out", "pristi.ckpt");
@@ -514,7 +523,9 @@ int CmdEvaluate(const Flags& flags) {
   std::unique_ptr<baselines::Imputer> imputer;
   if (method == "pristi" || method == "csdi") {
     eval::DiffusionRunOptions options;
-    status = RunOptions(flags, task, &options);
+    status = InferenceOptions(flags, &options);
+    if (!status.ok()) return Fail(status);
+    status = TrainingOptions(flags, task, &options.train);
     if (!status.ok()) return Fail(status);
     if (method == "pristi") {
       core::PristiConfig config;
@@ -757,7 +768,7 @@ int Usage() {
       "--out=F.bin\n"
       "  train    --data=F.bin --pattern=point|block|failure --epochs=E\n"
       "           --model-out=F.ckpt [--shards=K] [--checkpoint-dir=D]\n"
-      "           [--checkpoint-every=K] [--keep-last=K] [--ema-decay=D]\n"
+      "           [--checkpoint-every=K] [--keep-last=K]\n"
       "           [--resume=D/ckpt-N.ckpt]\n"
       "           (without --data: --preset --nodes --gen-steps generate\n"
       "           in place; --shards=K sets the shard count, default one\n"
