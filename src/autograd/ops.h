@@ -78,6 +78,13 @@ Variable BatchedMatMulNTScaled(const Variable& a, const Variable& b,
 // head-split copies; matches the reference chain to 1e-5 (online softmax
 // reorders the reduction — NOT bitwise); bit-identical across thread counts
 // and runs.
+// Grouped inference form: v may have G times q's leading axis (q and k
+// (R, ..., s, h·dh), v (R·G, ..., s_k, h·dh), the middle axes equal). Rows
+// r·G .. r·G+G-1 of v's leading axis then share the attention weights of
+// row r of q and k, which are computed once
+// (kernels::FusedAttentionForwardGrouped), and the result has v's leading
+// axes. Bitwise the ungrouped op on q and k with each leading row repeated
+// G times. Inference only: G > 1 CHECK-fails in grad mode.
 Variable FusedAttention(const Variable& q, const Variable& k,
                         const Variable& v, int64_t num_heads, float scale);
 // Shared weight on the last axis: (..., k_in) x (k_in, k_out).

@@ -388,12 +388,14 @@ void AppendMergedChain(const float* chain, const Tensor& observed_values,
 }
 
 // The stacked-imputation core: R same-shape windows, S chains each, advance
-// through ONE reverse chain of (R*S, N, L) model calls. `chains` holds the
-// R*S chain streams, request-major; where they come from is the only thing
-// that differs between a solo window (MakeChainStreams over the caller's
-// rng) and a coalesced batch (MakeChainStreams over Rng(seeds[r]) per
-// request), which is what makes the two bit-identical. The caller holds the
-// ModelAccessGuard and NoGradGuard.
+// through ONE reverse chain of (R*S, N, L) model calls. Each window's
+// conditioning is repeated for its S chains, and the batch says so
+// (chains_per_window = S), so the model conditions once per window.
+// `chains` holds the R*S chain streams, request-major; where they come from
+// is the only thing that differs between a solo window (MakeChainStreams
+// over the caller's rng) and a coalesced batch (MakeChainStreams over
+// Rng(seeds[r]) per request), which is what makes the two bit-identical.
+// The caller holds the ModelAccessGuard and NoGradGuard.
 std::vector<ImputationResult> ImputeStacked(
     ConditionalNoisePredictor* model, const NoiseSchedule& schedule,
     const std::vector<const data::Sample*>& windows, std::vector<Rng> chains,
@@ -405,6 +407,7 @@ std::vector<ImputationResult> ImputeStacked(
   int64_t per = n * l;
 
   DiffusionBatch stacked;
+  stacked.chains_per_window = s;
   stacked.cond_values = Tensor(t::Shape{num_requests * s, n, l});
   stacked.cond_mask = Tensor(t::Shape{num_requests * s, n, l});
   stacked.interpolated = Tensor(t::Shape{num_requests * s, n, l});

@@ -28,7 +28,10 @@ using tensor::Tensor;
 // prior H^pri, CSDI's side information — kept across the model calls of one
 // reverse run so they are computed once instead of once per step. The
 // layout of `tensors` belongs to `owner`, the predictor that filled it;
-// the cache is opaque to everyone else.
+// the cache is opaque to everyone else. A predictor may keep a value at one
+// row per window instead of one per batch row (DiffusionBatch::
+// chains_per_window): PriSTI holds U (1, N, L, d), H^pri (R, N, L, d) and
+// H^pri in the spatial layout (R·L, N, d) for a batch of R windows.
 struct StepInvariantCache {
   const void* owner = nullptr;
   std::vector<Tensor> tensors;
@@ -48,6 +51,15 @@ struct DiffusionBatch {
   // never anything that depends on the noisy sample or the step t.
   // Training never attaches one.
   std::shared_ptr<StepInvariantCache> step_cache;
+  // How many consecutive batch rows share one window's conditioning: rows
+  // r·S .. r·S+S-1 (S = chains_per_window) hold identical cond_values,
+  // cond_mask and interpolated values, so a predictor may compute what
+  // depends on them alone once per window (R = B/S rows) instead of once
+  // per row. ImputeStacked sets it to the chain count of its reverse run;
+  // it is 1 everywhere else (training, the sequential fallback, a batch
+  // built by hand), which promises nothing. Set by the sampler only, never
+  // by a user.
+  int64_t chains_per_window = 1;
 };
 
 // A conditional noise prediction network epsilon_theta. Implementations:
@@ -63,7 +75,8 @@ class ConditionalNoisePredictor {
   // An implementation may keep its step-invariant intermediates in
   // `batch.step_cache` (see UsableStepCache): only values that are
   // functions of the conditioning tensors and the weights, never anything
-  // that depends on `noisy` or `t`. A call that reuses them must return
+  // that depends on `noisy` or `t`, and it may compute them once per window
+  // of `batch.chains_per_window` rows. A call that reuses them must return
   // bit-identically what a call without the cache returns.
   virtual Variable PredictNoise(const Tensor& noisy,
                                 const DiffusionBatch& batch, int64_t t) = 0;

@@ -1,5 +1,6 @@
 #include "nn/attention.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -66,18 +67,57 @@ Variable MultiHeadAttention::MergeHeads(const Variable& x) const {
   return ag::Reshape(permuted, {b, s, d_model_});
 }
 
+namespace {
+
+// x (blocks of rows, ...) with each of its `blocks` equal row blocks
+// repeated `group` times, for the reference chain's grouped calls.
+Variable RepeatBlocks(const Variable& x, int64_t blocks, int64_t group) {
+  PRISTI_CHECK(!ag::GradModeEnabled())
+      << "grouped attention is inference-only";
+  const tensor::Tensor& value = x.value();
+  tensor::Shape shape = value.shape();
+  const int64_t block = value.numel() / blocks;
+  shape[0] *= group;
+  tensor::Tensor out(shape);
+  for (int64_t b = 0; b < blocks; ++b) {
+    for (int64_t g = 0; g < group; ++g) {
+      std::copy(value.data() + b * block, value.data() + (b + 1) * block,
+                out.data() + (b * group + g) * block);
+    }
+  }
+  return ag::Constant(out);
+}
+
+}  // namespace
+
 Variable MultiHeadAttention::Forward(const Variable& qk_source,
-                                     const Variable& v_source) const {
-  PRISTI_CHECK_EQ(qk_source.value().ndim(), 3);
-  PRISTI_CHECK_EQ(v_source.value().ndim(), 3);
-  PRISTI_CHECK_EQ(qk_source.value().dim(-1), d_model_);
-  PRISTI_CHECK_EQ(v_source.value().dim(-1), d_model_);
-  PRISTI_CHECK_EQ(qk_source.value().dim(0), v_source.value().dim(0));
-  PRISTI_CHECK_EQ(qk_source.value().dim(1), v_source.value().dim(1));
+                                     const Variable& v_source,
+                                     int64_t block_rows) const {
+  const tensor::Tensor& qk_value = qk_source.value();
+  const tensor::Tensor& v_value = v_source.value();
+  PRISTI_CHECK_EQ(qk_value.ndim(), 3);
+  PRISTI_CHECK_EQ(v_value.ndim(), 3);
+  PRISTI_CHECK_EQ(qk_value.dim(-1), d_model_);
+  PRISTI_CHECK_EQ(v_value.dim(-1), d_model_);
+  PRISTI_CHECK_EQ(qk_value.dim(1), v_value.dim(1));
+  PRISTI_CHECK_GT(block_rows, 0);
+  PRISTI_CHECK_EQ(qk_value.dim(0) % block_rows, 0);
+  PRISTI_CHECK_EQ(v_value.dim(0) % qk_value.dim(0), 0)
+      << "v rows must be a multiple of the q/k rows";
+  const int64_t group = v_value.dim(0) / qk_value.dim(0);
+  const int64_t blocks = qk_value.dim(0) / block_rows;
+  // (rows, S, d) -> (leading, rows / leading, S, d): the axis a grouped
+  // kernel call reads to tell which v rows share a q/k row.
+  auto lead = [&](const Variable& x, int64_t leading) {
+    const tensor::Tensor& value = x.value();
+    return ag::Reshape(
+        x, {leading, value.dim(0) / leading, value.dim(1), d_model_});
+  };
 
   // Each projection lives only until the attention has read it: under
   // NoGradGuard the peak is the three projections plus the context, then
-  // the context plus the output.
+  // the context plus the output. Q and K (and P_K·H) are projected once per
+  // q/k row, however many v rows share it.
   Variable q = ag::MatMulLastDim(qk_source, wq_);
   Variable k, v;
   {
@@ -100,16 +140,32 @@ Variable MultiHeadAttention::Forward(const Variable& qk_source,
     // d/h columns of the (B, S, d) projections in place, the (B, h, S, S_k)
     // scores never materialize, and the scale is folded into the Q-load.
     // Matches the reference chain to 1e-5, not bitwise
-    // (tensor/kernels/attention.h).
-    context = ag::FusedAttention(std::exchange(q, Variable()),
-                                 std::exchange(k, Variable()),
-                                 std::exchange(v, Variable()), num_heads_,
-                                 scale);
+    // (tensor/kernels/attention.h). A grouped call forms each q/k row's
+    // weights once for its `group` v rows.
+    if (group == 1) {
+      context = ag::FusedAttention(std::exchange(q, Variable()),
+                                   std::exchange(k, Variable()),
+                                   std::exchange(v, Variable()), num_heads_,
+                                   scale);
+    } else {
+      context = ag::Reshape(
+          ag::FusedAttention(lead(std::exchange(q, Variable()), blocks),
+                             lead(std::exchange(k, Variable()), blocks),
+                             lead(std::exchange(v, Variable()),
+                                  blocks * group),
+                             num_heads_, scale),
+          v_value.shape());
+    }
   } else {
     // Reference chain, reached only through the SetFusedAttentionEnabled
     // test seam: the heads are split into (B, h, S, dh) copies, Q·Kᵀ runs
     // on the NT kernel with the scale as an in-place epilogue — bitwise the
-    // pre-fusion MulScalar pass — and the heads are merged back.
+    // pre-fusion MulScalar pass — and the heads are merged back. A grouped
+    // call repeats each q/k block for the v blocks that share it.
+    if (group > 1) {
+      q = RepeatBlocks(q, blocks, group);
+      k = RepeatBlocks(k, blocks, group);
+    }
     Variable qh = SplitHeads(q);
     Variable kh = SplitHeads(k);
     Variable vh = SplitHeads(v);

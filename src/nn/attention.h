@@ -31,8 +31,16 @@ class MultiHeadAttention : public Module {
   MultiHeadAttention(int64_t d_model, int64_t num_heads, Rng& rng,
                      int64_t virtual_nodes = 0, int64_t seq_len = 0);
 
-  // qk_source, v_source: (B, S, d_model). Returns (B, S, d_model).
-  Variable Forward(const Variable& qk_source, const Variable& v_source) const;
+  // qk_source: (B, S, d_model); v_source: (B·G, S, d_model). Returns
+  // (B·G, S, d_model). qk_source's rows come in blocks of `block_rows` (a
+  // window's nodes or steps); with G > 1 (grouped, inference only)
+  // v_source repeats that layout G times per block: v rows
+  // (b·G + g)·block_rows + i share q/k row b·block_rows + i, whose Q/K
+  // projections, virtual-node key compression and attention weights are
+  // computed once for all G. Bitwise the G = 1 call on qk_source with each
+  // block repeated G times.
+  Variable Forward(const Variable& qk_source, const Variable& v_source,
+                   int64_t block_rows = 1) const;
 
   // Self-attention convenience.
   Variable Forward(const Variable& x) const { return Forward(x, x); }

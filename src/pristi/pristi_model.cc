@@ -1,5 +1,6 @@
 #include "pristi/pristi_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -35,19 +36,40 @@ Variable FlattenSpatial(const Variable& h) {
 
 namespace {
 
-// Another use of `flat` = FlattenSpatial(h) that shares its value instead of
-// permuting h again. The node's backward is FlattenSpatial's inverse permute
-// into h, so each use keeps its own gradient path: h's gradient receives the
-// same addends, in the same order and with the same bits, as it would from a
-// fresh FlattenSpatial(h) per use. Reusing `flat` itself would sum the uses'
-// gradients before the permute and so reorder h's accumulation.
-Variable ReuseFlattenSpatial(const Variable& h, const Variable& flat) {
+// The value of FlattenSpatial(h): h (B, N, L, d) permuted to (B·L, N, d).
+Tensor SpatialLayout(const Tensor& h) {
+  const t::Shape& s = h.shape();
+  return t::Permute(h, {0, 2, 1, 3}).Reshaped({s[0] * s[2], s[1], s[3]});
+}
+
+// Another use of FlattenSpatial(h), whose value `flat` the caller already
+// holds, instead of permuting h again. The node's backward is
+// FlattenSpatial's inverse permute into h, so each use keeps its own
+// gradient path: h's gradient receives the same addends, in the same order
+// and with the same bits, as it would from a fresh FlattenSpatial(h) per
+// use. Sharing one FlattenSpatial node would sum the uses' gradients before
+// the permute and so reorder h's accumulation.
+Variable ReuseFlattenSpatial(const Variable& h, const Tensor& flat) {
   auto h_node = h.node();
-  return ag::MakeCustomOp(flat.value(), {h}, [h_node](const t::Tensor& g) {
+  return ag::MakeCustomOp(flat, {h}, [h_node](const t::Tensor& g) {
     const t::Shape& s = h_node->value.shape();
     h_node->AccumulateGrad(
         t::Permute(g.Reshaped({s[0], s[2], s[1], s[3]}), {0, 2, 1, 3}));
   });
+}
+
+// Rows 0, chains, 2·chains, ... of x's leading axis: one row per window
+// when each window's conditioning is repeated for its `chains` chains.
+Tensor FirstChainRows(const Tensor& x, int64_t chains) {
+  t::Shape shape = x.shape();
+  const int64_t row = x.numel() / shape[0];
+  shape[0] /= chains;
+  Tensor out(shape);
+  for (int64_t r = 0; r < shape[0]; ++r) {
+    std::copy(x.data() + r * chains * row, x.data() + (r * chains + 1) * row,
+              out.data() + r * row);
+  }
+  return out;
 }
 
 // Norm(x + h). `x` is released as soon as the sum exists and the sum once
@@ -191,8 +213,8 @@ NoiseEstimationLayer::NoiseEstimationLayer(const PristiConfig& config,
 }
 
 NoiseEstimationLayer::Output NoiseEstimationLayer::Forward(
-    const Variable& h_in, const Variable& h_pri,
-    const Variable& diff_emb) const {
+    const Variable& h_in, const Variable& h_pri, const Variable& diff_emb,
+    const Tensor* h_pri_spa) const {
   int64_t b = h_in.value().dim(0);
   int64_t n = h_in.value().dim(1);
   int64_t l = h_in.value().dim(2);
@@ -203,12 +225,13 @@ NoiseEstimationLayer::Output NoiseEstimationLayer::Forward(
   // Diffusion-step conditioning, broadcast over (B, N, L).
   Variable h = ag::Add(h_in, diff_proj_.Forward(diff_emb));
 
-  // gamma_T: temporal attention, weights from H^pri (Eq. 7).
+  // gamma_T: temporal attention, weights from H^pri (Eq. 7). Each of H^pri's
+  // rows serves the h rows that share it.
   if (config_.use_temporal) {
     Variable y = std::exchange(h, Variable());
     const Variable& qk = config_.use_conditional_feature ? h_pri : y;
     h = UnflattenTemporal(
-        attn_tem_.Forward(FlattenTemporal(qk), FlattenTemporal(y)), b, n);
+        attn_tem_.Forward(FlattenTemporal(qk), FlattenTemporal(y), n), b, n);
   }
 
   // gamma_S: spatial attention + message passing over the temporal feature
@@ -223,17 +246,22 @@ NoiseEstimationLayer::Output NoiseEstimationLayer::Forward(
       if (config_.use_spatial_attention) {
         Variable sa;
         {
-          Variable qk_spa = config_.use_conditional_feature
-                                ? FlattenSpatial(h_pri)
-                                : ReuseFlattenSpatial(h_tem, h_tem_spa);
-          sa = UnflattenSpatial(attn_spa_.Forward(qk_spa, h_tem_spa), b, l);
+          Variable qk_spa =
+              config_.use_conditional_feature
+                  ? ReuseFlattenSpatial(h_pri, h_pri_spa != nullptr
+                                                   ? *h_pri_spa
+                                                   : SpatialLayout(
+                                                         h_pri.value()))
+                  : ReuseFlattenSpatial(h_tem, h_tem_spa.value());
+          sa = UnflattenSpatial(attn_spa_.Forward(qk_spa, h_tem_spa, l), b,
+                                l);
         }
         acc = AddNorm(norm_sa_, std::move(sa), h_tem);
       }
       if (config_.use_mpnn) {
         Variable mp = UnflattenSpatial(
             mpnn_.Forward(ReuseFlattenSpatial(
-                h_tem, std::exchange(h_tem_spa, Variable()))),
+                h_tem, std::exchange(h_tem_spa, Variable()).value())),
             b, l);
         Variable phi_mp = AddNorm(norm_mp_, std::move(mp), h_tem);
         acc = acc.defined() ? ag::Add(acc, phi_mp) : phi_mp;
@@ -351,30 +379,47 @@ Variable PristiModel::PredictNoise(const Tensor& noisy,
   // a reverse run they are computed on the first call and then read back
   // from the batch's step cache. The w/o-CF prior mixes in the noisy
   // stream and is never cached. U does not depend on the batch row either:
-  // it is one (1, N, L, d) block, broadcast over the batch.
+  // it is one (1, N, L, d) block, broadcast over the batch. H^pri depends
+  // on the batch row only through the conditioning, which the sampler
+  // repeats for the chains_per_window chains of a window: with the cache,
+  // H^pri is computed and kept once per window, together with its spatial
+  // layout, and every attention forms its weights once per window.
   diffusion::StepInvariantCache* cache =
       diffusion::UsableStepCache(batch, this);
   bool cached = cache != nullptr && !cache->tensors.empty();
+  const int64_t chains = cache != nullptr && config_.use_conditional_feature
+                             ? batch.chains_per_window
+                             : 1;
+  CHECK_GE(chains, 1);
+  CHECK_EQ(b % chains, 0);
   if (cached && config_.use_conditional_feature) {
-    CHECK_EQ(cache->tensors[1].dim(0), b);
+    CHECK_EQ(cache->tensors[1].dim(0) * chains, b);
   }
   Variable aux = cached ? ag::Constant(cache->tensors[0]) : AuxiliaryInfo();
   h_in = ag::Add(h_in, aux);
 
-  // Conditional prior H^pri.
+  // Conditional prior H^pri, and its value in the spatial layout.
   Variable h_pri;
+  Tensor h_pri_spa;
   if (!config_.use_conditional_feature) {
     h_pri = h_in;  // w/o CF: weights computed from the noisy stream
   } else if (cached) {
     h_pri = ag::Constant(cache->tensors[1]);
+    h_pri_spa = cache->tensors[2];
   } else {
-    Variable h_cond = ag::Add(cond_conv_.Forward(cond_channel), aux);
+    Variable window_cond =
+        chains == 1 ? cond_channel
+                    : ag::Constant(FirstChainRows(cond, chains)
+                                       .Reshaped({b / chains, n, l, 1}));
+    Variable h_cond = ag::Add(cond_conv_.Forward(window_cond), aux);
     h_pri = cond_module_->Forward(h_cond);
+    h_pri_spa = SpatialLayout(h_pri.value());
   }
   if (cache != nullptr && !cached) {
     cache->tensors.push_back(aux.value());
     if (config_.use_conditional_feature) {
       cache->tensors.push_back(h_pri.value());
+      cache->tensors.push_back(h_pri_spa);
     }
   }
 
@@ -389,7 +434,9 @@ Variable PristiModel::PredictNoise(const Tensor& noisy,
   {
     Variable h = std::exchange(h_in, Variable());
     for (const auto& layer : layers_) {
-      NoiseEstimationLayer::Output out = layer->Forward(h, h_pri, diff_emb);
+      NoiseEstimationLayer::Output out = layer->Forward(
+          h, h_pri, diff_emb,
+          config_.use_conditional_feature ? &h_pri_spa : nullptr);
       h = std::move(out.residual);
       skip_sum = skip_sum.defined() ? ag::Add(skip_sum, out.skip) : out.skip;
     }

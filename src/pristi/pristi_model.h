@@ -98,11 +98,17 @@ class NoiseEstimationLayer : public nn::Module {
     Variable skip;      // contribution to the model output, (B, N, L, d)
   };
 
-  // h_in: noisy stream; h_pri: conditional prior (used for attention
-  // weights); diff_emb: (diffusion_emb_dim,) step encoding after the shared
-  // MLP.
+  // h_in: noisy stream, (B, N, L, d); h_pri: conditional prior (used for
+  // attention weights), (B/G, N, L, d): with G > 1 (grouped, inference
+  // only) rows r·G .. r·G+G-1 of h_in share row r of h_pri, and each
+  // attention forms the weights once per h_pri row; diff_emb:
+  // (diffusion_emb_dim,) step encoding after the shared MLP. `h_pri_spa`,
+  // when given, is h_pri's value already permuted to the spatial layout
+  // (B/G·L, N, d) — PristiModel forms it once per reverse run — and
+  // otherwise the layer permutes h_pri itself.
   Output Forward(const Variable& h_in, const Variable& h_pri,
-                 const Variable& diff_emb) const;
+                 const Variable& diff_emb,
+                 const Tensor* h_pri_spa = nullptr) const;
 
  private:
   const PristiConfig config_;

@@ -230,6 +230,19 @@ void FusedExpBlock(const float* x, float* y) {
   for (int64_t j = 0; j < kColTile; ++j) y[j] = FusedExp(x[j]);
 }
 
+// The value streams that share one Q/K item's softmax weights: `count`
+// chains whose V blocks (s_k rows) start `v_stride` floats apart from `v`
+// and whose output blocks (s_q rows) start `out_stride` floats apart from
+// `out`. An ungrouped item has one chain; the grouped inference forward
+// gives an item every chain of its window.
+struct ValueChains {
+  const float* v;
+  float* out;
+  int64_t count;
+  int64_t v_stride;
+  int64_t out_stride;
+};
+
 // One output row of the fused forward: stream the kv blocks of `panels`,
 // maintain the online-softmax state — running max m, normalizer l (double),
 // context accumulator o (float) — and write the normalized context row and
@@ -242,19 +255,22 @@ void FusedExpBlock(const float* x, float* y) {
 // dispatch path (the AVX2 row-group kernel below runs these chains once per
 // lane, one query row per lane). kColTile is an algorithmic constant of the
 // kernel, not a tuning knob — the recorded golden pins its value.
-// V rows lie `ld` floats apart.
+// Every chain of `chains` keeps its own o (`o` is count·dh scratch) and
+// accumulates it in exactly the order a one-chain call would; the scores,
+// m and l are computed once for all of them. Row `row` of each chain's
+// output is written. V and output rows lie `ld` floats apart.
 // [fp-blessed] in tools/analysis/layers.manifest.
-void FusedForwardRow(const float* q_row, const float* panels,
-                     const float* v_item, int64_t s_k, int64_t dh, int64_t ld,
-                     float scale, float* out_row, float* lse_out) {
+void FusedForwardRow(const float* q_row, int64_t row, const float* panels,
+                     const ValueChains& chains, int64_t s_k, int64_t dh,
+                     int64_t ld, float scale, float* o, float* lse_out) {
   float qs[kMaxHeadDim];
   for (int64_t kk = 0; kk < dh; ++kk) qs[kk] = q_row[kk] * scale;
   float sblk[kColTile];
   float pblk[kColTile];
   float m = -std::numeric_limits<float>::infinity();
   double l = 0.0;
-  float o[kMaxHeadDim];
-  for (int64_t d = 0; d < dh; ++d) o[d] = 0.0f;
+  const int64_t o_len = chains.count * dh;
+  std::fill_n(o, o_len, 0.0f);
   for (int64_t j0 = 0; j0 < s_k; j0 += kColTile) {
     int64_t width = std::min<int64_t>(kColTile, s_k - j0);
     FusedScoreBlock(qs, panels + (j0 / kColTile) * dh * kColTile, dh, sblk);
@@ -265,19 +281,26 @@ void FusedForwardRow(const float* q_row, const float* panels,
       // zero, so the clamped exp(-inf) needs no special case.
       float corr = FusedExp(m - bm);
       l *= corr;
-      for (int64_t d = 0; d < dh; ++d) o[d] *= corr;
+      for (int64_t i = 0; i < o_len; ++i) o[i] *= corr;
       m = bm;
     }
     for (int64_t j = 0; j < kColTile; ++j) pblk[j] = sblk[j] - m;
     FusedExpBlock(pblk, pblk);
     for (int64_t j = 0; j < width; ++j) l += pblk[j];
-    for (int64_t j = 0; j < width; ++j) {
-      const float* v_row = v_item + (j0 + j) * ld;
-      for (int64_t d = 0; d < dh; ++d) o[d] += pblk[j] * v_row[d];
+    for (int64_t g = 0; g < chains.count; ++g) {
+      float* og = o + g * dh;
+      const float* v_rows = chains.v + g * chains.v_stride + j0 * ld;
+      for (int64_t j = 0; j < width; ++j) {
+        const float* v_row = v_rows + j * ld;
+        for (int64_t d = 0; d < dh; ++d) og[d] += pblk[j] * v_row[d];
+      }
     }
   }
-  for (int64_t d = 0; d < dh; ++d) {
-    out_row[d] = static_cast<float>(static_cast<double>(o[d]) / l);
+  for (int64_t g = 0; g < chains.count; ++g) {
+    float* out_row = chains.out + g * chains.out_stride + row * ld;
+    for (int64_t d = 0; d < dh; ++d) {
+      out_row[d] = static_cast<float>(static_cast<double>(o[g * dh + d]) / l);
+    }
   }
   if (lse_out != nullptr) {
     *lse_out = static_cast<float>(static_cast<double>(m) + std::log(l));
@@ -295,14 +318,19 @@ constexpr int64_t kRowGroup = 8;
 // max as `s > bm ? s : bm`, one rescale per block in lanes whose max
 // advanced (the others multiply by an exact 1.0), weights through the same
 // polynomial exp, l adds in double and o accumulation in column order — so
-// the output is bit-identical to the scalar path. Spare lanes of a partial
-// tail group repeat the last valid row and are never stored. Q, V and out
-// rows lie `ld` floats apart.
-template <int64_t DH>
+// the output is bit-identical to the scalar path. The scores, m, l and the
+// block's weights are formed once per block for every chain of `chains`;
+// each chain then rescales and accumulates its own o in the one-chain
+// order. kOneChain (an ungrouped call) keeps o in registers and forms each
+// weight where it is used; several chains keep their o in `o`
+// (count·DH·kRowGroup floats) between blocks. Spare lanes of a
+// partial tail group repeat the last valid row and are never stored. Q, V
+// and out rows lie `ld` floats apart.
+template <int64_t DH, bool kOneChain>
 __attribute__((target("avx2"))) void FusedForwardGroupAvx(
     const float* q_item, int64_t row0, int64_t s_q, const float* panels,
-    const float* v_item, int64_t s_k, int64_t ld, float scale,
-    float* out_item, float* lse_item) {
+    const ValueChains& chains, int64_t s_k, int64_t ld, float scale,
+    float* o, float* lse_item) {
   const int64_t valid = std::min<int64_t>(kRowGroup, s_q - row0);
   __m256 qv[DH];
   {
@@ -316,11 +344,16 @@ __attribute__((target("avx2"))) void FusedForwardGroupAvx(
       qv[kk] = _mm256_mul_ps(_mm256_load_ps(qt[kk]), sv);
     }
   }
+  constexpr int64_t kChainFloats = DH * kRowGroup;
+  __m256 o1[DH];  // the one chain's o
+  if constexpr (kOneChain) {
+    for (int64_t d = 0; d < DH; ++d) o1[d] = _mm256_setzero_ps();
+  } else {
+    std::fill_n(o, chains.count * kChainFloats, 0.0f);
+  }
   const __m256 one = _mm256_set1_ps(1.0f);
   __m256 m = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
   __m256d l_lo = _mm256_setzero_pd(), l_hi = _mm256_setzero_pd();
-  __m256 o[DH];
-  for (int64_t d = 0; d < DH; ++d) o[d] = _mm256_setzero_ps();
   __m256 sblk[kColTile];
   for (int64_t j0 = 0; j0 < s_k; j0 += kColTile) {
     const int64_t width = std::min<int64_t>(kColTile, s_k - j0);
@@ -344,32 +377,71 @@ __attribute__((target("avx2"))) void FusedForwardGroupAvx(
         _mm256_blendv_ps(one, FusedExpAvx8(_mm256_sub_ps(m, bm)), adv);
     l_lo = _mm256_mul_pd(l_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(corr)));
     l_hi = _mm256_mul_pd(l_hi, _mm256_cvtps_pd(_mm256_extractf128_ps(corr, 1)));
-    for (int64_t d = 0; d < DH; ++d) o[d] = _mm256_mul_ps(o[d], corr);
     m = _mm256_blendv_ps(m, bm, adv);
-    const float* v_rows = v_item + j0 * ld;
-    for (int64_t j = 0; j < width; ++j) {
-      const __m256 p = FusedExpAvx8(_mm256_sub_ps(sblk[j], m));
-      l_lo = _mm256_add_pd(l_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(p)));
-      l_hi = _mm256_add_pd(l_hi, _mm256_cvtps_pd(_mm256_extractf128_ps(p, 1)));
-      for (int64_t d = 0; d < DH; ++d) {
-        o[d] = _mm256_add_ps(
-            o[d], _mm256_mul_ps(p, _mm256_broadcast_ss(v_rows + j * ld + d)));
+    if constexpr (kOneChain) {
+      for (int64_t d = 0; d < DH; ++d) o1[d] = _mm256_mul_ps(o1[d], corr);
+      const float* v_rows = chains.v + j0 * ld;
+      for (int64_t j = 0; j < width; ++j) {
+        const __m256 p = FusedExpAvx8(_mm256_sub_ps(sblk[j], m));
+        l_lo = _mm256_add_pd(l_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(p)));
+        l_hi =
+            _mm256_add_pd(l_hi, _mm256_cvtps_pd(_mm256_extractf128_ps(p, 1)));
+        for (int64_t d = 0; d < DH; ++d) {
+          o1[d] = _mm256_add_ps(
+              o1[d], _mm256_mul_ps(p, _mm256_broadcast_ss(v_rows + j * ld + d)));
+        }
+      }
+    } else {
+      // The block's weights replace its scores, then each chain takes its
+      // share.
+      for (int64_t j = 0; j < width; ++j) {
+        const __m256 p = FusedExpAvx8(_mm256_sub_ps(sblk[j], m));
+        l_lo = _mm256_add_pd(l_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(p)));
+        l_hi =
+            _mm256_add_pd(l_hi, _mm256_cvtps_pd(_mm256_extractf128_ps(p, 1)));
+        sblk[j] = p;
+      }
+      for (int64_t g = 0; g < chains.count; ++g) {
+        float* og = o + g * kChainFloats;
+        const float* v_rows = chains.v + g * chains.v_stride + j0 * ld;
+        __m256 acc[DH];
+        for (int64_t d = 0; d < DH; ++d) {
+          acc[d] = _mm256_mul_ps(_mm256_loadu_ps(og + d * kRowGroup), corr);
+        }
+        for (int64_t j = 0; j < width; ++j) {
+          for (int64_t d = 0; d < DH; ++d) {
+            acc[d] = _mm256_add_ps(
+                acc[d], _mm256_mul_ps(sblk[j],
+                                      _mm256_broadcast_ss(v_rows + j * ld + d)));
+          }
+        }
+        for (int64_t d = 0; d < DH; ++d) {
+          _mm256_storeu_ps(og + d * kRowGroup, acc[d]);
+        }
       }
     }
   }
-  alignas(32) float ot[DH][kRowGroup];
+  if constexpr (kOneChain) {
+    for (int64_t d = 0; d < DH; ++d) _mm256_storeu_ps(o + d * kRowGroup, o1[d]);
+  }
   alignas(32) float mt[kRowGroup];
   alignas(32) double lt[kRowGroup];
-  for (int64_t d = 0; d < DH; ++d) _mm256_store_ps(ot[d], o[d]);
   _mm256_store_ps(mt, m);
   _mm256_store_pd(lt, l_lo);
   _mm256_store_pd(lt + 4, l_hi);
-  for (int64_t r = 0; r < valid; ++r) {
-    float* out_row = out_item + (row0 + r) * ld;
-    for (int64_t d = 0; d < DH; ++d) {
-      out_row[d] = static_cast<float>(static_cast<double>(ot[d][r]) / lt[r]);
+  for (int64_t g = 0; g < chains.count; ++g) {
+    const float* og = o + g * kChainFloats;
+    float* out_item = chains.out + g * chains.out_stride;
+    for (int64_t r = 0; r < valid; ++r) {
+      float* out_row = out_item + (row0 + r) * ld;
+      for (int64_t d = 0; d < DH; ++d) {
+        out_row[d] = static_cast<float>(
+            static_cast<double>(og[d * kRowGroup + r]) / lt[r]);
+      }
     }
-    if (lse_item != nullptr) {
+  }
+  if (lse_item != nullptr) {
+    for (int64_t r = 0; r < valid; ++r) {
       lse_item[row0 + r] =
           static_cast<float>(static_cast<double>(mt[r]) + std::log(lt[r]));
     }
@@ -618,14 +690,32 @@ bool SetFusedAttentionEnabled(bool enabled) {
 
 namespace {
 
-// Shared body of FusedAttentionForward and its scalar oracle. Every output
-// row is owned by exactly one ParallelFor worker, on either path.
-void ForwardImpl(int64_t batch, int64_t heads, int64_t s_q, int64_t s_k,
-                 int64_t dh, float scale, const float* q, const float* k,
-                 const float* v, float* out, float* lse,
+// Which V and output batch rows share one Q/K batch row's softmax weights:
+// q and k hold outer·inner batch rows, v and out outer·group·inner, and the
+// group chains of Q/K row o·inner + i are v/out rows (o·group + g)·inner + i,
+// g = 0..group-1. Ungrouped is {batch, 1, 1}.
+struct Grouping {
+  int64_t outer;
+  int64_t group;
+  int64_t inner;
+};
+
+// Shared body of the fused forwards and their scalar oracles. Every output
+// row is owned by exactly one ParallelFor worker, on either path: the unit
+// of work is one Q/K row (or AVX2 row group) with all of its chains.
+void ForwardImpl(const Grouping& grouping, int64_t heads, int64_t s_q,
+                 int64_t s_k, int64_t dh, float scale, const float* q,
+                 const float* k, const float* v, float* out, float* lse,
                  const Tensor* cache_k, bool allow_row_groups) {
-  if (batch <= 0 || heads <= 0 || s_q <= 0 || s_k <= 0 || dh <= 0) return;
+  const int64_t batch = grouping.outer * grouping.inner;
+  const int64_t group = grouping.group;
+  if (batch <= 0 || group <= 0 || heads <= 0 || s_q <= 0 || s_k <= 0 ||
+      dh <= 0) {
+    return;
+  }
   PRISTI_CHECK_LE(dh, kMaxHeadDim) << "head_dim exceeds fused-kernel cap";
+  PRISTI_CHECK(group == 1 || lse == nullptr)
+      << "the grouped forward is inference-only and keeps no logsumexp";
   const HeadLayout layout(heads, dh);
   const int64_t ld = layout.ld;
   const int64_t items = batch * heads;
@@ -633,29 +723,47 @@ void ForwardImpl(int64_t batch, int64_t heads, int64_t s_q, int64_t s_k,
   const float* panels = AcquireKPanels(batch, layout, s_k, k, cache_k, &hold);
   int64_t per_item = FloatsPerItem(s_k, dh);
   int64_t rows = items * s_q;
-  // Per-row cost is the 2*2*s_k*dh multiply-add flops of the two fused
-  // products.
-  int64_t row_flops = std::max<int64_t>(1, 4 * s_k * dh);
+  // The value chains of Q/K item `item`: head item % heads of each v/out
+  // batch row that shares the item's batch row.
+  auto chains_of = [&](int64_t item) {
+    const int64_t b = item / heads, head = item % heads;
+    const int64_t first =
+        (b / grouping.inner) * group * grouping.inner + b % grouping.inner;
+    return ValueChains{v + first * s_k * ld + head * dh,
+                       out + first * s_q * ld + head * dh, group,
+                       grouping.inner * s_k * ld, grouping.inner * s_q * ld};
+  };
+  // Per-row cost is the 2*s_k*dh multiply-add flops of the scores plus as
+  // many per chain for the context.
+  int64_t row_flops = std::max<int64_t>(1, 2 * s_k * dh * (1 + group));
 #if PRISTI_ATTN_HAVE_AVX2
   // head_dim 4 and 8 take the row-group kernel, bit-identical to
   // FusedForwardRow, so the dispatch never changes output. The parallel
   // unit is one (item, group) pair.
   if (allow_row_groups && (dh == 4 || dh == 8) && Avx2Available()) {
     auto* group_kernel =
-        dh == 4 ? &FusedForwardGroupAvx<4> : &FusedForwardGroupAvx<8>;
+        group == 1 ? (dh == 4 ? &FusedForwardGroupAvx<4, true>
+                              : &FusedForwardGroupAvx<8, true>)
+                   : (dh == 4 ? &FusedForwardGroupAvx<4, false>
+                              : &FusedForwardGroupAvx<8, false>);
     int64_t groups = (s_q + kRowGroup - 1) / kRowGroup;
     int64_t min_units =
         std::max<int64_t>(1, kMinFlopsPerChunk / (kRowGroup * row_flops));
     ParallelFor(
         0, items * groups,
         [&](int64_t lo, int64_t hi) {
+          std::vector<float> o(static_cast<size_t>(group * dh * kRowGroup));
+          int64_t item = lo / groups;
+          ValueChains chains = chains_of(item);
           for (int64_t unit = lo; unit < hi; ++unit) {
-            int64_t item = unit / groups;
-            int64_t qoff = layout.Offset(item, s_q);
-            group_kernel(q + qoff, (unit % groups) * kRowGroup, s_q,
-                         panels + item * per_item,
-                         v + layout.Offset(item, s_k), s_k, ld, scale,
-                         out + qoff,
+            if (unit / groups != item) {
+              item = unit / groups;
+              chains = chains_of(item);
+            }
+            group_kernel(q + layout.Offset(item, s_q),
+                         (unit % groups) * kRowGroup, s_q,
+                         panels + item * per_item, chains, s_k, ld, scale,
+                         o.data(),
                          lse != nullptr ? lse + item * s_q : nullptr);
           }
         },
@@ -667,26 +775,30 @@ void ForwardImpl(int64_t batch, int64_t heads, int64_t s_q, int64_t s_k,
     ParallelFor(
         0, rows,
         [&](int64_t lo, int64_t hi) {
+          std::vector<float> o(static_cast<size_t>(group * dh));
           for (int64_t idx = lo; idx < hi; ++idx) {
             int64_t item = idx / s_q;
-            int64_t qoff = layout.Offset(item, s_q) + (idx % s_q) * ld;
-            FusedForwardRow(q + qoff, panels + item * per_item,
-                            v + layout.Offset(item, s_k), s_k, dh, ld, scale,
-                            out + qoff, lse != nullptr ? lse + idx : nullptr);
+            int64_t row = idx % s_q;
+            FusedForwardRow(q + layout.Offset(item, s_q) + row * ld, row,
+                            panels + item * per_item, chains_of(item), s_k,
+                            dh, ld, scale, o.data(),
+                            lse != nullptr ? lse + idx : nullptr);
           }
         },
         std::max<int64_t>(1, kMinFlopsPerChunk / row_flops));
   }
+  // Rows and kv blocks count the score rows actually computed, once per
+  // Q/K row however many chains share it.
   KernelCounters& ctr = Counters();
   ctr.fused_attn_rows.fetch_add(static_cast<uint64_t>(rows),
                                 std::memory_order_relaxed);
   ctr.fused_attn_kv_blocks.fetch_add(
       static_cast<uint64_t>(rows * PanelsPerItem(s_k)),
       std::memory_order_relaxed);
-  // What the reference chain would have materialized: the (items, s_q, s_k)
-  // scores tensor and the same-shaped softmax output.
+  // What the reference chain would have materialized: the scores tensor and
+  // the same-shaped softmax output for every chain.
   ctr.fused_attn_bytes_avoided.fetch_add(
-      static_cast<uint64_t>(2 * items * s_q * s_k) * sizeof(float),
+      static_cast<uint64_t>(2 * rows * group * s_k) * sizeof(float),
       std::memory_order_relaxed);
 }
 
@@ -749,16 +861,37 @@ void FusedAttentionForward(int64_t batch, int64_t heads, int64_t s_q,
                            int64_t s_k, int64_t dh, float scale,
                            const float* q, const float* k, const float* v,
                            float* out, float* lse, const Tensor* cache_k) {
-  ForwardImpl(batch, heads, s_q, s_k, dh, scale, q, k, v, out, lse, cache_k,
-              /*allow_row_groups=*/true);
+  ForwardImpl({batch, 1, 1}, heads, s_q, s_k, dh, scale, q, k, v, out, lse,
+              cache_k, /*allow_row_groups=*/true);
 }
 
 void FusedAttentionForwardScalar(int64_t batch, int64_t heads, int64_t s_q,
                                  int64_t s_k, int64_t dh, float scale,
                                  const float* q, const float* k,
                                  const float* v, float* out, float* lse) {
-  ForwardImpl(batch, heads, s_q, s_k, dh, scale, q, k, v, out, lse,
+  ForwardImpl({batch, 1, 1}, heads, s_q, s_k, dh, scale, q, k, v, out, lse,
               /*cache_k=*/nullptr, /*allow_row_groups=*/false);
+}
+
+void FusedAttentionForwardGrouped(int64_t outer, int64_t group,
+                                  int64_t inner, int64_t heads, int64_t s_q,
+                                  int64_t s_k, int64_t dh, float scale,
+                                  const float* q, const float* k,
+                                  const float* v, float* out,
+                                  const Tensor* cache_k) {
+  ForwardImpl({outer, group, inner}, heads, s_q, s_k, dh, scale, q, k, v, out,
+              /*lse=*/nullptr, cache_k, /*allow_row_groups=*/true);
+}
+
+void FusedAttentionForwardGroupedScalar(int64_t outer, int64_t group,
+                                        int64_t inner, int64_t heads,
+                                        int64_t s_q, int64_t s_k, int64_t dh,
+                                        float scale, const float* q,
+                                        const float* k, const float* v,
+                                        float* out) {
+  ForwardImpl({outer, group, inner}, heads, s_q, s_k, dh, scale, q, k, v, out,
+              /*lse=*/nullptr, /*cache_k=*/nullptr,
+              /*allow_row_groups=*/false);
 }
 
 void FusedAttentionBackward(int64_t batch, int64_t heads, int64_t s_q,

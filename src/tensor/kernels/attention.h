@@ -117,6 +117,35 @@ void FusedAttentionForwardScalar(int64_t batch, int64_t heads, int64_t s_q,
                                  const float* q, const float* k,
                                  const float* v, float* out, float* lse);
 
+// Grouped inference forward: `group` value streams share each Q/K row's
+// softmax weights. q and k hold outer·inner batch rows, v and out hold
+// outer·group·inner (same `heads` layout), and v/out batch row
+// (o·group + g)·inner + i attends with the weights of q/k batch row
+// o·inner + i, for g = 0..group-1. PriSTI's reverse run needs exactly this:
+// its S chains of one window share the conditional prior the weights come
+// from (o = window, g = chain, i = node or step). Each Q/K row's scores,
+// block maxima, rescale factors, polynomial-exp weights and double
+// normalizer are formed once, and every chain's o runs the ungrouped
+// accumulation in the ungrouped order, so out is BIT-IDENTICAL to
+// FusedAttentionForward on q and k with each batch row repeated for its
+// chains. No logsumexp is kept: nothing backpropagates through a grouped
+// call. group == 1 and inner == 1 is FusedAttentionForward without lse.
+void FusedAttentionForwardGrouped(int64_t outer, int64_t group,
+                                  int64_t inner, int64_t heads, int64_t s_q,
+                                  int64_t s_k, int64_t dh, float scale,
+                                  const float* q, const float* k,
+                                  const float* v, float* out,
+                                  const Tensor* cache_k = nullptr);
+
+// Test-only oracle of the grouped forward: the scalar row kernel with all of
+// a row's chains, as FusedAttentionForwardScalar is for the ungrouped call.
+void FusedAttentionForwardGroupedScalar(int64_t outer, int64_t group,
+                                        int64_t inner, int64_t heads,
+                                        int64_t s_q, int64_t s_k, int64_t dh,
+                                        float scale, const float* q,
+                                        const float* k, const float* v,
+                                        float* out);
+
 // Backward by block recomputation: given the forward's saved `out` and
 // `lse`, recomputes each score block from the packed K panels (pack-cache
 // hit when `cache_k` identifies unchanged storage), reforms the softmax row

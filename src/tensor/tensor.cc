@@ -681,7 +681,8 @@ Tensor MatMulNodeDimT(const Tensor& p, const Tensor& x) {
 // ---------------------------------------------------------------------------
 
 float SumAll(const Tensor& a) {
-  // Kahan summation keeps reductions stable for large tensors.
+  // A plain sum in increasing index order, accumulated in double: the
+  // wider accumulator keeps large reductions stable without compensation.
   double sum = 0.0;
   for (int64_t i = 0; i < a.numel(); ++i) sum += a[i];
   return static_cast<float>(sum);

@@ -598,6 +598,136 @@ TEST(FusedStridedHeads, MultiHeadAttentionEqualsSplitMergeComposition) {
 }
 
 // ---------------------------------------------------------------------------
+// Grouped inference forward: bitwise the ungrouped forward on repeated Q/K
+// ---------------------------------------------------------------------------
+
+// (outer·inner, ...) rows of x, each inner block repeated `group` times:
+// row (o·group + g)·inner + i of the result is row o·inner + i of x.
+Tensor RepeatForGroups(const Tensor& x, int64_t outer, int64_t group,
+                       int64_t inner) {
+  Shape shape = x.shape();
+  const int64_t row = x.numel() / shape[0];
+  shape[0] *= group;
+  Tensor out(shape);
+  for (int64_t o = 0; o < outer; ++o) {
+    for (int64_t g = 0; g < group; ++g) {
+      std::copy(x.data() + o * inner * row, x.data() + (o + 1) * inner * row,
+                out.data() + (o * group + g) * inner * row);
+    }
+  }
+  return out;
+}
+
+// G chains share each Q/K row: the dispatched grouped forward and its scalar
+// oracle each equal the ungrouped forward (dispatched and scalar) on Q and K
+// repeated for every chain. head_dim 4 and 8 take the AVX2 row-group kernel,
+// 6 the scalar row kernel; s_q = 13 leaves a partial row group; s_k covers
+// one half block (8, the virtual-node geometry), a full block plus a half
+// (24, a window) and 325 (the node axis). q at x30 saturates the softmax in
+// half the cases.
+TEST(FusedGrouped, EqualsUngroupedOnRepeatedQueriesAndKeys) {
+  Rng rng(112);
+  const int64_t outer = 2, inner = 3, heads = 2, s_q = 13;
+  for (int64_t dh : {4, 8, 6}) {
+    const int64_t width = heads * dh;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+    for (int64_t group : {1, 2, 3, 8}) {
+      for (int64_t s_k : {8, 24, 325}) {
+        const std::string what = "dh=" + std::to_string(dh) +
+                                  " G=" + std::to_string(group) +
+                                  " s_k=" + std::to_string(s_k);
+        Tensor q = Tensor::Randn({outer * inner, s_q, width}, rng);
+        if (s_k == 24) {
+          for (int64_t i = 0; i < q.numel(); ++i) q[i] *= 30.0f;
+        }
+        Tensor k = Tensor::Randn({outer * inner, s_k, width}, rng);
+        Tensor v = Tensor::Randn({outer * group * inner, s_k, width}, rng);
+        Tensor q_rep = RepeatForGroups(q, outer, group, inner);
+        Tensor k_rep = RepeatForGroups(k, outer, group, inner);
+        const int64_t rows = outer * group * inner;
+        Tensor ungrouped({rows, s_q, width}), ungrouped_scalar({rows, s_q, width});
+        kn::FusedAttentionForward(rows, heads, s_q, s_k, dh, scale,
+                                  q_rep.data(), k_rep.data(), v.data(),
+                                  ungrouped.data(), nullptr);
+        kn::FusedAttentionForwardScalar(rows, heads, s_q, s_k, dh, scale,
+                                        q_rep.data(), k_rep.data(), v.data(),
+                                        ungrouped_scalar.data(), nullptr);
+        Tensor grouped({rows, s_q, width}), grouped_scalar({rows, s_q, width});
+        kn::FusedAttentionForwardGrouped(outer, group, inner, heads, s_q, s_k,
+                                         dh, scale, q.data(), k.data(),
+                                         v.data(), grouped.data(), &k);
+        kn::FusedAttentionForwardGroupedScalar(
+            outer, group, inner, heads, s_q, s_k, dh, scale, q.data(),
+            k.data(), v.data(), grouped_scalar.data());
+        ExpectBytesEqual(grouped, ungrouped, what + ": dispatched");
+        ExpectBytesEqual(grouped_scalar, ungrouped_scalar,
+                         what + ": scalar oracle");
+        ExpectBytesEqual(grouped, grouped_scalar, what + ": dispatch");
+      }
+    }
+  }
+}
+
+// The module level: MultiHeadAttention with (R·M, S, d) Q/K sources in
+// blocks of M rows and (R·G·M, S, d) values equals the call on Q/K sources
+// with each block repeated per chain, on the fused kernel and on the
+// reference chain, with and without virtual nodes.
+TEST(FusedGrouped, MultiHeadAttentionEqualsRepeatedSources) {
+  const int64_t outer = 2, group = 3, inner = 5, seq = 11, d = 16;
+  for (int64_t virtual_nodes : {0, 4}) {
+    Rng rng(113);
+    nn::MultiHeadAttention attn(d, 4, rng, virtual_nodes, seq);
+    Tensor qk = Tensor::Randn({outer * inner, seq, d}, rng);
+    Tensor v = Tensor::Randn({outer * group * inner, seq, d}, rng);
+    Tensor qk_rep = RepeatForGroups(qk, outer, group, inner);
+    ag::NoGradGuard no_grad;
+    for (bool fused : {true, false}) {
+      bool prev = kn::SetFusedAttentionEnabled(fused);
+      Tensor grouped =
+          attn.Forward(Variable(qk), Variable(v), /*block_rows=*/inner)
+              .value();
+      Tensor repeated = attn.Forward(Variable(qk_rep), Variable(v)).value();
+      kn::SetFusedAttentionEnabled(prev);
+      ASSERT_EQ(grouped.shape(), v.shape());
+      ExpectBytesEqual(grouped, repeated,
+                       std::string(fused ? "fused" : "reference") +
+                           " virtual=" + std::to_string(virtual_nodes));
+    }
+  }
+}
+
+// A grouped call counts the score rows it computes, once per Q/K row, and
+// the bytes the reference chain would have materialized for every chain.
+TEST(FusedGrouped, CountersAdvancePerQueryKeyRow) {
+  Rng rng(115);
+  const int64_t outer = 2, group = 4, inner = 3, s_q = 10, s_k = 37, dh = 4;
+  Tensor q = Tensor::Randn({outer * inner, s_q, dh}, rng);
+  Tensor k = Tensor::Randn({outer * inner, s_k, dh}, rng);
+  Tensor v = Tensor::Randn({outer * group * inner, s_k, dh}, rng);
+  Tensor out(v.shape());
+  kn::KernelStats before = kn::GetKernelStats();
+  kn::FusedAttentionForwardGrouped(outer, group, inner, 1, s_q, s_k, dh, 0.5f,
+                                   q.data(), k.data(), v.data(), out.data(),
+                                   &k);
+  kn::KernelStats after = kn::GetKernelStats();
+  const uint64_t rows = static_cast<uint64_t>(outer * inner * s_q);
+  EXPECT_EQ(after.fused_attn_rows - before.fused_attn_rows, rows);
+  EXPECT_EQ(after.fused_attn_kv_blocks - before.fused_attn_kv_blocks,
+            rows * static_cast<uint64_t>((s_k + 15) / 16));
+  EXPECT_EQ(after.fused_attn_bytes_avoided - before.fused_attn_bytes_avoided,
+            2u * rows * static_cast<uint64_t>(group * s_k) * sizeof(float));
+}
+
+TEST(FusedGroupedDeathTest, GradModeRefusesAGroupedCall) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Rng rng(114);
+  Variable q(Tensor::Randn({2, 5, 8}, rng), /*requires_grad=*/true);
+  Variable k(Tensor::Randn({2, 5, 8}, rng), /*requires_grad=*/true);
+  Variable v(Tensor::Randn({4, 5, 8}, rng), /*requires_grad=*/true);
+  EXPECT_DEATH(ag::FusedAttention(q, k, v, 2, 0.5f), "inference-only");
+}
+
+// ---------------------------------------------------------------------------
 // Kernel counters
 // ---------------------------------------------------------------------------
 

@@ -3,9 +3,11 @@
 
 #include "pristi/pristi_model.h"
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -317,7 +319,8 @@ DiffusionBatch WithFreshCache(const DiffusionBatch& batch) {
 struct CacheConfigSpec {
   const char* name;
   void (*apply)(PristiConfig&);
-  size_t cached_tensors;  // U alone for w/o CF, U and H^pri otherwise
+  // U alone for w/o CF; otherwise U, H^pri and H^pri's spatial layout.
+  size_t cached_tensors;
 };
 
 class StepCacheTest : public ::testing::TestWithParam<CacheConfigSpec> {};
@@ -354,10 +357,54 @@ TEST_P(StepCacheTest, CacheHitIsBitwiseEqualToUncachedCall) {
   EXPECT_EQ(batch.step_cache, nullptr);
 }
 
+// The sampler's layout: R = 2 windows, each repeated for its S = 3 chains,
+// with chains_per_window saying so. The model then conditions once per
+// window and every attention forms its weights once per window; each output
+// row must still equal the uncached call's, on the filling call and on the
+// calls that reuse the cache.
+TEST_P(StepCacheTest, GroupedCallIsBitwiseEqualToUncachedCall) {
+  const int64_t windows = 2, chains = 3, n = 6, l = 8;
+  PristiConfig config = TinyConfig(n, l);
+  GetParam().apply(config);
+  Rng rng(88);
+  PristiModel model(config, TestAdjacency(n), rng);
+  Rng data_rng(89);
+  DiffusionBatch per_window = RandomBatch(windows, n, l, data_rng);
+  DiffusionBatch batch;
+  for (auto [one, stacked] :
+       {std::pair{&per_window.cond_values, &batch.cond_values},
+        std::pair{&per_window.cond_mask, &batch.cond_mask},
+        std::pair{&per_window.interpolated, &batch.interpolated},
+        std::pair{&per_window.target_mask, &batch.target_mask}}) {
+    *stacked = Tensor({windows * chains, n, l});
+    for (int64_t row = 0; row < windows * chains; ++row) {
+      std::copy(one->data() + (row / chains) * n * l,
+                one->data() + (row / chains + 1) * n * l,
+                stacked->data() + row * n * l);
+    }
+  }
+  DiffusionBatch grouped = WithFreshCache(batch);
+  grouped.chains_per_window = chains;
+
+  ag::NoGradGuard no_grad;
+  for (int64_t step : {40, 17, 3}) {
+    Tensor noisy = t::Mul(Tensor::Randn({windows * chains, n, l}, data_rng),
+                          batch.target_mask);
+    Tensor uncached = model.PredictNoise(noisy, batch, step).value();
+    Tensor shared = model.PredictNoise(noisy, grouped, step).value();
+    EXPECT_TRUE(BitwiseEqual(uncached, shared)) << "t=" << step;
+    ASSERT_EQ(grouped.step_cache->tensors.size(), GetParam().cached_tensors);
+    if (config.use_conditional_feature) {
+      EXPECT_EQ(grouped.step_cache->tensors[1].dim(0), windows);
+      EXPECT_EQ(grouped.step_cache->tensors[2].dim(0), windows * l);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Variants, StepCacheTest,
     ::testing::Values(
-        CacheConfigSpec{"pristi", [](PristiConfig&) {}, 2},
+        CacheConfigSpec{"pristi", [](PristiConfig&) {}, 3},
         CacheConfigSpec{"mix_sti",
                         [](PristiConfig& c) {
                           c.use_interpolation = false;
@@ -366,7 +413,22 @@ INSTANTIATE_TEST_SUITE_P(
                         1},
         CacheConfigSpec{"mix_sti_with_cf",
                         [](PristiConfig& c) { c.use_interpolation = false; },
-                        2},
+                        3},
+        CacheConfigSpec{"wo_tem",
+                        [](PristiConfig& c) { c.use_temporal = false; }, 3},
+        CacheConfigSpec{"wo_spa",
+                        [](PristiConfig& c) {
+                          c.use_spatial_attention = false;
+                          c.use_mpnn = false;
+                        },
+                        3},
+        CacheConfigSpec{"wo_mpnn",
+                        [](PristiConfig& c) { c.use_mpnn = false; }, 3},
+        CacheConfigSpec{"wo_attn",
+                        [](PristiConfig& c) {
+                          c.use_spatial_attention = false;
+                        },
+                        3},
         CacheConfigSpec{"wo_cf",
                         [](PristiConfig& c) {
                           c.use_conditional_feature = false;
@@ -397,7 +459,7 @@ TEST(StepCacheContract, GradModeNeitherFillsNorReadsTheCache) {
     ag::NoGradGuard no_grad;
     model.PredictNoise(noisy, cached, 7);
   }
-  ASSERT_EQ(cached.step_cache->tensors.size(), 2u);
+  ASSERT_EQ(cached.step_cache->tensors.size(), 3u);
   model.ZeroGrad();
   Variable out = model.PredictNoise(noisy, cached, 7);
   EXPECT_TRUE(BitwiseEqual(out.value(), taped));

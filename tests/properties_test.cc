@@ -7,7 +7,16 @@
 // PriSTI blocks built on it: the conditional feature module (Eq. 5) and a
 // noise estimation layer (Eq. 6-9) attend over nodes and pass messages, and
 // nothing else in them depends on a node's index.
+//
+// The reverse steps of Algorithm 2 are pinned in closed form: with a stub
+// predictor that returns a known epsilon and the chain's noise draws known,
+// one DDPM step is the standard posterior step and one DDIM step on a kept
+// subset is the eta = 0 transfer, both computed here in double from the
+// schedule's constants.
 
+#include <algorithm>
+#include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,6 +25,9 @@
 #include "autograd/grad_check.h"
 #include "autograd/ops.h"
 #include "common/rng.h"
+#include "diffusion/ddpm.h"
+#include "diffusion/sampler.h"
+#include "diffusion/schedule.h"
 #include "graph/adjacency.h"
 #include "nn/graph_conv.h"
 #include "pristi/pristi_model.h"
@@ -251,6 +263,160 @@ TEST(GraphConvProperties, GradCheck) {
   auto result =
       autograd::CheckGradients(fn, {Tensor::Randn({2, n, 3}, data_rng)});
   EXPECT_TRUE(result.ok) << result.message;
+}
+
+// ---------------------------------------------------------------------------
+// Algorithm 2 in closed form
+// ---------------------------------------------------------------------------
+
+// A noise predictor that returns the same epsilon for every call.
+class FixedEpsilon : public diffusion::ConditionalNoisePredictor {
+ public:
+  explicit FixedEpsilon(Tensor eps) : eps_(std::move(eps)) {}
+  autograd::Variable PredictNoise(const Tensor& noisy,
+                                  const diffusion::DiffusionBatch&,
+                                  int64_t) override {
+    EXPECT_EQ(noisy.shape(), eps_.shape());
+    return autograd::Constant(eps_);
+  }
+  std::vector<autograd::Variable> Parameters() override { return {}; }
+  void ZeroGrad() override {}
+
+ private:
+  Tensor eps_;
+};
+
+// The schedule's alpha_bar_t, widened: the closed forms below run in double
+// from the schedule's own constants, so 1 - alpha_bar near t = 1 carries no
+// more cancellation than the sampler's float arithmetic does.
+double AlphaBar(const diffusion::NoiseSchedule& schedule, int64_t t) {
+  return static_cast<double>(schedule.alpha_bar(t));
+}
+
+struct StepInputs {
+  Tensor x, eps, mask;
+};
+
+// A (1, N, L) state, epsilon and target mask, scaled so that the implied
+// clean sample stays well inside the sampler's x0 clamp at `alpha_bar`.
+StepInputs MakeStepInputs(double alpha_bar, uint64_t seed) {
+  const int64_t n = 5, l = 7;
+  Rng rng(seed);
+  StepInputs in{Tensor::Randn({1, n, l}, rng), Tensor::Randn({1, n, l}, rng),
+                Tensor::Zeros({1, n, l})};
+  for (int64_t i = 0; i < in.mask.numel(); ++i) {
+    in.mask[i] = rng.Bernoulli(0.7) ? 1.0f : 0.0f;
+    in.x[i] *= in.mask[i];
+    // x0 = (x - sqrt(1 - ab) eps) / sqrt(ab) stays within +-4.
+    in.x[i] = static_cast<float>(in.x[i] * std::sqrt(alpha_bar));
+    in.eps[i] = static_cast<float>(in.eps[i] * std::sqrt(alpha_bar));
+  }
+  return in;
+}
+
+// The sampler runs in float on the schedule's float alpha_bar, whose
+// rounding (a few 1e-8) is amplified by 1 / (1 - alpha_bar_t) where the
+// step's coefficients cancel, so the bound scales with it: about 2e-6 at
+// mid t, 4e-4 at t = 5. Returns the largest bound used.
+double ExpectStepMatches(const Tensor& got, const std::vector<double>& want,
+                         double alpha_bar, const std::string& what) {
+  EXPECT_EQ(got.numel(), static_cast<int64_t>(want.size()));
+  double widest = 0.0;
+  for (int64_t i = 0; i < got.numel(); ++i) {
+    const double w = want[static_cast<size_t>(i)];
+    const double bound = 1e-6 * (1.0 + std::fabs(w)) / (1.0 - alpha_bar);
+    EXPECT_NEAR(got[i], w, bound) << what << ", flat index " << i;
+    widest = std::max(widest, bound);
+  }
+  return widest;
+}
+
+// One DDPM reverse step at t:
+//   x_{t-1} = (x_t - beta_t / sqrt(1 - alpha_bar_t) eps) / sqrt(alpha_t)
+//             + sigma_t z,  sigma_t^2 = (1 - alpha_bar_{t-1})
+//                                       / (1 - alpha_bar_t) beta_t,
+// the standard posterior step with the 1/sqrt(alpha_t) scaling (EXPERIMENTS.md
+// deviation 1: the paper's Algorithm 2 prints 1/sqrt(alpha_bar_t)), projected
+// onto the target mask. z is the chain's next N(0, 1) draw per entry, masked
+// entries included, so a copy of the chain's Rng predicts it.
+TEST(Algorithm2, DdpmStepIsTheStandardPosteriorStep) {
+  diffusion::NoiseSchedule schedule =
+      diffusion::NoiseSchedule::Quadratic(50, 1e-4f, 0.2f);
+  std::vector<diffusion::ReverseStep> plan =
+      diffusion::PlanReverseSteps(schedule, 0);
+  for (size_t index : {size_t{10}, size_t{30}, size_t{45}}) {
+    const int64_t t = plan[index].step;
+    ASSERT_EQ(plan[index].prev_step, t - 1);
+    const double ab = AlphaBar(schedule, t);
+    const double ab_prev = AlphaBar(schedule, t - 1);
+    const double beta = schedule.beta(t);
+    const double alpha = schedule.alpha(t);
+    const double sigma = std::sqrt((1.0 - ab_prev) / (1.0 - ab) * beta);
+    StepInputs in = MakeStepInputs(ab, 500 + static_cast<uint64_t>(t));
+    FixedEpsilon model(in.eps);
+    Tensor x = in.x;
+    Rng chain(77), z_rng(77);
+    diffusion::MakeSamplerStepper(diffusion::SamplerKind::kDdpm, plan.size())
+        ->Step(&model, diffusion::DiffusionBatch{}, plan, index, &x, &chain,
+               1, in.mask);
+
+    std::vector<double> want, paper_literal;
+    for (int64_t i = 0; i < x.numel(); ++i) {
+      const double z = z_rng.Normal() * in.mask[i];
+      const double reduced = in.x[i] - beta / std::sqrt(1.0 - ab) * in.eps[i];
+      want.push_back((reduced / std::sqrt(alpha) + sigma * z) *
+                     in.mask[i]);
+      paper_literal.push_back((reduced / std::sqrt(ab) + sigma * z) *
+                              in.mask[i]);
+    }
+    double bound = ExpectStepMatches(x, want, ab, "t=" + std::to_string(t));
+    // The paper's printed 1/sqrt(alpha_bar_t) scaling is a different step,
+    // far outside the bound once alpha_bar_t has moved away from alpha_t
+    // (near t = 1 the two nearly coincide).
+    if (t < 10) continue;
+    double apart = 0.0;
+    for (int64_t i = 0; i < x.numel(); ++i) {
+      apart = std::max(apart, std::fabs(x[i] - paper_literal[i]));
+    }
+    EXPECT_GT(apart, 100 * bound) << "t=" << t;
+  }
+}
+
+// One DDIM step (eta = 0) across a kept subset that skips steps:
+//   x0 = (x_t - sqrt(1 - alpha_bar_t) eps) / sqrt(alpha_bar_t),
+//   x_prev = sqrt(alpha_bar_prev) x0 + sqrt(1 - alpha_bar_prev) eps,
+// with prev the next kept step, projected onto the target mask.
+TEST(Algorithm2, DdimStepOnAKeptSubsetIsTheEtaZeroTransfer) {
+  diffusion::NoiseSchedule schedule =
+      diffusion::NoiseSchedule::Quadratic(50, 1e-4f, 0.2f);
+  std::vector<diffusion::ReverseStep> plan =
+      diffusion::PlanReverseSteps(schedule, 10);
+  ASSERT_EQ(plan.size(), 10u);
+  for (size_t index : {size_t{0}, size_t{4}, size_t{8}}) {
+    const int64_t t = plan[index].step;
+    const int64_t prev = plan[index].prev_step;
+    ASSERT_LT(prev, t - 1) << "the subset must skip steps";
+    ASSERT_GT(prev, 0);
+    const double ab = AlphaBar(schedule, t);
+    const double ab_prev = AlphaBar(schedule, prev);
+    StepInputs in = MakeStepInputs(ab, 600 + static_cast<uint64_t>(t));
+    FixedEpsilon model(in.eps);
+    Tensor x = in.x;
+    diffusion::MakeSamplerStepper(diffusion::SamplerKind::kDdim, plan.size())
+        ->Step(&model, diffusion::DiffusionBatch{}, plan, index, &x, nullptr,
+               1, in.mask);
+
+    std::vector<double> want;
+    for (int64_t i = 0; i < x.numel(); ++i) {
+      const double x0 =
+          (in.x[i] - std::sqrt(1.0 - ab) * in.eps[i]) / std::sqrt(ab);
+      want.push_back((std::sqrt(ab_prev) * x0 +
+                      std::sqrt(1.0 - ab_prev) * in.eps[i]) *
+                     in.mask[i]);
+    }
+    ExpectStepMatches(x, want, ab,
+                      "t=" + std::to_string(t) + " -> " + std::to_string(prev));
+  }
 }
 
 }  // namespace

@@ -300,6 +300,42 @@ TEST(CoalescedEquivalence, MixedSamplerBatchBitIdenticalToSolo) {
   SetParallelThreadCount(restore);
 }
 
+TEST(CoalescedEquivalence, ThreeWindowsOfTwoChainsMatchSoloAndSequential) {
+  // R = 3 like-configured requests of S = 2 chains share one (6, N, L)
+  // reverse run, so the model conditions once per window and each attention
+  // forms its weights once per window, for two chains each. Every chain must
+  // still carry the bits of its solo run, and of the sequential fallback,
+  // which conditions every chain on its own at batch size 1.
+  const int64_t n = 6, l = 8;
+  auto model = MakeTinyModel(n, l, 103);
+  NoiseSchedule schedule = NoiseSchedule::Quadratic(12, 1e-4f, 0.2f);
+  std::vector<data::Sample> windows = {
+      MakeWindow(n, l, 121), MakeWindow(n, l, 122), MakeWindow(n, l, 123)};
+  std::vector<uint64_t> seeds = {211, 212, 213};
+  for (SamplerKind sampler : {SamplerKind::kDdpm, SamplerKind::kPlms}) {
+    SCOPED_TRACE(SamplerKindName(sampler));
+    ImputeOptions one = {.num_samples = 2, .sampler = sampler,
+                         .num_inference_steps = 6};
+    std::vector<ImputationResult> coalesced = ImputeWindowsCoalesced(
+        model.get(), schedule, windows, seeds,
+        std::vector<ImputeOptions>(windows.size(), one));
+    ASSERT_EQ(coalesced.size(), windows.size());
+    for (size_t r = 0; r < windows.size(); ++r) {
+      for (bool sequential : {false, true}) {
+        ImputationResult solo = RunImpute(model.get(), schedule, windows[r],
+                                          one, seeds[r], sequential);
+        ASSERT_EQ(coalesced[r].samples.size(), solo.samples.size());
+        for (size_t c = 0; c < solo.samples.size(); ++c) {
+          EXPECT_TRUE(t::AllClose(coalesced[r].samples[c], solo.samples[c],
+                                  0.0f, 0.0f))
+              << "request " << r << " chain " << c << " differs from the "
+              << (sequential ? "sequential fallback" : "solo run");
+        }
+      }
+    }
+  }
+}
+
 TEST(CoalescedEquivalence, DegenerateWindowsMatchSoloAndStayFinite) {
   // Edge shapes and masks a serving client can send: a single node, a
   // single step, a single sample, and windows with nothing or everything

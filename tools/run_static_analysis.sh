@@ -15,10 +15,11 @@
 #                    build tree with -DPRISTI_SANITIZE=<preset> running the
 #                    gating ctest suite under instrumented binaries
 #                    (`-LE bench`: that label holds the slow assertion
-#                    tests — sampler_parity trains a model and
-#                    attention_bench peaks near 250 MB; their code paths
-#                    are exercised by the gating suites, and a training
-#                    run under TSan would dominate the matrix runtime).
+#                    tests — sampler_parity and the quickstart example
+#                    train a model and attention_bench peaks near 250 MB;
+#                    their code paths are exercised by the gating suites,
+#                    and a training run under TSan would dominate the
+#                    matrix runtime).
 #                    RelWithDebInfo keeps optimized codegen (so data races
 #                    in the batch-parallel kernels still manifest) while
 #                    retaining debug info; PRISTI_DEBUG_CHECKS=ON keeps
