@@ -479,7 +479,8 @@ Variable BatchedMatMulNTScaled(const Variable& a, const Variable& b,
 }
 
 Variable FusedAttention(const Variable& q, const Variable& k,
-                        const Variable& v, int64_t num_heads, float scale) {
+                        const Variable& v, int64_t num_heads, float scale,
+                        int64_t group, int64_t block_rows) {
   const Tensor& qv = q.value();
   const Tensor& kv = k.value();
   const Tensor& vv = v.value();
@@ -501,22 +502,21 @@ Variable FusedAttention(const Variable& q, const Variable& k,
   int64_t batch = qv.numel() / (s_q * width);
   PRISTI_CHECK_EQ(kv.numel(), batch * s_k * width)
       << "FusedAttention leading dims mismatch";
-  const int64_t outer = nd > 2 ? qv.dim(0) : 1;
-  const int64_t group = nd > 2 ? vv.dim(0) / outer : 1;
-  PRISTI_CHECK_EQ(vv.numel(), batch * group * s_k * width)
-      << "FusedAttention: v's leading axis must be a multiple of q's";
-  for (int64_t i = 1; i < nd - 2; ++i) {
-    PRISTI_CHECK_EQ(vv.dim(i), qv.dim(i)) << "FusedAttention axis " << i;
-  }
+  PRISTI_CHECK_GE(group, 1);
+  PRISTI_CHECK_EQ(vv.numel(), group * batch * s_k * width)
+      << "FusedAttention: v must hold `group` times q's leading rows";
   if (group > 1) {
     PRISTI_CHECK(!GradModeEnabled())
         << "grouped FusedAttention is inference-only";
+    PRISTI_CHECK(block_rows > 0 && batch % block_rows == 0)
+        << "FusedAttention: " << batch << " rows in blocks of " << block_rows;
     t::Shape shape = vv.shape();
     shape[static_cast<size_t>(nd - 2)] = s_q;
     Tensor out(shape);
-    kn::FusedAttentionForwardGrouped(outer, group, batch / outer, num_heads,
-                                     s_q, s_k, dh, scale, qv.data(),
-                                     kv.data(), vv.data(), out.data(), &kv);
+    kn::FusedAttentionForwardGrouped(batch / block_rows, group, block_rows,
+                                     num_heads, s_q, s_k, dh, scale,
+                                     qv.data(), kv.data(), vv.data(),
+                                     out.data(), &kv);
     return MakeOp("FusedAttention", std::move(out), {q, k, v},
                   [](const Tensor&) {});
   }

@@ -78,15 +78,18 @@ Variable BatchedMatMulNTScaled(const Variable& a, const Variable& b,
 // head-split copies; matches the reference chain to 1e-5 (online softmax
 // reorders the reduction — NOT bitwise); bit-identical across thread counts
 // and runs.
-// Grouped inference form: v may have G times q's leading axis (q and k
-// (R, ..., s, h·dh), v (R·G, ..., s_k, h·dh), the middle axes equal). Rows
-// r·G .. r·G+G-1 of v's leading axis then share the attention weights of
-// row r of q and k, which are computed once
-// (kernels::FusedAttentionForwardGrouped), and the result has v's leading
-// axes. Bitwise the ungrouped op on q and k with each leading row repeated
-// G times. Inference only: G > 1 CHECK-fails in grad mode.
+// Grouped inference form, group = G > 1: q and k hold R·M leading rows (the
+// product of the leading axes) in R blocks of M = block_rows, and v holds
+// R·G·M, so that v rows (r·G + g)·M + i share the attention weights of q/k
+// row r·M + i, which are computed once
+// (kernels::FusedAttentionForwardGrouped). The result has v's shape with
+// s_q rows per sequence, and is bitwise the ungrouped op on q and k with
+// each block repeated G times. Inference only: G > 1 CHECK-fails in grad
+// mode. With G = 1, block_rows is unused and v's leading rows must equal
+// q's.
 Variable FusedAttention(const Variable& q, const Variable& k,
-                        const Variable& v, int64_t num_heads, float scale);
+                        const Variable& v, int64_t num_heads, float scale,
+                        int64_t group = 1, int64_t block_rows = 1);
 // Shared weight on the last axis: (..., k_in) x (k_in, k_out).
 Variable MatMulLastDim(const Variable& x, const Variable& w);
 // MatMulLastDim(x, w) + b for a (k_out) bias, added into the fresh product

@@ -30,8 +30,9 @@ using tensor::Tensor;
 // layout of `tensors` belongs to `owner`, the predictor that filled it;
 // the cache is opaque to everyone else. A predictor may keep a value at one
 // row per window instead of one per batch row (DiffusionBatch::
-// chains_per_window): PriSTI holds U (1, N, L, d), H^pri (R, N, L, d) and
-// H^pri in the spatial layout (R·L, N, d) for a batch of R windows.
+// chains_per_window): PriSTI holds U (1, N, L, d), H^pri (R, N, L, d) and,
+// when its spatial attention reads H^pri, H^pri in the spatial layout
+// (R·L, N, d) for a batch of R windows.
 struct StepInvariantCache {
   const void* owner = nullptr;
   std::vector<Tensor> tensors;
@@ -58,7 +59,8 @@ struct DiffusionBatch {
   // per row. ImputeStacked sets it to the chain count of its reverse run;
   // it is 1 everywhere else (training, the sequential fallback, a batch
   // built by hand), which promises nothing. Set by the sampler only, never
-  // by a user.
+  // by a user. Builds with debug checks on verify the promise when a
+  // predictor first relies on it.
   int64_t chains_per_window = 1;
 };
 

@@ -105,14 +105,6 @@ Variable MultiHeadAttention::Forward(const Variable& qk_source,
   PRISTI_CHECK_EQ(v_value.dim(0) % qk_value.dim(0), 0)
       << "v rows must be a multiple of the q/k rows";
   const int64_t group = v_value.dim(0) / qk_value.dim(0);
-  const int64_t blocks = qk_value.dim(0) / block_rows;
-  // (rows, S, d) -> (leading, rows / leading, S, d): the axis a grouped
-  // kernel call reads to tell which v rows share a q/k row.
-  auto lead = [&](const Variable& x, int64_t leading) {
-    const tensor::Tensor& value = x.value();
-    return ag::Reshape(
-        x, {leading, value.dim(0) / leading, value.dim(1), d_model_});
-  };
 
   // Each projection lives only until the attention has read it: under
   // NoGradGuard the peak is the three projections plus the context, then
@@ -142,20 +134,10 @@ Variable MultiHeadAttention::Forward(const Variable& qk_source,
     // Matches the reference chain to 1e-5, not bitwise
     // (tensor/kernels/attention.h). A grouped call forms each q/k row's
     // weights once for its `group` v rows.
-    if (group == 1) {
-      context = ag::FusedAttention(std::exchange(q, Variable()),
-                                   std::exchange(k, Variable()),
-                                   std::exchange(v, Variable()), num_heads_,
-                                   scale);
-    } else {
-      context = ag::Reshape(
-          ag::FusedAttention(lead(std::exchange(q, Variable()), blocks),
-                             lead(std::exchange(k, Variable()), blocks),
-                             lead(std::exchange(v, Variable()),
-                                  blocks * group),
-                             num_heads_, scale),
-          v_value.shape());
-    }
+    context = ag::FusedAttention(std::exchange(q, Variable()),
+                                 std::exchange(k, Variable()),
+                                 std::exchange(v, Variable()), num_heads_,
+                                 scale, group, block_rows);
   } else {
     // Reference chain, reached only through the SetFusedAttentionEnabled
     // test seam: the heads are split into (B, h, S, dh) copies, Q·Kᵀ runs
@@ -163,6 +145,7 @@ Variable MultiHeadAttention::Forward(const Variable& qk_source,
     // pre-fusion MulScalar pass — and the heads are merged back. A grouped
     // call repeats each q/k block for the v blocks that share it.
     if (group > 1) {
+      const int64_t blocks = qk_value.dim(0) / block_rows;
       q = RepeatBlocks(q, blocks, group);
       k = RepeatBlocks(k, blocks, group);
     }

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <utility>
 
 #include "autograd/ops.h"
+#include "common/check.h"
 #include "common/logging.h"
 #include "graph/adjacency.h"
 #include "nn/embeddings.h"
@@ -70,6 +72,18 @@ Tensor FirstChainRows(const Tensor& x, int64_t chains) {
               out.data() + r * row);
   }
   return out;
+}
+
+// True when rows r·chains .. r·chains+chains-1 of x's leading axis all equal
+// row r·chains: the layout DiffusionBatch::chains_per_window promises.
+bool ChainRowsShareWindow(const Tensor& x, int64_t chains) {
+  const int64_t row = x.numel() / x.dim(0);
+  const size_t bytes = static_cast<size_t>(row) * sizeof(float);
+  for (int64_t r = 0; r < x.dim(0); ++r) {
+    const float* first = x.data() + (r - r % chains) * row;
+    if (std::memcmp(x.data() + r * row, first, bytes) != 0) return false;
+  }
+  return true;
 }
 
 // Norm(x + h). `x` is released as soon as the sum exists and the sum once
@@ -383,7 +397,8 @@ Variable PristiModel::PredictNoise(const Tensor& noisy,
   // on the batch row only through the conditioning, which the sampler
   // repeats for the chains_per_window chains of a window: with the cache,
   // H^pri is computed and kept once per window, together with its spatial
-  // layout, and every attention forms its weights once per window.
+  // layout when the spatial attention reads it, and every attention forms
+  // its weights once per window.
   diffusion::StepInvariantCache* cache =
       diffusion::UsableStepCache(batch, this);
   bool cached = cache != nullptr && !cache->tensors.empty();
@@ -392,6 +407,8 @@ Variable PristiModel::PredictNoise(const Tensor& noisy,
                              : 1;
   CHECK_GE(chains, 1);
   CHECK_EQ(b % chains, 0);
+  const bool spatial_prior =
+      config_.use_conditional_feature && config_.use_spatial_attention;
   if (cached && config_.use_conditional_feature) {
     CHECK_EQ(cache->tensors[1].dim(0) * chains, b);
   }
@@ -405,21 +422,27 @@ Variable PristiModel::PredictNoise(const Tensor& noisy,
     h_pri = h_in;  // w/o CF: weights computed from the noisy stream
   } else if (cached) {
     h_pri = ag::Constant(cache->tensors[1]);
-    h_pri_spa = cache->tensors[2];
+    if (spatial_prior) h_pri_spa = cache->tensors[2];
   } else {
+    // A batch whose chains do not share their window's conditioning would
+    // silently borrow another row's H^pri. ChainRowsShareWindow only reads.
+    // pristi-lint: allow-dcheck-purity
+    PRISTI_DCHECK(chains == 1 || ChainRowsShareWindow(cond, chains))
+        << "chains_per_window = " << chains
+        << " but the conditioning rows of a window differ";
     Variable window_cond =
         chains == 1 ? cond_channel
                     : ag::Constant(FirstChainRows(cond, chains)
                                        .Reshaped({b / chains, n, l, 1}));
     Variable h_cond = ag::Add(cond_conv_.Forward(window_cond), aux);
     h_pri = cond_module_->Forward(h_cond);
-    h_pri_spa = SpatialLayout(h_pri.value());
+    if (spatial_prior) h_pri_spa = SpatialLayout(h_pri.value());
   }
   if (cache != nullptr && !cached) {
     cache->tensors.push_back(aux.value());
     if (config_.use_conditional_feature) {
       cache->tensors.push_back(h_pri.value());
-      cache->tensors.push_back(h_pri_spa);
+      if (spatial_prior) cache->tensors.push_back(h_pri_spa);
     }
   }
 
@@ -435,8 +458,7 @@ Variable PristiModel::PredictNoise(const Tensor& noisy,
     Variable h = std::exchange(h_in, Variable());
     for (const auto& layer : layers_) {
       NoiseEstimationLayer::Output out = layer->Forward(
-          h, h_pri, diff_emb,
-          config_.use_conditional_feature ? &h_pri_spa : nullptr);
+          h, h_pri, diff_emb, spatial_prior ? &h_pri_spa : nullptr);
       h = std::move(out.residual);
       skip_sum = skip_sum.defined() ? ag::Add(skip_sum, out.skip) : out.skip;
     }

@@ -320,13 +320,12 @@ constexpr int64_t kRowGroup = 8;
 // polynomial exp, l adds in double and o accumulation in column order — so
 // the output is bit-identical to the scalar path. The scores, m, l and the
 // block's weights are formed once per block for every chain of `chains`;
-// each chain then rescales and accumulates its own o in the one-chain
-// order. kOneChain (an ungrouped call) keeps o in registers and forms each
-// weight where it is used; several chains keep their o in `o`
-// (count·DH·kRowGroup floats) between blocks. Spare lanes of a
-// partial tail group repeat the last valid row and are never stored. Q, V
-// and out rows lie `ld` floats apart.
-template <int64_t DH, bool kOneChain>
+// each chain then rescales and accumulates its own o, kept in `o`
+// (count·DH·kRowGroup floats) between blocks, in the one-chain order. An
+// ungrouped call is the one-chain case. Spare lanes of a partial tail group
+// repeat the last valid row and are never stored. Q, V and out rows lie
+// `ld` floats apart.
+template <int64_t DH>
 __attribute__((target("avx2"))) void FusedForwardGroupAvx(
     const float* q_item, int64_t row0, int64_t s_q, const float* panels,
     const ValueChains& chains, int64_t s_k, int64_t ld, float scale,
@@ -345,12 +344,7 @@ __attribute__((target("avx2"))) void FusedForwardGroupAvx(
     }
   }
   constexpr int64_t kChainFloats = DH * kRowGroup;
-  __m256 o1[DH];  // the one chain's o
-  if constexpr (kOneChain) {
-    for (int64_t d = 0; d < DH; ++d) o1[d] = _mm256_setzero_ps();
-  } else {
-    std::fill_n(o, chains.count * kChainFloats, 0.0f);
-  }
+  std::fill_n(o, chains.count * kChainFloats, 0.0f);
   const __m256 one = _mm256_set1_ps(1.0f);
   __m256 m = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
   __m256d l_lo = _mm256_setzero_pd(), l_hi = _mm256_setzero_pd();
@@ -378,51 +372,33 @@ __attribute__((target("avx2"))) void FusedForwardGroupAvx(
     l_lo = _mm256_mul_pd(l_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(corr)));
     l_hi = _mm256_mul_pd(l_hi, _mm256_cvtps_pd(_mm256_extractf128_ps(corr, 1)));
     m = _mm256_blendv_ps(m, bm, adv);
-    if constexpr (kOneChain) {
-      for (int64_t d = 0; d < DH; ++d) o1[d] = _mm256_mul_ps(o1[d], corr);
-      const float* v_rows = chains.v + j0 * ld;
+    // The block's weights replace its scores, then each chain takes its
+    // share.
+    for (int64_t j = 0; j < width; ++j) {
+      const __m256 p = FusedExpAvx8(_mm256_sub_ps(sblk[j], m));
+      l_lo = _mm256_add_pd(l_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(p)));
+      l_hi =
+          _mm256_add_pd(l_hi, _mm256_cvtps_pd(_mm256_extractf128_ps(p, 1)));
+      sblk[j] = p;
+    }
+    for (int64_t g = 0; g < chains.count; ++g) {
+      float* og = o + g * kChainFloats;
+      const float* v_rows = chains.v + g * chains.v_stride + j0 * ld;
+      __m256 acc[DH];
+      for (int64_t d = 0; d < DH; ++d) {
+        acc[d] = _mm256_mul_ps(_mm256_loadu_ps(og + d * kRowGroup), corr);
+      }
       for (int64_t j = 0; j < width; ++j) {
-        const __m256 p = FusedExpAvx8(_mm256_sub_ps(sblk[j], m));
-        l_lo = _mm256_add_pd(l_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(p)));
-        l_hi =
-            _mm256_add_pd(l_hi, _mm256_cvtps_pd(_mm256_extractf128_ps(p, 1)));
         for (int64_t d = 0; d < DH; ++d) {
-          o1[d] = _mm256_add_ps(
-              o1[d], _mm256_mul_ps(p, _mm256_broadcast_ss(v_rows + j * ld + d)));
+          acc[d] = _mm256_add_ps(
+              acc[d], _mm256_mul_ps(sblk[j],
+                                    _mm256_broadcast_ss(v_rows + j * ld + d)));
         }
       }
-    } else {
-      // The block's weights replace its scores, then each chain takes its
-      // share.
-      for (int64_t j = 0; j < width; ++j) {
-        const __m256 p = FusedExpAvx8(_mm256_sub_ps(sblk[j], m));
-        l_lo = _mm256_add_pd(l_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(p)));
-        l_hi =
-            _mm256_add_pd(l_hi, _mm256_cvtps_pd(_mm256_extractf128_ps(p, 1)));
-        sblk[j] = p;
-      }
-      for (int64_t g = 0; g < chains.count; ++g) {
-        float* og = o + g * kChainFloats;
-        const float* v_rows = chains.v + g * chains.v_stride + j0 * ld;
-        __m256 acc[DH];
-        for (int64_t d = 0; d < DH; ++d) {
-          acc[d] = _mm256_mul_ps(_mm256_loadu_ps(og + d * kRowGroup), corr);
-        }
-        for (int64_t j = 0; j < width; ++j) {
-          for (int64_t d = 0; d < DH; ++d) {
-            acc[d] = _mm256_add_ps(
-                acc[d], _mm256_mul_ps(sblk[j],
-                                      _mm256_broadcast_ss(v_rows + j * ld + d)));
-          }
-        }
-        for (int64_t d = 0; d < DH; ++d) {
-          _mm256_storeu_ps(og + d * kRowGroup, acc[d]);
-        }
+      for (int64_t d = 0; d < DH; ++d) {
+        _mm256_storeu_ps(og + d * kRowGroup, acc[d]);
       }
     }
-  }
-  if constexpr (kOneChain) {
-    for (int64_t d = 0; d < DH; ++d) _mm256_storeu_ps(o + d * kRowGroup, o1[d]);
   }
   alignas(32) float mt[kRowGroup];
   alignas(32) double lt[kRowGroup];
@@ -742,10 +718,7 @@ void ForwardImpl(const Grouping& grouping, int64_t heads, int64_t s_q,
   // unit is one (item, group) pair.
   if (allow_row_groups && (dh == 4 || dh == 8) && Avx2Available()) {
     auto* group_kernel =
-        group == 1 ? (dh == 4 ? &FusedForwardGroupAvx<4, true>
-                              : &FusedForwardGroupAvx<8, true>)
-                   : (dh == 4 ? &FusedForwardGroupAvx<4, false>
-                              : &FusedForwardGroupAvx<8, false>);
+        dh == 4 ? &FusedForwardGroupAvx<4> : &FusedForwardGroupAvx<8>;
     int64_t groups = (s_q + kRowGroup - 1) / kRowGroup;
     int64_t min_units =
         std::max<int64_t>(1, kMinFlopsPerChunk / (kRowGroup * row_flops));

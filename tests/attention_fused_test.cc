@@ -724,7 +724,20 @@ TEST(FusedGroupedDeathTest, GradModeRefusesAGroupedCall) {
   Variable q(Tensor::Randn({2, 5, 8}, rng), /*requires_grad=*/true);
   Variable k(Tensor::Randn({2, 5, 8}, rng), /*requires_grad=*/true);
   Variable v(Tensor::Randn({4, 5, 8}, rng), /*requires_grad=*/true);
-  EXPECT_DEATH(ag::FusedAttention(q, k, v, 2, 0.5f), "inference-only");
+  EXPECT_DEATH(ag::FusedAttention(q, k, v, 2, 0.5f, /*group=*/2),
+               "inference-only");
+}
+
+// Only an explicit group makes a call grouped: v with more leading rows
+// than q is rejected by an ungrouped call, with or without grad mode.
+TEST(FusedGroupedDeathTest, UngroupedCallRejectsExtraValueRows) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Rng rng(116);
+  Variable q(Tensor::Randn({2, 5, 8}, rng));
+  Variable k(Tensor::Randn({2, 5, 8}, rng));
+  Variable v(Tensor::Randn({4, 5, 8}, rng));
+  ag::NoGradGuard no_grad;
+  EXPECT_DEATH(ag::FusedAttention(q, k, v, 2, 0.5f), "leading rows");
 }
 
 // ---------------------------------------------------------------------------

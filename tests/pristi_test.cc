@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "autograd/ops.h"
+#include "common/check.h"
 #include "common/parallel.h"
 #include "data/windows.h"
 #include "diffusion/ddpm.h"
@@ -319,7 +320,8 @@ DiffusionBatch WithFreshCache(const DiffusionBatch& batch) {
 struct CacheConfigSpec {
   const char* name;
   void (*apply)(PristiConfig&);
-  // U alone for w/o CF; otherwise U, H^pri and H^pri's spatial layout.
+  // U alone for w/o CF; otherwise U, H^pri and, when the spatial attention
+  // reads it, H^pri's spatial layout.
   size_t cached_tensors;
 };
 
@@ -396,6 +398,8 @@ TEST_P(StepCacheTest, GroupedCallIsBitwiseEqualToUncachedCall) {
     ASSERT_EQ(grouped.step_cache->tensors.size(), GetParam().cached_tensors);
     if (config.use_conditional_feature) {
       EXPECT_EQ(grouped.step_cache->tensors[1].dim(0), windows);
+    }
+    if (config.use_conditional_feature && config.use_spatial_attention) {
       EXPECT_EQ(grouped.step_cache->tensors[2].dim(0), windows * l);
     }
   }
@@ -421,14 +425,14 @@ INSTANTIATE_TEST_SUITE_P(
                           c.use_spatial_attention = false;
                           c.use_mpnn = false;
                         },
-                        3},
+                        2},
         CacheConfigSpec{"wo_mpnn",
                         [](PristiConfig& c) { c.use_mpnn = false; }, 3},
         CacheConfigSpec{"wo_attn",
                         [](PristiConfig& c) {
                           c.use_spatial_attention = false;
                         },
-                        3},
+                        2},
         CacheConfigSpec{"wo_cf",
                         [](PristiConfig& c) {
                           c.use_conditional_feature = false;
@@ -437,6 +441,26 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<CacheConfigSpec>& info) {
       return info.param.name;
     });
+
+#if PRISTI_DCHECK_IS_ON
+// Nothing in the output's shape shows a broken chains_per_window promise:
+// with debug checks on, a batch whose chains do not hold their window's
+// conditioning stops the call that fills the cache instead of conditioning
+// every chain on the first row of its window.
+TEST(StepCacheContractDeathTest, ChainsThatDoNotShareTheirWindowAbort) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  PristiConfig config = TinyConfig(5, 6);
+  Rng rng(90);
+  PristiModel model(config, TestAdjacency(5), rng);
+  Rng data_rng(91);
+  DiffusionBatch batch = WithFreshCache(RandomBatch(4, 5, 6, data_rng));
+  batch.chains_per_window = 2;
+  Tensor noisy = Tensor::Randn({4, 5, 6}, data_rng);
+  ag::NoGradGuard no_grad;
+  EXPECT_DEATH(model.PredictNoise(noisy, batch, 7),
+               "conditioning rows of a window differ");
+}
+#endif  // PRISTI_DCHECK_IS_ON
 
 TEST(StepCacheContract, GradModeNeitherFillsNorReadsTheCache) {
   PristiConfig config = TinyConfig(5, 6);
