@@ -24,9 +24,9 @@
 //
 // Test and CI harness:
 //   PRISTI_REGEN_GOLDEN  unset — when set, golden-file tests
-//          (serialize_test, sharded_train_test, sampler_equivalence_test)
-//          rewrite their checked-in golden artifacts instead of comparing
-//          against them.
+//          (serialize_test, sharded_train_test, sampler_equivalence_test,
+//          attention_fused_test, baselines_test) rewrite their checked-in
+//          golden artifacts instead of comparing against them.
 //   PRISTI_SANITIZE_CONFIGS  "address+undefined thread" — which sanitizer
 //          configs tools/run_static_analysis.sh builds and tests.
 //   PRISTI_NATIVE_BITEQ  1 — 0 skips the -march=native bit-identity leg

@@ -4,7 +4,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include "baselines/rnn.h"
 #include "baselines/simple.h"
 #include "baselines/vae.h"
+#include "common/env.h"
 #include "data/windows.h"
 #include "diffusion/sharded_train.h"
 #include "metrics/metrics.h"
@@ -361,6 +365,111 @@ TEST(GpVaeTest, TrainedBeatsUntrained) {
   Rng fit_rng(19);
   trained.Fit(task, fit_rng);
   EXPECT_LT(TestMae(&trained, task), TestMae(&untrained, task));
+}
+
+// ---------------------------------------------------------------------------
+// Learned baselines golden
+// ---------------------------------------------------------------------------
+
+// Golden file format: '#' comment lines, then per section a "name count"
+// line followed by its values one per line at 9 significant digits, which
+// round-trips a float exactly, so the comparison is bitwise. Under
+// PRISTI_REGEN_GOLDEN=1 the file is rewritten and the test is skipped.
+void CheckBaselinesGolden(
+    const std::vector<std::pair<std::string, Tensor>>& sections) {
+  const std::string path = PRISTI_BASELINES_GOLDEN_PATH;
+  if (!GetEnvOr("PRISTI_REGEN_GOLDEN", "").empty()) {
+    std::ofstream golden(path);
+    ASSERT_TRUE(golden.good()) << "cannot write golden " << path;
+    golden << "# seeded BRITS/GRIN/rGAIN/V-RIN/GP-VAE fits (2 epochs): "
+              "Impute on two test windows, ImputeSamples at 3 samples\n"
+           << "# regen: PRISTI_REGEN_GOLDEN=1 ./baselines_test "
+              "--gtest_filter='LearnedBaselinesGolden.*'\n";
+    golden.precision(9);
+    golden << std::scientific;
+    for (const auto& [name, values] : sections) {
+      golden << name << " " << values.numel() << "\n";
+      for (int64_t i = 0; i < values.numel(); ++i) {
+        golden << values[i] << "\n";
+      }
+    }
+    GTEST_SKIP() << "regenerated " << path;
+  }
+
+  std::ifstream golden(path);
+  ASSERT_TRUE(golden.good()) << "missing golden " << path;
+  std::string line;
+  size_t section = 0;
+  int64_t index = 0, count = 0;
+  while (std::getline(golden, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    if (index == count) {
+      ASSERT_LT(section, sections.size()) << "trailing golden section";
+      std::string name;
+      ASSERT_TRUE(static_cast<bool>(fields >> name >> count)) << line;
+      ASSERT_EQ(name, sections[section].first);
+      ASSERT_EQ(count, sections[section].second.numel()) << name;
+      index = 0;
+      ++section;
+      continue;
+    }
+    double value = 0.0;
+    ASSERT_TRUE(static_cast<bool>(fields >> value)) << "bad golden line";
+    const auto& [name, actual] = sections[section - 1];
+    EXPECT_EQ(static_cast<float>(value), actual[index])
+        << name << "[" << index << "]";
+    ++index;
+  }
+  EXPECT_EQ(section, sections.size()) << "golden truncated";
+  EXPECT_EQ(index, count) << "golden truncated";
+}
+
+// Pins every learned baseline's output bits: a short seeded fit of each,
+// then its point imputation of two test windows and, for the two VAEs,
+// three latent samples of the first window.
+TEST(LearnedBaselinesGolden, SeededFitAndImputeArePinned) {
+  data::ImputationTask task = SmallTask(35);
+  const int64_t n = task.dataset.num_nodes;
+  std::vector<data::Sample> windows = data::ExtractSamples(task, "test");
+  ASSERT_GE(windows.size(), 2u);
+  RecurrentOptions rnn;
+  rnn.hidden = 16;
+  rnn.epochs = 2;
+  VaeOptions vae;
+  vae.hidden = 16;
+  vae.latent = 6;
+  vae.epochs = 2;
+
+  Rng init(41);
+  std::vector<std::unique_ptr<Imputer>> imputers;
+  imputers.push_back(std::make_unique<BritsImputer>(n, rnn, init));
+  imputers.push_back(std::make_unique<GrinImputer>(
+      n, task.dataset.graph.adjacency, rnn, init));
+  imputers.push_back(std::make_unique<RgainImputer>(n, rnn, init));
+  imputers.push_back(
+      std::make_unique<VrinImputer>(n, task.window_len, vae, init));
+  imputers.push_back(std::make_unique<GpVaeImputer>(n, vae, init));
+
+  std::vector<std::pair<std::string, Tensor>> sections;
+  Rng rng(43);
+  for (const auto& imputer : imputers) {
+    imputer->Fit(task, rng);
+    for (int w = 0; w < 2; ++w) {
+      sections.emplace_back(imputer->name() + "/impute" + std::to_string(w),
+                            imputer->Impute(windows[w], rng));
+    }
+  }
+  for (size_t i : {3u, 4u}) {
+    std::vector<Tensor> draws =
+        imputers[i]->ImputeSamples(windows[0], 3, rng).samples;
+    ASSERT_EQ(draws.size(), 3u);
+    for (size_t s = 0; s < draws.size(); ++s) {
+      sections.emplace_back(
+          imputers[i]->name() + "/sample" + std::to_string(s), draws[s]);
+    }
+  }
+  CheckBaselinesGolden(sections);
 }
 
 // ---------------------------------------------------------------------------
