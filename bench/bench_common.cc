@@ -106,17 +106,7 @@ eval::DiffusionRunOptions DiffusionOptionsFor(
   options.train.epochs = scale.diffusion_epochs;
   options.train.batch_size = 8;
   options.train.lr = 1e-3f;
-  switch (task.pattern) {
-    case MissingPattern::kPoint:
-      options.train.mask_strategy = data::MaskStrategy::kPoint;
-      break;
-    case MissingPattern::kBlock:
-      options.train.mask_strategy = data::MaskStrategy::kHybrid;
-      break;
-    case MissingPattern::kSimulatedFailure:
-      options.train.mask_strategy = data::MaskStrategy::kHybridHistorical;
-      break;
-  }
+  options.train.mask_strategy = data::TrainingMaskStrategy(task.pattern);
   options.impute.num_samples = scale.impute_samples;
   if (!scale.full) {
     // Reduced-scale adaptations (see DESIGN.md): bias training toward the

@@ -916,21 +916,6 @@ Variable MeanAll(const Variable& a) {
   return MulScalar(SumAll(a), inv);
 }
 
-Variable SumAxisKeepdim(const Variable& a, int64_t axis) {
-  Tensor out = t::SumAxis(a.value(), axis, /*keepdim=*/true);
-  auto an = a.node();
-  return MakeOp("SumAxisKeepdim", std::move(out), {a}, [an](const Tensor& g) {
-    // Broadcast the reduced gradient back across the summed axis.
-    an->AccumulateGrad(t::Add(Tensor::Zeros(an->value.shape()), g));
-  });
-}
-
-Variable MeanAxisKeepdim(const Variable& a, int64_t axis) {
-  int64_t norm_axis = axis < 0 ? axis + a.value().ndim() : axis;
-  float inv = 1.0f / static_cast<float>(a.value().dim(norm_axis));
-  return MulScalar(SumAxisKeepdim(a, axis), inv);
-}
-
 // ---------------------------------------------------------------------------
 // Custom ops
 // ---------------------------------------------------------------------------

@@ -150,8 +150,6 @@ Variable SliceAxis(const Variable& a, int64_t axis, int64_t start,
 // Full reductions produce scalar-shaped variables (ndim 0).
 Variable SumAll(const Variable& a);
 Variable MeanAll(const Variable& a);
-Variable SumAxisKeepdim(const Variable& a, int64_t axis);
-Variable MeanAxisKeepdim(const Variable& a, int64_t axis);
 
 // ---- Custom ops --------------------------------------------------------------
 // Builds a differentiable node from a precomputed forward value and a

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "autograd/ops.h"
-#include "common/logging.h"
+#include "common/check.h"
 #include "nn/embeddings.h"
 #include "pristi/pristi_model.h"
 
@@ -94,8 +94,8 @@ CsdiModel::CsdiModel(const CsdiConfig& config, Rng& rng)
                 config.channels, rng),
       out_conv1_(config.channels, config.channels, rng),
       out_conv2_(config.channels, 1, rng) {
-  CHECK_GT(config.num_nodes, 0);
-  CHECK_GT(config.window_len, 0);
+  PRISTI_CHECK_GT(config.num_nodes, 0);
+  PRISTI_CHECK_GT(config.window_len, 0);
   AddChild("input_conv", &input_conv_);
   AddChild("diff_mlp1", &diff_mlp1_);
   AddChild("diff_mlp2", &diff_mlp2_);
@@ -133,12 +133,12 @@ Variable CsdiModel::AuxiliaryInfo(int64_t batch_size,
 
 Variable CsdiModel::PredictNoise(const Tensor& noisy,
                                  const DiffusionBatch& batch, int64_t t) {
-  CHECK_EQ(noisy.ndim(), 3);
+  PRISTI_CHECK_EQ(noisy.ndim(), 3);
   int64_t b = noisy.dim(0);
   int64_t n = noisy.dim(1);
   int64_t l = noisy.dim(2);
-  CHECK_EQ(n, config_.num_nodes);
-  CHECK_EQ(l, config_.window_len);
+  PRISTI_CHECK_EQ(n, config_.num_nodes);
+  PRISTI_CHECK_EQ(l, config_.window_len);
 
   // Raw observed values (no interpolation) ‖ noisy sample.
   Variable cond_channel =
@@ -152,7 +152,7 @@ Variable CsdiModel::PredictNoise(const Tensor& noisy,
       diffusion::UsableStepCache(batch, this);
   Variable aux;
   if (cache != nullptr && !cache->tensors.empty()) {
-    CHECK_EQ(cache->tensors[0].dim(0), b);
+    PRISTI_CHECK_EQ(cache->tensors[0].dim(0), b);
     aux = ag::Constant(cache->tensors[0]);
   } else {
     aux = AuxiliaryInfo(b, batch.cond_mask);

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "baselines/linalg.h"
-#include "common/logging.h"
 
 namespace pristi::baselines {
 

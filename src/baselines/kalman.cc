@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "common/logging.h"
+#include "common/check.h"
 
 namespace pristi::baselines {
 
@@ -12,7 +12,7 @@ std::vector<float> KalmanImputer::SmoothSeries(
     const std::vector<float>& values, const std::vector<bool>& observed,
     double process_var, double obs_var) {
   size_t length = values.size();
-  CHECK_EQ(length, observed.size());
+  PRISTI_CHECK_EQ(length, observed.size());
   std::vector<double> mean_filt(length), var_filt(length);
   std::vector<double> mean_pred(length), var_pred(length);
 

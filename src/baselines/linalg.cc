@@ -2,14 +2,14 @@
 
 #include <cmath>
 
-#include "common/logging.h"
+#include "common/check.h"
 
 namespace pristi::baselines {
 
 std::vector<double> SolveSpd(std::vector<double> a, std::vector<double> b,
                              int64_t n) {
-  CHECK_EQ(static_cast<int64_t>(a.size()), n * n);
-  CHECK_EQ(static_cast<int64_t>(b.size()), n);
+  PRISTI_CHECK_EQ(static_cast<int64_t>(a.size()), n * n);
+  PRISTI_CHECK_EQ(static_cast<int64_t>(b.size()), n);
   // In-place Cholesky: A = L L^T (lower triangle of `a` becomes L).
   for (int64_t j = 0; j < n; ++j) {
     double diag = a[static_cast<size_t>(j * n + j)];
@@ -17,7 +17,7 @@ std::vector<double> SolveSpd(std::vector<double> a, std::vector<double> b,
       double v = a[static_cast<size_t>(j * n + k)];
       diag -= v * v;
     }
-    CHECK_GT(diag, 0.0) << "matrix not positive definite at pivot " << j;
+    PRISTI_CHECK_GT(diag, 0.0) << "matrix not positive definite at pivot " << j;
     double ljj = std::sqrt(diag);
     a[static_cast<size_t>(j * n + j)] = ljj;
     for (int64_t i = j + 1; i < n; ++i) {
@@ -49,11 +49,11 @@ std::vector<double> SolveSpd(std::vector<double> a, std::vector<double> b,
 }
 
 Tensor RidgeFit(const Tensor& x, const Tensor& y, double lambda) {
-  CHECK_EQ(x.ndim(), 2);
-  CHECK_EQ(y.ndim(), 2);
+  PRISTI_CHECK_EQ(x.ndim(), 2);
+  PRISTI_CHECK_EQ(y.ndim(), 2);
   int64_t rows = x.dim(0), features = x.dim(1), targets = y.dim(1);
-  CHECK_EQ(rows, y.dim(0));
-  CHECK_GT(rows, 0);
+  PRISTI_CHECK_EQ(rows, y.dim(0));
+  PRISTI_CHECK_GT(rows, 0);
   // Gram matrix X^T X + lambda I (double precision accumulate).
   std::vector<double> gram(static_cast<size_t>(features * features), 0.0);
   for (int64_t r = 0; r < rows; ++r) {

@@ -1,7 +1,7 @@
 #include "baselines/regression.h"
 
 #include "baselines/linalg.h"
-#include "common/logging.h"
+#include "common/check.h"
 
 namespace pristi::baselines {
 
@@ -31,7 +31,7 @@ Tensor CompletedTrainingMatrix(const data::ImputationTask& task) {
 void VarImputer::Fit(const data::ImputationTask& task, Rng&) {
   Tensor train = CompletedTrainingMatrix(task);
   int64_t t_train = train.dim(0), n = train.dim(1);
-  CHECK_GT(t_train, 2);
+  PRISTI_CHECK_GT(t_train, 2);
   // Rows: [x_t, 1] -> x_{t+1}.
   Tensor x(t::Shape{t_train - 1, n + 1});
   Tensor y(t::Shape{t_train - 1, n});
@@ -46,7 +46,7 @@ void VarImputer::Fit(const data::ImputationTask& task, Rng&) {
 }
 
 Tensor VarImputer::Impute(const data::Sample& sample, Rng&) {
-  CHECK_GT(weights_.numel(), 0) << "Fit() must run first";
+  PRISTI_CHECK_GT(weights_.numel(), 0) << "Fit() must run first";
   int64_t n = sample.values.dim(0), l = sample.values.dim(1);
   // Start from the interpolation completion, then replace missing entries by
   // one-step predictions from the (partially imputed) previous step.
@@ -101,7 +101,7 @@ void MiceImputer::Fit(const data::ImputationTask& task, Rng&) {
 }
 
 Tensor MiceImputer::Impute(const data::Sample& sample, Rng&) {
-  CHECK_GT(weights_.numel(), 0) << "Fit() must run first";
+  PRISTI_CHECK_GT(weights_.numel(), 0) << "Fit() must run first";
   int64_t n = sample.values.dim(0), l = sample.values.dim(1);
   Tensor current = data::LinearInterpolate(sample.values, sample.observed);
   for (int64_t round = 0; round < rounds_; ++round) {

@@ -3,39 +3,23 @@
 #include <algorithm>
 
 #include "autograd/ops.h"
-#include "common/logging.h"
+#include "baselines/window_batches.h"
+#include "common/check.h"
 #include "graph/adjacency.h"
+#include "nn/gru.h"
+#include "nn/layers.h"
 #include "nn/optimizer.h"
 
 namespace pristi::baselines {
 
 namespace ag = ::pristi::autograd;
 namespace t = ::pristi::tensor;
+using autograd::Variable;
 
 namespace {
 
-// Stacks per-sample (N, L) windows into (B, N, L) constants.
-Tensor StackWindows(const std::vector<const data::Sample*>& samples,
-                    bool values) {
-  int64_t b = static_cast<int64_t>(samples.size());
-  int64_t n = samples[0]->values.dim(0), l = samples[0]->values.dim(1);
-  Tensor out({b, n, l});
-  for (int64_t i = 0; i < b; ++i) {
-    const Tensor& src = values ? samples[i]->values : samples[i]->observed;
-    std::copy(src.data(), src.data() + n * l, out.data() + i * n * l);
-  }
-  return out;
-}
-
-// Randomly hides `rate` of the 1-entries of `mask` (training-time extra
-// masking so the recurrent nets learn to bridge holes).
-Tensor DropFromMask(const Tensor& mask, double rate, Rng& rng) {
-  Tensor out = mask;
-  for (int64_t i = 0; i < out.numel(); ++i) {
-    if (out[i] > 0.5f && rng.Bernoulli(rate)) out[i] = 0.0f;
-  }
-  return out;
-}
+// Weight of BRITS's forward/backward consistency term.
+constexpr float kConsistencyWeight = 0.1f;
 
 // (B, N, L) -> per-step (B, N) constant slice.
 Tensor StepSlice(const Tensor& x, int64_t step) {
@@ -61,49 +45,56 @@ Variable StackSteps(const std::vector<Variable>& steps) {
   return ag::Concat(reshaped, -1);
 }
 
-// Masked mse between a prediction variable and constant targets.
-Variable MaskedLoss(const Variable& pred, const Tensor& target,
-                    const Tensor& mask) {
-  return ag::MaskedMse(pred, t::Mul(target, mask), mask);
+// Masked mse of a (B, N, L) prediction on the batch's observed entries.
+Variable ObservedLoss(const Variable& pred, const WindowBatch& batch) {
+  return ag::MaskedMse(pred, t::Mul(batch.values, batch.observed),
+                       batch.observed);
 }
+
+// One direction of the recurrent imputer: predicts step t from the hidden
+// state after step t-1, then feeds the observation (or its own prediction)
+// back in.
+class RecurrentDirection : public nn::Module {
+ public:
+  RecurrentDirection(int64_t num_nodes, int64_t hidden, Rng& rng)
+      : num_nodes_(num_nodes), cell_(2 * num_nodes, hidden, rng),
+        head_(hidden, num_nodes, rng) {
+    AddChild("cell", &cell_);
+    AddChild("head", &head_);
+  }
+
+  // values/input_mask: (B, N, L) constants; `reversed` runs right-to-left.
+  // Returns per-step predictions stacked to (B, N, L).
+  Variable Run(const Tensor& values, const Tensor& input_mask,
+               bool reversed) const {
+    int64_t b = values.dim(0), l = values.dim(2);
+    PRISTI_CHECK_EQ(values.dim(1), num_nodes_);
+    Variable h = cell_.InitialState(b);
+    std::vector<Variable> preds(static_cast<size_t>(l));
+    for (int64_t idx = 0; idx < l; ++idx) {
+      int64_t step = reversed ? l - 1 - idx : idx;
+      // Predict this step from history.
+      Variable pred = head_.Forward(h);  // (B, N)
+      preds[static_cast<size_t>(step)] = pred;
+      // Feed back: observation where present, prediction elsewhere.
+      Tensor x_t = StepSlice(values, step);
+      Tensor m_t = StepSlice(input_mask, step);
+      Variable filled = ag::Add(
+          ag::Constant(t::Mul(x_t, m_t)),
+          ag::Mul(pred, ag::Constant(t::AddScalar(t::Neg(m_t), 1.0f))));
+      Variable input = ag::Concat({filled, ag::Constant(m_t)}, -1);
+      h = cell_.Forward(input, h);
+    }
+    return StackSteps(preds);
+  }
+
+ private:
+  int64_t num_nodes_;
+  nn::GruCell cell_;
+  nn::Linear head_;
+};
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// RecurrentDirection
-// ---------------------------------------------------------------------------
-
-RecurrentDirection::RecurrentDirection(int64_t num_nodes, int64_t hidden,
-                                       Rng& rng)
-    : num_nodes_(num_nodes), cell_(2 * num_nodes, hidden, rng),
-      head_(hidden, num_nodes, rng) {
-  AddChild("cell", &cell_);
-  AddChild("head", &head_);
-}
-
-Variable RecurrentDirection::Run(const Tensor& values,
-                                 const Tensor& input_mask,
-                                 bool reversed) const {
-  int64_t b = values.dim(0), l = values.dim(2);
-  CHECK_EQ(values.dim(1), num_nodes_);
-  Variable h = cell_.InitialState(b);
-  std::vector<Variable> preds(static_cast<size_t>(l));
-  for (int64_t idx = 0; idx < l; ++idx) {
-    int64_t step = reversed ? l - 1 - idx : idx;
-    // Predict this step from history.
-    Variable pred = head_.Forward(h);  // (B, N)
-    preds[static_cast<size_t>(step)] = pred;
-    // Feed back: observation where present, prediction elsewhere.
-    Tensor x_t = StepSlice(values, step);
-    Tensor m_t = StepSlice(input_mask, step);
-    Variable filled = ag::Add(
-        ag::Constant(t::Mul(x_t, m_t)),
-        ag::Mul(pred, ag::Constant(t::AddScalar(t::Neg(m_t), 1.0f))));
-    Variable input = ag::Concat({filled, ag::Constant(m_t)}, -1);
-    h = cell_.Forward(input, h);
-  }
-  return StackSteps(preds);
-}
 
 // ---------------------------------------------------------------------------
 // BRITS-like
@@ -128,62 +119,31 @@ struct BritsImputer::Net : public nn::Module {
 BritsImputer::BritsImputer(int64_t num_nodes, RecurrentOptions options,
                            Rng& rng)
     : options_(options),
-      net_(std::make_shared<Net>(num_nodes, options.hidden, rng)) {
-  module_ = net_;
-}
+      net_(std::make_shared<Net>(num_nodes, options.hidden, rng)) {}
 
 void BritsImputer::Fit(const data::ImputationTask& task, Rng& rng) {
-  std::vector<data::Sample> samples = data::ExtractSamples(task, "train");
-  CHECK(!samples.empty());
-  nn::Adam optimizer(net_->Parameters(), {.lr = options_.lr});
-  for (int64_t epoch = 0; epoch < options_.epochs; ++epoch) {
-    std::vector<int64_t> order =
-        rng.Permutation(static_cast<int64_t>(samples.size()));
-    for (size_t begin = 0; begin < order.size();
-         begin += static_cast<size_t>(options_.batch_size)) {
-      size_t end = std::min(order.size(),
-                            begin + static_cast<size_t>(options_.batch_size));
-      std::vector<const data::Sample*> batch;
-      for (size_t i = begin; i < end; ++i) {
-        batch.push_back(&samples[static_cast<size_t>(order[i])]);
-      }
-      Tensor values = StackWindows(batch, /*values=*/true);
-      Tensor observed = StackWindows(batch, /*values=*/false);
-      Tensor input_mask =
-          DropFromMask(observed, options_.extra_mask_rate, rng);
-      net_->ZeroGrad();
-      auto [pred_f, pred_b] = net_->Run(values, input_mask);
-      // Reconstruction on every observed entry + consistency between the
-      // two directions.
-      Variable loss = ag::Add(MaskedLoss(pred_f, values, observed),
-                              MaskedLoss(pred_b, values, observed));
-      loss = ag::Add(loss,
-                     ag::MulScalar(ag::MeanAll(ag::Square(
-                                       ag::Sub(pred_f, pred_b))),
-                                   options_.consistency_weight));
-      loss.Backward();
-      optimizer.Step();
-    }
-  }
+  nn::Adam optimizer(net_->Parameters(), {.lr = kLearningRate});
+  auto train_step = [&](const WindowBatch& batch) {
+    net_->ZeroGrad();
+    auto [pred_f, pred_b] = net_->Run(batch.values, batch.input_mask);
+    // Reconstruction on every observed entry + consistency between the
+    // two directions.
+    Variable loss =
+        ag::Add(ObservedLoss(pred_f, batch), ObservedLoss(pred_b, batch));
+    loss = ag::Add(
+        loss, ag::MulScalar(ag::MeanAll(ag::Square(ag::Sub(pred_f, pred_b))),
+                            kConsistencyWeight));
+    loss.Backward();
+    optimizer.Step();
+  };
+  ForEachTrainingBatch(task, options_.epochs, rng, train_step);
 }
 
 Tensor BritsImputer::Impute(const data::Sample& sample, Rng&) {
-  std::vector<const data::Sample*> batch = {&sample};
-  Tensor values = StackWindows(batch, /*values=*/true);
-  Tensor observed = StackWindows(batch, /*values=*/false);
-  auto [pred_f, pred_b] = net_->Run(values, observed);
-  Tensor mean = t::MulScalar(
-      t::Add(pred_f.value(), pred_b.value()), 0.5f);
-  int64_t n = sample.values.dim(0), l = sample.values.dim(1);
-  Tensor out = sample.values;
-  for (int64_t node = 0; node < n; ++node) {
-    for (int64_t step = 0; step < l; ++step) {
-      if (sample.observed.at({node, step}) < 0.5f) {
-        out.at({node, step}) = mean.at({0, node, step});
-      }
-    }
-  }
-  return out;
+  WindowBatch window = SingleWindow(sample);
+  auto [pred_f, pred_b] = net_->Run(window.values, window.input_mask);
+  return MergeObserved(
+      sample, t::MulScalar(t::Add(pred_f.value(), pred_b.value()), 0.5f));
 }
 
 // ---------------------------------------------------------------------------
@@ -213,7 +173,7 @@ class GraphDirection : public nn::Module {
                                     const Tensor& input_mask,
                                     bool reversed) const {
     int64_t b = values.dim(0), n = values.dim(1), l = values.dim(2);
-    CHECK_EQ(n, num_nodes_);
+    PRISTI_CHECK_EQ(n, num_nodes_);
     // Node-wise hidden state: (B*N, hidden) -> view (B, N, hidden).
     Variable h = cell_.InitialState(b * n);
     std::vector<Variable> stage1(static_cast<size_t>(l));
@@ -276,58 +236,28 @@ GrinImputer::GrinImputer(int64_t num_nodes, const Tensor& adjacency,
       net_(std::make_shared<Net>(num_nodes, options.hidden, adjacency, rng)) {}
 
 void GrinImputer::Fit(const data::ImputationTask& task, Rng& rng) {
-  std::vector<data::Sample> samples = data::ExtractSamples(task, "train");
-  CHECK(!samples.empty());
-  nn::Adam optimizer(net_->Parameters(), {.lr = options_.lr});
-  for (int64_t epoch = 0; epoch < options_.epochs; ++epoch) {
-    std::vector<int64_t> order =
-        rng.Permutation(static_cast<int64_t>(samples.size()));
-    for (size_t begin = 0; begin < order.size();
-         begin += static_cast<size_t>(options_.batch_size)) {
-      size_t end = std::min(order.size(),
-                            begin + static_cast<size_t>(options_.batch_size));
-      std::vector<const data::Sample*> batch;
-      for (size_t i = begin; i < end; ++i) {
-        batch.push_back(&samples[static_cast<size_t>(order[i])]);
-      }
-      Tensor values = StackWindows(batch, /*values=*/true);
-      Tensor observed = StackWindows(batch, /*values=*/false);
-      Tensor input_mask =
-          DropFromMask(observed, options_.extra_mask_rate, rng);
-      net_->ZeroGrad();
-      auto [f1, f2] = net_->fwd.Run(values, input_mask, /*reversed=*/false);
-      auto [b1, b2] = net_->bwd.Run(values, input_mask, /*reversed=*/true);
-      // Both stages and both directions are supervised (as in GRIN).
-      Variable loss = ag::Add(
-          ag::Add(MaskedLoss(f1, values, observed),
-                  MaskedLoss(f2, values, observed)),
-          ag::Add(MaskedLoss(b1, values, observed),
-                  MaskedLoss(b2, values, observed)));
-      loss.Backward();
-      optimizer.Step();
-    }
-  }
+  nn::Adam optimizer(net_->Parameters(), {.lr = kLearningRate});
+  auto train_step = [&](const WindowBatch& batch) {
+    net_->ZeroGrad();
+    auto [f1, f2] = net_->fwd.Run(batch.values, batch.input_mask, false);
+    auto [b1, b2] = net_->bwd.Run(batch.values, batch.input_mask, true);
+    // Both stages and both directions are supervised (as in GRIN).
+    Variable loss =
+        ag::Add(ag::Add(ObservedLoss(f1, batch), ObservedLoss(f2, batch)),
+                ag::Add(ObservedLoss(b1, batch), ObservedLoss(b2, batch)));
+    loss.Backward();
+    optimizer.Step();
+  };
+  ForEachTrainingBatch(task, options_.epochs, rng, train_step);
 }
 
 Tensor GrinImputer::Impute(const data::Sample& sample, Rng&) {
-  std::vector<const data::Sample*> batch = {&sample};
-  Tensor values = StackWindows(batch, /*values=*/true);
-  Tensor observed = StackWindows(batch, /*values=*/false);
-  auto [f1, f2] = net_->fwd.Run(values, observed, /*reversed=*/false);
-  auto [b1, b2] = net_->bwd.Run(values, observed, /*reversed=*/true);
-  (void)f1;
-  (void)b1;
-  Tensor mean = t::MulScalar(t::Add(f2.value(), b2.value()), 0.5f);
-  int64_t n = sample.values.dim(0), l = sample.values.dim(1);
-  Tensor out = sample.values;
-  for (int64_t node = 0; node < n; ++node) {
-    for (int64_t step = 0; step < l; ++step) {
-      if (sample.observed.at({node, step}) < 0.5f) {
-        out.at({node, step}) = mean.at({0, node, step});
-      }
-    }
-  }
-  return out;
+  WindowBatch window = SingleWindow(sample);
+  // The second (spatial) stage imputes, averaged over the two directions.
+  Variable f2 = net_->fwd.Run(window.values, window.input_mask, false).second;
+  Variable b2 = net_->bwd.Run(window.values, window.input_mask, true).second;
+  return MergeObserved(sample,
+                       t::MulScalar(t::Add(f2.value(), b2.value()), 0.5f));
 }
 
 // ---------------------------------------------------------------------------
@@ -409,66 +339,47 @@ RgainImputer::RgainImputer(int64_t num_nodes, RecurrentOptions options,
       net_(std::make_shared<Net>(num_nodes, options.hidden, rng)) {}
 
 void RgainImputer::Fit(const data::ImputationTask& task, Rng& rng) {
-  std::vector<data::Sample> samples = data::ExtractSamples(task, "train");
-  CHECK(!samples.empty());
-  nn::Adam gen_opt(net_->fwd.Parameters(), {.lr = options_.lr});
-  nn::Adam gen_opt_b(net_->bwd.Parameters(), {.lr = options_.lr});
-  nn::Adam disc_opt(net_->disc.Parameters(), {.lr = options_.lr});
+  nn::Adam gen_opt(net_->fwd.Parameters(), {.lr = kLearningRate});
+  nn::Adam gen_opt_b(net_->bwd.Parameters(), {.lr = kLearningRate});
+  nn::Adam disc_opt(net_->disc.Parameters(), {.lr = kLearningRate});
   const float kAdvWeight = 0.1f;
-  for (int64_t epoch = 0; epoch < options_.epochs; ++epoch) {
-    std::vector<int64_t> order =
-        rng.Permutation(static_cast<int64_t>(samples.size()));
-    for (size_t begin = 0; begin < order.size();
-         begin += static_cast<size_t>(options_.batch_size)) {
-      size_t end = std::min(order.size(),
-                            begin + static_cast<size_t>(options_.batch_size));
-      std::vector<const data::Sample*> batch;
-      for (size_t i = begin; i < end; ++i) {
-        batch.push_back(&samples[static_cast<size_t>(order[i])]);
-      }
-      Tensor values = StackWindows(batch, /*values=*/true);
-      Tensor observed = StackWindows(batch, /*values=*/false);
-      Tensor input_mask =
-          DropFromMask(observed, options_.extra_mask_rate, rng);
-      // GAIN hint: reveal the true mask at 90% of entries, 0.5 elsewhere.
-      Tensor hint = input_mask;
-      for (int64_t i = 0; i < hint.numel(); ++i) {
-        if (!rng.Bernoulli(0.9)) hint[i] = 0.5f;
-      }
-      Tensor ones = Tensor::Ones(values.shape());
-
-      // --- Discriminator step (generator detached).
-      net_->ZeroGrad();
-      Variable imputed_detached =
-          net_->Generate(values, input_mask).Detach();
-      Variable d_prob = net_->disc.Forward(imputed_detached, hint);
-      Variable d_loss = MaskedBce(d_prob, input_mask, ones);
-      d_loss.Backward();
-      disc_opt.Step();
-
-      // --- Generator step: reconstruction + fooling the discriminator on
-      // the imputed entries.
-      net_->ZeroGrad();
-      Variable imputed = net_->Generate(values, input_mask);
-      Variable g_prob = net_->disc.Forward(imputed, hint);
-      Tensor missing_mask = t::AddScalar(t::Neg(input_mask), 1.0f);
-      Variable adv = MaskedBce(g_prob, ones, missing_mask);
-      Variable recon = ag::MaskedMse(imputed, t::Mul(values, observed),
-                                     observed);
-      Variable g_loss = ag::Add(recon, ag::MulScalar(adv, kAdvWeight));
-      g_loss.Backward();
-      gen_opt.Step();
-      gen_opt_b.Step();
-      net_->disc.ZeroGrad();  // discard leaked discriminator grads
+  auto train_step = [&](const WindowBatch& batch) {
+    // GAIN hint: reveal the true mask at 90% of entries, 0.5 elsewhere.
+    Tensor hint = batch.input_mask;
+    for (int64_t i = 0; i < hint.numel(); ++i) {
+      if (!rng.Bernoulli(0.9)) hint[i] = 0.5f;
     }
-  }
+    Tensor ones = Tensor::Ones(batch.values.shape());
+
+    // --- Discriminator step (generator detached).
+    net_->ZeroGrad();
+    Variable imputed_detached =
+        net_->Generate(batch.values, batch.input_mask).Detach();
+    Variable d_prob = net_->disc.Forward(imputed_detached, hint);
+    Variable d_loss = MaskedBce(d_prob, batch.input_mask, ones);
+    d_loss.Backward();
+    disc_opt.Step();
+
+    // --- Generator step: reconstruction + fooling the discriminator on
+    // the imputed entries.
+    net_->ZeroGrad();
+    Variable imputed = net_->Generate(batch.values, batch.input_mask);
+    Variable g_prob = net_->disc.Forward(imputed, hint);
+    Tensor missing_mask = t::AddScalar(t::Neg(batch.input_mask), 1.0f);
+    Variable adv = MaskedBce(g_prob, ones, missing_mask);
+    Variable recon = ObservedLoss(imputed, batch);
+    Variable g_loss = ag::Add(recon, ag::MulScalar(adv, kAdvWeight));
+    g_loss.Backward();
+    gen_opt.Step();
+    gen_opt_b.Step();
+    net_->disc.ZeroGrad();  // discard leaked discriminator grads
+  };
+  ForEachTrainingBatch(task, options_.epochs, rng, train_step);
 }
 
 Tensor RgainImputer::Impute(const data::Sample& sample, Rng&) {
-  std::vector<const data::Sample*> batch = {&sample};
-  Tensor values = StackWindows(batch, /*values=*/true);
-  Tensor observed = StackWindows(batch, /*values=*/false);
-  Tensor imputed = net_->Generate(values, observed).value();
+  WindowBatch window = SingleWindow(sample);
+  Tensor imputed = net_->Generate(window.values, window.input_mask).value();
   return imputed.Reshaped(sample.values.shape());
 }
 

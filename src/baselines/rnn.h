@@ -12,46 +12,19 @@
 //     fully unobserved sensors, paper RQ5).
 //   * RgainImputer — rGAIN-lite: the bidirectional recurrent generator
 //     trained with an additional per-entry adversarial discriminator.
+//
+// Each Fit is one callback of ForEachTrainingBatch (window_batches.h), which
+// owns the batch size, the extra input masking and the learning rate.
 
 #include <memory>
 
 #include "baselines/imputer.h"
-#include "nn/gru.h"
-#include "nn/layers.h"
-#include "nn/module.h"
 
 namespace pristi::baselines {
-
-using autograd::Variable;
 
 struct RecurrentOptions {
   int64_t hidden = 32;
   int64_t epochs = 25;
-  int64_t batch_size = 8;
-  float lr = 5e-3f;
-  // Extra observed entries withheld from the inputs during training so the
-  // network learns to bridge holes rather than copy inputs.
-  double extra_mask_rate = 0.25;
-  // Weight of the forward/backward consistency term (BRITS).
-  float consistency_weight = 0.1f;
-};
-
-// One direction of the recurrent imputer: predicts step t from the hidden
-// state after step t-1, then feeds the observation (or its own prediction)
-// back in.
-class RecurrentDirection : public nn::Module {
- public:
-  RecurrentDirection(int64_t num_nodes, int64_t hidden, Rng& rng);
-
-  // values/input_mask: (B, N, L) constants; `reversed` runs right-to-left.
-  // Returns per-step predictions stacked to (B, N, L).
-  Variable Run(const tensor::Tensor& values, const tensor::Tensor& input_mask,
-               bool reversed) const;
-
- private:
-  int64_t num_nodes_;
-  nn::GruCell cell_;
-  nn::Linear head_;
 };
 
 class BritsImputer : public Imputer {
@@ -61,13 +34,10 @@ class BritsImputer : public Imputer {
   void Fit(const data::ImputationTask& task, Rng& rng) override;
   Tensor Impute(const data::Sample& sample, Rng& rng) override;
 
-  nn::Module& module() { return *module_; }
-
  private:
   struct Net;
   RecurrentOptions options_;
   std::shared_ptr<Net> net_;
-  std::shared_ptr<nn::Module> module_;
 };
 
 // GRIN-like: node-wise recurrence with spatial message passing.

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <functional>
 
-#include "common/logging.h"
+#include "common/check.h"
 
 namespace pristi::baselines {
 
@@ -62,7 +62,7 @@ void MeanImputer::Fit(const data::ImputationTask& task, Rng&) {
 }
 
 Tensor MeanImputer::Impute(const data::Sample& sample, Rng&) {
-  CHECK(!node_means_.empty()) << "Fit() must run first";
+  PRISTI_CHECK(!node_means_.empty()) << "Fit() must run first";
   return FillMissing(sample, [&](int64_t node, int64_t) {
     return node_means_[static_cast<size_t>(node)];
   });
@@ -101,7 +101,7 @@ void DailyAverageImputer::Fit(const data::ImputationTask& task, Rng&) {
 }
 
 Tensor DailyAverageImputer::Impute(const data::Sample& sample, Rng&) {
-  CHECK_GT(steps_per_day_, 0) << "Fit() must run first";
+  PRISTI_CHECK_GT(steps_per_day_, 0) << "Fit() must run first";
   return FillMissing(sample, [&](int64_t node, int64_t step) {
     int64_t tod = (sample.start + step) % steps_per_day_;
     return profile_.at({tod, node});
@@ -134,7 +134,7 @@ void KnnImputer::Fit(const data::ImputationTask& task, Rng&) {
 }
 
 Tensor KnnImputer::Impute(const data::Sample& sample, Rng&) {
-  CHECK(!neighbours_.empty()) << "Fit() must run first";
+  PRISTI_CHECK(!neighbours_.empty()) << "Fit() must run first";
   return FillMissing(sample, [&](int64_t node, int64_t step) {
     double weighted = 0.0, weight_sum = 0.0;
     for (const auto& [other, weight] : neighbours_[static_cast<size_t>(node)]) {

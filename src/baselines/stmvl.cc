@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "baselines/linalg.h"
-#include "common/logging.h"
+#include "common/check.h"
 
 namespace pristi::baselines {
 
@@ -46,7 +46,7 @@ void StmvlImputer::Fit(const data::ImputationTask& task, Rng&) {
       }
     }
   }
-  CHECK_GT(count, 10) << "not enough training entries for ST-MVL";
+  PRISTI_CHECK_GT(count, 10) << "not enough training entries for ST-MVL";
   Tensor x({count, 3}, std::move(rows_x));
   Tensor y({count, 1}, std::move(rows_y));
   weights_ = RidgeFit(x, y, 1e-3);
@@ -83,7 +83,7 @@ bool StmvlImputer::ViewFeatures(const data::Sample& sample,
 }
 
 Tensor StmvlImputer::Impute(const data::Sample& sample, Rng&) {
-  CHECK_GT(weights_.numel(), 0) << "Fit() must run first";
+  PRISTI_CHECK_GT(weights_.numel(), 0) << "Fit() must run first";
   Tensor out = sample.values;
   int64_t n = out.dim(0), len = out.dim(1);
   for (int64_t node = 0; node < n; ++node) {

@@ -1,37 +1,23 @@
 #include "baselines/vae.h"
 
-#include <algorithm>
-
 #include "autograd/ops.h"
-#include "common/logging.h"
+#include "baselines/window_batches.h"
+#include "nn/gru.h"
+#include "nn/layers.h"
 #include "nn/optimizer.h"
 
 namespace pristi::baselines {
 
 namespace ag = ::pristi::autograd;
 namespace t = ::pristi::tensor;
+using autograd::Variable;
 
 namespace {
 
-Tensor StackWindows(const std::vector<const data::Sample*>& samples,
-                    bool values) {
-  int64_t b = static_cast<int64_t>(samples.size());
-  int64_t n = samples[0]->values.dim(0), l = samples[0]->values.dim(1);
-  Tensor out({b, n, l});
-  for (int64_t i = 0; i < b; ++i) {
-    const Tensor& src = values ? samples[i]->values : samples[i]->observed;
-    std::copy(src.data(), src.data() + n * l, out.data() + i * n * l);
-  }
-  return out;
-}
-
-Tensor DropFromMask(const Tensor& mask, double rate, Rng& rng) {
-  Tensor out = mask;
-  for (int64_t i = 0; i < out.numel(); ++i) {
-    if (out[i] > 0.5f && rng.Bernoulli(rate)) out[i] = 0.0f;
-  }
-  return out;
-}
+// Weight of the KL term against the masked reconstruction.
+constexpr float kKlWeight = 0.05f;
+// GP-VAE only: weight of the latent smoothness penalty.
+constexpr float kSmoothnessWeight = 0.5f;
 
 // GRU encoder over the window: input per step [x*m, m] of width 2N.
 // Returns the sequence of hidden states, one (B, hidden) per step.
@@ -73,14 +59,6 @@ Variable Reparameterize(const Variable& mu, const Variable& logvar,
   Tensor eps = Tensor::Randn(mu.value().shape(), rng);
   return ag::Add(mu, ag::Mul(ag::Exp(ag::MulScalar(logvar, 0.5f)),
                              ag::Constant(eps)));
-}
-
-Tensor MergeObserved(const data::Sample& sample, const Tensor& decoded) {
-  Tensor out = sample.values;
-  for (int64_t i = 0; i < out.numel(); ++i) {
-    if (sample.observed[i] < 0.5f) out[i] = decoded[i];
-  }
-  return out;
 }
 
 }  // namespace
@@ -135,62 +113,37 @@ VrinImputer::VrinImputer(int64_t num_nodes, int64_t window_len,
       net_(std::make_shared<Net>(num_nodes, window_len, options, rng)) {}
 
 void VrinImputer::Fit(const data::ImputationTask& task, Rng& rng) {
-  std::vector<data::Sample> samples = data::ExtractSamples(task, "train");
-  CHECK(!samples.empty());
-  nn::Adam optimizer(net_->Parameters(), {.lr = options_.lr});
-  for (int64_t epoch = 0; epoch < options_.epochs; ++epoch) {
-    std::vector<int64_t> order =
-        rng.Permutation(static_cast<int64_t>(samples.size()));
-    for (size_t begin = 0; begin < order.size();
-         begin += static_cast<size_t>(options_.batch_size)) {
-      size_t end = std::min(order.size(),
-                            begin + static_cast<size_t>(options_.batch_size));
-      std::vector<const data::Sample*> batch;
-      for (size_t i = begin; i < end; ++i) {
-        batch.push_back(&samples[static_cast<size_t>(order[i])]);
-      }
-      Tensor values = StackWindows(batch, true);
-      Tensor observed = StackWindows(batch, false);
-      Tensor input_mask =
-          DropFromMask(observed, options_.extra_mask_rate, rng);
-      net_->ZeroGrad();
-      auto [mu, logvar] = net_->Encode(values, input_mask);
-      Variable z = Reparameterize(mu, logvar, rng);
-      Variable decoded = net_->Decode(z);
-      Variable recon =
-          ag::MaskedMse(decoded, t::Mul(values, observed), observed);
-      Variable loss = ag::Add(
-          recon, ag::MulScalar(GaussianKl(mu, logvar), options_.kl_weight));
-      loss.Backward();
-      optimizer.Step();
-    }
-  }
+  nn::Adam optimizer(net_->Parameters(), {.lr = kLearningRate});
+  auto train_step = [&](const WindowBatch& batch) {
+    net_->ZeroGrad();
+    auto [mu, logvar] = net_->Encode(batch.values, batch.input_mask);
+    Variable z = Reparameterize(mu, logvar, rng);
+    Variable decoded = net_->Decode(z);
+    Variable recon = ag::MaskedMse(
+        decoded, t::Mul(batch.values, batch.observed), batch.observed);
+    Variable loss =
+        ag::Add(recon, ag::MulScalar(GaussianKl(mu, logvar), kKlWeight));
+    loss.Backward();
+    optimizer.Step();
+  };
+  ForEachTrainingBatch(task, options_.epochs, rng, train_step);
 }
 
 Tensor VrinImputer::Impute(const data::Sample& sample, Rng&) {
-  std::vector<const data::Sample*> batch = {&sample};
-  Tensor values = StackWindows(batch, true);
-  Tensor observed = StackWindows(batch, false);
-  auto [mu, logvar] = net_->Encode(values, observed);
-  (void)logvar;
-  Tensor decoded =
-      net_->Decode(mu).value().Reshaped(sample.values.shape());
-  return MergeObserved(sample, decoded);
+  WindowBatch window = SingleWindow(sample);
+  Variable mu = net_->Encode(window.values, window.input_mask).mu;
+  return MergeObserved(sample, net_->Decode(mu).value());
 }
 
 diffusion::ImputationResult VrinImputer::ImputeSamples(
     const data::Sample& sample, int64_t num_samples, Rng& rng) {
-  std::vector<const data::Sample*> batch = {&sample};
-  Tensor values = StackWindows(batch, true);
-  Tensor observed = StackWindows(batch, false);
-  auto [mu, logvar] = net_->Encode(values, observed);
+  WindowBatch window = SingleWindow(sample);
+  auto [mu, logvar] = net_->Encode(window.values, window.input_mask);
   diffusion::ImputationResult out;
   out.samples.reserve(static_cast<size_t>(num_samples));
   for (int64_t i = 0; i < num_samples; ++i) {
     Variable z = Reparameterize(mu, logvar, rng);
-    Tensor decoded =
-        net_->Decode(z).value().Reshaped(sample.values.shape());
-    out.samples.push_back(MergeObserved(sample, decoded));
+    out.samples.push_back(MergeObserved(sample, net_->Decode(z).value()));
   }
   out.FinalizeMedian();
   return out;
@@ -250,72 +203,47 @@ GpVaeImputer::GpVaeImputer(int64_t num_nodes, VaeOptions options, Rng& rng)
       net_(std::make_shared<Net>(num_nodes, options, rng)) {}
 
 void GpVaeImputer::Fit(const data::ImputationTask& task, Rng& rng) {
-  std::vector<data::Sample> samples = data::ExtractSamples(task, "train");
-  CHECK(!samples.empty());
-  nn::Adam optimizer(net_->Parameters(), {.lr = options_.lr});
-  for (int64_t epoch = 0; epoch < options_.epochs; ++epoch) {
-    std::vector<int64_t> order =
-        rng.Permutation(static_cast<int64_t>(samples.size()));
-    for (size_t begin = 0; begin < order.size();
-         begin += static_cast<size_t>(options_.batch_size)) {
-      size_t end = std::min(order.size(),
-                            begin + static_cast<size_t>(options_.batch_size));
-      std::vector<const data::Sample*> batch;
-      for (size_t i = begin; i < end; ++i) {
-        batch.push_back(&samples[static_cast<size_t>(order[i])]);
+  nn::Adam optimizer(net_->Parameters(), {.lr = kLearningRate});
+  auto train_step = [&](const WindowBatch& batch) {
+    net_->ZeroGrad();
+    Net::Encoding enc = net_->Encode(batch.values, batch.input_mask);
+    std::vector<Variable> z;
+    z.reserve(enc.mu.size());
+    Variable kl, smooth;
+    for (size_t step = 0; step < enc.mu.size(); ++step) {
+      z.push_back(Reparameterize(enc.mu[step], enc.logvar[step], rng));
+      Variable kl_t = GaussianKl(enc.mu[step], enc.logvar[step]);
+      kl = kl.defined() ? ag::Add(kl, kl_t) : kl_t;
+      if (step > 0) {
+        // GP prior reduced to a latent random-walk smoothness penalty.
+        Variable diff = ag::MeanAll(
+            ag::Square(ag::Sub(enc.mu[step], enc.mu[step - 1])));
+        smooth = smooth.defined() ? ag::Add(smooth, diff) : diff;
       }
-      Tensor values = StackWindows(batch, true);
-      Tensor observed = StackWindows(batch, false);
-      Tensor input_mask =
-          DropFromMask(observed, options_.extra_mask_rate, rng);
-      net_->ZeroGrad();
-      Net::Encoding enc = net_->Encode(values, input_mask);
-      std::vector<Variable> z;
-      z.reserve(enc.mu.size());
-      Variable kl, smooth;
-      for (size_t step = 0; step < enc.mu.size(); ++step) {
-        z.push_back(Reparameterize(enc.mu[step], enc.logvar[step], rng));
-        Variable kl_t = GaussianKl(enc.mu[step], enc.logvar[step]);
-        kl = kl.defined() ? ag::Add(kl, kl_t) : kl_t;
-        if (step > 0) {
-          // GP prior reduced to a latent random-walk smoothness penalty.
-          Variable diff = ag::MeanAll(
-              ag::Square(ag::Sub(enc.mu[step], enc.mu[step - 1])));
-          smooth = smooth.defined() ? ag::Add(smooth, diff) : diff;
-        }
-      }
-      Variable decoded = net_->DecodeSequence(z);
-      Variable recon =
-          ag::MaskedMse(decoded, t::Mul(values, observed), observed);
-      float inv_l = 1.0f / static_cast<float>(enc.mu.size());
-      Variable loss = ag::Add(
-          recon,
-          ag::Add(ag::MulScalar(kl, options_.kl_weight * inv_l),
-                  ag::MulScalar(smooth,
-                                options_.smoothness_weight * inv_l)));
-      loss.Backward();
-      optimizer.Step();
     }
-  }
+    Variable decoded = net_->DecodeSequence(z);
+    Variable recon = ag::MaskedMse(
+        decoded, t::Mul(batch.values, batch.observed), batch.observed);
+    float inv_l = 1.0f / static_cast<float>(enc.mu.size());
+    Variable loss = ag::Add(
+        recon, ag::Add(ag::MulScalar(kl, kKlWeight * inv_l),
+                       ag::MulScalar(smooth, kSmoothnessWeight * inv_l)));
+    loss.Backward();
+    optimizer.Step();
+  };
+  ForEachTrainingBatch(task, options_.epochs, rng, train_step);
 }
 
 Tensor GpVaeImputer::Impute(const data::Sample& sample, Rng&) {
-  std::vector<const data::Sample*> batch = {&sample};
-  Tensor values = StackWindows(batch, true);
-  Tensor observed = StackWindows(batch, false);
-  Net::Encoding enc = net_->Encode(values, observed);
-  Tensor decoded = net_->DecodeSequence(enc.mu)
-                       .value()
-                       .Reshaped(sample.values.shape());
-  return MergeObserved(sample, decoded);
+  WindowBatch window = SingleWindow(sample);
+  Net::Encoding enc = net_->Encode(window.values, window.input_mask);
+  return MergeObserved(sample, net_->DecodeSequence(enc.mu).value());
 }
 
 diffusion::ImputationResult GpVaeImputer::ImputeSamples(
     const data::Sample& sample, int64_t num_samples, Rng& rng) {
-  std::vector<const data::Sample*> batch = {&sample};
-  Tensor values = StackWindows(batch, true);
-  Tensor observed = StackWindows(batch, false);
-  Net::Encoding enc = net_->Encode(values, observed);
+  WindowBatch window = SingleWindow(sample);
+  Net::Encoding enc = net_->Encode(window.values, window.input_mask);
   diffusion::ImputationResult out;
   out.samples.reserve(static_cast<size_t>(num_samples));
   for (int64_t i = 0; i < num_samples; ++i) {
@@ -324,10 +252,8 @@ diffusion::ImputationResult GpVaeImputer::ImputeSamples(
     for (size_t step = 0; step < enc.mu.size(); ++step) {
       z.push_back(Reparameterize(enc.mu[step], enc.logvar[step], rng));
     }
-    Tensor decoded = net_->DecodeSequence(z)
-                         .value()
-                         .Reshaped(sample.values.shape());
-    out.samples.push_back(MergeObserved(sample, decoded));
+    out.samples.push_back(
+        MergeObserved(sample, net_->DecodeSequence(z).value()));
   }
   out.FinalizeMedian();
   return out;

@@ -8,28 +8,20 @@
 //   * GpVaeImputer — GP-VAE-lite: per-step latents with a temporal
 //     smoothness prior (the stationary kernel of GP-VAE reduced to a random
 //     walk penalty), decoded step-wise.
+//
+// Each Fit is one callback of ForEachTrainingBatch (window_batches.h), which
+// owns the batch size, the extra input masking and the learning rate.
 
 #include <memory>
 
 #include "baselines/imputer.h"
-#include "nn/gru.h"
-#include "nn/layers.h"
-#include "nn/module.h"
 
 namespace pristi::baselines {
-
-using autograd::Variable;
 
 struct VaeOptions {
   int64_t hidden = 32;
   int64_t latent = 8;
   int64_t epochs = 30;
-  int64_t batch_size = 8;
-  float lr = 5e-3f;
-  float kl_weight = 0.05f;
-  // GP-VAE only: weight of the latent smoothness penalty.
-  float smoothness_weight = 0.5f;
-  double extra_mask_rate = 0.25;
 };
 
 class VrinImputer : public Imputer {

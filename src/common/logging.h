@@ -1,12 +1,9 @@
 #ifndef PRISTI_COMMON_LOGGING_H_
 #define PRISTI_COMMON_LOGGING_H_
 
-// Lightweight logging and assertion macros in the spirit of glog.
-//
-// CHECK-family macros abort on programmer error (invariant violation);
-// they stay enabled in release builds because this library is used as a
-// numerical substrate where silent shape/index corruption is far more
-// expensive than the branch.
+// Lightweight logging macros in the spirit of glog. The assertion macros
+// (PRISTI_CHECK*, PRISTI_DCHECK*) live in common/check.h and abort through
+// PRISTI_LOG_FATAL.
 
 #include <cstdlib>
 #include <iostream>
@@ -94,21 +91,5 @@ class NullStream {
   ::pristi::internal_logging::LogMessage(::pristi::LogSeverity::kFatal,     \
                                          __FILE__, __LINE__)                \
       .stream()
-
-#define CHECK(condition)                                              \
-  if (!(condition))                                                   \
-  PRISTI_LOG_FATAL << "Check failed: " #condition " "
-
-#define CHECK_OP(op, a, b)                                                \
-  if (!((a)op(b)))                                                        \
-  PRISTI_LOG_FATAL << "Check failed: " #a " " #op " " #b " (" << (a)      \
-                   << " vs " << (b) << ") "
-
-#define CHECK_EQ(a, b) CHECK_OP(==, a, b)
-#define CHECK_NE(a, b) CHECK_OP(!=, a, b)
-#define CHECK_LT(a, b) CHECK_OP(<, a, b)
-#define CHECK_LE(a, b) CHECK_OP(<=, a, b)
-#define CHECK_GT(a, b) CHECK_OP(>, a, b)
-#define CHECK_GE(a, b) CHECK_OP(>=, a, b)
 
 #endif  // PRISTI_COMMON_LOGGING_H_

@@ -5,17 +5,18 @@
 #include <iomanip>
 #include <sstream>
 
+#include "common/check.h"
 #include "common/logging.h"
 
 namespace pristi {
 
 TablePrinter::TablePrinter(std::vector<std::string> header)
     : header_(std::move(header)) {
-  CHECK(!header_.empty());
+  PRISTI_CHECK(!header_.empty());
 }
 
 void TablePrinter::AddRow(std::vector<std::string> row) {
-  CHECK_EQ(row.size(), header_.size());
+  PRISTI_CHECK_EQ(row.size(), header_.size());
   rows_.push_back(std::move(row));
 }
 

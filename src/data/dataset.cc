@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "common/logging.h"
+#include "common/check.h"
 
 namespace pristi::data {
 
@@ -72,9 +72,9 @@ Status ValidateSyntheticConfig(const SyntheticConfig& config) {
 
 SpatioTemporalDataset GenerateSynthetic(const SyntheticConfig& config,
                                         Rng& rng) {
-  CHECK_GT(config.num_nodes, 1);
-  CHECK_GT(config.num_steps, 2);
-  CHECK_GT(config.steps_per_day, 1);
+  PRISTI_CHECK_GT(config.num_nodes, 1);
+  PRISTI_CHECK_GT(config.num_steps, 2);
+  PRISTI_CHECK_GT(config.steps_per_day, 1);
 
   SpatioTemporalDataset dataset;
   dataset.name = config.name;

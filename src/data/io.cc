@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/logging.h"
 
 namespace pristi::data {
@@ -69,7 +70,7 @@ SpatioTemporalDataset ReadCsvDataset(const std::string& values_path,
     if (line.empty()) continue;
     rows.push_back(SplitCsvLine(line));
   }
-  CHECK(!rows.empty()) << "empty CSV " << values_path;
+  PRISTI_CHECK(!rows.empty()) << "empty CSV " << values_path;
   int64_t t_steps = static_cast<int64_t>(rows.size());
   int64_t n = static_cast<int64_t>(rows[0].size());
   dataset.num_steps = t_steps;
@@ -77,7 +78,7 @@ SpatioTemporalDataset ReadCsvDataset(const std::string& values_path,
   dataset.values = Tensor({t_steps, n});
   dataset.observed_mask = Tensor({t_steps, n});
   for (int64_t step = 0; step < t_steps; ++step) {
-    CHECK_EQ(static_cast<int64_t>(rows[static_cast<size_t>(step)].size()), n)
+    PRISTI_CHECK_EQ(static_cast<int64_t>(rows[static_cast<size_t>(step)].size()), n)
         << "ragged CSV row " << step;
     for (int64_t node = 0; node < n; ++node) {
       const std::string& cell =
@@ -90,17 +91,17 @@ SpatioTemporalDataset ReadCsvDataset(const std::string& values_path,
   // Graph: from the coordinates file if given, else synthetic placement.
   if (!coords_path.empty()) {
     std::ifstream coords_file(coords_path);
-    CHECK(static_cast<bool>(coords_file)) << "cannot open " << coords_path;
+    PRISTI_CHECK(static_cast<bool>(coords_file)) << "cannot open " << coords_path;
     Tensor coords({n, 2});
     int64_t node = 0;
     while (std::getline(coords_file, line) && node < n) {
       auto cells = SplitCsvLine(line);
-      CHECK_GE(cells.size(), 2u) << "bad coords row " << node;
+      PRISTI_CHECK_GE(cells.size(), 2u) << "bad coords row " << node;
       coords.at({node, 0}) = std::stof(cells[0]);
       coords.at({node, 1}) = std::stof(cells[1]);
       ++node;
     }
-    CHECK_EQ(node, n) << "coords file has too few rows";
+    PRISTI_CHECK_EQ(node, n) << "coords file has too few rows";
     dataset.graph.num_nodes = n;
     dataset.graph.coords = coords;
     dataset.graph.distances = graph::PairwiseDistances(coords);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "common/check.h"
 #include "common/logging.h"
 
 namespace pristi::data {
@@ -38,8 +39,8 @@ bool ParseMissingPattern(const std::string& name, MissingPattern* out) {
 
 Tensor InjectPointMissing(const Tensor& observed_mask, double rate,
                           Rng& rng) {
-  CHECK_GE(rate, 0.0);
-  CHECK_LE(rate, 1.0);
+  PRISTI_CHECK_GE(rate, 0.0);
+  PRISTI_CHECK_LE(rate, 1.0);
   Tensor eval_mask = Tensor::Zeros(observed_mask.shape());
   for (int64_t i = 0; i < observed_mask.numel(); ++i) {
     if (observed_mask[i] > 0.5f && rng.Bernoulli(rate)) eval_mask[i] = 1.0f;
@@ -49,7 +50,7 @@ Tensor InjectPointMissing(const Tensor& observed_mask, double rate,
 
 Tensor InjectBlockMissing(const Tensor& observed_mask,
                           const BlockMissingOptions& options, Rng& rng) {
-  CHECK_EQ(observed_mask.ndim(), 2);
+  PRISTI_CHECK_EQ(observed_mask.ndim(), 2);
   int64_t t_steps = observed_mask.dim(0);
   int64_t n = observed_mask.dim(1);
   Tensor eval_mask = InjectPointMissing(observed_mask, options.point_rate,
@@ -71,7 +72,7 @@ Tensor InjectBlockMissing(const Tensor& observed_mask,
 
 Tensor InjectSimulatedFailure(const Tensor& observed_mask, double rate,
                               Rng& rng, const Tensor* distances) {
-  CHECK_EQ(observed_mask.ndim(), 2);
+  PRISTI_CHECK_EQ(observed_mask.ndim(), 2);
   int64_t t_steps = observed_mask.dim(0);
   int64_t n = observed_mask.dim(1);
   int64_t observed_total = 0;
@@ -132,13 +133,13 @@ Tensor InjectSimulatedFailure(const Tensor& observed_mask, double rate,
 
 Tensor InjectSensorFailure(const Tensor& observed_mask,
                            const std::vector<int64_t>& nodes) {
-  CHECK_EQ(observed_mask.ndim(), 2);
+  PRISTI_CHECK_EQ(observed_mask.ndim(), 2);
   int64_t t_steps = observed_mask.dim(0);
   int64_t n = observed_mask.dim(1);
   Tensor eval_mask = Tensor::Zeros(observed_mask.shape());
   for (int64_t node : nodes) {
-    CHECK_GE(node, 0);
-    CHECK_LT(node, n);
+    PRISTI_CHECK_GE(node, 0);
+    PRISTI_CHECK_LT(node, n);
     for (int64_t t = 0; t < t_steps; ++t) {
       if (observed_mask.at({t, node}) > 0.5f) {
         eval_mask.at({t, node}) = 1.0f;
@@ -151,8 +152,8 @@ Tensor InjectSensorFailure(const Tensor& observed_mask,
 Tensor InjectValueDependentMissing(const Tensor& values,
                                    const Tensor& observed_mask, double rate,
                                    double severity, Rng& rng) {
-  CHECK(tensor::ShapesEqual(values.shape(), observed_mask.shape()));
-  CHECK_EQ(values.ndim(), 2);
+  PRISTI_CHECK(tensor::ShapesEqual(values.shape(), observed_mask.shape()));
+  PRISTI_CHECK_EQ(values.ndim(), 2);
   int64_t t_steps = values.dim(0), n = values.dim(1);
   // Standardize per node over observed entries.
   std::vector<double> mean(static_cast<size_t>(n), 0.0),
@@ -259,7 +260,7 @@ Tensor BlockStrategyMask(const Tensor& window_observed, Rng& rng) {
 // Historical strategy: another sample's missing entries become targets.
 Tensor HistoricalStrategyMask(const Tensor& window_observed,
                               const Tensor& historical_pattern) {
-  CHECK(tensor::ShapesEqual(window_observed.shape(),
+  PRISTI_CHECK(tensor::ShapesEqual(window_observed.shape(),
                             historical_pattern.shape()));
   Tensor target = Tensor::Zeros(window_observed.shape());
   for (int64_t i = 0; i < window_observed.numel(); ++i) {
@@ -272,9 +273,22 @@ Tensor HistoricalStrategyMask(const Tensor& window_observed,
 
 }  // namespace
 
+MaskStrategy TrainingMaskStrategy(MissingPattern pattern) {
+  switch (pattern) {
+    case MissingPattern::kPoint:
+      return MaskStrategy::kPoint;
+    case MissingPattern::kBlock:
+      return MaskStrategy::kHybrid;
+    case MissingPattern::kSimulatedFailure:
+      return MaskStrategy::kHybridHistorical;
+  }
+  PRISTI_LOG_FATAL << "unknown missing pattern";
+  return MaskStrategy::kPoint;
+}
+
 Tensor ApplyMaskStrategy(const Tensor& window_observed, MaskStrategy strategy,
                          Rng& rng, const Tensor* historical_pattern) {
-  CHECK_EQ(window_observed.ndim(), 2) << "expected (N, L) window mask";
+  PRISTI_CHECK_EQ(window_observed.ndim(), 2) << "expected (N, L) window mask";
   switch (strategy) {
     case MaskStrategy::kPoint:
       return PointStrategyMask(window_observed, rng);
@@ -295,7 +309,7 @@ Tensor ApplyMaskStrategy(const Tensor& window_observed, MaskStrategy strategy,
 }
 
 Tensor MaskMinus(const Tensor& a, const Tensor& b) {
-  CHECK(tensor::ShapesEqual(a.shape(), b.shape()));
+  PRISTI_CHECK(tensor::ShapesEqual(a.shape(), b.shape()));
   Tensor out(a.shape());
   for (int64_t i = 0; i < a.numel(); ++i) {
     out[i] = (a[i] > 0.5f && b[i] < 0.5f) ? 1.0f : 0.0f;
@@ -311,7 +325,7 @@ double MaskRate(const Tensor& mask) {
 }
 
 double MaskOverlap(const Tensor& a, const Tensor& b) {
-  CHECK(tensor::ShapesEqual(a.shape(), b.shape()));
+  PRISTI_CHECK(tensor::ShapesEqual(a.shape(), b.shape()));
   int64_t a_ones = 0, both = 0;
   for (int64_t i = 0; i < a.numel(); ++i) {
     if (a[i] > 0.5f) {

@@ -81,6 +81,10 @@ enum class MaskStrategy {
   kHybridHistorical,  // 50% point; else an historical pattern if provided
 };
 
+// The strategy a model is trained with for an evaluation pattern: point ->
+// kPoint, block -> kHybrid, simulated failure -> kHybridHistorical.
+MaskStrategy TrainingMaskStrategy(MissingPattern pattern);
+
 // `historical_pattern`, when non-null, must be an (N, L) observed mask from
 // another sample; its MISSING entries become this sample's targets (the
 // paper's "historical missing pattern" option inside the hybrid strategy).

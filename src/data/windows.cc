@@ -4,16 +4,17 @@
 #include <cmath>
 #include <string>
 
+#include "common/check.h"
 #include "common/logging.h"
 
 namespace pristi::data {
 
 Normalizer Normalizer::Fit(const Tensor& values, const Tensor& mask,
                            int64_t train_begin, int64_t train_end) {
-  CHECK_EQ(values.ndim(), 2);
-  CHECK(tensor::ShapesEqual(values.shape(), mask.shape()));
-  CHECK_LE(train_end, values.dim(0));
-  CHECK_LT(train_begin, train_end);
+  PRISTI_CHECK_EQ(values.ndim(), 2);
+  PRISTI_CHECK(tensor::ShapesEqual(values.shape(), mask.shape()));
+  PRISTI_CHECK_LE(train_end, values.dim(0));
+  PRISTI_CHECK_LT(train_begin, train_end);
   int64_t n = values.dim(1);
   Normalizer norm;
   norm.means_.assign(static_cast<size_t>(n), 0.0);
@@ -48,9 +49,9 @@ namespace {
 Tensor AffinePerNode(const Tensor& values, bool node_major,
                      const std::vector<double>& means,
                      const std::vector<double>& stds, bool invert) {
-  CHECK_EQ(values.ndim(), 2);
+  PRISTI_CHECK_EQ(values.ndim(), 2);
   int64_t n = node_major ? values.dim(0) : values.dim(1);
-  CHECK_EQ(static_cast<size_t>(n), means.size());
+  PRISTI_CHECK_EQ(static_cast<size_t>(n), means.size());
   Tensor out(values.shape());
   int64_t rows = values.dim(0), cols = values.dim(1);
   for (int64_t r = 0; r < rows; ++r) {
@@ -76,8 +77,8 @@ Tensor Normalizer::Invert(const Tensor& values, bool node_major) const {
 }
 
 Tensor LinearInterpolate(const Tensor& values, const Tensor& mask) {
-  CHECK_EQ(values.ndim(), 2);
-  CHECK(tensor::ShapesEqual(values.shape(), mask.shape()));
+  PRISTI_CHECK_EQ(values.ndim(), 2);
+  PRISTI_CHECK(tensor::ShapesEqual(values.shape(), mask.shape()));
   int64_t n = values.dim(0), l = values.dim(1);
   Tensor out = values;
   for (int64_t node = 0; node < n; ++node) {
@@ -165,8 +166,8 @@ ImputationTask MakeTask(SpatioTemporalDataset dataset, MissingPattern pattern,
   int64_t t_steps = dataset.num_steps;
   task.train_end = TrainEnd(options, t_steps);
   task.val_end = ValEnd(options, t_steps);
-  CHECK_GT(task.train_end, options.window_len);
-  CHECK_LT(task.val_end, t_steps);
+  PRISTI_CHECK_GT(task.train_end, options.window_len);
+  PRISTI_CHECK_LT(task.val_end, t_steps);
   task.normalizer = Normalizer::Fit(dataset.values, task.model_observed_mask,
                                     0, task.train_end);
   task.dataset = std::move(dataset);
@@ -176,8 +177,8 @@ ImputationTask MakeTask(SpatioTemporalDataset dataset, MissingPattern pattern,
 Sample ExtractWindow(const ImputationTask& task, int64_t start) {
   int64_t l = task.window_len;
   int64_t n = task.dataset.num_nodes;
-  CHECK_GE(start, 0);
-  CHECK_LE(start + l, task.dataset.num_steps);
+  PRISTI_CHECK_GE(start, 0);
+  PRISTI_CHECK_LE(start + l, task.dataset.num_steps);
   Sample sample;
   sample.start = start;
   sample.values = Tensor(tensor::Shape{n, l});

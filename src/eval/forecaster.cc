@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "autograd/ops.h"
-#include "common/logging.h"
+#include "common/check.h"
 #include "metrics/metrics.h"
 #include "nn/graph_conv.h"
 #include "nn/layers.h"
@@ -62,11 +62,11 @@ ForecastResult TrainAndEvaluateForecaster(const Tensor& series,
                                           const Tensor& eval_truth,
                                           const ForecastOptions& options,
                                           Rng& rng) {
-  CHECK_EQ(series.ndim(), 2);
-  CHECK(t::ShapesEqual(series.shape(), eval_truth.shape()));
+  PRISTI_CHECK_EQ(series.ndim(), 2);
+  PRISTI_CHECK(t::ShapesEqual(series.shape(), eval_truth.shape()));
   int64_t t_steps = series.dim(0), n = series.dim(1);
   int64_t window = options.input_len + options.horizon;
-  CHECK_GT(t_steps, 3 * window);
+  PRISTI_CHECK_GT(t_steps, 3 * window);
 
   // Per-node standardization fitted on the training portion of the series.
   int64_t train_end = static_cast<int64_t>(t_steps * options.train_frac);
@@ -112,7 +112,7 @@ ForecastResult TrainAndEvaluateForecaster(const Tensor& series,
        start += options.horizon) {
     starts.push_back(start);
   }
-  CHECK(!starts.empty());
+  PRISTI_CHECK(!starts.empty());
   for (int64_t epoch = 0; epoch < options.epochs; ++epoch) {
     std::vector<int64_t> order =
         rng.Permutation(static_cast<int64_t>(starts.size()));

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "autograd/variable.h"
-#include "common/logging.h"
+#include "common/check.h"
 #include "common/stopwatch.h"
 #include "metrics/metrics.h"
 
@@ -20,7 +20,7 @@ DiffusionImputerAdapter::DiffusionImputerAdapter(
       options_(options),
       schedule_(diffusion::NoiseSchedule::Quadratic(
           options.diffusion_steps, options.beta_1, options.beta_end)) {
-  CHECK(model_ != nullptr);
+  PRISTI_CHECK(model_ != nullptr);
 }
 
 void DiffusionImputerAdapter::Fit(const data::ImputationTask& task,
@@ -87,7 +87,7 @@ Tensor RestrictToNodes(const Tensor& mask,
 MethodResult EvaluateFittedImputer(Imputer* imputer,
                                    const data::ImputationTask& task, Rng& rng,
                                    const EvaluateOptions& options) {
-  CHECK(imputer != nullptr);
+  PRISTI_CHECK(imputer != nullptr);
   // Evaluation is inference-only for every imputer (fitting happened in
   // Fit()); skip tape recording for all Impute calls below.
   autograd::NoGradGuard no_grad;

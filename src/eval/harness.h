@@ -39,7 +39,9 @@ struct DiffusionRunOptions {
 
 // Wraps a ConditionalNoisePredictor + schedule + training config behind the
 // Imputer interface so the harness treats diffusion models like any other
-// method.
+// method. The training options are fixed at construction (the CLI and
+// pristi_paper build them with data::TrainingMaskStrategy for the task's
+// pattern); only the inference options can be swapped afterwards.
 class DiffusionImputerAdapter : public Imputer {
  public:
   DiffusionImputerAdapter(std::string name,
@@ -71,12 +73,6 @@ class DiffusionImputerAdapter : public Imputer {
   const diffusion::ImputeOptions& impute_options() const {
     return options_.impute;
   }
-
-  // Training knobs applied by the next Fit(); exposes the checkpoint/resume
-  // options (TrainOptions::checkpoint_dir / resume_from / ...)
-  // so the CLI and studies can thread them through without widening Fit's
-  // signature.
-  diffusion::TrainOptions& mutable_train_options() { return options_.train; }
 
  private:
   std::string name_;

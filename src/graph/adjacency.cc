@@ -3,14 +3,14 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.h"
+#include "common/check.h"
 
 namespace pristi::graph {
 
 Tensor GenerateSensorLocations(int64_t n, Rng& rng, int64_t num_clusters,
                                double cluster_spread) {
-  CHECK_GT(n, 0);
-  CHECK_GT(num_clusters, 0);
+  PRISTI_CHECK_GT(n, 0);
+  PRISTI_CHECK_GT(num_clusters, 0);
   // Cluster centers uniform in the unit square, sensors Gaussian around them.
   std::vector<std::pair<double, double>> centers;
   centers.reserve(static_cast<size_t>(num_clusters));
@@ -32,8 +32,8 @@ Tensor GenerateSensorLocations(int64_t n, Rng& rng, int64_t num_clusters,
 }
 
 Tensor PairwiseDistances(const Tensor& coords) {
-  CHECK_EQ(coords.ndim(), 2);
-  CHECK_EQ(coords.dim(1), 2);
+  PRISTI_CHECK_EQ(coords.ndim(), 2);
+  PRISTI_CHECK_EQ(coords.dim(1), 2);
   int64_t n = coords.dim(0);
   Tensor dist(tensor::Shape{n, n});
   for (int64_t i = 0; i < n; ++i) {
@@ -50,9 +50,9 @@ Tensor PairwiseDistances(const Tensor& coords) {
 
 Tensor GaussianKernelAdjacency(const Tensor& distances, double sigma,
                                double threshold) {
-  CHECK_EQ(distances.ndim(), 2);
+  PRISTI_CHECK_EQ(distances.ndim(), 2);
   int64_t n = distances.dim(0);
-  CHECK_EQ(n, distances.dim(1));
+  PRISTI_CHECK_EQ(n, distances.dim(1));
   if (sigma <= 0.0) {
     // Standard deviation of off-diagonal distances.
     double mean = 0.0;
@@ -101,9 +101,9 @@ SensorGraph BuildSensorGraph(int64_t n, Rng& rng, int64_t num_clusters,
 }
 
 Tensor TransitionMatrix(const Tensor& adjacency) {
-  CHECK_EQ(adjacency.ndim(), 2);
+  PRISTI_CHECK_EQ(adjacency.ndim(), 2);
   int64_t n = adjacency.dim(0);
-  CHECK_EQ(n, adjacency.dim(1));
+  PRISTI_CHECK_EQ(n, adjacency.dim(1));
   Tensor transition(adjacency.shape());
   for (int64_t i = 0; i < n; ++i) {
     double row_sum = 0.0;

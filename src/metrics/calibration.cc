@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.h"
+#include "common/check.h"
 
 namespace pristi::metrics {
 
 CalibrationAccumulator::CalibrationAccumulator(double level) : level_(level) {
-  CHECK_GT(level, 0.0);
-  CHECK_LT(level, 1.0);
+  PRISTI_CHECK_GT(level, 0.0);
+  PRISTI_CHECK_LT(level, 1.0);
 }
 
 namespace {
@@ -27,8 +27,8 @@ float EmpiricalQuantile(std::vector<float>& sorted_values, double q) {
 
 void CalibrationAccumulator::Add(const std::vector<Tensor>& samples,
                                  const Tensor& truth, const Tensor& mask) {
-  CHECK(!samples.empty());
-  CHECK(tensor::ShapesEqual(truth.shape(), mask.shape()));
+  PRISTI_CHECK(!samples.empty());
+  PRISTI_CHECK(tensor::ShapesEqual(truth.shape(), mask.shape()));
   double lo_q = (1.0 - level_) / 2.0;
   double hi_q = 1.0 - lo_q;
   std::vector<float> entry(samples.size());

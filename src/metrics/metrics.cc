@@ -3,14 +3,14 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.h"
+#include "common/check.h"
 
 namespace pristi::metrics {
 
 void ErrorAccumulator::Add(const Tensor& prediction, const Tensor& truth,
                            const Tensor& mask) {
-  CHECK(tensor::ShapesEqual(prediction.shape(), truth.shape()));
-  CHECK(tensor::ShapesEqual(prediction.shape(), mask.shape()));
+  PRISTI_CHECK(tensor::ShapesEqual(prediction.shape(), truth.shape()));
+  PRISTI_CHECK(tensor::ShapesEqual(prediction.shape(), mask.shape()));
   for (int64_t i = 0; i < mask.numel(); ++i) {
     if (mask[i] < 0.5f) continue;
     double diff = static_cast<double>(prediction[i]) - truth[i];
@@ -31,7 +31,7 @@ double ErrorAccumulator::Mse() const {
 double ErrorAccumulator::Rmse() const { return std::sqrt(Mse()); }
 
 double CrpsFromSamples(std::vector<float> samples, float truth) {
-  CHECK(!samples.empty());
+  PRISTI_CHECK(!samples.empty());
   std::sort(samples.begin(), samples.end());
   auto quantile = [&](double level) {
     double pos = level * (static_cast<double>(samples.size()) - 1);
@@ -54,10 +54,10 @@ double CrpsFromSamples(std::vector<float> samples, float truth) {
 
 void CrpsAccumulator::Add(const std::vector<Tensor>& samples,
                           const Tensor& truth, const Tensor& mask) {
-  CHECK(!samples.empty());
-  CHECK(tensor::ShapesEqual(truth.shape(), mask.shape()));
+  PRISTI_CHECK(!samples.empty());
+  PRISTI_CHECK(tensor::ShapesEqual(truth.shape(), mask.shape()));
   for (const Tensor& s : samples) {
-    CHECK(tensor::ShapesEqual(s.shape(), truth.shape()));
+    PRISTI_CHECK(tensor::ShapesEqual(s.shape(), truth.shape()));
   }
   std::vector<float> entry(samples.size());
   for (int64_t i = 0; i < mask.numel(); ++i) {

@@ -20,8 +20,6 @@ class GruCell : public Module {
   // Zero initial hidden state for a batch.
   Variable InitialState(int64_t batch) const;
 
-  int64_t hidden_size() const { return hidden_size_; }
-
  private:
   int64_t input_size_;
   int64_t hidden_size_;

@@ -7,9 +7,7 @@ namespace pristi::nn {
 namespace ag = ::pristi::autograd;
 
 Linear::Linear(int64_t in_features, int64_t out_features, Rng& rng, bool bias)
-    : in_features_(in_features),
-      out_features_(out_features),
-      has_bias_(bias) {
+    : in_features_(in_features), has_bias_(bias) {
   PRISTI_CHECK_GT(in_features, 0);
   PRISTI_CHECK_GT(out_features, 0);
   weight_ = AddParameter(

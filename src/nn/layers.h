@@ -20,12 +20,8 @@ class Linear : public Module {
 
   Variable Forward(const Variable& x) const;
 
-  int64_t in_features() const { return in_features_; }
-  int64_t out_features() const { return out_features_; }
-
  private:
   int64_t in_features_;
-  int64_t out_features_;
   Variable weight_;
   Variable bias_;
   bool has_bias_;

@@ -8,7 +8,6 @@
 
 #include "autograd/ops.h"
 #include "common/check.h"
-#include "common/logging.h"
 #include "graph/adjacency.h"
 #include "nn/embeddings.h"
 
@@ -19,19 +18,19 @@ namespace t = ::pristi::tensor;
 
 Variable FlattenTemporal(const Variable& h) {
   const t::Shape& s = h.value().shape();
-  CHECK_EQ(s.size(), 4u);
+  PRISTI_CHECK_EQ(s.size(), 4u);
   return ag::Reshape(h, {s[0] * s[1], s[2], s[3]});
 }
 
 Variable UnflattenTemporal(const Variable& h, int64_t batch, int64_t nodes) {
   const t::Shape& s = h.value().shape();
-  CHECK_EQ(s.size(), 3u);
+  PRISTI_CHECK_EQ(s.size(), 3u);
   return ag::Reshape(h, {batch, nodes, s[1], s[2]});
 }
 
 Variable FlattenSpatial(const Variable& h) {
   const t::Shape& s = h.value().shape();
-  CHECK_EQ(s.size(), 4u);
+  PRISTI_CHECK_EQ(s.size(), 4u);
   Variable permuted = ag::Permute(h, {0, 2, 1, 3});  // (B, L, N, d)
   return ag::Reshape(permuted, {s[0] * s[2], s[1], s[3]});
 }
@@ -97,7 +96,7 @@ Variable AddNorm(const nn::LayerNorm& norm, Variable&& x, const Variable& h) {
 
 Variable UnflattenSpatial(const Variable& h, int64_t batch, int64_t steps) {
   const t::Shape& s = h.value().shape();
-  CHECK_EQ(s.size(), 3u);
+  PRISTI_CHECK_EQ(s.size(), 3u);
   Variable reshaped = ag::Reshape(h, {batch, steps, s[1], s[2]});
   return ag::Permute(reshaped, {0, 2, 1, 3});  // back to (B, N, L, d)
 }
@@ -320,9 +319,9 @@ PristiModel::PristiModel(const PristiConfig& config, const Tensor& adjacency,
                 config.channels, rng),
       out_conv1_(config.channels, config.channels, rng),
       out_conv2_(config.channels, 1, rng) {
-  CHECK_GT(config.num_nodes, 0);
-  CHECK_GT(config.window_len, 0);
-  CHECK_EQ(adjacency.dim(0), config.num_nodes);
+  PRISTI_CHECK_GT(config.num_nodes, 0);
+  PRISTI_CHECK_GT(config.window_len, 0);
+  PRISTI_CHECK_EQ(adjacency.dim(0), config.num_nodes);
 
   std::vector<Tensor> supports =
       graph::BidirectionalTransitions(adjacency);
@@ -368,18 +367,18 @@ Variable PristiModel::AuxiliaryInfo() const {
 
 Variable PristiModel::PredictNoise(const Tensor& noisy,
                                    const DiffusionBatch& batch, int64_t t) {
-  CHECK_EQ(noisy.ndim(), 3);
+  PRISTI_CHECK_EQ(noisy.ndim(), 3);
   int64_t b = noisy.dim(0);
   int64_t n = noisy.dim(1);
   int64_t l = noisy.dim(2);
-  CHECK_EQ(n, config_.num_nodes);
-  CHECK_EQ(l, config_.window_len);
+  PRISTI_CHECK_EQ(n, config_.num_nodes);
+  PRISTI_CHECK_EQ(l, config_.window_len);
 
   // Conditional channel: interpolated info (PriSTI) or raw observed values
   // (mix-STI ablation).
   const Tensor& cond = config_.use_interpolation ? batch.interpolated
                                                  : batch.cond_values;
-  CHECK(t::ShapesEqual(cond.shape(), noisy.shape()));
+  PRISTI_CHECK(t::ShapesEqual(cond.shape(), noisy.shape()));
 
   // H^in = Conv(X(cal) ‖ X_t): stack as channel-last then 1x1 conv.
   Variable cond_channel =
@@ -405,12 +404,12 @@ Variable PristiModel::PredictNoise(const Tensor& noisy,
   const int64_t chains = cache != nullptr && config_.use_conditional_feature
                              ? batch.chains_per_window
                              : 1;
-  CHECK_GE(chains, 1);
-  CHECK_EQ(b % chains, 0);
+  PRISTI_CHECK_GE(chains, 1);
+  PRISTI_CHECK_EQ(b % chains, 0);
   const bool spatial_prior =
       config_.use_conditional_feature && config_.use_spatial_attention;
   if (cached && config_.use_conditional_feature) {
-    CHECK_EQ(cache->tensors[1].dim(0) * chains, b);
+    PRISTI_CHECK_EQ(cache->tensors[1].dim(0) * chains, b);
   }
   Variable aux = cached ? ag::Constant(cache->tensors[0]) : AuxiliaryInfo();
   h_in = ag::Add(h_in, aux);

@@ -735,13 +735,6 @@ Tensor SumAxis(const Tensor& a, int64_t axis, bool keepdim) {
   return out;
 }
 
-Tensor MeanAxis(const Tensor& a, int64_t axis, bool keepdim) {
-  if (axis < 0) axis += a.ndim();
-  Tensor out = SumAxis(a, axis, keepdim);
-  out.ScaleInPlace(1.0f / static_cast<float>(a.dim(axis)));
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Shape manipulation
 // ---------------------------------------------------------------------------
@@ -862,25 +855,6 @@ Tensor Concat(const std::vector<Tensor>& parts, int64_t axis) {
         }
       },
       MinRowsPerChunk(row));
-  return out;
-}
-
-Tensor Stack(const std::vector<Tensor>& parts) {
-  PRISTI_CHECK(!parts.empty());
-  Shape item_shape = parts[0].shape();
-  Shape out_shape;
-  out_shape.push_back(static_cast<int64_t>(parts.size()));
-  for (int64_t d : item_shape) out_shape.push_back(d);
-  Tensor out(out_shape);
-  int64_t item_numel = parts[0].numel();
-  float* po = out.data();
-  for (size_t i = 0; i < parts.size(); ++i) {
-    PRISTI_CHECK(ShapesEqual(parts[i].shape(), item_shape))
-        << "Stack requires identical shapes";
-    if (item_numel == 0) continue;
-    std::memcpy(po + static_cast<int64_t>(i) * item_numel, parts[i].data(),
-                static_cast<size_t>(item_numel) * sizeof(float));
-  }
   return out;
 }
 

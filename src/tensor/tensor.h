@@ -214,7 +214,6 @@ float MaxAll(const Tensor& a);
 float MinAll(const Tensor& a);
 // Sum over `axis`, keeping it as size-1 when keepdim.
 Tensor SumAxis(const Tensor& a, int64_t axis, bool keepdim = false);
-Tensor MeanAxis(const Tensor& a, int64_t axis, bool keepdim = false);
 
 // ---- Shape manipulation ----------------------------------------------------
 // Permutes axes; perm must be a permutation of [0, ndim).
@@ -223,8 +222,6 @@ Tensor Permute(const Tensor& a, const std::vector<int64_t>& perm);
 Tensor TransposeLast2(const Tensor& a);
 // Concatenates along `axis`; all other dims must match.
 Tensor Concat(const std::vector<Tensor>& parts, int64_t axis);
-// Stacks same-shaped tensors along a new leading axis.
-Tensor Stack(const std::vector<Tensor>& parts);
 // Slices [start, start+length) along `axis`. Axis 0 returns a zero-copy
 // view (see Tensor::SliceLeading); other axes copy.
 Tensor SliceAxis(const Tensor& a, int64_t axis, int64_t start, int64_t length);

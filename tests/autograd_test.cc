@@ -631,14 +631,10 @@ TEST(GradCheck, PermuteReshapeConcatSlice) {
   EXPECT_TRUE(r.ok) << r.message;
 }
 
-TEST(GradCheck, AxisReductions) {
+TEST(GradCheck, MeanAll) {
   Rng rng(13);
   auto r = CheckGradients(
-      [](std::vector<Variable>& v) {
-        Variable m = MeanAxisKeepdim(v[0], 1);
-        Variable s = SumAxisKeepdim(Square(Sub(v[0], m)), 0);
-        return MeanAll(s);
-      },
+      [](std::vector<Variable>& v) { return MeanAll(Square(v[0])); },
       {Tensor::Randn({3, 4}, rng)});
   EXPECT_TRUE(r.ok) << r.message;
 }

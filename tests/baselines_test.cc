@@ -270,7 +270,6 @@ RecurrentOptions QuickRecurrentOptions() {
   RecurrentOptions options;
   options.hidden = 16;
   options.epochs = 8;
-  options.batch_size = 8;
   return options;
 }
 

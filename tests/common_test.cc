@@ -250,7 +250,6 @@ TEST(Stopwatch, MeasuresNonNegativeTime) {
   for (int i = 0; i < 10000; ++i) sink += i;
   (void)sink;
   EXPECT_GE(sw.ElapsedSeconds(), 0.0);
-  EXPECT_GE(sw.ElapsedMillis(), sw.ElapsedSeconds());
 }
 
 }  // namespace

@@ -203,6 +203,12 @@ TEST(Injectors, ParseMissingPatternRoundTripsNames) {
   EXPECT_EQ(parsed, MissingPattern::kSimulatedFailure);
   EXPECT_FALSE(ParseMissingPattern("bogus", &parsed));
   EXPECT_EQ(parsed, MissingPattern::kSimulatedFailure);  // left untouched
+  // Each pattern's training mask strategy (pristi_cli and pristi_paper).
+  EXPECT_EQ(TrainingMaskStrategy(MissingPattern::kPoint), MaskStrategy::kPoint);
+  EXPECT_EQ(TrainingMaskStrategy(MissingPattern::kBlock),
+            MaskStrategy::kHybrid);
+  EXPECT_EQ(TrainingMaskStrategy(MissingPattern::kSimulatedFailure),
+            MaskStrategy::kHybridHistorical);
 }
 
 // ---------------------------------------------------------------------------

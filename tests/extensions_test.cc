@@ -1,5 +1,5 @@
 // Tests for the scalability/robustness extensions: ParallelFor, the MNAR
-// injector, and the Clamp / Where / Stack ops.
+// injector, and the Clamp / Where ops.
 
 #include <atomic>
 #include <cmath>
@@ -93,7 +93,7 @@ TEST(MnarInjector, SubsetOfObserved) {
 }  // namespace pristi
 
 // ---------------------------------------------------------------------------
-// Clamp / Where / Stack ops
+// Clamp / Where ops
 // ---------------------------------------------------------------------------
 
 namespace pristi {
@@ -122,15 +122,6 @@ TEST(WhereOp, SelectsAndRoutesGradient) {
   ag2::SumAll(y).Backward();
   EXPECT_TRUE(t2::AllClose(a.grad(), Tensor({4}, {1, 0, 1, 0})));
   EXPECT_TRUE(t2::AllClose(b.grad(), Tensor({4}, {0, 1, 0, 1})));
-}
-
-TEST(StackOp, AddsLeadingAxis) {
-  Tensor a({2, 3}, {1, 2, 3, 4, 5, 6});
-  Tensor b({2, 3}, {7, 8, 9, 10, 11, 12});
-  Tensor stacked = t2::Stack({a, b});
-  EXPECT_EQ(stacked.shape(), (t2::Shape{2, 2, 3}));
-  EXPECT_FLOAT_EQ(stacked.at({0, 1, 2}), 6.0f);
-  EXPECT_FLOAT_EQ(stacked.at({1, 0, 0}), 7.0f);
 }
 
 TEST(ClampOp, GradCheckAwayFromBoundaries) {

@@ -230,17 +230,7 @@ Status TrainingOptions(const Flags& flags, const data::ImputationTask& task,
   options->checkpoint_every = flags.GetInt("checkpoint-every", 1);
   options->checkpoint_keep_last = flags.GetInt("keep-last", 3);
   options->resume_from = flags.GetString("resume");
-  switch (task.pattern) {
-    case data::MissingPattern::kPoint:
-      options->mask_strategy = data::MaskStrategy::kPoint;
-      break;
-    case data::MissingPattern::kBlock:
-      options->mask_strategy = data::MaskStrategy::kHybrid;
-      break;
-    case data::MissingPattern::kSimulatedFailure:
-      options->mask_strategy = data::MaskStrategy::kHybridHistorical;
-      break;
-  }
+  options->mask_strategy = data::TrainingMaskStrategy(task.pattern);
   return diffusion::ValidateTrainOptions(*options);
 }
 
