@@ -7,10 +7,11 @@
 // loudly and *safely* on every kind of file damage — truncation, bit
 // corruption, version skew, shape mismatch — so the load path never
 // CHECK-aborts and never touches uninitialized memory). It lives in
-// common/ because interfaces below serialize in the layering DAG mention
-// it: nn::Module::SaveCheckpoint/LoadCheckpoint return a Status without
-// the nn layer depending on serialize. Header-only; the ErrorCode values
-// are asserted on by the fault-injection tests in tests/serialize_test.cc.
+// common/ because layers below serialize in the layering DAG return it too:
+// data::AssembleDataset (the checks LoadDatasetFile applies to a stored
+// dataset), the data and nn config validators, and the serve queue.
+// Header-only; the ErrorCode values are asserted on by the fault-injection
+// tests in tests/serialize_test.cc.
 
 #include <string>
 #include <utility>

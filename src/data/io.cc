@@ -113,98 +113,46 @@ SpatioTemporalDataset ReadCsvDataset(const std::string& values_path,
   return dataset;
 }
 
-namespace {
-
-constexpr uint64_t kBinaryMagic = 0x5052495354493144ULL;  // "PRISTI1D"
-
-}  // namespace
-
-bool WriteBinaryDataset(const SpatioTemporalDataset& dataset,
-                        const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out.write(reinterpret_cast<const char*>(&kBinaryMagic),
-            sizeof(kBinaryMagic));
-  uint64_t name_len = dataset.name.size();
-  out.write(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
-  out.write(dataset.name.data(), static_cast<std::streamsize>(name_len));
-  out.write(reinterpret_cast<const char*>(&dataset.steps_per_day),
-            sizeof(dataset.steps_per_day));
-  tensor::WriteTensor(out, dataset.values);
-  tensor::WriteTensor(out, dataset.observed_mask);
-  tensor::WriteTensor(out, dataset.graph.coords);
-  return static_cast<bool>(out);
-}
-
-Status ReadBinaryDataset(const std::string& path,
-                         SpatioTemporalDataset* dataset) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::Error(ErrorCode::kIoError, "cannot open " + path);
-  auto truncated = [&path](const char* field) {
-    return Status::Error(ErrorCode::kTruncated,
-                         path + ": truncated " + field);
-  };
-  uint64_t magic = 0;
-  if (!in.read(reinterpret_cast<char*>(&magic), sizeof(magic))) {
-    return truncated("magic");
-  }
-  if (magic != kBinaryMagic) {
-    return Status::Error(ErrorCode::kBadMagic,
-                         path + ": not a PriSTI dataset file");
-  }
-  uint64_t name_len = 0;
-  if (!in.read(reinterpret_cast<char*>(&name_len), sizeof(name_len))) {
-    return truncated("name length");
-  }
-  if (name_len > (1u << 16)) {
-    return Status::Error(ErrorCode::kBadRecord,
-                         path + ": name length " + std::to_string(name_len) +
-                             " over 64 KiB");
-  }
-  SpatioTemporalDataset loaded;
-  loaded.name.resize(name_len);
-  if (!in.read(loaded.name.data(), static_cast<std::streamsize>(name_len))) {
-    return truncated("name");
-  }
-  if (!in.read(reinterpret_cast<char*>(&loaded.steps_per_day),
-               sizeof(loaded.steps_per_day))) {
-    return truncated("steps_per_day");
-  }
-  for (Tensor* t :
-       {&loaded.values, &loaded.observed_mask, &loaded.graph.coords}) {
-    Status status = tensor::ReadTensor(in, t);
-    if (!status.ok()) {
-      return Status::Error(status.code(), path + ": " + status.message());
-    }
-  }
-  const Tensor& values = loaded.values;
-  const Tensor& mask = loaded.observed_mask;
-  const Tensor& coords = loaded.graph.coords;
-  if (values.ndim() != 2 || mask.shape() != values.shape()) {
+Status AssembleDataset(const std::string& name, int64_t steps_per_day,
+                       const Tensor& values, const Tensor& observed_mask,
+                       const Tensor& coords, SpatioTemporalDataset* dataset) {
+  if (values.ndim() != 2 || observed_mask.shape() != values.shape()) {
     return Status::Error(ErrorCode::kShapeMismatch,
-                         path + ": values and mask must be equal-shaped "
-                                "(T, N) tensors");
+                         "values and mask must be equal-shaped (T, N) "
+                         "tensors");
   }
   int64_t n = values.dim(1);
   if (coords.shape() != tensor::Shape{n, 2}) {
     return Status::Error(ErrorCode::kShapeMismatch,
-                         path + ": coords must be (N, 2) with N = " +
+                         "coords must be (N, 2) with N = " +
                              std::to_string(n));
   }
+  // The daily-average baseline takes each step modulo the period.
+  if (steps_per_day < 1) {
+    return Status::Error(ErrorCode::kBadRecord,
+                         "steps_per_day must be >= 1, got " +
+                             std::to_string(steps_per_day));
+  }
   for (int64_t i = 0; i < values.numel(); ++i) {
-    if (mask[i] > 0.5f && !std::isfinite(values[i])) {
+    if (observed_mask[i] > 0.5f && !std::isfinite(values[i])) {
       return Status::Error(ErrorCode::kNonFinite,
-                           path + ": non-finite observed value at flat "
-                                  "index " + std::to_string(i));
+                           "non-finite observed value at flat index " +
+                               std::to_string(i));
     }
   }
-  loaded.num_steps = values.dim(0);
-  loaded.num_nodes = n;
-  loaded.graph.num_nodes = n;
-  loaded.graph.distances = graph::PairwiseDistances(coords);
-  loaded.graph.adjacency =
-      graph::GaussianKernelAdjacency(loaded.graph.distances);
-  *dataset = std::move(loaded);
+  SpatioTemporalDataset assembled;
+  assembled.name = name;
+  assembled.num_steps = values.dim(0);
+  assembled.num_nodes = n;
+  assembled.steps_per_day = steps_per_day;
+  assembled.values = values;
+  assembled.observed_mask = observed_mask;
+  assembled.graph.num_nodes = n;
+  assembled.graph.coords = coords;
+  assembled.graph.distances = graph::PairwiseDistances(coords);
+  assembled.graph.adjacency =
+      graph::GaussianKernelAdjacency(assembled.graph.distances);
+  *dataset = std::move(assembled);
   return Status::Ok();
 }
 

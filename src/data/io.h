@@ -7,8 +7,12 @@
 //   * CSV — human-readable: a values file (rows = time steps, columns =
 //     nodes; empty cells = missing) and an optional coordinates file
 //     (one "x,y" row per node) from which the sensor graph is built.
-//   * Binary — lossless round trip of a SpatioTemporalDataset (values,
-//     observed mask, coordinates), for caching generated data.
+//   * The checkpoint container — a "pristi-dataset" file is the lossless
+//     round trip of a SpatioTemporalDataset (values, observed mask,
+//     coordinates), written and read by serialize::SaveDatasetFile and
+//     LoadDatasetFile (serialize/checkpoint.h). It is the format every
+//     `pristi_cli --data` reads; AssembleDataset below holds the checks
+//     particular to a dataset that the loader applies.
 
 #include <string>
 
@@ -35,17 +39,15 @@ SpatioTemporalDataset ReadCsvDataset(const std::string& values_path,
                                      const std::string& coords_path,
                                      int64_t steps_per_day, Rng& rng);
 
-// ---- Binary ----------------------------------------------------------------
-bool WriteBinaryDataset(const SpatioTemporalDataset& dataset,
-                        const std::string& path);
-// Reads `path` into `*dataset` and rebuilds its sensor graph. Every kind of
-// bad file is a typed error, never a CHECK abort: an unopenable file, a bad
-// magic, a name over 64 KiB, a truncated stream, a malformed tensor header
-// or a payload larger than the file (see tensor::ReadTensor), values and
-// mask that are not equal-shaped (T, N), coords that are not (N, 2), and a
-// NaN or Inf at an observed position. `*dataset` is untouched on error.
-Status ReadBinaryDataset(const std::string& path,
-                         SpatioTemporalDataset* dataset);
+// ---- Stored datasets -------------------------------------------------------
+// Builds `*dataset` from its stored parts and rebuilds its sensor graph from
+// `coords`. Values and mask that are not equal-shaped (T, N) tensors and
+// coords that are not (N, 2) are kShapeMismatch; a steps_per_day below 1 is
+// kBadRecord; a NaN or Inf at an observed position is kNonFinite.
+// `*dataset` is untouched on error.
+Status AssembleDataset(const std::string& name, int64_t steps_per_day,
+                       const Tensor& values, const Tensor& observed_mask,
+                       const Tensor& coords, SpatioTemporalDataset* dataset);
 
 }  // namespace pristi::data
 

@@ -13,6 +13,7 @@
 //     reducing spatial attention from O(N^2 d) to O(N k d).
 
 #include "autograd/ops.h"
+#include "common/status.h"
 #include "nn/module.h"
 
 namespace pristi::nn {

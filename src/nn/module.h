@@ -5,21 +5,20 @@
 //
 // A Module registers parameters (autograd leaves with requires_grad) and
 // child modules; `Parameters()` flattens the tree for the optimizer, and
-// SaveCheckpoint/LoadCheckpoint serialize the tree by hierarchical parameter
-// name so checkpoints are layout-independent and shape-checked on load.
+// `NamedParameters()` names each parameter hierarchically, which is how
+// serialize::AppendModule/LoadModule store the tree so checkpoints are
+// layout-independent and shape-checked on load.
 //
 // `Variable` is a shared handle to its tape node, so the copies returned by
 // AddParameter / Parameters alias the same underlying storage: the optimizer
 // updating its copy updates the layer's weights.
 
-#include <iosfwd>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "autograd/variable.h"
 #include "common/rng.h"
-#include "common/status.h"
 
 namespace pristi::nn {
 
@@ -43,15 +42,6 @@ class Module {
 
   void ZeroGrad();
   int64_t ParameterCount();
-
-  // Versioned, checksummed checkpoint of all parameters by hierarchical
-  // name (src/serialize/). Every failure mode — truncation, corruption,
-  // version skew, a name or shape mismatch — comes back as a typed error
-  // instead of a CHECK abort. Defined in serialize/checkpoint.cc: the nn
-  // layer does not link pristi_serialize, callers of these two members
-  // must.
-  pristi::Status SaveCheckpoint(std::ostream& out);
-  pristi::Status LoadCheckpoint(std::istream& in);
 
  protected:
   // Registers a parameter initialized to `init`; the returned Variable

@@ -7,6 +7,8 @@
 #include <sstream>
 #include <utility>
 
+#include "data/io.h"
+
 namespace pristi::serialize {
 
 namespace fs = std::filesystem;
@@ -245,6 +247,50 @@ Status LoadModuleCheckpointFile(nn::Module& module, const std::string& path) {
   return LoadModule(module, view);
 }
 
+// ---- Dataset files ---------------------------------------------------------
+
+Status SaveDatasetFile(const data::SpatioTemporalDataset& dataset,
+                       const std::string& path) {
+  return WriteFileAtomic(path, [&](std::ostream& out) {
+    CheckpointWriter writer(out);
+    writer.AddString("meta.kind", "pristi-dataset");
+    writer.AddString("dataset.name", dataset.name);
+    writer.AddI64("dataset.steps_per_day", dataset.steps_per_day);
+    writer.AddTensor("dataset.values", dataset.values);
+    writer.AddTensor("dataset.observed_mask", dataset.observed_mask);
+    writer.AddTensor("dataset.coords", dataset.graph.coords);
+    if (!writer.Finish()) {
+      return Status::Error(ErrorCode::kIoError, "dataset write failed");
+    }
+    return Status::Ok();
+  });
+}
+
+Status LoadDatasetFile(const std::string& path,
+                       data::SpatioTemporalDataset* dataset) {
+  CheckpointView view;
+  Status status = ParseCheckpointFile(path, &view);
+  if (!status.ok()) return status;
+  std::string kind;
+  if (!(status = view.GetString("meta.kind", &kind)).ok()) return status;
+  if (kind != "pristi-dataset") {
+    return Status::Error(ErrorCode::kConfigMismatch,
+                         "a '" + kind + "' file, not a dataset");
+  }
+  std::string name;
+  int64_t steps_per_day = 0;
+  Tensor values, mask, coords;
+  if (!(status = view.GetString("dataset.name", &name)).ok() ||
+      !(status = view.GetI64("dataset.steps_per_day", &steps_per_day)).ok() ||
+      !(status = view.GetTensor("dataset.values", &values)).ok() ||
+      !(status = view.GetTensor("dataset.observed_mask", &mask)).ok() ||
+      !(status = view.GetTensor("dataset.coords", &coords)).ok()) {
+    return status;
+  }
+  return data::AssembleDataset(name, steps_per_day, values, mask, coords,
+                               dataset);
+}
+
 // ---- Retention -------------------------------------------------------------
 
 std::string CheckpointFileName(const std::string& dir,
@@ -288,28 +334,3 @@ Status PruneCheckpoints(const std::string& dir, const std::string& prefix,
 }
 
 }  // namespace pristi::serialize
-
-// ---- nn::Module checkpoint entry points ------------------------------------
-// Declared in nn/module.h, defined here so the nn layer does not link
-// against pristi_serialize; callers of these members must.
-
-namespace pristi::nn {
-
-Status Module::SaveCheckpoint(std::ostream& out) {
-  serialize::CheckpointWriter writer(out);
-  writer.AddString("meta.kind", "pristi-module");
-  serialize::AppendModule(*this, &writer);
-  if (!writer.Finish()) {
-    return Status::Error(ErrorCode::kIoError, "checkpoint write failed");
-  }
-  return Status::Ok();
-}
-
-Status Module::LoadCheckpoint(std::istream& in) {
-  serialize::CheckpointView view;
-  Status status = serialize::CheckpointView::Parse(in, &view);
-  if (!status.ok()) return status;
-  return serialize::LoadModule(*this, view);
-}
-
-}  // namespace pristi::nn

@@ -5,11 +5,12 @@
 // named parameter maps for nn::Module trees, Adam optimizer state (step
 // count + moment buffers + hyperparameters), RNG stream positions and the
 // diffusion noise schedule — everything a training run needs to resume
-// bit-identically — plus crash-safe file handling (atomic write-to-temp +
-// rename) and keep-last-K retention.
+// bit-identically — plus datasets, crash-safe file handling (atomic
+// write-to-temp + rename) and keep-last-K retention.
 //
 // Record naming convention inside one checkpoint file:
-//   meta.kind                "pristi-module" | "pristi-training"
+//   meta.kind                "pristi-module" | "pristi-training" |
+//                            "pristi-dataset"
 //   model.__count            number of parameter records
 //   model.<hierarchical name>  one tensor per named parameter
 //   adam.step / adam.lr / adam.beta1 / adam.beta2 / adam.eps
@@ -18,6 +19,9 @@
 //   schedule.beta            the beta vector the model was trained under
 //   train.epoch              epochs completed (index of the next epoch)
 //   train.losses             per-epoch mean training loss so far
+//   dataset.name / dataset.steps_per_day
+//   dataset.values / dataset.observed_mask   (T, N) tensors
+//   dataset.coords           (N, 2) sensor positions
 
 #include <functional>
 #include <string>
@@ -25,6 +29,7 @@
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "data/dataset.h"
 #include "nn/module.h"
 #include "nn/optimizer.h"
 #include "serialize/format.h"
@@ -56,6 +61,16 @@ Status LoadRng(Rng* rng, const CheckpointView& view,
 // parameters. Save is atomic (temp file + rename).
 Status SaveModuleCheckpointFile(nn::Module& module, const std::string& path);
 Status LoadModuleCheckpointFile(nn::Module& module, const std::string& path);
+
+// ---- Dataset files ---------------------------------------------------------
+// A dataset ("pristi-dataset" kind). Save is atomic. Load rejects a file of
+// another kind (kConfigMismatch), then hands the records to
+// data::AssembleDataset, whose checks and graph rebuild apply; `*dataset` is
+// untouched on every error.
+Status SaveDatasetFile(const data::SpatioTemporalDataset& dataset,
+                       const std::string& path);
+Status LoadDatasetFile(const std::string& path,
+                       data::SpatioTemporalDataset* dataset);
 
 // ---- Crash-safe file write -------------------------------------------------
 // Runs `write_fn` against a temporary file next to `path`, then renames it

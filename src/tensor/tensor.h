@@ -23,13 +23,11 @@
 // SharesStorage() in tests to assert aliasing.
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/status.h"
 #include "tensor/storage.h"
 
 namespace pristi::tensor {
@@ -233,16 +231,6 @@ Tensor SoftmaxLastDim(const Tensor& a);
 // ---- Comparisons -------------------------------------------------------------
 bool AllClose(const Tensor& a, const Tensor& b, float atol = 1e-5f,
               float rtol = 1e-5f);
-
-// ---- Serialization ------------------------------------------------------------
-// Binary format: ndim, dims, raw float payload. Used for model checkpoints.
-// Encodes logical shape + values only, so views serialize identically to
-// their deep-copied equivalents.
-void WriteTensor(std::ostream& out, const Tensor& t);
-// Reads one tensor into `*out` from a seekable stream. A truncated stream, a
-// rank outside [0, 8], a negative dim, or a payload larger than the bytes
-// left is a typed error, reported before anything is allocated.
-Status ReadTensor(std::istream& in, Tensor* out);
 
 }  // namespace pristi::tensor
 

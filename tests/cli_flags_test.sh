@@ -11,12 +11,18 @@
 # not > 0, --steps-diffusion below 2, a negative --steps, a `generate
 # --steps` (the series length is --gen-steps in every subcommand), a --model
 # checkpoint that cannot be
-# loaded, a --resume checkpoint that is missing, damaged or already past
-# --epochs, and an --out, --csv or --model-out file that cannot be written —
-# must exit 1 with a "pristi_cli: " line on stderr and no "Check failed".
+# loaded, a --data file that is a model checkpoint or of the retired
+# PRISTI1D format, an `inspect` without --file, a --resume checkpoint that
+# is missing, damaged or already past --epochs, and an --out, --csv or
+# --model-out file that cannot be written — must exit 1 with a
+# "pristi_cli: " line on stderr and no "Check failed".
 # None may train first: an unwritable --model-out fails before epoch 0 and
 # leaves an existing checkpoint there intact. A flag `train` does not read
 # (a sampler flag, or --ema-decay) trains normally and is reported as unused.
+#
+# `inspect` lists meta.kind and the tensor shapes of a generated dataset and
+# of a saved checkpoint and exits 0; one flipped payload byte makes it exit
+# 1 with "damage detected".
 #
 # pristi_paper: an unknown flag, argument, --scale or --only name, and an
 # --out where no CSV can be written, exit 1 with a "pristi_paper: " line
@@ -63,6 +69,9 @@ mkdir "$kept.tmp"
   --model-out="$tmp/ck.model" > "$tmp/setup.out" 2>&1 ||
   { cat "$tmp/setup.out" >&2; exit 1; }
 printf 'not a checkpoint' > "$tmp/damaged.ckpt"
+# The header of a dataset written by the retired PRISTI1D format: its
+# little-endian uint64 magic, a two-byte name and steps_per_day.
+printf 'D1ITSIRP\002\0\0\0\0\0\0\0ds\030\0\0\0\0\0\0\0' > "$tmp/legacy.bin"
 cases=(
   "generate --preset=bogus --out=$tmp/g.bin"
   "evaluate --preset=bogus --method=mean"
@@ -71,6 +80,9 @@ cases=(
   "evaluate --data=$data --method=bogus"
   "impute --data=$data --samples=0 --out=$tmp/i.csv"
   "impute $small --model=/nonexistent --out=$tmp/i.csv"
+  "evaluate --data=$kept --method=mean"
+  "evaluate --data=$tmp/legacy.bin --method=mean"
+  "inspect"
   "generate --preset=aqi --nodes=4 --gen-steps=48 --out=$missing/g.bin"
   "generate --preset=aqi --nodes=4 --gen-steps=48 --out=$tmp/g.bin --csv=$missing/g.csv"
   "impute $small --out=$missing/i.csv"
@@ -136,6 +148,38 @@ done
 grep -q -- '--gen-steps' "$tmp/case.err" ||
   fail "'generate --steps' did not name --gen-steps"
 [ -e "$tmp/len.bin" ] && fail "'generate --steps' wrote a dataset"
+
+# `inspect` on a generated dataset and on a saved checkpoint; a flipped byte
+# in the last tensor's payload (just before its CRC and the 20-byte end
+# record) is reported as damage.
+"$cli" inspect --file="$data" > "$tmp/inspect.out" 2>&1 ||
+  fail "inspect on a dataset exited $?"
+for want in 'meta.kind' 'dataset.name' 'dataset.steps_per_day' \
+    'dataset.values .*shape \[96, 6\]' \
+    'dataset.observed_mask .*shape \[96, 6\]' \
+    'dataset.coords .*shape \[6, 2\]'; do
+  grep -q "$want" "$tmp/inspect.out" ||
+    fail "inspect on a dataset did not list '$want'"
+done
+"$cli" inspect --file="$tmp/kept.orig" > "$tmp/inspect.out" 2>&1 ||
+  fail "inspect on a checkpoint exited $?"
+grep -q 'meta.kind' "$tmp/inspect.out" ||
+  fail "inspect on a checkpoint did not list meta.kind"
+grep -q 'model\..*shape \[' "$tmp/inspect.out" ||
+  fail "inspect on a checkpoint listed no tensor shape"
+for file in "$data" "$tmp/kept.orig"; do
+  cp "$file" "$tmp/flipped"
+  size=$(wc -c < "$tmp/flipped")
+  offset=$((size - 25))
+  byte=$(od -An -tu1 -j "$offset" -N1 "$tmp/flipped" | tr -d ' ')
+  printf "$(printf '\\%03o' $((byte ^ 1)))" |
+    dd of="$tmp/flipped" bs=1 seek="$offset" conv=notrunc 2> /dev/null
+  "$cli" inspect --file="$tmp/flipped" > "$tmp/inspect.out" 2>&1
+  code=$?
+  [ "$code" -eq 1 ] || fail "inspect on a flipped copy of $file exited $code"
+  grep -q 'damage detected' "$tmp/inspect.out" ||
+    fail "inspect on a flipped copy of $file reported no damage"
+done
 
 # `train` samples nothing: a sampler flag, or --ema-decay (the trainer keeps
 # no weight EMA), trains normally and is reported as unused.

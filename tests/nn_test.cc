@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <map>
-#include <sstream>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -538,21 +537,6 @@ TEST(ModuleRegistry, HierarchicalNames) {
   EXPECT_EQ(named[1].first, "fc1.bias");
   EXPECT_EQ(named[2].first, "fc2.weight");
   EXPECT_EQ(named[3].first, "fc2.bias");
-}
-
-TEST(ModuleRegistry, SaveLoadRoundTrip) {
-  Rng rng1(19), rng2(20);
-  Mlp a(3, 5, 2, rng1);
-  Mlp b(3, 5, 2, rng2);
-  Tensor probe = Tensor::Randn({4, 3}, rng1);
-  Tensor ya = a.Forward(ag::Constant(probe)).value();
-  Tensor yb_before = b.Forward(ag::Constant(probe)).value();
-  EXPECT_FALSE(AllClose(ya, yb_before, 1e-4f));
-  std::stringstream buf;
-  ASSERT_TRUE(a.SaveCheckpoint(buf).ok());
-  ASSERT_TRUE(b.LoadCheckpoint(buf).ok());
-  Tensor yb_after = b.Forward(ag::Constant(probe)).value();
-  EXPECT_TRUE(AllClose(ya, yb_after, 0.0f, 0.0f));
 }
 
 TEST(ModuleRegistry, OptimizerUpdatesLayerWeights) {

@@ -19,6 +19,8 @@
 #include "diffusion/ddpm.h"
 #include "diffusion/sampler.h"
 #include "graph/adjacency.h"
+#include "serialize/checkpoint.h"
+#include "serialize/format.h"
 
 namespace pristi::core {
 namespace {
@@ -204,8 +206,12 @@ TEST(PristiModelTest, CheckpointRoundTrip) {
   Tensor noisy = Tensor::Randn({1, 4, 6}, data_rng);
   Tensor out_a = a.PredictNoise(noisy, batch, 3).value();
   std::stringstream buffer;
-  ASSERT_TRUE(a.SaveCheckpoint(buffer).ok());
-  ASSERT_TRUE(b.LoadCheckpoint(buffer).ok());
+  serialize::CheckpointWriter writer(buffer);
+  serialize::AppendModule(a, &writer);
+  ASSERT_TRUE(writer.Finish());
+  serialize::CheckpointView view;
+  ASSERT_TRUE(serialize::CheckpointView::Parse(buffer, &view).ok());
+  ASSERT_TRUE(serialize::LoadModule(b, view).ok());
   Tensor out_b = b.PredictNoise(noisy, batch, 3).value();
   EXPECT_TRUE(t::AllClose(out_a, out_b, 1e-6f));
 }

@@ -1,10 +1,10 @@
 // Tests for the versioned checkpoint format (src/serialize): CRC reference
 // vectors, bit-exact round-trip fuzzing over random tensor shapes, full-model
 // and component (Adam / RNG) round trips, typed-error contracts, fault
-// injection (truncation at and inside every record, random bit flips),
-// atomic-write crash safety, keep-last-K retention, and resume equivalence
-// of the diffusion trainer. The seeded training-loss golden lives in
-// sharded_train_test.
+// injection (truncation at and inside every record, random bit flips) on
+// model checkpoints and dataset files, atomic-write crash safety,
+// keep-last-K retention, and resume equivalence of the diffusion trainer.
+// The seeded training-loss golden lives in sharded_train_test.
 
 #include <cmath>
 #include <cstdint>
@@ -109,6 +109,14 @@ void ExpectModulesBitEqual(nn::Module& a, nn::Module& b) {
     ASSERT_EQ(pa[i].first, pb[i].first);
     ExpectBitEqual(pa[i].second.value(), pb[i].second.value(), pa[i].first);
   }
+}
+
+// The bytes SaveModuleCheckpointFile writes for `module`, in memory.
+std::string ModuleBytes(nn::Module& module) {
+  return WriteBytes([&](CheckpointWriter* w) {
+    w->AddString("meta.kind", "pristi-module");
+    AppendModule(module, w);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -276,10 +284,9 @@ TEST(StorageGolden, ViewBackedCheckpointBytesMatchPreRefactorFile) {
 TEST(ModuleRoundTrip, PristiModelStreamRoundTripBitExact) {
   auto a = MakeTinyModel(6, 8, 1);
   auto b = MakeTinyModel(6, 8, 2);  // different init, overwritten by load
-  std::ostringstream out(std::ios::binary);
-  ASSERT_TRUE(a->SaveCheckpoint(out).ok());
-  std::istringstream in(out.str(), std::ios::binary);
-  ASSERT_TRUE(b->LoadCheckpoint(in).ok());
+  CheckpointView view;
+  ASSERT_TRUE(ParseBytes(ModuleBytes(*a), &view).ok());
+  ASSERT_TRUE(LoadModule(*b, view).ok());
   ExpectModulesBitEqual(*a, *b);
 }
 
@@ -298,12 +305,9 @@ TEST(ModuleRoundTrip, FileRoundTripAndNonCheckpointRejectedTyped) {
   // overwritten — is rejected typed, and the target model keeps its weights.
   std::string bare = tmp.File("bare.bin");
   {
-    std::stringstream ckpt;
-    ASSERT_TRUE(a->SaveCheckpoint(ckpt).ok());
-    std::string bytes = ckpt.str();
+    std::string bytes = ModuleBytes(*a);
     bytes.replace(0, 8, "NOTACKPT");
-    std::ofstream out(bare, std::ios::binary);
-    out << bytes;
+    std::ofstream(bare, std::ios::binary) << bytes;
   }
   auto c = MakeTinyModel(4, 6, 5);
   auto c_before = MakeTinyModel(4, 6, 5);
@@ -454,10 +458,7 @@ TEST(TypedErrors, HeaderDamageIsBadMagicOrVersionSkew) {
 std::string SmallCheckpointBytes() {
   Rng rng(13);
   nn::Mlp mlp(3, 4, 2, rng);
-  return WriteBytes([&](CheckpointWriter* w) {
-    w->AddString("meta.kind", "pristi-module");
-    AppendModule(mlp, w);
-  });
+  return ModuleBytes(mlp);
 }
 
 TEST(FaultInjection, TruncationAtEveryRecordBoundaryRejected) {
@@ -539,6 +540,206 @@ TEST(FaultInjection, KeepCorruptModeFlagsTheDamagedRecord) {
   } else {
     EXPECT_EQ(forensic.GetI64(target.name, &i64).code(),
               ErrorCode::kChecksumMismatch);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Dataset files: the same container, kind "pristi-dataset"
+// ---------------------------------------------------------------------------
+
+data::SpatioTemporalDataset SmallDataset(uint64_t seed) {
+  data::SyntheticConfig config;
+  config.num_nodes = 6;
+  config.num_steps = 50;
+  config.original_missing_rate = 0.2;
+  Rng rng(seed);
+  return data::GenerateSynthetic(config, rng);
+}
+
+// A dataset holding only what a file stores, so each load check can be
+// handed parts that GenerateSynthetic never produces.
+data::SpatioTemporalDataset StoredParts(
+    const Tensor& values = Tensor::Full({4, 3}, 1.5f),
+    const Tensor& mask = Tensor::Ones({4, 3}),
+    const Tensor& coords = Tensor::Ones({3, 2})) {
+  data::SpatioTemporalDataset dataset;
+  dataset.name = "ds";
+  dataset.steps_per_day = 24;
+  dataset.values = values;
+  dataset.observed_mask = mask;
+  dataset.graph.coords = coords;
+  return dataset;
+}
+
+void ExpectDatasetsBitEqual(const data::SpatioTemporalDataset& a,
+                            const data::SpatioTemporalDataset& b) {
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.num_nodes, b.num_nodes);
+  EXPECT_EQ(a.num_steps, b.num_steps);
+  EXPECT_EQ(a.steps_per_day, b.steps_per_day);
+  EXPECT_EQ(a.graph.num_nodes, b.graph.num_nodes);
+  ExpectBitEqual(a.values, b.values, "values");
+  ExpectBitEqual(a.observed_mask, b.observed_mask, "observed_mask");
+  ExpectBitEqual(a.graph.coords, b.graph.coords, "coords");
+  ExpectBitEqual(a.graph.distances, b.graph.distances, "distances");
+  ExpectBitEqual(a.graph.adjacency, b.graph.adjacency, "adjacency");
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// Loads the file at `path` into a dataset prefilled with a seeded witness,
+// and checks that a failed load left the witness untouched.
+Status LoadOverWitness(const std::string& path) {
+  data::SpatioTemporalDataset target = SmallDataset(99);
+  Status status = LoadDatasetFile(path, &target);
+  if (!status.ok()) ExpectDatasetsBitEqual(target, SmallDataset(99));
+  return status;
+}
+
+Status SaveAndLoadDataset(const data::SpatioTemporalDataset& written) {
+  pristi::testing::TestTempDir tmp;
+  std::string path = tmp.File("ds.bin");
+  Status status = SaveDatasetFile(written, path);
+  if (!status.ok()) return status;
+  return LoadOverWitness(path);
+}
+
+Status LoadDamagedDataset(const std::string& bytes, const std::string& path) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  return LoadOverWitness(path);
+}
+
+TEST(DatasetFile, RoundTripBitExactIncludingTheRebuiltGraph) {
+  data::SpatioTemporalDataset dataset = SmallDataset(2);
+  pristi::testing::TestTempDir tmp;
+  std::string path = tmp.File("ds.bin");
+  ASSERT_TRUE(SaveDatasetFile(dataset, path).ok());
+  EXPECT_FALSE(fs::exists(path + ".tmp"));  // atomic write left no temp
+  data::SpatioTemporalDataset loaded;
+  Status status = LoadDatasetFile(path, &loaded);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ExpectDatasetsBitEqual(loaded, dataset);
+
+  CheckpointView view;
+  ASSERT_TRUE(ParseCheckpointFile(path, &view).ok());
+  std::string kind;
+  ASSERT_TRUE(view.GetString("meta.kind", &kind).ok());
+  EXPECT_EQ(kind, "pristi-dataset");
+}
+
+TEST(DatasetFile, EachDatasetCheckIsATypedError) {
+  EXPECT_TRUE(SaveAndLoadDataset(StoredParts()).ok());
+  // Values not rank 2, and a mask shaped unlike the values.
+  EXPECT_EQ(
+      SaveAndLoadDataset(StoredParts(Tensor::Ones({12}), Tensor::Ones({12})))
+          .code(),
+      ErrorCode::kShapeMismatch);
+  EXPECT_EQ(SaveAndLoadDataset(
+                StoredParts(Tensor::Ones({4, 3}), Tensor::Ones({3, 4})))
+                .code(),
+            ErrorCode::kShapeMismatch);
+  // Coords that are not (N, 2).
+  for (const Tensor& coords :
+       {Tensor::Ones({2, 2}), Tensor::Ones({3, 3}), Tensor::Ones({6})}) {
+    EXPECT_EQ(SaveAndLoadDataset(StoredParts(Tensor::Ones({4, 3}),
+                                             Tensor::Ones({4, 3}), coords))
+                  .code(),
+              ErrorCode::kShapeMismatch)
+        << t::ShapeToString(coords.shape());
+  }
+  // A period below one step, which the daily-average baseline would take
+  // a step modulo.
+  for (int64_t period : {int64_t{0}, int64_t{-24}}) {
+    data::SpatioTemporalDataset parts = StoredParts();
+    parts.steps_per_day = period;
+    EXPECT_EQ(SaveAndLoadDataset(parts).code(), ErrorCode::kBadRecord)
+        << "steps_per_day " << period;
+  }
+  // A NaN or Inf at an observed cell; at a missing cell it carries no
+  // information and loads.
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity()}) {
+    Tensor values = Tensor::Ones({4, 3});
+    values[7] = bad;
+    Tensor mask = Tensor::Ones({4, 3});
+    EXPECT_EQ(SaveAndLoadDataset(StoredParts(values, mask)).code(),
+              ErrorCode::kNonFinite);
+    mask[7] = 0.0f;
+    EXPECT_TRUE(SaveAndLoadDataset(StoredParts(values, mask)).ok());
+  }
+}
+
+TEST(DatasetFile, OtherFilesAreTypedErrors) {
+  pristi::testing::TestTempDir tmp;
+  std::string path = tmp.File("other.bin");
+  // A model checkpoint handed over as a dataset: the kinds disagree.
+  Rng rng(13);
+  nn::Mlp mlp(3, 4, 2, rng);
+  ASSERT_TRUE(SaveModuleCheckpointFile(mlp, path).ok());
+  EXPECT_EQ(LoadDamagedDataset(FileBytes(path), path).code(),
+            ErrorCode::kConfigMismatch);
+  // A file of the retired PRISTI1D format: its uint64 magic, a two-byte
+  // name and steps_per_day.
+  std::string legacy;
+  for (uint64_t field : {uint64_t{0x5052495354493144ULL}, uint64_t{2}}) {
+    legacy.append(reinterpret_cast<const char*>(&field), sizeof(field));
+  }
+  legacy += "ds";
+  legacy.append(8, '\0');
+  EXPECT_EQ(LoadDamagedDataset(legacy, path).code(), ErrorCode::kBadMagic);
+  // No file at all.
+  EXPECT_EQ(LoadOverWitness(tmp.File("absent.bin")).code(),
+            ErrorCode::kIoError);
+}
+
+TEST(DatasetFile, TruncationAtEveryRecordBoundaryRejected) {
+  pristi::testing::TestTempDir tmp;
+  std::string path = tmp.File("ds.bin");
+  ASSERT_TRUE(SaveDatasetFile(SmallDataset(3), path).ok());
+  std::string bytes = FileBytes(path);
+  CheckpointView view;
+  ASSERT_TRUE(ParseBytes(bytes, &view).ok());
+  ASSERT_EQ(view.records().size(), 7u);  // meta.kind, five fields, end
+
+  for (size_t cut = 0; cut < sizeof(kMagic) + sizeof(uint32_t); ++cut) {
+    EXPECT_EQ(LoadDamagedDataset(bytes.substr(0, cut), path).code(),
+              ErrorCode::kTruncated)
+        << "header cut at " << cut;
+  }
+  for (const Record& record : view.records()) {
+    EXPECT_EQ(LoadDamagedDataset(bytes.substr(0, record.offset), path).code(),
+              ErrorCode::kTruncated)
+        << "cut before record '" << record.name << "'";
+    for (uint64_t inside :
+         {record.offset + 4, record.offset + record.byte_size / 2,
+          record.offset + record.byte_size - 1}) {
+      if (inside >= bytes.size()) continue;
+      Status status = LoadDamagedDataset(bytes.substr(0, inside), path);
+      EXPECT_FALSE(status.ok())
+          << "cut inside record '" << record.name << "' at " << inside;
+    }
+  }
+}
+
+TEST(DatasetFile, RandomBitFlipsAlwaysRejectedWithTypedError) {
+  pristi::testing::TestTempDir tmp;
+  std::string path = tmp.File("ds.bin");
+  ASSERT_TRUE(SaveDatasetFile(SmallDataset(4), path).ok());
+  std::string bytes = FileBytes(path);
+  Rng rng(4243);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string damaged = bytes;
+    size_t byte = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(bytes.size()) - 1));
+    damaged[byte] ^= static_cast<char>(1 << rng.UniformInt(0, 7));
+    Status status = LoadDamagedDataset(damaged, path);
+    EXPECT_FALSE(status.ok())
+        << "flip in byte " << byte << " went undetected";
+    EXPECT_FALSE(status.ToString().empty());
   }
 }
 

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -343,30 +342,6 @@ TEST(Softmax, ShiftInvariance) {
 }
 
 // ---------------------------------------------------------------------------
-// Serialization
-// ---------------------------------------------------------------------------
-
-TEST(Serialization, RoundTrip) {
-  Rng rng(12);
-  Tensor a = Tensor::Randn({3, 4, 2}, rng);
-  std::stringstream buf;
-  WriteTensor(buf, a);
-  Tensor b;
-  ASSERT_TRUE(ReadTensor(buf, &b).ok());
-  EXPECT_TRUE(AllClose(a, b, 0.0f, 0.0f));
-}
-
-TEST(Serialization, ScalarRoundTrip) {
-  Tensor a = Tensor::Scalar(-3.5f);
-  std::stringstream buf;
-  WriteTensor(buf, a);
-  Tensor b;
-  ASSERT_TRUE(ReadTensor(buf, &b).ok());
-  EXPECT_EQ(b.ndim(), 0);
-  EXPECT_FLOAT_EQ(b[0], -3.5f);
-}
-
-// ---------------------------------------------------------------------------
 // Parameterized property sweep: matmul distributes over addition for a
 // variety of shapes (exercises the accumulate kernel broadly).
 // ---------------------------------------------------------------------------
@@ -418,25 +393,6 @@ INSTANTIATE_TEST_SUITE_P(
 
 namespace pristi::tensor {
 namespace {
-
-// Serialization round-trips across ranks 0-4 (parameterized sweep).
-class SerializationShapeTest : public ::testing::TestWithParam<Shape> {};
-
-TEST_P(SerializationShapeTest, RoundTrip) {
-  Rng rng(101);
-  Tensor a = Tensor::Randn(GetParam(), rng);
-  std::stringstream buffer;
-  WriteTensor(buffer, a);
-  Tensor b;
-  ASSERT_TRUE(ReadTensor(buffer, &b).ok());
-  EXPECT_TRUE(AllClose(a, b, 0.0f, 0.0f));
-  EXPECT_EQ(a.shape(), b.shape());
-}
-
-INSTANTIATE_TEST_SUITE_P(Ranks, SerializationShapeTest,
-                         ::testing::Values(Shape{}, Shape{7}, Shape{3, 4},
-                                           Shape{2, 3, 4},
-                                           Shape{2, 2, 3, 2}));
 
 // Permute composition property: applying a permutation then its inverse is
 // the identity for every 3-axis permutation.
@@ -660,21 +616,6 @@ TEST(SharedStorage, PoolReuseIsDeterministicAcrossThreadCounts) {
     EXPECT_EQ(single_cold[i], single_warm[i]) << "warm pool drifted at " << i;
     EXPECT_EQ(single_cold[i], multi[i]) << "thread count drifted at " << i;
   }
-}
-
-TEST(Serialization, ViewSerializesAsContiguous) {
-  // A view-backed tensor writes the same bytes as an owned copy with the
-  // same logical contents.
-  Tensor base = Tensor::Arange(24).Reshaped({4, 6});
-  Tensor view = base.SliceLeading(2, 1).Reshaped({6});
-  Tensor owned = view.Clone();
-  std::stringstream via_view, via_owned;
-  WriteTensor(via_view, view);
-  WriteTensor(via_owned, owned);
-  EXPECT_EQ(via_view.str(), via_owned.str());
-  Tensor back;
-  ASSERT_TRUE(ReadTensor(via_view, &back).ok());
-  EXPECT_TRUE(AllClose(back, owned, 0.0f, 0.0f));
 }
 
 // ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ Status LoadOrGenerate(const Flags& flags, Rng& rng,
                       data::SpatioTemporalDataset* dataset) {
   std::string path = flags.GetString("data");
   if (!path.empty()) {
-    Status status = data::ReadBinaryDataset(path, dataset);
+    Status status = serialize::LoadDatasetFile(path, dataset);
     return status.ok() ? status : LoadFailed("data", path, status);
   }
   // No --data: generate in place, --gen-steps long.
@@ -298,9 +298,8 @@ int CmdGenerate(const Flags& flags) {
   if (!status.ok()) return Fail(status);
   auto dataset = data::GenerateSynthetic(config, rng);
   std::string out = flags.GetString("out", "dataset.bin");
-  if (!data::WriteBinaryDataset(dataset, out)) {
-    return Fail(WriteFailed("out", out));
-  }
+  status = serialize::SaveDatasetFile(dataset, out);
+  if (!status.ok()) return Fail(SaveFailed("out", out, status));
   std::printf("wrote %s: %lld nodes x %lld steps (%s)\n", out.c_str(),
               static_cast<long long>(dataset.num_nodes),
               static_cast<long long>(dataset.num_steps),
@@ -433,22 +432,21 @@ int CmdLoad(const Flags& flags) {
 }
 
 // `inspect`: dumps the container header and full record table (offsets,
-// sizes, types, per-record checksum verdicts, tensor shapes). Parses as far
-// as the structure allows so a damaged file still shows its intact prefix.
+// sizes, types, per-record checksum verdicts, tensor shapes) of a
+// checkpoint or dataset file. Parses as far as the structure allows so a
+// damaged file still shows its intact prefix.
 int CmdInspect(const Flags& flags) {
   std::string path = flags.GetString("file");
   if (path.empty()) {
-    std::printf("inspect: --file=<checkpoint> is required\n");
-    return 2;
+    return Fail(InvalidFlag("--file=<checkpoint or dataset> is required"));
   }
   serialize::CheckpointView view;
   Status status =
       serialize::ParseCheckpointFile(path, &view, /*keep_corrupt=*/true);
   if (view.records().empty() && !status.ok()) {
-    std::printf("%s: %s\n", path.c_str(), status.ToString().c_str());
-    return 1;
+    return Fail(LoadFailed("file", path, status));
   }
-  std::printf("%s: checkpoint format v%u, %zu records\n", path.c_str(),
+  std::printf("%s: container format v%u, %zu records\n", path.c_str(),
               view.format_version(), view.records().size());
   std::printf("%10s %10s  %-8s %-4s name\n", "offset", "size", "type", "crc");
   for (const serialize::Record& record : view.records()) {
@@ -773,7 +771,7 @@ int Usage() {
       "           wait | reload <path> | stats | quit\n"
       "  save     --out=F.ckpt [model flags]    write a fresh model\n"
       "  load     --model=F.ckpt [--out=G.ckpt] validate / re-save\n"
-      "  inspect  --file=F.ckpt                 dump the record table\n");
+      "  inspect  --file=F.ckpt|F.bin           dump the record table\n");
   return 2;
 }
 

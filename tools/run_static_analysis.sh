@@ -31,10 +31,10 @@
 #                    contract mul/add chains — exactly the configuration
 #                    that masks a missing -ffp-contract=off). Skip with
 #                    PRISTI_NATIVE_BITEQ=0.
-#   5. impute-biteq — 1-thread vs 4-thread training, imputation and
-#                    serving through pristi_cli: checkpoints, CSVs and
-#                    `serve` transcripts (timing fields stripped)
-#                    byte-compared.
+#   5. impute-biteq — 1-thread vs 4-thread dataset generation, training,
+#                    imputation and serving through pristi_cli: dataset
+#                    files, checkpoints, CSVs and `serve` transcripts
+#                    (timing fields stripped) byte-compared.
 #
 # Training's shard/thread bit-identity and the fused-vs-reference attention
 # imputation parity are in-process ctests (sharded_train_test,
@@ -166,20 +166,22 @@ if [ "${PRISTI_NATIVE_BITEQ:-1}" != "0" ]; then
 fi
 
 # ---- leg 5: training and imputation thread-count bit-identity --------------
-# Trains a tiny seeded model through pristi_cli at PRISTI_THREADS=1 and =4
-# and byte-compares the checkpoints, then imputes the same task with it at
-# both thread counts and byte-compares the CSVs, then pipes one fixed
-# request script into `pristi_cli serve` with it at both thread counts and
-# byte-compares the transcripts without their timing-dependent fields
-# (batch sizes, latencies and the stats line). At 48 nodes, L=24 and S=4
-# the activations exceed the elementwise split floor, so the pooled
-# data-movement ops (permute, broadcast, concat/slice), the fused
-# elementwise ops and their backward passes, and the per-worker GEMM packing
-# really split; the unit suites' N=6 fixtures never do.
+# Generates one seeded dataset file through pristi_cli at PRISTI_THREADS=1
+# and =4 and byte-compares the two files. From that file (--data) it trains
+# a tiny model at both thread counts and byte-compares the checkpoints, then
+# imputes with it at both thread counts and byte-compares the CSVs, then
+# pipes one fixed request script into `pristi_cli serve` with it at both
+# thread counts and byte-compares the transcripts without their
+# timing-dependent fields (batch sizes, latencies and the stats line). At
+# 48 nodes, L=24 and S=4 the activations exceed the elementwise split
+# floor, so the pooled data-movement ops (permute, broadcast, concat/slice),
+# the fused elementwise ops and their backward passes, and the per-worker
+# GEMM packing really split; the unit suites' N=6 fixtures never do.
 build_dir="$repo_root/build-impute-biteq"
 echo "==== [impute-biteq] configure -> $build_dir ===="
 imp_tmp="$build_dir/impute-biteq-out"
-imp_flags="--preset=aqi --nodes=48 --gen-steps=240 --window=24 --stride=24"
+gen_flags="--preset=aqi --nodes=48 --gen-steps=240"
+imp_flags="--data=$imp_tmp/data.bin --window=24 --stride=24"
 serve_script="impute 0 1
 impute 24 2
 impute 48 3 ddpm 4
@@ -200,6 +202,11 @@ serve_transcript() {
 if cmake -S "$repo_root" -B "$build_dir" -DCMAKE_BUILD_TYPE=Release \
     && cmake --build "$build_dir" -j "$jobs" --target pristi_cli \
     && mkdir -p "$imp_tmp" \
+    && PRISTI_THREADS=1 "$build_dir/tools/pristi_cli" generate $gen_flags \
+        --out="$imp_tmp/data.bin" > "$imp_tmp/generate.log" 2>&1 \
+    && PRISTI_THREADS=4 "$build_dir/tools/pristi_cli" generate $gen_flags \
+        --out="$imp_tmp/data-t4.bin" > "$imp_tmp/generate-t4.log" 2>&1 \
+    && cmp "$imp_tmp/data.bin" "$imp_tmp/data-t4.bin" \
     && PRISTI_THREADS=1 "$build_dir/tools/pristi_cli" train $imp_flags \
         --epochs=1 --batch=4 --steps-diffusion=8 \
         --model-out="$imp_tmp/model.ckpt" > "$imp_tmp/train.log" 2>&1 \
@@ -220,7 +227,7 @@ if cmake -S "$repo_root" -B "$build_dir" -DCMAKE_BUILD_TYPE=Release \
     && serve_transcript 4 "$imp_tmp/serve-t4.out" \
     && grep -q '^request 4: ok ' "$imp_tmp/serve-t1.out" \
     && cmp "$imp_tmp/serve-t1.out" "$imp_tmp/serve-t4.out"; then
-  echo "==== [impute-biteq] OK (1-thread == 4-thread training, imputation and serving) ===="
+  echo "==== [impute-biteq] OK (1-thread == 4-thread generation, training, imputation and serving) ===="
 else
   echo "==== [impute-biteq] FAILED ===="
   status=1
